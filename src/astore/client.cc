@@ -145,14 +145,13 @@ Status AStoreClient::CmCall(const char* op, const std::string& service,
                             Slice request, std::string* response,
                             bool idempotent) {
   const RetryPolicy& rp = options_.retry;
-  const Timestamp deadline = (rp.enabled && rp.op_deadline != 0)
-                                 ? env_->clock()->Now() + rp.op_deadline
-                                 : 0;
+  const Timestamp deadline =
+      rp.op_deadline == 0 ? 0 : env_->clock()->Now() + rp.op_deadline;
   Status s;
   for (int attempt = 1;; ++attempt) {
     s = CmCallOnce(service, request, response,
                    (idempotent && rp.cm_deadline != 0) ? rp.cm_deadline : 0);
-    if (s.ok() || !rp.enabled || !Retriable(s)) return s;
+    if (s.ok() || !Retriable(s)) return s;
     if (attempt >= rp.max_attempts) return s;
     const Timestamp now = env_->clock()->Now();
     if (deadline != 0 && now >= deadline) return s;
@@ -222,74 +221,89 @@ Result<SegmentHandlePtr> AStoreClient::OpenSegment(SegmentId id) {
   return handle;
 }
 
-Status AStoreClient::Append(const SegmentHandlePtr& handle, Slice data,
-                            uint64_t* offset_out) {
+Status AStoreClient::BeginWrite(const SegmentHandlePtr& handle, Slice data,
+                                bool reserve, uint64_t* offset,
+                                qos::Ticket* ticket) {
   // QoS admission happens strictly before any handle lock (see the
   // qos.* -> astore.handle order contracts): both limiter waits park
   // through the virtual clock.
-  qos::Ticket ticket;
   if (options_.admission != nullptr) {
     VEDB_ASSIGN_OR_RETURN(
-        ticket, options_.admission->Admit(options_.tenant, data.size()));
+        *ticket, options_.admission->Admit(options_.tenant, data.size()));
   }
-  uint64_t offset;
-  {
-    // Reserve the cursor under a short lock; the RDMA fan-out happens
-    // outside it so concurrent appends overlap in virtual time.
-    vedb::MutexLock lk(&handle->mu_);
-    if (handle->stale_) return Status::Stale("segment route is stale");
-    if (handle->frozen_) return Status::Unavailable("segment frozen");
-    // A record bigger than the whole segment is a caller bug, not a
-    // capacity condition: NoSpace tells callers "open a fresh segment and
-    // retry", which would loop forever on an impossible payload.
-    if (data.size() > handle->route_.size) {
-      return Status::InvalidArgument("record larger than the segment");
+  vedb::MutexLock lk(&handle->mu_);
+  if (handle->stale_) return Status::Stale("segment route is stale");
+  if (handle->frozen_) return Status::Unavailable("segment frozen");
+  const uint64_t size = handle->route_.size;
+  if (!reserve) {
+    if (data.size() > size || *offset > size - data.size()) {
+      return Status::InvalidArgument("write past segment end");
     }
-    // Subtraction form: `write_offset_ + data.size()` wraps for sizes near
-    // UINT64_MAX and would bypass the capacity check.
-    if (handle->write_offset_ > handle->route_.size - data.size()) {
-      return Status::NoSpace("segment full");
-    }
-    offset = handle->write_offset_;
-    handle->write_offset_ += data.size();
+    return Status::OK();
   }
-  Status s = WriteWithRecovery(handle, offset, data, "append");
-  if (s.ok() && offset_out != nullptr) *offset_out = offset;
-  return s;
+  // A record bigger than the whole segment is a caller bug, not a
+  // capacity condition: NoSpace tells callers "open a fresh segment and
+  // retry", which would loop forever on an impossible payload.
+  if (data.size() > size) {
+    return Status::InvalidArgument("record larger than the segment");
+  }
+  // Subtraction form: `write_offset_ + data.size()` wraps for sizes near
+  // UINT64_MAX and would bypass the capacity check.
+  if (handle->write_offset_ > size - data.size()) {
+    return Status::NoSpace("segment full");
+  }
+  // The cursor is reserved under this short lock; the RDMA fan-out happens
+  // outside it so concurrent appends overlap in virtual time.
+  *offset = handle->write_offset_;
+  handle->write_offset_ += data.size();
+  return Status::OK();
+}
+
+Status AStoreClient::Append(const SegmentHandlePtr& handle, Slice data,
+                            uint64_t* offset_out) {
+  qos::Ticket ticket;
+  uint64_t offset = 0;
+  VEDB_RETURN_IF_ERROR(
+      BeginWrite(handle, data, /*reserve=*/true, &offset, &ticket));
+  VEDB_RETURN_IF_ERROR(WriteSingle(handle, offset, data, "append"));
+  if (offset_out != nullptr) *offset_out = offset;
+  return Status::OK();
 }
 
 Result<AStoreClient::AppendToken> AStoreClient::AppendAsync(
     const SegmentHandlePtr& handle, Slice data, uint64_t* offset_out) {
-  // Admission first (as in Append); the ticket then rides inside the ring
-  // entry so the tenant's in-flight accounting spans the async lifetime.
+  // The ticket rides inside the ring entry so the tenant's in-flight
+  // accounting spans the async lifetime.
   qos::Ticket ticket;
-  if (options_.admission != nullptr) {
-    VEDB_ASSIGN_OR_RETURN(
-        ticket, options_.admission->Admit(options_.tenant, data.size()));
-  }
-  uint64_t offset;
-  {
-    vedb::MutexLock lk(&handle->mu_);
-    if (handle->stale_) return Status::Stale("segment route is stale");
-    if (handle->frozen_) return Status::Unavailable("segment frozen");
-    if (data.size() > handle->route_.size) {
-      return Status::InvalidArgument("record larger than the segment");
-    }
-    if (handle->write_offset_ > handle->route_.size - data.size()) {
-      return Status::NoSpace("segment full");
-    }
-    offset = handle->write_offset_;
-    handle->write_offset_ += data.size();
-  }
+  uint64_t offset = 0;
+  VEDB_RETURN_IF_ERROR(
+      BeginWrite(handle, data, /*reserve=*/true, &offset, &ticket));
   if (offset_out != nullptr) *offset_out = offset;
-  std::vector<RecordPiece> pieces(1);
-  pieces[0].offset = offset;
-  pieces[0].data = data;
-  return append_ring_->Submit(handle, std::move(pieces), std::move(ticket));
+  return append_ring_->Submit(handle, {RecordPiece{offset, data}},
+                              std::move(ticket));
 }
 
 Status AStoreClient::WaitAppend(AppendToken token) {
   return append_ring_->Wait(token);
+}
+
+Status AStoreClient::WriteAt(const SegmentHandlePtr& handle, uint64_t offset,
+                             Slice data) {
+  qos::Ticket ticket;
+  VEDB_RETURN_IF_ERROR(
+      BeginWrite(handle, data, /*reserve=*/false, &offset, &ticket));
+  return WriteSingle(handle, offset, data, "write_at");
+}
+
+Status AStoreClient::WriteSingle(const SegmentHandlePtr& handle,
+                                 uint64_t offset, Slice data, const char* op) {
+  // A blocking write is a one-record group posted on the caller's thread.
+  // It skips the ring's leader/follower queue, where it would wait behind
+  // another producer's flush, and pays the flat per-write SDK cost.
+  const std::vector<RecordPiece> record = {RecordPiece{offset, data}};
+  return RetryOnHandle(handle, op, /*writer=*/true, [&] {
+    return PostRecordGroup(handle, {&record}, options_.write_sdk_overhead);
+  });
 }
 
 Status AStoreClient::WriteRecordGroup(
@@ -300,70 +314,59 @@ Status AStoreClient::WriteRecordGroup(
     if (handle->stale_) return Status::Stale("segment route is stale");
     if (handle->frozen_) return Status::Unavailable("segment frozen");
   }
-  Status s = PostRecordGroup(handle, records);
-  const RetryPolicy& rp = options_.retry;
-  if (s.ok() || !rp.enabled) return s;
-  // Same recovery protocol as WriteWithRecovery: the failed group's poster
-  // owns repair — refresh the route, re-post the identical bytes at the
-  // identical offsets (bypassing the frozen gate), un-freeze on success.
-  const Timestamp deadline =
-      rp.op_deadline == 0 ? 0 : env_->clock()->Now() + rp.op_deadline;
-  for (int attempt = 1; attempt < rp.max_attempts; ++attempt) {
-    if (!Retriable(s)) return s;
-    if (handle->stale()) return s;
-    const Timestamp now = env_->clock()->Now();
-    if (deadline != 0 && now >= deadline) return s;
-    CountRetry("append_group", s);
-    Timestamp wake = now + BackoffDelay(attempt);
-    if (deadline != 0 && wake > deadline) wake = deadline;
-    env_->clock()->SleepUntil(wake);
-    // discard-ok: an unreachable CM keeps the cached route; retry proceeds.
-    (void)RefreshRoute(handle);
-    if (handle->stale()) return Status::Stale("segment route is stale");
-    s = PostRecordGroup(handle, records);
-    if (s.ok()) {
-      vedb::MutexLock lk(&handle->mu_);
-      if (handle->frozen_ && !handle->stale_) {
-        handle->frozen_ = false;
-        unfreezes_->Add(1);
-      }
-    }
-  }
-  return s;
+  // Batched SDK cost: per-record WR assembly plus ONE doorbell/CQ reap for
+  // the whole group — this replaces N copies of write_sdk_overhead, which
+  // is where the Table-2 client_ns share collapses.
+  const AppendRingOptions& ring = options_.append_ring;
+  const Duration sdk_cost =
+      ring.submit_overhead * static_cast<Duration>(records.size()) +
+      ring.completion_overhead;
+  VEDB_RETURN_IF_ERROR(
+      RetryOnHandle(handle, "append_group", /*writer=*/true, [&] {
+        return PostRecordGroup(handle, records, sdk_cost);
+      }));
+  ring_doorbells_->Add(1);
+  doorbell_batch_->Observe(records.size());
+  if (records.size() > 1) coalesced_appends_->Add(records.size());
+  return Status::OK();
 }
 
 Status AStoreClient::PostRecordGroup(
     const SegmentHandlePtr& handle,
-    const std::vector<const std::vector<RecordPiece>*>& records) {
+    const std::vector<const std::vector<RecordPiece>*>& records,
+    Duration sdk_cost) {
+  // Zombie fencing: a client whose lease lapsed must not touch PMem that
+  // may have been reclaimed for another client (Section IV-C).
   if (options_.enforce_lease && !LeaseValid()) {
     return Status::LeaseExpired("client lease expired");
   }
-  Status injected = env_->faults()->MaybeFail("astore.client.write");
-  if (!injected.ok()) {
+
+  // "If any copy fails, it returns a failure to the application and
+  // freezes the segment with the current effective length." The injection
+  // point for the whole fan-out (free when unarmed) fails the same way.
+  const auto freeze = [&](Status failure) {
     vedb::MutexLock lk(&handle->mu_);
     handle->frozen_ = true;
     handle->frozen_epoch_ = handle->route_.epoch;
-    return injected;
-  }
+    return failure;
+  };
+  Status injected = env_->faults()->MaybeFail("astore.client.write");
+  if (!injected.ok()) return freeze(std::move(injected));
 
   const Timestamp t0 = env_->clock()->Now();
   obs::SpanScope span(obs::Tracer::Global(), "astore.client.write");
   span.AddTag("segment", std::to_string(handle->id()));
   span.AddTag("batch", std::to_string(records.size()));
 
-  // Batched SDK cost: per-record WR assembly plus ONE doorbell/CQ reap for
-  // the whole group — this replaces N copies of write_sdk_overhead, which
-  // is where the Table-2 client_ns share collapses.
-  client_node_->cpu()->Access(
-      0, options_.append_ring.submit_overhead *
-                 static_cast<Duration>(records.size()) +
-             options_.append_ring.completion_overhead);
+  // SDK software cost (WR construction, CQ polling, segment-meta update).
+  client_node_->cpu()->Access(0, sdk_cost);
   const Timestamp sdk_done = env_->clock()->Now();
 
   SegmentRoute route = handle->route();
 
-  // One io-meta covering the group's full extent: after a failure the
-  // effective length discovery only needs the furthest persisted byte.
+  // io-meta: the offset/length pair that makes the effective data length
+  // discoverable after a failure (Section IV-B). One io-meta covers the
+  // group's full extent: discovery only needs the furthest persisted byte.
   uint64_t lo = UINT64_MAX;
   uint64_t hi = 0;
   uint64_t bytes = 0;
@@ -378,10 +381,11 @@ Status AStoreClient::PostRecordGroup(
   PutFixed64(&io_meta, lo);
   PutFixed64(&io_meta, hi - lo);
 
-  // One chain per replica: every record's WRs in submission order, then
-  // WRITE io-meta, then one flush READ covering them all. WR order inside
-  // the chain is the crash-ordering contract: a torn chain applies a
-  // prefix, so a record is only ever torn *after* all earlier records.
+  // One chain per replica, "chained together to reduce MMIO operations":
+  // every record's WRs in submission order, then WRITE io-meta, then one
+  // flush READ covering them all. WR order inside the chain is the
+  // crash-ordering contract: a torn chain applies a prefix, so a record is
+  // only ever torn *after* all earlier records.
   std::vector<std::vector<net::RdmaWorkRequest>> chains;
   chains.reserve(route.replicas.size());
   for (const auto& loc : route.replicas) {
@@ -399,24 +403,19 @@ Status AStoreClient::PostRecordGroup(
   std::vector<net::ChainBreakdown> breakdowns;
   auto statuses = fabric_->PostChainMulti(client_node_, chains, &breakdowns);
   for (const Status& st : statuses) {
-    if (!st.ok()) {
-      vedb::MutexLock lk(&handle->mu_);
-      handle->frozen_ = true;
-      handle->frozen_epoch_ = handle->route_.epoch;
-      return st;
-    }
+    if (!st.ok()) return freeze(st);
   }
 
   writes_->Add(records.size());
   write_bytes_->Add(bytes);
   write_ns_->Observe(env_->clock()->Now() - t0);
-  ring_doorbells_->Add(1);
-  doorbell_batch_->Observe(records.size());
-  if (records.size() > 1) coalesced_appends_->Add(records.size());
 
-  // Table 2-style breakdown of the critical chain, tiling [t0, end] (see
-  // WriteInternal). With batching the client part is amortized: one
-  // doorbell + the batched SDK cost covers every record in the group.
+  // Table 2-style breakdown of the critical (slowest-replica) chain: four
+  // child spans that tile [t0, chain end] with no gaps, so their durations
+  // sum exactly to the end-to-end write span. The client component is the
+  // SDK software time plus the doorbell — for a ring group, one doorbell
+  // and the batched SDK cost cover every record — and the rest comes
+  // straight from the fabric's ChainBreakdown.
   if (obs::Tracer* tracer = obs::Tracer::Global();
       tracer != nullptr && span.active() && !breakdowns.empty()) {
     const net::ChainBreakdown* crit = &breakdowns[0];
@@ -433,8 +432,11 @@ Status AStoreClient::PostRecordGroup(
   }
 
   // Ack ordering: every record's bytes and the io-meta must be in the
-  // persistence domain on every replica before any token resolves OK —
-  // this is what keeps doorbell coalescing safe under the PersistChecker.
+  // persistence domain on every replica before the write (or any ring
+  // token) resolves OK. With DDIO left enabled the flush READ is a no-op
+  // and the persist checker trips here, which is exactly the bug class the
+  // paper's DDIO-off deployment exists to prevent — and what keeps
+  // doorbell coalescing safe.
   for (const auto& loc : route.replicas) {
     for (const auto* rec : records) {
       for (const RecordPiece& p : *rec) {
@@ -450,170 +452,44 @@ Status AStoreClient::PostRecordGroup(
   return Status::OK();
 }
 
-Status AStoreClient::WriteAt(const SegmentHandlePtr& handle, uint64_t offset,
-                             Slice data) {
-  qos::Ticket ticket;
-  if (options_.admission != nullptr) {
-    VEDB_ASSIGN_OR_RETURN(
-        ticket, options_.admission->Admit(options_.tenant, data.size()));
-  }
-  {
-    vedb::MutexLock lk(&handle->mu_);
-    if (handle->stale_) return Status::Stale("segment route is stale");
-    if (handle->frozen_) return Status::Unavailable("segment frozen");
-    if (data.size() > handle->route_.size ||
-        offset > handle->route_.size - data.size()) {
-      return Status::InvalidArgument("write past segment end");
-    }
-  }
-  return WriteWithRecovery(handle, offset, data, "write_at");
-}
-
-Status AStoreClient::WriteWithRecovery(const SegmentHandlePtr& handle,
-                                       uint64_t offset, Slice data,
-                                       const char* op) {
-  Status s = WriteInternal(handle, offset, data);
+template <typename F>
+Status AStoreClient::RetryOnHandle(const SegmentHandlePtr& handle,
+                                   const char* op, bool writer, F&& attempt) {
+  Status s = attempt();
+  if (s.ok()) return s;
   const RetryPolicy& rp = options_.retry;
-  if (s.ok() || !rp.enabled) return s;
   const Timestamp deadline =
       rp.op_deadline == 0 ? 0 : env_->clock()->Now() + rp.op_deadline;
-  for (int attempt = 1; attempt < rp.max_attempts; ++attempt) {
+  for (int n = 1; n < rp.max_attempts; ++n) {
     if (!Retriable(s)) return s;
     if (handle->stale()) return s;  // reclaimed/deleted: permanently gone
     const Timestamp now = env_->clock()->Now();
     if (deadline != 0 && now >= deadline) return s;
     CountRetry(op, s);
-    Timestamp wake = now + BackoffDelay(attempt);
+    Timestamp wake = now + BackoffDelay(n);
     if (deadline != 0 && wake > deadline) wake = deadline;
     env_->clock()->SleepUntil(wake);
-    // Pick up the CM's rebuilt replica set before re-posting. discard-ok:
+    // Pick up the CM's rebuilt replica set before trying again. discard-ok:
     // an unreachable CM keeps the cached route and the retry proceeds.
     (void)RefreshRoute(handle);
     if (handle->stale()) return Status::Stale("segment route is stale");
-    // The failed writer owns repair of its reserved range: it bypasses the
-    // frozen gate and re-posts the same bytes at the same offset on every
-    // replica, so a success re-establishes replica agreement — which is
-    // why it may also lift the freeze it caused.
-    s = WriteInternal(handle, offset, data);
+    s = attempt();
     if (s.ok()) {
-      vedb::MutexLock lk(&handle->mu_);
-      if (handle->frozen_ && !handle->stale_) {
-        handle->frozen_ = false;
-        unfreezes_->Add(1);
+      // The failed writer owns repair of its reserved range: the retry
+      // bypassed the frozen gate and re-posted the same bytes at the same
+      // offsets on every replica, so its success re-establishes replica
+      // agreement — which is why it may also lift the freeze it caused.
+      if (writer) {
+        vedb::MutexLock lk(&handle->mu_);
+        if (handle->frozen_ && !handle->stale_) {
+          handle->frozen_ = false;
+          unfreezes_->Add(1);
+        }
       }
-    }
-  }
-  return s;
-}
-
-Status AStoreClient::WriteInternal(const SegmentHandlePtr& handle,
-                                   uint64_t offset, Slice data) {
-  // Zombie fencing: a client whose lease lapsed must not touch PMem that
-  // may have been reclaimed for another client (Section IV-C).
-  if (options_.enforce_lease && !LeaseValid()) {
-    return Status::LeaseExpired("client lease expired");
-  }
-
-  // Injection point for the whole fan-out (costs nothing unarmed). An
-  // injected failure behaves exactly like a replica failure: freeze, then
-  // let the recovery loop repair.
-  Status injected = env_->faults()->MaybeFail("astore.client.write");
-  if (!injected.ok()) {
-    vedb::MutexLock lk(&handle->mu_);
-    handle->frozen_ = true;
-    handle->frozen_epoch_ = handle->route_.epoch;
-    return injected;
-  }
-
-  const Timestamp t0 = env_->clock()->Now();
-  obs::SpanScope span(obs::Tracer::Global(), "astore.client.write");
-  span.AddTag("segment", std::to_string(handle->id()));
-
-  // SDK software cost (WR construction, segment-meta update, CQ polling).
-  client_node_->cpu()->Access(0, options_.write_sdk_overhead);
-  const Timestamp sdk_done = env_->clock()->Now();
-
-  SegmentRoute route = handle->route();
-
-  // io-meta: the offset/length pair that makes the effective data length
-  // discoverable after a failure (Section IV-B).
-  std::string io_meta;
-  PutFixed64(&io_meta, offset);
-  PutFixed64(&io_meta, data.size());
-
-  // One chain per replica: WRITE payload + WRITE io-meta + flush READ,
-  // "chained together to reduce MMIO operations".
-  std::vector<std::vector<net::RdmaWorkRequest>> chains;
-  chains.reserve(route.replicas.size());
-  for (const auto& loc : route.replicas) {
-    std::vector<net::RdmaWorkRequest> chain(3);
-    chain[0].kind = net::RdmaWorkRequest::Kind::kWrite;
-    chain[0].region = loc.region;
-    chain[0].offset = loc.base_offset + offset;
-    chain[0].write_data = data;
-    chain[1].kind = net::RdmaWorkRequest::Kind::kWrite;
-    chain[1].region = loc.region;
-    chain[1].offset = loc.io_meta_offset;
-    chain[1].write_data = Slice(io_meta);
-    chain[2].kind = net::RdmaWorkRequest::Kind::kRead;
-    chain[2].region = loc.region;
-    chain[2].offset = loc.io_meta_offset;
-    chain[2].read_len = 0;  // flush-only READ
-    chains.push_back(std::move(chain));
-  }
-
-  std::vector<net::ChainBreakdown> breakdowns;
-  auto statuses = fabric_->PostChainMulti(client_node_, chains, &breakdowns);
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
-      // "If any copy fails, it returns a failure to the application and
-      // freezes the segment with the current effective length."
-      vedb::MutexLock lk(&handle->mu_);
-      handle->frozen_ = true;
-      handle->frozen_epoch_ = handle->route_.epoch;
       return s;
     }
   }
-
-  writes_->Add(1);
-  write_bytes_->Add(data.size());
-  write_ns_->Observe(env_->clock()->Now() - t0);
-
-  // Table 2-style breakdown of the critical (slowest-replica) chain: four
-  // child spans that tile [t0, chain end] with no gaps, so their durations
-  // sum exactly to the end-to-end write span. The client component is the
-  // SDK software time plus the doorbell; the rest comes straight from the
-  // fabric's ChainBreakdown.
-  if (obs::Tracer* tracer = obs::Tracer::Global();
-      tracer != nullptr && span.active() && !breakdowns.empty()) {
-    const net::ChainBreakdown* crit = &breakdowns[0];
-    for (const auto& bd : breakdowns) {
-      if (bd.end > crit->end) crit = &bd;
-    }
-    const Timestamp c1 = sdk_done + crit->client;
-    const Timestamp c2 = c1 + crit->network;
-    const Timestamp c3 = c2 + crit->server;
-    tracer->AddSpan("breakdown.client", span.context(), t0, c1);
-    tracer->AddSpan("breakdown.network", span.context(), c1, c2);
-    tracer->AddSpan("breakdown.server", span.context(), c2, c3);
-    tracer->AddSpan("breakdown.pmem_flush", span.context(), c3, crit->end);
-  }
-
-  // All replicas reported completion: this is the point where the write is
-  // acknowledged as durable to the caller. The persist checker validates
-  // that the payload and io-meta actually entered every replica's
-  // persistence domain — with DDIO left enabled the flush READ is a no-op
-  // and this trips immediately, which is exactly the bug class the paper's
-  // DDIO-off deployment exists to prevent.
-  for (const auto& loc : route.replicas) {
-    VEDB_RETURN_IF_ERROR(fabric_->VerifyPersisted(
-        loc.region, loc.base_offset + offset, data.size(),
-        "astore.client.ack/payload"));
-    VEDB_RETURN_IF_ERROR(fabric_->VerifyPersisted(
-        loc.region, loc.io_meta_offset, io_meta.size(),
-        "astore.client.ack/io_meta"));
-  }
-  return Status::OK();
+  return s;
 }
 
 Status AStoreClient::VerifyPersisted(const SegmentHandlePtr& handle,
@@ -653,26 +529,9 @@ Status AStoreClient::ReadWithRecovery(const SegmentHandlePtr& handle,
       return Status::InvalidArgument("read past segment end");
     }
   }
-  Status s = ReadInternal(handle, offset, len, out, read_opts);
-  const RetryPolicy& rp = options_.retry;
-  if (s.ok() || !rp.enabled) return s;
-  const Timestamp deadline =
-      rp.op_deadline == 0 ? 0 : env_->clock()->Now() + rp.op_deadline;
-  for (int attempt = 1; attempt < rp.max_attempts; ++attempt) {
-    if (!Retriable(s)) return s;
-    if (handle->stale()) return s;
-    const Timestamp now = env_->clock()->Now();
-    if (deadline != 0 && now >= deadline) return s;
-    CountRetry("read", s);
-    Timestamp wake = now + BackoffDelay(attempt);
-    if (deadline != 0 && wake > deadline) wake = deadline;
-    env_->clock()->SleepUntil(wake);
-    // discard-ok: an unreachable CM keeps the cached route.
-    (void)RefreshRoute(handle);
-    if (handle->stale()) return Status::Stale("segment route is stale");
-    s = ReadInternal(handle, offset, len, out, read_opts);
-  }
-  return s;
+  return RetryOnHandle(handle, "read", /*writer=*/false, [&] {
+    return ReadInternal(handle, offset, len, out, read_opts);
+  });
 }
 
 Status AStoreClient::ReadInternal(const SegmentHandlePtr& handle,
@@ -776,16 +635,10 @@ Status AStoreClient::WriteReplica(const SegmentHandlePtr& handle,
   if (!node->alive()) return Status::Unavailable("replica node is down");
   // WRITE the verified bytes + flush READ: the same persistence protocol
   // as the write path, against the one bad replica.
-  std::vector<net::RdmaWorkRequest> chain(2);
-  chain[0].kind = net::RdmaWorkRequest::Kind::kWrite;
-  chain[0].region = loc.region;
-  chain[0].offset = loc.base_offset + offset;
-  chain[0].write_data = data;
-  chain[1].kind = net::RdmaWorkRequest::Kind::kRead;
-  chain[1].region = loc.region;
-  chain[1].offset = loc.base_offset + offset;
-  chain[1].read_len = 0;  // flush-only READ
-  return fabric_->PostChain(client_node_, chain);
+  net::ChainBuilder chain(loc.region);
+  chain.Write(loc.base_offset + offset, data)
+      .FlushRead(loc.base_offset + offset);
+  return fabric_->PostChain(client_node_, chain.Take());
 }
 
 Status AStoreClient::ReadReplica(const SegmentHandlePtr& handle,

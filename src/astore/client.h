@@ -40,10 +40,8 @@ namespace vedb::astore {
 /// Permanent conditions (lease expiry, reclaimed/deleted segments, bad
 /// arguments, NoSpace) surface immediately.
 struct RetryPolicy {
-  /// Master switch. Off = every transient failure surfaces to the caller
-  /// (the pre-recovery behaviour; the EBP cache path wants this).
-  bool enabled = true;
-  /// Upper bound on attempts per operation, first try included.
+  /// Upper bound on attempts per operation, first try included. 1 = every
+  /// transient failure surfaces to the caller.
   int max_attempts = 64;
   /// First backoff; doubles per attempt up to `max_backoff`.
   Duration initial_backoff = 200 * kMicrosecond;
@@ -185,9 +183,10 @@ class AStoreClient {
   Result<SegmentHandlePtr> OpenSegment(SegmentId id);
 
   /// Appends `data` at the handle's write cursor; all replicas must ack.
-  /// A replica failure freezes the segment, then (with retry enabled) the
-  /// failed writer owns repair: it re-fetches the route, re-posts the same
-  /// bytes at its reserved offset, and un-freezes on success. Only after
+  /// A replica failure freezes the segment, then (unless
+  /// retry.max_attempts is 1) the failed writer owns repair: it re-fetches
+  /// the route, re-posts the same bytes at its reserved offset, and
+  /// un-freezes on success. Only after
   /// the retry budget is exhausted does the error surface — at which point
   /// the caller opens a new segment and retries there (Section IV-B).
   /// Returns the start offset via `offset_out`.
@@ -217,7 +216,8 @@ class AStoreClient {
   /// chained-WR doorbell per replica (one doorbell_cost + one flush READ
   /// amortized over the group), with the same transparent recovery as
   /// Append. Called by the AppendRing's flush leader; `records` are borrowed
-  /// piece lists that must stay alive for the call.
+  /// piece lists that must stay alive for the call. A successful group
+  /// counts one `ring.doorbells`; Append and WriteAt never do.
   Status WriteRecordGroup(
       const SegmentHandlePtr& handle,
       const std::vector<const std::vector<RecordPiece>*>& records);
@@ -228,8 +228,8 @@ class AStoreClient {
   Status WriteAt(const SegmentHandlePtr& handle, uint64_t offset, Slice data);
 
   /// Reads `len` bytes at `offset` via one-sided RDMA READ. Fails over
-  /// across replicas within one attempt; with retry enabled, refreshes the
-  /// route and retries when no replica could serve the read.
+  /// across replicas within one attempt; within the retry budget, refreshes
+  /// the route and retries when no replica could serve the read.
   Status Read(const SegmentHandlePtr& handle, uint64_t offset, uint64_t len,
               char* out);
 
@@ -301,16 +301,32 @@ class AStoreClient {
   sim::SimEnvironment* env() { return env_; }
 
  private:
-  Status WriteInternal(const SegmentHandlePtr& handle, uint64_t offset,
-                       Slice data);
-  Status WriteWithRecovery(const SegmentHandlePtr& handle, uint64_t offset,
-                           Slice data, const char* op);
-  /// One batched fan-out attempt for WriteRecordGroup (the group analogue
-  /// of WriteInternal): per-replica chain of all record WRs + one io-meta
-  /// WR + one flush READ.
+  /// Shared preamble of Append, AppendAsync and WriteAt: QoS admission
+  /// into `*ticket`, then, under the handle lock, the stale/frozen gate and
+  /// the bounds check. With `reserve` it takes `data.size()` bytes at the
+  /// write cursor and returns their offset in `*offset`; otherwise it
+  /// checks the caller's `*offset`.
+  Status BeginWrite(const SegmentHandlePtr& handle, Slice data, bool reserve,
+                    uint64_t* offset, qos::Ticket* ticket);
+  /// Append/WriteAt's post: a one-record group at `offset`, with recovery.
+  Status WriteSingle(const SegmentHandlePtr& handle, uint64_t offset,
+                     Slice data, const char* op);
+  /// The one write attempt every write path makes: lease fence, then per
+  /// replica a chain of all record WRs + one io-meta WR + one flush READ,
+  /// then the persist check before the ack. `sdk_cost` is the client
+  /// software time charged first.
   Status PostRecordGroup(
       const SegmentHandlePtr& handle,
-      const std::vector<const std::vector<RecordPiece>*>& records);
+      const std::vector<const std::vector<RecordPiece>*>& records,
+      Duration sdk_cost);
+  /// Runs `attempt`, and on a retriable failure refreshes the route and
+  /// retries with backoff within the RetryPolicy budget; `op` labels the
+  /// retry counter. A `writer` whose retry succeeds lifts the handle's
+  /// freeze. A template, not std::function: it wraps every write and read,
+  /// and a type-erased capture would heap-allocate on each one.
+  template <typename F>
+  Status RetryOnHandle(const SegmentHandlePtr& handle, const char* op,
+                       bool writer, F&& attempt);
   Status ReadWithRecovery(const SegmentHandlePtr& handle, uint64_t offset,
                           uint64_t len, char* out,
                           const ReadOptions& read_opts);

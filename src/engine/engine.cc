@@ -325,15 +325,23 @@ void DBEngine::ShipperLoop() {
     env_->clock()->SleepFor(options_.shipper_period);
     while (true) {
       bool more;
+      uint64_t before;
       {
         vedb::MutexLock lk(&ship_mu_);
         more = !ship_queue_.empty() &&
                ship_queue_.begin()->first <= log_->DurableLsn();
+        before = shipped_through_;
       }
       if (!more) break;
       // discard-ok: background shipping retries forever; EnsureShipped is
       // the synchronous fence for callers that need the result.
       (void)ShipEligibleOnce();
+      // No progress: the next LSN's record is not queued yet (its
+      // on_assigned hook has not run) or the ship failed. Spinning here
+      // would hold the run token without advancing virtual time, so the
+      // actor that fills the gap would never run; wait a period instead.
+      vedb::MutexLock lk(&ship_mu_);
+      if (shipped_through_ == before) break;
     }
   }
 }
@@ -469,6 +477,10 @@ Status DBEngine::Recover(const std::vector<astore::LogRecord>& tail_records) {
   {
     vedb::MutexLock lk(&ship_mu_);
     shipped_through_ = std::max(shipped_through_, resume_through);
+    // The ship scan starts past the watermark, so entries at or below it
+    // could never leave the queue.
+    ship_queue_.erase(ship_queue_.begin(),
+                      ship_queue_.upper_bound(shipped_through_));
   }
 
   // Rebuild every table's in-memory indexes from storage.

@@ -156,7 +156,7 @@ TEST(AppendRingTest, SixtyFourClientStormIsDeterministicAndCoalesces) {
 TEST(AppendRingTest, TornDoorbellRecoversExactlyTheCrcValidPrefix) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   AStoreClient::Options copts;
-  copts.retry.enabled = false;  // surface the torn chain, don't repair it
+  copts.retry.max_attempts = 1;  // surface the torn chain, don't repair it
   MiniCluster c(31, /*num_servers=*/4, copts);
   c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
@@ -218,7 +218,7 @@ TEST(AppendRingTest, TornDoorbellRecoversExactlyTheCrcValidPrefix) {
 TEST(AppendRingTest, FullStampFailureAfterDurableRecordLosesNothing) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   AStoreClient::Options copts;
-  copts.retry.enabled = false;
+  copts.retry.max_attempts = 1;
   MiniCluster c(32, /*num_servers=*/4, copts);
   c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());

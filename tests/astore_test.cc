@@ -10,6 +10,7 @@
 #include "common/units.h"
 #include "net/rdma.h"
 #include "net/rpc.h"
+#include "obs/metrics.h"
 #include "sim/env.h"
 
 namespace vedb::astore {
@@ -199,6 +200,125 @@ TEST_F(AStoreTest, AppendAsyncRoundTrip) {
   EXPECT_EQ(std::string(buf, sizeof(buf)), "async-oneasync-two");
 }
 
+// The virtual latency of one 512-byte write at offset 0 of a fresh segment,
+// in a freshly built world seeded with `seed`: one CM, four servers, one
+// idle client. `ring` picks AppendAsync+WaitAppend over WriteAt.
+Duration OneWriteLatency(uint64_t seed, bool ring) {
+  sim::SimEnvironment env(seed);
+  net::RpcTransport rpc(&env);
+  net::RdmaFabric fabric(&env);
+  sim::NodeConfig cm_cfg;
+  cm_cfg.cpu_cores = 8;
+  cm_cfg.storage = sim::HardwareProfile::NvmeSsd(env.NextSeed());
+  sim::SimNode* cm_node = env.AddNode("cm", cm_cfg);
+  ClusterManager cm(&env, &rpc, cm_node, ClusterManager::Options{});
+  std::vector<std::unique_ptr<AStoreServer>> servers;
+  for (int i = 0; i < 4; ++i) {
+    sim::NodeConfig cfg;
+    cfg.cpu_cores = 32;
+    cfg.storage = sim::HardwareProfile::OptanePmem(env.NextSeed());
+    AStoreServer::Options opts;
+    opts.pmem_capacity = 16 * kMiB;
+    servers.push_back(std::make_unique<AStoreServer>(
+        &env, &rpc, &fabric, env.AddNode("astore-" + std::to_string(i), cfg),
+        opts));
+    cm.RegisterServer(servers.back().get());
+  }
+  sim::NodeConfig client_cfg;
+  client_cfg.cpu_cores = 16;
+  client_cfg.storage = sim::HardwareProfile::NvmeSsd(env.NextSeed());
+  AStoreClient client(&env, &rpc, &fabric, cm_node,
+                      env.AddNode("dbe", client_cfg), /*client_id=*/1,
+                      AStoreClient::Options{});
+
+  env.clock()->RegisterActor();
+  Status s = client.Connect();
+  SegmentHandlePtr seg;
+  if (s.ok()) {
+    auto created = client.CreateSegment(256 * kKiB, 3);
+    s = created.status();
+    if (s.ok()) seg = created.value();
+  }
+  const std::string payload(512, 'c');
+  const Timestamp t0 = env.clock()->Now();
+  if (s.ok() && ring) {
+    auto token = client.AppendAsync(seg, Slice(payload));
+    s = token.ok() ? client.WaitAppend(token.value()) : token.status();
+  } else if (s.ok()) {
+    s = client.WriteAt(seg, 0, Slice(payload));
+  }
+  const Duration latency = s.ok() ? env.clock()->Now() - t0 : 0;
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  env.clock()->UnregisterActor();
+  return latency;
+}
+
+TEST(AStoreWriteCostTest, SingleWriteAndRingAppendDifferOnlyInSdkCost) {
+  // Append/WriteAt and the ring post the same chain; the only difference
+  // is the software cost each charges first. Two identically seeded worlds
+  // draw the same device jitter, so the latency gap is exactly the cost gap.
+  const Duration write_at = OneWriteLatency(/*seed=*/7, /*ring=*/false);
+  const Duration ring = OneWriteLatency(/*seed=*/7, /*ring=*/true);
+  ASSERT_GT(ring, 0);
+  const AStoreClient::Options o;
+  EXPECT_EQ(write_at - ring,
+            o.write_sdk_overhead - (o.append_ring.submit_overhead +
+                                    o.append_ring.completion_overhead));
+}
+
+TEST_F(AStoreTest, SingleWritesAreNotCountedAsDoorbells) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Counter* doorbells = reg.GetCounter("ring.doorbells");
+  obs::Counter* coalesced = reg.GetCounter("astore.client.coalesced_appends");
+  obs::HistogramMetric* batch = reg.GetHistogram("ring.doorbell_batch");
+  const uint64_t doorbells0 = doorbells->value();
+  const uint64_t coalesced0 = coalesced->value();
+  const uint64_t batch0 = batch->Snapshot().count();
+
+  auto res = client_->CreateSegment(256 * kKiB, 3);
+  ASSERT_TRUE(res.ok());
+  ASSERT_TRUE(client_->Append(res.value(), Slice("single"), nullptr).ok());
+  ASSERT_TRUE(client_->WriteAt(res.value(), 64, Slice("write-at")).ok());
+  EXPECT_EQ(doorbells->value(), doorbells0);
+  EXPECT_EQ(coalesced->value(), coalesced0);
+  EXPECT_EQ(batch->Snapshot().count(), batch0);
+
+  // A ring append is one doorbell.
+  auto token = client_->AppendAsync(res.value(), Slice("ring"));
+  ASSERT_TRUE(token.ok());
+  ASSERT_TRUE(client_->WaitAppend(token.value()).ok());
+  EXPECT_EQ(doorbells->value(), doorbells0 + 1);
+  EXPECT_EQ(batch->Snapshot().count(), batch0 + 1);
+}
+
+TEST_F(AStoreTest, InjectedWriteAtFailureRetriesAndUnfreezes) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::Counter* retries = reg.GetCounter(
+      "astore.client.retries", {{"op", "write_at"}, {"cause", "io_error"}});
+  obs::Counter* unfreezes = reg.GetCounter("astore.client.unfreezes");
+  const uint64_t retries0 = retries->value();
+  const uint64_t unfreezes0 = unfreezes->value();
+
+  auto res = client_->CreateSegment(256 * kKiB, 3);
+  ASSERT_TRUE(res.ok());
+  SegmentHandlePtr seg = res.value();
+  // The first attempt fails and freezes the handle; the writer owns the
+  // repair, re-posts the same bytes, and lifts its own freeze.
+  env_.faults()->Arm("astore.client.write", 1.0,
+                     Status::IOError("injected write fault"),
+                     /*remaining=*/1);
+  ASSERT_TRUE(client_->WriteAt(seg, 128, Slice("repaired")).ok());
+  EXPECT_EQ(env_.faults()->InjectedCount("astore.client.write"), 1u);
+  env_.faults()->Disarm("astore.client.write");
+  EXPECT_FALSE(seg->frozen());
+  EXPECT_EQ(retries->value(), retries0 + 1);
+  EXPECT_EQ(unfreezes->value(), unfreezes0 + 1);
+
+  char buf[8];
+  ASSERT_TRUE(client_->Read(seg, 128, sizeof(buf), buf).ok());
+  EXPECT_EQ(std::string(buf, sizeof(buf)), "repaired");
+}
+
 TEST_F(AStoreTest, ReadFailsOverToLiveReplica) {
   auto res = client_->CreateSegment(256 * kKiB, 3);
   ASSERT_TRUE(res.ok());
@@ -218,7 +338,7 @@ TEST_F(AStoreTest, ReadFailsOverPastFaultedReplica) {
   // the caller instead of failing over to the next copy. Retry is disabled
   // so the fix is exercised within a single attempt.
   AStoreClient::Options opts;
-  opts.retry.enabled = false;
+  opts.retry.max_attempts = 1;
   auto client = std::make_unique<AStoreClient>(&env_, rpc_.get(),
                                                fabric_.get(), cm_node_,
                                                client_node_, /*client_id=*/1,

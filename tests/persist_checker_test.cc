@@ -189,7 +189,7 @@ TEST_F(AStoreAckPathTest, DdioEnabledAppendTripsCheckerAtAck) {
   // The deliberate acked-before-flush configuration: with DDIO enabled the
   // chained RDMA READ flushes nothing, so the client-side durability claim
   // at ack time must fail — this is the checker doing its job. Reverting
-  // the VerifyPersisted guard in AStoreClient::WriteInternal makes this
+  // the VerifyPersisted guard in AStoreClient::PostRecordGroup makes this
   // Append succeed and the test fail.
   Build(/*ddio_enabled=*/true);
   auto seg = client_->CreateSegment(1 * kMiB, 3);
