@@ -33,8 +33,8 @@ std::vector<Point> RunSweep(bool use_astore,
     workload::ClusterOptions opts =
         bench::MakeClusterOptions(use_astore, 0, /*seed=*/2023);
     workload::VedbCluster cluster(opts);
-    // Register main before any background actors exist so the setup phase
-    // runs under the scheduler's run token (deterministic tick counts).
+    // Main runs the setup as an actor, queued ahead of the background
+    // actors.
     cluster.env()->clock()->RegisterActor();
     cluster.StartBackground();
 

@@ -76,10 +76,7 @@ std::string BreakdownJson(const std::vector<obs::Span>& spans,
 MicroResult RunLogMicro(bool use_astore, int ops) {
   workload::ClusterOptions opts = bench::MakeClusterOptions(use_astore, 0);
   workload::VedbCluster cluster(opts);
-  // Register main before any background actors exist: a registered main
-  // holds the run token from the first tick, so the setup phase advances
-  // virtual time identically on every run (a guest main would interleave
-  // with actors in real time).
+  // Main runs the setup as an actor, queued ahead of the background actors.
   cluster.env()->clock()->RegisterActor();
   cluster.StartBackground();
 
@@ -128,8 +125,7 @@ MicroResult RunLogMicro(bool use_astore, int ops) {
     obs::MetricsRegistry::Default().ResetValues();
   }
 
-  // Shut down while still registered so teardown runs under the run token
-  // (deterministic) instead of racing a guest main.
+  // Shut down while still registered, then end main's actor role.
   cluster.Shutdown();
   cluster.env()->clock()->UnregisterActor();
   return result;

@@ -20,12 +20,12 @@
 #      [[nodiscard]] on Status/Result plus -Werror in CI; this half makes
 #      sure every explicit discard says why.)
 #
-#   4. naked-thread: std::thread / pthread_* are banned outside src/sim.
-#      All concurrency must go through the sim runtime (ActorGroup,
-#      VirtualCondition, vedb::Mutex) so the deterministic scheduler, the
-#      race detector, and the lock-order graph see every thread and lock.
-#      A deliberate exception is waived with a `// thread-ok` comment on
-#      the same line.
+#   4. naked-thread: no naked threads. std::thread / pthread_* are banned
+#      everywhere, src/sim included: every actor is a fiber on the clock's
+#      one OS thread (ActorGroup, VirtualCondition, vedb::Mutex), so the
+#      deterministic scheduler, the race detector, and the lock-order graph
+#      see every actor and lock. A deliberate exception is waived with a
+#      `// thread-ok` comment on the same line.
 #
 # In addition, if clang-tidy is on PATH, it is run over src/ with the
 # repo's .clang-tidy config. Containers without clang-tidy (like the CI
@@ -107,7 +107,7 @@ check_status_discard() {
   fi
 }
 
-# --- Rule 4: no naked threads outside the sim runtime -----------------------
+# --- Rule 4: no naked threads -----------------------------------------------
 check_naked_threads() {
   local -a dirs=("$@")
   local hits
@@ -115,8 +115,8 @@ check_naked_threads() {
               --include='*.cc' --include='*.h' "${dirs[@]}" 2>/dev/null |
          grep -v 'thread-ok')
   if [[ -n "$hits" ]]; then
-    fail "naked std::thread/pthread_* outside src/sim (spawn through the
-lint: sim runtime so the scheduler and detectors see it, or waive a
+    fail "naked std::thread/pthread_* (spawn an actor through the sim
+lint: runtime so the scheduler and detectors see it, or waive a
 lint: deliberate use with '// thread-ok'):"
     printf '%s\n' "$hits" >&2
   fi
@@ -184,10 +184,7 @@ check_pmem_raw_write src/astore src/net src/logstore src/ebp src/topic \
                      src/qos
 check_pmem_api_bypass src
 check_status_discard src tests bench examples
-check_naked_threads src/astore src/blob src/common src/ebp src/engine \
-                    src/logstore src/net src/obs src/pagestore src/pmem \
-                    src/query src/topic src/qos src/workload tests bench \
-                    examples
+check_naked_threads src tests bench examples
 run_clang_tidy
 
 if [[ $FAILED -eq 0 ]]; then

@@ -1,5 +1,5 @@
 // Fixture for lint rule 4 (naked-thread): spawning a raw std::thread
-// outside src/sim must trip the lint.
+// anywhere must trip the lint.
 #include <thread>
 
 void SpawnWorker() {

@@ -12,8 +12,8 @@
 //
 // Leader/follower, no dedicated actor: the first Wait()er whose token is
 // unresolved becomes the flush leader (same shape as
-// logstore::GroupCommitter), which keeps the ring usable from guest
-// threads — test mains that never registered with the virtual clock.
+// logstore::GroupCommitter), which keeps the ring usable from a main that
+// never registered with the virtual clock.
 //
 // Ordering: the queue drains strictly in submission (seq) order and the
 // leader resolves a whole drained run before any later submission, so

@@ -11,7 +11,11 @@ namespace vedb::astore {
 ClusterManager::ClusterManager(sim::SimEnvironment* env,
                                net::RpcTransport* rpc, sim::SimNode* node,
                                const Options& options)
-    : env_(env), rpc_(rpc), node_(node), options_(options) {
+    : env_(env),
+      rpc_(rpc),
+      node_(node),
+      options_(options),
+      background_(env->clock()) {
   VEDB_CHECK(options_.node_id < 0x10000, "cm node_id must fit 16 bits");
   sim::LockOrderGraph::RegisterContract("cm.repl", "cm.state");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -55,22 +59,15 @@ void ClusterManager::RegisterServer(AStoreServer* server) {
   servers_[server->node()->name()] = ServerInfo{server, false};
 }
 
-void ClusterManager::StartBackground(sim::ActorGroup* group) {
-  {
-    std::lock_guard<std::mutex> lk(bg_mu_);
-    bg_active_++;
-  }
-  group->Spawn([this] { HealthLoop(); });
+void ClusterManager::StartBackground() {
+  background_.Spawn([this] { HealthLoop(); });
 }
 
 void ClusterManager::Shutdown() {
   RequestShutdown();
   // Drain: the heartbeat actor observes the flag within one period and
-  // exits. The wait is real time, so let the virtual clock advance past us
-  // while we park (safe for actor and guest callers alike).
-  sim::VirtualClock::ExternalWaitScope ext(env_->clock());
-  std::unique_lock<std::mutex> lk(bg_mu_);
-  bg_cv_.wait(lk, [this] { return bg_active_ == 0; });
+  // exits; the join resumes us at that virtual instant.
+  background_.JoinAll();
 }
 
 void ClusterManager::HealthLoop() {
@@ -79,11 +76,6 @@ void ClusterManager::HealthLoop() {
     if (shutdown_.load()) break;
     Tick();
   }
-  {
-    std::lock_guard<std::mutex> lk(bg_mu_);
-    bg_active_--;
-  }
-  bg_cv_.notify_all();
 }
 
 void ClusterManager::Tick() {

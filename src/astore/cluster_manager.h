@@ -18,11 +18,9 @@
 #define VEDB_ASTORE_CLUSTER_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -87,20 +85,19 @@ class ClusterManager {
   /// the same servers by the deployment.
   void RegisterServer(AStoreServer* server);
 
-  /// Starts the health-check/election/rebuild background task.
-  void StartBackground(sim::ActorGroup* group);
+  /// Starts the health-check/election/rebuild background actor.
+  void StartBackground();
 
-  /// Flags the background task to stop without waiting for it. When
+  /// Flags the background actor to stop without waiting for it. When
   /// tearing down several CMs (or a CM plus other periodic actors) at a
   /// fixed virtual time, request ALL shutdowns first and only then drain:
-  /// a drain is a real-time wait during which still-unflagged loops would
-  /// free-run virtual time nondeterministically.
+  /// a still-unflagged loop would keep running through the drain.
   void RequestShutdown() { shutdown_.store(true); }
 
-  /// Stops the background task and drains it: on return the heartbeat
-  /// actor has observed shutdown and exited its loop, so a demoted primary
-  /// can never issue a late rebuild after its owner tore it down.
-  /// Idempotent; safe to call from actors and guest threads alike.
+  /// Stops the background actor and drains it: on return (in virtual time)
+  /// the heartbeat actor has observed shutdown and exited its loop, so a
+  /// demoted primary can never issue a late rebuild after its owner tore
+  /// it down. Idempotent.
   void Shutdown();
 
   sim::SimNode* node() { return node_; }
@@ -291,13 +288,7 @@ class ClusterManager {
   std::map<uint32_t, obs::Gauge*> lag_gauges_;  // fixed at SetPeers
 
   std::atomic<bool> shutdown_{false};
-  // Drain handshake for Shutdown(): counts live background actors. Plain
-  // std::mutex (not vedb::Mutex) because the waiter parks in real time
-  // under a VirtualClock::ExternalWaitScope. Waiver(thread-annotations):
-  // bg_active_ is only touched under bg_mu_.
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  int bg_active_ = 0;
+  sim::ActorGroup background_;  // the health actor; Shutdown joins it
 };
 
 }  // namespace vedb::astore

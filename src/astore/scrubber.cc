@@ -18,7 +18,8 @@ Scrubber::Scrubber(sim::SimEnvironment* env, AStoreClient* client,
       options_(options),
       bucket_(env->clock(),
               qos::TokenBucket::Options{options.rate_bytes_per_sec,
-                                        options.burst_bytes}) {
+                                        options.burst_bytes}),
+      background_(env->clock()) {
   sim::LockOrderGraph::RegisterContract("astore.scrub", "astore.server");
   sim::LockOrderGraph::RegisterContract("astore.scrub", "cm.state");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -31,19 +32,13 @@ Scrubber::Scrubber(sim::SimEnvironment* env, AStoreClient* client,
   skipped_ = reg.GetCounter("astore.scrub.skipped", {{"node", node}});
 }
 
-void Scrubber::StartBackground(sim::ActorGroup* group) {
-  {
-    std::lock_guard<std::mutex> lk(bg_mu_);
-    bg_active_++;
-  }
-  group->Spawn([this] { ScrubLoop(); });
+void Scrubber::StartBackground() {
+  background_.Spawn([this] { ScrubLoop(); });
 }
 
 void Scrubber::Shutdown() {
   RequestShutdown();
-  sim::VirtualClock::ExternalWaitScope ext(env_->clock());
-  std::unique_lock<std::mutex> lk(bg_mu_);
-  bg_cv_.wait(lk, [this] { return bg_active_ == 0; });
+  background_.JoinAll();
 }
 
 void Scrubber::ScrubLoop() {
@@ -52,11 +47,6 @@ void Scrubber::ScrubLoop() {
     if (shutdown_.load()) break;
     ScrubPass();
   }
-  {
-    std::lock_guard<std::mutex> lk(bg_mu_);
-    bg_active_--;
-  }
-  bg_cv_.notify_all();
 }
 
 void Scrubber::ScrubPass() {

@@ -16,9 +16,7 @@
 #define VEDB_ASTORE_SCRUBBER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "astore/client.h"
@@ -53,13 +51,14 @@ class Scrubber {
   Scrubber(sim::SimEnvironment* env, AStoreClient* client, AStoreServer* server,
            const Options& options);
 
-  /// Starts the scrub loop on `group`.
-  void StartBackground(sim::ActorGroup* group);
+  /// Starts the scrub loop actor.
+  void StartBackground();
 
   /// Flags the loop to stop without waiting (flag-all-then-drain teardown).
   void RequestShutdown() { shutdown_.store(true); }
 
-  /// Flags and drains: on return the scrub actor has exited its loop.
+  /// Flags and drains: on return (in virtual time) the scrub actor has
+  /// exited its loop.
   void Shutdown();
 
   /// Runs one full pass over the local segments right now (test hook; the
@@ -97,11 +96,7 @@ class Scrubber {
   uint64_t pass_count_ GUARDED_BY(mu_) = 0;
 
   std::atomic<bool> shutdown_{false};
-  // Drain handshake (see ClusterManager::Shutdown for the pattern).
-  // Waiver(thread-annotations): bg_active_ is only touched under bg_mu_.
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  int bg_active_ = 0;
+  sim::ActorGroup background_;  // the scrub actor; Shutdown joins it
 
   // Observability (resolved once at construction; labels = {node}).
   obs::Counter* chunks_ = nullptr;

@@ -338,7 +338,7 @@ void DBEngine::ShipperLoop() {
       (void)ShipEligibleOnce();
       // No progress: the next LSN's record is not queued yet (its
       // on_assigned hook has not run) or the ship failed. Spinning here
-      // would hold the run token without advancing virtual time, so the
+      // would keep the thread without advancing virtual time, so the
       // actor that fills the gap would never run; wait a period instead.
       vedb::MutexLock lk(&ship_mu_);
       if (shipped_through_ == before) break;

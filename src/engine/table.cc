@@ -298,11 +298,18 @@ Status Table::BulkLoad(const std::vector<Row>& rows) {
 }
 
 Status Table::RebuildIndexes() {
-  vedb::MutexLock lk(&mu_);
-  pk_index_.clear();
-  for (auto& [name, idx] : sec_indexes_) idx.entries.clear();
-  pages_.clear();
-  row_count_ = 0;
+  // Page reads block on the clock, and no lock is held across a clock
+  // wait: build the indexes unlocked, then publish them under the lock.
+  std::map<std::string, Rid> pk_index;
+  std::map<std::string, SecIndex> sec_indexes;
+  {
+    vedb::MutexLock lk(&mu_);
+    for (const auto& [name, idx] : sec_indexes_) {
+      sec_indexes[name].columns = idx.columns;
+    }
+  }
+  std::vector<PageMeta> pages;
+  uint64_t row_count = 0;
 
   // Walk pages from storage until the first page that never existed.
   for (PageNo page_no = 0;; ++page_no) {
@@ -325,14 +332,19 @@ Status Table::RebuildIndexes() {
         return Status::Corruption("bad row during index rebuild");
       }
       const std::string pk = PkOf(schema_, row);
-      pk_index_[pk] = Rid{page_no, slot};
-      row_count_++;
-      for (auto& [name, idx] : sec_indexes_) {
+      pk_index[pk] = Rid{page_no, slot};
+      row_count++;
+      for (auto& [name, idx] : sec_indexes) {
         idx.entries[SecKeyOf(idx.columns, row)].insert(pk);
       }
     }
-    pages_.push_back(meta);
+    pages.push_back(meta);
   }
+  vedb::MutexLock lk(&mu_);
+  pk_index_ = std::move(pk_index);
+  sec_indexes_ = std::move(sec_indexes);
+  pages_ = std::move(pages);
+  row_count_ = row_count;
   return Status::OK();
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "sim/clock.h"
 #include "sim/race_detector.h"
 
 namespace vedb::obs {
@@ -10,8 +11,8 @@ namespace vedb::obs {
 std::atomic<Tracer*> Tracer::global_{nullptr};
 
 namespace {
-// Innermost-last stack of active contexts for the calling thread.
-thread_local std::vector<TraceContext> tls_context_stack;
+// Innermost-last stack of active contexts for the calling actor.
+const sim::FiberLocal<std::vector<TraceContext>> context_stack;
 
 void AppendJsonEscaped(std::string* out, const std::string& s) {
   for (char c : s) {
@@ -52,15 +53,15 @@ void Tracer::SetGlobal(Tracer* tracer) {
 }
 
 TraceContext Tracer::CurrentContext() {
-  if (tls_context_stack.empty()) return TraceContext{};
-  return tls_context_stack.back();
+  const std::vector<TraceContext>& stack = context_stack.Get();
+  return stack.empty() ? TraceContext{} : stack.back();
 }
 
 void Tracer::PushContext(const TraceContext& ctx) {
-  tls_context_stack.push_back(ctx);
+  context_stack.Get().push_back(ctx);
 }
 
-void Tracer::PopContext() { tls_context_stack.pop_back(); }
+void Tracer::PopContext() { context_stack.Get().pop_back(); }
 
 void Tracer::Record(Span span) {
   vedb::MutexLock lk(&mu_);

@@ -1,299 +1,258 @@
 #include "sim/clock.h"
 
-#include <algorithm>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/logging.h"
+#include "sim/lock_order.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define VEDB_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define VEDB_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef VEDB_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace vedb::sim {
 
 namespace {
-// The clock the current thread is registered with (at most one).
-thread_local VirtualClock* tls_actor_clock = nullptr;
-
-// Temporary scheduler trace (debug only): VEDB_SCHED_TRACE=1.
-bool SchedTraceOn() {
-  static const bool on = getenv("VEDB_SCHED_TRACE") != nullptr;
-  return on;
-}
-#define SCHED_TRACE(...)                       \
-  do {                                         \
-    if (SchedTraceOn()) {                      \
-      fprintf(stderr, "[sched] " __VA_ARGS__); \
-      fputc('\n', stderr);                     \
-    }                                          \
-  } while (0)
+// Usable stack of every actor fiber; one guard page sits below it.
+constexpr size_t kFiberStackBytes = 256 * 1024;
 }  // namespace
 
-VirtualClock::ActorSlot* VirtualClock::Slot() {
-  thread_local ActorSlot slot;
-  return &slot;
+struct Fiber {
+  ucontext_t context;
+  // Owned mapping (guard page + stack); null for a thread's root context.
+  void* mapping = nullptr;
+  size_t mapping_size = 0;
+  // Usable stack, as ASan needs it for each switch. A root's is learned
+  // from ASan on the first switch away from it.
+  const void* stack_bottom = nullptr;
+  size_t stack_size = 0;
+  VirtualClock* clock = nullptr;  // fibers only
+  ActorGroup* group = nullptr;    // fibers only
+  std::function<void()> fn;
+  bool blocked = false;
+  uint64_t seq = 0;  // bumped per block, so stale timer entries are skipped
+  std::vector<std::shared_ptr<void>> locals;  // FiberLocal storage
+
+  void Run() { clock->RunFiber(this); }
+  ~Fiber() {
+    if (mapping != nullptr) munmap(mapping, mapping_size);
+  }
+};
+
+namespace {
+
+thread_local Fiber tls_root;
+thread_local Fiber* tls_running = nullptr;  // null: the root context
+#ifdef VEDB_ASAN_FIBERS
+thread_local Fiber* tls_switched_from = nullptr;
+#endif
+
+Fiber* Running() { return tls_running != nullptr ? tls_running : &tls_root; }
+
+// Completes a switch on the resumed side (ASan bookkeeping only).
+void FinishSwitch([[maybe_unused]] void* fake_stack) {
+#ifdef VEDB_ASAN_FIBERS
+  Fiber* from = tls_switched_from;
+  __sanitizer_finish_switch_fiber(fake_stack, &from->stack_bottom,
+                                  &from->stack_size);
+#endif
 }
 
-bool VirtualClock::CurrentThreadIsActor() {
-  return tls_actor_clock != nullptr;
+// Moves the thread from the running context to `to`. Returns when a later
+// switch resumes the caller; never, for an exiting fiber.
+void SwitchTo(Fiber* to, [[maybe_unused]] bool exiting) {
+  Fiber* from = Running();
+  tls_running = to;
+#ifdef VEDB_ASAN_FIBERS
+  void* fake_stack = nullptr;
+  tls_switched_from = from;
+  __sanitizer_start_switch_fiber(exiting ? nullptr : &fake_stack,
+                                 to->stack_bottom, to->stack_size);
+  swapcontext(&from->context, &to->context);
+  FinishSwitch(fake_stack);
+#else
+  swapcontext(&from->context, &to->context);
+#endif
 }
 
-VirtualClock::ExternalWaitScope::ExternalWaitScope(VirtualClock* clock)
-    : clock_(tls_actor_clock == clock ? clock : nullptr) {
-  if (clock_ == nullptr) return;  // not an actor: nothing to declare
-  std::lock_guard<std::mutex> lk(clock_->mu_);
-  clock_->blocked_++;
-  clock_->external_waits_++;
-  // The externally-waiting actor releases the run token so the simulation
-  // keeps going without it.
-  if (clock_->runner_ == Slot()) clock_->runner_ = nullptr;
-  clock_->ScheduleLocked();
+void FiberEntry() {
+  FinishSwitch(nullptr);
+  Running()->Run();
 }
 
-VirtualClock::ExternalWaitScope::~ExternalWaitScope() {
-  if (clock_ == nullptr) return;
-  std::unique_lock<std::mutex> lk(clock_->mu_);
-  clock_->blocked_--;
-  clock_->external_waits_--;
-  // Rejoin serialized execution: wait for the run token instead of running
-  // concurrently with whoever holds it. Rejoiners bypass the ready queue —
-  // returning from the outside world is a real-time event, and this thread
-  // may be the one that opens the spawn gate (ActorGroup::Start).
-  ActorSlot* slot = Slot();
-  slot->seq++;
-  slot->runnable = false;
-  slot->ready = false;
-  clock_->rejoiners_.push_back(slot);
-  clock_->ScheduleLocked();
-  slot->cv.wait(lk, [&] { return slot->runnable; });
+}  // namespace
+
+int NewFiberLocalKey() {
+  static int next_key = 0;
+  return next_key++;
+}
+
+std::shared_ptr<void>& FiberLocalSlot(int key) {
+  std::vector<std::shared_ptr<void>>& locals = Running()->locals;
+  if (locals.size() <= static_cast<size_t>(key)) locals.resize(key + 1);
+  return locals[key];
+}
+
+VirtualClock::VirtualClock() : root_(&tls_root) {}
+
+void VirtualClock::CheckThread() const {
+  VEDB_CHECK(&tls_root == root_,
+             "VirtualClock %p called off the thread that owns it",
+             static_cast<const void*>(this));
 }
 
 Timestamp VirtualClock::Now() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  CheckThread();
   return now_;
 }
 
-int VirtualClock::actor_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return actors_;
-}
-
 void VirtualClock::RegisterActor() {
-  std::unique_lock<std::mutex> lk(mu_);
-  actors_++;
-  tls_actor_clock = this;
-  // Joining the serialized schedule: wait for the run token like everyone
-  // else (granted immediately when the simulation is otherwise idle).
-  AwaitTokenLocked(lk, Slot());
-}
-
-uint64_t VirtualClock::ReserveActor() {
-  std::lock_guard<std::mutex> lk(mu_);
-  actors_++;
-  reserved_unbound_++;
-  return next_ticket_++;
-}
-
-void VirtualClock::BindReservedActor(uint64_t ticket) {
-  std::unique_lock<std::mutex> lk(mu_);
-  tls_actor_clock = this;
-  ActorSlot* slot = Slot();
-  slot->runnable = false;
-  slot->ready = true;  // admitted, but parked in pending_bind_ until flush
-  pending_bind_.emplace_back(ticket, slot);
-  reserved_unbound_--;
-  ScheduleLocked();
-  slot->cv.wait(lk, [&] { return slot->runnable; });
+  CheckThread();
+  Fiber* self = Running();
+  ready_.push_back(self);
+  Dispatch(self);
 }
 
 void VirtualClock::UnregisterActor() {
-  // Join edge: the exiting actor's effects become visible to whoever joins
-  // the group (ActorGroup::JoinAll acquires the same sync clock).
+  CheckThread();
+  // Join edge: the actor's effects become visible to whoever joins it.
   if (RaceDetector::IsEnabled()) {
     RaceDetector::Instance().ClockBlockRelease(this);
   }
-  std::lock_guard<std::mutex> lk(mu_);
-  actors_--;
-  tls_actor_clock = nullptr;
-  VEDB_CHECK(actors_ >= 0, "more unregisters than registers");
-  VEDB_CHECK(blocked_ <= actors_, "blocked actor unregistered");
-  // The exiting thread's ActorSlot is thread-local and dies with it; purge
-  // any stale timer entries that still point at it (e.g. timed waits that
-  // were notified before their deadline).
-  ActorSlot* slot = Slot();
-  std::vector<SleepEntry> keep;
-  keep.reserve(sleepers_.size());
-  while (!sleepers_.empty()) {
-    if (sleepers_.top().slot != slot) keep.push_back(sleepers_.top());
-    sleepers_.pop();
-  }
-  for (auto& entry : keep) sleepers_.push(entry);
-  if (runner_ == slot) runner_ = nullptr;  // hand the token on
-  ScheduleLocked();
+  PurgeTimers(Running());
 }
 
-void VirtualClock::ScheduleLocked() {
-  while (true) {
-    SCHED_TRACE("sched: runner=%p ready=%zu pend=%zu resv=%d actors=%d "
-                "blocked=%d ext=%d sleepers=%zu now=%llu",
-                (void*)runner_, ready_.size(), pending_bind_.size(),
-                reserved_unbound_, actors_, blocked_, external_waits_,
-                sleepers_.size(), (unsigned long long)now_);
-    if (runner_ != nullptr) return;  // the token is held; nothing to do
-    if (!rejoiners_.empty()) {
-      ActorSlot* slot = rejoiners_.front();
-      rejoiners_.pop_front();
-      slot->runnable = true;
-      runner_ = slot;
-      slot->cv.notify_one();
-      return;
-    }
-    // While a spawned actor's thread has not started yet, hold dispatch:
-    // once it binds, all pending admissions flush in ticket order, so the
-    // schedule is independent of real-time thread start-up.
-    if (reserved_unbound_ > 0) return;
-    if (!pending_bind_.empty()) {
-      std::sort(pending_bind_.begin(), pending_bind_.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (auto& [ticket, slot] : pending_bind_) ready_.push_back(slot);
-      pending_bind_.clear();
-    }
-    if (!ready_.empty()) {
-      // Grant the run token to the next ready actor.
-      ActorSlot* slot = ready_.front();
-      ready_.pop_front();
-      slot->ready = false;
-      slot->runnable = true;
-      runner_ = slot;
-      slot->cv.notify_one();
-      return;
-    }
-    if (actors_ == 0 || blocked_ < actors_) return;
+void VirtualClock::SleepUntil(Timestamp t) {
+  CheckThread();
+  if (t <= now_) return;
+  Block(&t);
+}
+
+void VirtualClock::SleepFor(Duration d) {
+  CheckThread();
+  const Timestamp t = now_ + d;
+  Block(&t);
+}
+
+void VirtualClock::Block(const Timestamp* deadline) {
+  // Race detection: blocking hands the thread to other actors, so all the
+  // blocker did so far happens-before whatever runs after the switch.
+  if (RaceDetector::IsEnabled()) {
+    RaceDetector::Instance().ClockBlockRelease(this);
+  }
+  Suspend(Running(), deadline);
+  if (RaceDetector::IsEnabled()) {
+    RaceDetector::Instance().ClockWakeAcquire(this);
+  }
+}
+
+void VirtualClock::Suspend(Fiber* self, const Timestamp* deadline) {
+  self->seq++;
+  self->blocked = true;
+  if (deadline != nullptr) {
+    sleepers_.push(SleepEntry{*deadline, self, self->seq});
+  }
+  Dispatch(self);
+}
+
+void VirtualClock::Dispatch(Fiber* self) {
+  Fiber* next = PickNext();
+  if (next != self) SwitchTo(next, /*exiting=*/false);
+}
+
+Fiber* VirtualClock::PickNext() {
+  // Every wait passes here, so the running context's held locks are
+  // checked at every switch.
+  if (LockOrderGraph::IsEnabled()) LockOrderGraph::CheckNoneHeldAcrossWait();
+  auto stale = [](const SleepEntry& e) {
+    return !e.fiber->blocked || e.fiber->seq != e.seq;
+  };
+  ready_.insert(ready_.end(), spawned_.begin(), spawned_.end());
+  spawned_.clear();
+  while (ready_.empty()) {
     // Drop stale timer entries (owner already woken, or from an earlier
-    // block of the same thread).
-    while (!sleepers_.empty() && EntryStaleLocked(sleepers_.top())) {
-      sleepers_.pop();
-    }
+    // block of the same context).
+    while (!sleepers_.empty() && stale(sleepers_.top())) sleepers_.pop();
     if (sleepers_.empty()) {
-      if (external_waits_ > 0) return;  // parked on the outside world
       for (VirtualCondition* cond : parked_conditions_) {
         fprintf(stderr, "deadlock diagnostic: condition '%s' has %zu parked "
                 "waiter(s)\n", cond->name_, cond->parked_.size());
       }
       VEDB_CHECK(false,
-                 "virtual-time deadlock: clock=%p actors=%d blocked=%d "
-                 "external=%d now=%llu; a wait that depends on virtual time "
-                 "is not using VirtualCondition/SleepFor",
-                 (void*)this, actors_, blocked_, external_waits_,
-                 (unsigned long long)now_);
+                 "virtual-time deadlock: clock=%p now=%llu; a wait that "
+                 "depends on virtual time is not using "
+                 "VirtualCondition/SleepFor",
+                 static_cast<void*>(this), (unsigned long long)now_);
     }
     const Timestamp next = sleepers_.top().wake;
     if (next > now_) now_ = next;
     // Ready every sleeper whose time has arrived; they run one at a time in
-    // timer pop order (the loop re-enters and dispatches ready_.front()).
+    // timer pop order. Everything due may have been stale: loop again.
     while (!sleepers_.empty() && sleepers_.top().wake <= now_) {
       SleepEntry entry = sleepers_.top();
       sleepers_.pop();
-      if (EntryStaleLocked(entry)) continue;
-      entry.slot->ready = true;
-      blocked_--;
-      ready_.push_back(entry.slot);
+      if (stale(entry)) continue;
+      entry.fiber->blocked = false;
+      ready_.push_back(entry.fiber);
     }
-    // Everything at this instant may have been stale; loop advances again.
   }
+  Fiber* next = ready_.front();
+  ready_.pop_front();
+  return next;
 }
 
-void VirtualClock::AwaitTokenLocked(std::unique_lock<std::mutex>& lk,
-                                    ActorSlot* slot) {
-  slot->seq++;  // invalidate any stale timer entries pointing at this slot
-  slot->runnable = false;
-  slot->ready = true;
-  ready_.push_back(slot);
-  ScheduleLocked();
-  slot->cv.wait(lk, [&] { return slot->runnable; });
+void VirtualClock::PurgeTimers(Fiber* fiber) {
+  std::vector<SleepEntry> keep;
+  keep.reserve(sleepers_.size());
+  while (!sleepers_.empty()) {
+    if (sleepers_.top().fiber != fiber) keep.push_back(sleepers_.top());
+    sleepers_.pop();
+  }
+  for (auto& entry : keep) sleepers_.push(entry);
 }
 
-void VirtualClock::BlockCurrentLocked(std::unique_lock<std::mutex>& lk,
-                                      ActorSlot* slot,
-                                      const Timestamp* deadline) {
-  // Threads that never registered (e.g. a test's main thread constructing
-  // the cluster) join the actor set for the duration of the block, so the
-  // clock can advance for them too.
-  const bool guest = (tls_actor_clock != this);
-  if (guest) actors_++;
-  slot->seq++;
-  slot->runnable = false;
-  slot->ready = false;
-  if (deadline != nullptr) {
-    sleepers_.push(SleepEntry{*deadline, slot, slot->seq});
-  }
-  // Race detection: blocking hands control to other actors — everything the
-  // blocker did so far happens-before whatever runs after the next clock
-  // hand-off. Release before ScheduleLocked so an actor woken inside
-  // that call already sees this release.
+void VirtualClock::RunFiber(Fiber* self) {
+  self->fn();
+  self->fn = nullptr;
   if (RaceDetector::IsEnabled()) {
     RaceDetector::Instance().ClockBlockRelease(this);
   }
-  blocked_++;
-  if (runner_ == slot) runner_ = nullptr;  // blocking releases the token
-  ScheduleLocked();
-  slot->cv.wait(lk, [&] { return slot->runnable; });
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().ClockWakeAcquire(this);
+  // The fiber is freed by JoinAll; drop the timer entries that point at it.
+  PurgeTimers(self);
+  ActorGroup* group = self->group;
+  if (--group->live_ == 0 && group->joiner_ != nullptr) {
+    group->joiner_->blocked = false;
+    ready_.push_front(group->joiner_);
   }
-  // Whoever readied us (clock advance or condition notify) already
-  // decremented blocked_ on our behalf; the dispatcher granted us the run
-  // token. A guest leaves the actor set (and gives the token straight back)
-  // the moment it wakes.
-  if (guest) {
-    actors_--;
-    if (runner_ == slot) runner_ = nullptr;
-    ScheduleLocked();
-  }
+  SwitchTo(PickNext(), /*exiting=*/true);
+  std::abort();  // an exited fiber is never resumed
 }
 
-void VirtualClock::SleepUntil(Timestamp t) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (t <= now_) return;
-  BlockCurrentLocked(lk, Slot(), &t);
-}
-
-void VirtualClock::SleepFor(Duration d) {
-  std::unique_lock<std::mutex> lk(mu_);
-  const Timestamp t = now_ + d;
-  BlockCurrentLocked(lk, Slot(), &t);
-}
-
-uint64_t VirtualCondition::PrepareWait() {
-  std::lock_guard<std::mutex> lk(clock_->mu_);
-  return generation_;
-}
-
-void VirtualCondition::CommitWait(uint64_t generation) {
-  std::unique_lock<std::mutex> lk(clock_->mu_);
-  if (generation_ != generation) return;  // notified between prepare and park
-  VirtualClock::ActorSlot* slot = VirtualClock::Slot();
-  parked_.push_back(slot);
+void VirtualCondition::Park(const Timestamp* deadline) {
+  clock_->CheckThread();
+  Fiber* self = Running();
+  parked_.push_back(self);
   clock_->parked_conditions_.insert(this);
-  clock_->BlockCurrentLocked(lk, slot);
-  if (parked_.empty()) clock_->parked_conditions_.erase(this);
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().CondWakeAcquire(this);
-  }
-}
-
-void VirtualCondition::CommitWaitUntil(uint64_t generation,
-                                       Timestamp deadline) {
-  std::unique_lock<std::mutex> lk(clock_->mu_);
-  if (generation_ != generation) return;  // notified between prepare and park
-  if (deadline <= clock_->now_) return;
-  VirtualClock::ActorSlot* slot = VirtualClock::Slot();
-  parked_.push_back(slot);
-  clock_->parked_conditions_.insert(this);
-  // Registered with both the condition and a timer; whichever fires first
-  // wins (the loser recognizes the slot as already runnable / re-blocked).
-  clock_->BlockCurrentLocked(lk, slot, &deadline);
-  // On a timer wake the parked_ entry would go stale and could spuriously
-  // wake a *future* blocking of this same thread; remove it.
-  for (auto it = parked_.begin(); it != parked_.end(); ++it) {
-    if (*it == slot) {
-      parked_.erase(it);
-      break;
+  clock_->Block(deadline);
+  // A timer wake leaves our parked_ entry behind; remove it so it cannot
+  // wake a later block of this same context.
+  if (deadline != nullptr) {
+    for (auto it = parked_.begin(); it != parked_.end(); ++it) {
+      if (*it == self) {
+        parked_.erase(it);
+        break;
+      }
     }
   }
   if (parked_.empty()) clock_->parked_conditions_.erase(this);
@@ -303,63 +262,69 @@ void VirtualCondition::CommitWaitUntil(uint64_t generation,
 }
 
 void VirtualCondition::NotifyAll() {
+  clock_->CheckThread();
   // The notifier's prior writes happen-before the waiters' wakeups.
   if (RaceDetector::IsEnabled()) {
     RaceDetector::Instance().CondNotifyRelease(this);
   }
-  std::lock_guard<std::mutex> lk(clock_->mu_);
-  generation_++;
-  for (VirtualClock::ActorSlot* slot : parked_) {
-    if (slot->runnable || slot->ready) continue;  // already woken by timer
-    slot->ready = true;
-    clock_->blocked_--;
-    clock_->ready_.push_back(slot);
+  for (Fiber* fiber : parked_) {
+    if (!fiber->blocked) continue;  // already woken by its timer
+    fiber->blocked = false;
+    clock_->ready_.push_back(fiber);
   }
   parked_.clear();
   clock_->parked_conditions_.erase(this);
-  clock_->ScheduleLocked();
 }
 
+ActorGroup::ActorGroup(VirtualClock* clock) : clock_(clock) {}
+
+ActorGroup::~ActorGroup() { JoinAll(); }
+
 void ActorGroup::Spawn(std::function<void()> fn) {
-  const uint64_t ticket = clock_->ReserveActor();
+  clock_->CheckThread();
+  auto fiber = std::make_unique<Fiber>();
   // Fork edge: the spawner's prior writes happen-before the new actor.
   const uint64_t fork_token = RaceDetector::IsEnabled()
                                   ? RaceDetector::Instance().ForkCapture()
                                   : 0;
-  threads_.emplace_back([this, clock = clock_, ticket, fork_token,
-                         fn = std::move(fn)] {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      start_cv_.wait(lk, [this] { return started_; });
-    }
-    clock->BindReservedActor(ticket);
+  fiber->fn = [fork_token, fn = std::move(fn)] {
     if (fork_token != 0 && RaceDetector::IsEnabled()) {
       RaceDetector::Instance().ForkJoin(fork_token);
     }
     fn();
-    clock->UnregisterActor();
-  });
-}
-
-void ActorGroup::Start() {
-  std::lock_guard<std::mutex> lk(mu_);
-  started_ = true;
-  start_cv_.notify_all();
+  };
+  fiber->clock = clock_;
+  fiber->group = this;
+  // The guard page below the stack turns an overflow into a fault.
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  fiber->mapping_size = kFiberStackBytes + page;
+  fiber->mapping = mmap(nullptr, fiber->mapping_size, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  VEDB_CHECK(fiber->mapping != MAP_FAILED, "fiber stack mmap failed");
+  VEDB_CHECK(mprotect(fiber->mapping, page, PROT_NONE) == 0,
+             "fiber guard page mprotect failed");
+  fiber->stack_bottom = static_cast<char*>(fiber->mapping) + page;
+  fiber->stack_size = kFiberStackBytes;
+  getcontext(&fiber->context);
+  fiber->context.uc_stack.ss_sp = const_cast<void*>(fiber->stack_bottom);
+  fiber->context.uc_stack.ss_size = fiber->stack_size;
+  fiber->context.uc_link = nullptr;
+  makecontext(&fiber->context, &FiberEntry, 0);
+  clock_->spawned_.push_back(fiber.get());
+  live_++;
+  fibers_.push_back(std::move(fiber));
 }
 
 void ActorGroup::JoinAll() {
-  Start();
-  // Joining is a real-world wait: if the caller is itself an actor, declare
-  // it externally blocked so virtual time keeps flowing for the joinees.
-  {
-    VirtualClock::ExternalWaitScope scope(clock_);
-    for (auto& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-    threads_.clear();
+  if (live_ > 0) {
+    clock_->CheckThread();
+    joiner_ = Running();
+    clock_->Suspend(joiner_, nullptr);  // readied by the last actor's exit
+    joiner_ = nullptr;
   }
-  // Join edge: every exited actor released into the clock's sync clock in
-  // UnregisterActor; the joiner acquires all of it.
+  fibers_.clear();
+  // Join edge: every exited actor released into the clock's sync clock;
+  // the joiner acquires all of it.
   if (RaceDetector::IsEnabled()) {
     RaceDetector::Instance().ClockWakeAcquire(clock_);
   }

@@ -1,43 +1,39 @@
-// Virtual-time runtime: real OS threads act as simulation actors whose
-// blocking all flows through a shared VirtualClock. When every actor is
-// asleep (with a wake time) or parked (on a VirtualCondition), the clock
-// jumps to the earliest pending wake time. Database code therefore runs
-// unmodified on real threads while all latency is measured in deterministic
+// Virtual-time runtime: simulation actors are fibers (ucontext) that all
+// run on the one OS thread that owns the VirtualClock, and all of their
+// blocking flows through that clock. When every actor is asleep (with a
+// wake time) or parked (on a VirtualCondition), the clock jumps to the
+// earliest pending wake time. Database code therefore runs unmodified as
+// ordinary call stacks while all latency is measured in deterministic
 // virtual nanoseconds.
 //
-// Execution is SERIALIZED: the clock grants a single run token, so at most
-// one registered actor executes at a time. Actors woken at the same virtual
-// instant run one after another in a deterministic ready order (timer pop
-// order, condition parking order, spawn order) instead of racing on real
-// threads. This is what makes two identical seeded runs byte-identical even
-// when many actors wake at the same instant and contend for shared device
-// queues or RNG draws. Threads that never registered ("guests", e.g. a test
-// main constructing a cluster) still run outside the token and may interleave
-// with actors in real time; fully deterministic phases must be driven by a
-// registered actor.
+// Exactly one context runs at a time: an actor fiber, or the thread's own
+// stack ("root", which hosts main whether or not it registered). A context
+// runs until it blocks on the clock; the clock then switches to the next
+// ready context in a deterministic order (timer pop order, condition
+// parking order, spawn order), so two identical seeded runs are
+// byte-identical. Every clock call must come from the clock's thread.
 //
 // Rules for actor code:
-//  * Short critical sections may use plain std::mutex (the holder is running,
-//    so real-time blocking is invisible to virtual time).
 //  * Any wait whose release depends on another actor making progress in
 //    virtual time (row locks held across I/O, group-commit waits, RPC
 //    completions) must use VirtualCondition, otherwise the clock deadlocks
 //    (and aborts with a diagnostic).
+//  * A lock is never held across a clock wait: the next actor to take it
+//    would block the one OS thread that must run the holder. With the
+//    lock-order graph on, such a wait exits 65 naming the held locks.
 //  * Never spin on shared state waiting for another actor without blocking
-//    through the clock — the spinner holds the run token forever.
+//    through the clock: the spinner never gives up the thread.
 
 #ifndef VEDB_SIM_CLOCK_H_
 #define VEDB_SIM_CLOCK_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <set>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -47,134 +43,101 @@
 namespace vedb::sim {
 
 class VirtualCondition;
+class ActorGroup;
 
-/// The global virtual clock for one simulation. Thread safe. Wakeups are
-/// targeted (per-actor condition variables), so large actor counts do not
-/// cause a thundering herd on every advance.
+/// One execution context: an actor fiber, or a thread's root context.
+struct Fiber;
+
+int NewFiberLocalKey();
+/// The running context's storage for `key`.
+std::shared_ptr<void>& FiberLocalSlot(int key);
+
+/// Storage private to each execution context: every actor fiber, and each
+/// thread's root context, sees its own default-constructed `T`.
+template <typename T>
+class FiberLocal {
+ public:
+  FiberLocal() : key_(NewFiberLocalKey()) {}
+  T& Get() const {
+    std::shared_ptr<void>& slot = FiberLocalSlot(key_);
+    if (slot == nullptr) slot = std::make_shared<T>();
+    return *static_cast<T*>(slot.get());
+  }
+
+ private:
+  const int key_;
+};
+
+/// The virtual clock for one simulation, owned by the thread that
+/// constructs it.
 class VirtualClock {
  public:
-  VirtualClock() = default;
+  VirtualClock();
   VirtualClock(const VirtualClock&) = delete;
   VirtualClock& operator=(const VirtualClock&) = delete;
 
   /// Current virtual time in nanoseconds.
   Timestamp Now() const;
 
-  /// Declares the calling thread an actor. Every actor must either be
-  /// runnable or blocked through this clock; the clock only advances when
-  /// all actors are blocked. Blocks until the scheduler grants the calling
-  /// thread the run token.
+  /// Marks the start of main's actor role: main queues behind every ready
+  /// actor and returns when its turn comes. Any context may block on the
+  /// clock whether or not it registered.
   void RegisterActor();
 
-  /// Removes the calling thread from the actor set (call before exit).
+  /// Marks the end of main's actor role (a join edge for the race
+  /// detector). Ready actors run when main next blocks.
   void UnregisterActor();
 
-  /// Reserves an actor slot before the actor thread starts running, so the
-  /// clock cannot advance past the new actor's birth. Returns an admission
-  /// ticket: reserved actors enter the ready queue in ticket order (i.e.
-  /// spawn order), regardless of the real-time order their threads start.
-  /// The spawned thread must call BindReservedActor(ticket) instead of
-  /// RegisterActor().
-  uint64_t ReserveActor();
-  void BindReservedActor(uint64_t ticket);
-
-  /// Blocks the calling actor until virtual time reaches `t`.
+  /// Blocks the calling context until virtual time reaches `t`.
   void SleepUntil(Timestamp t);
 
-  /// Blocks the calling actor for `d` virtual nanoseconds.
+  /// Blocks the calling context for `d` virtual nanoseconds.
   void SleepFor(Duration d);
-
-  /// Number of registered actors (for tests).
-  int actor_count() const;
-
-  /// True if the calling thread is a registered actor of this clock.
-  static bool CurrentThreadIsActor();
-
-  /// Declares the calling actor blocked on something outside virtual time
-  /// (e.g. joining a thread). While any external wait is active the clock
-  /// may advance without it, and an otherwise-idle clock simply parks
-  /// instead of declaring deadlock. Construct/destroy from the same thread.
-  class ExternalWaitScope {
-   public:
-    explicit ExternalWaitScope(VirtualClock* clock);
-    ~ExternalWaitScope();
-
-   private:
-    VirtualClock* clock_;  // nullptr when the thread is not an actor
-  };
 
  private:
   friend class VirtualCondition;
-
-  // Per-actor parking slot. Lives in thread-local storage; an actor is only
-  // ever blocked on its own slot. `seq` increments on every block so stale
-  // timer entries from earlier blocks can be recognized and skipped.
-  // `runnable` means "holds the run token, may execute"; `ready` means
-  // "logically woken, queued for the token".
-  struct ActorSlot {
-    std::condition_variable cv;
-    bool runnable = true;
-    bool ready = false;
-    uint64_t seq = 0;
-  };
-  static ActorSlot* Slot();
+  friend class ActorGroup;
+  friend struct Fiber;
 
   struct SleepEntry {
     Timestamp wake;
-    ActorSlot* slot;
+    Fiber* fiber;
     uint64_t seq;
     bool operator>(const SleepEntry& o) const { return wake > o.wake; }
   };
 
-  // All state below guarded by mu_.
-  bool EntryStaleLocked(const SleepEntry& e) const {
-    return e.slot->runnable || e.slot->ready || e.slot->seq != e.seq;
-  }
-  /// The scheduler: hands the run token to the next ready actor, or — when
-  /// nothing is ready and every actor is blocked — advances virtual time
-  /// and readies the due sleepers. No-op while the token is held.
-  void ScheduleLocked();
-  /// Enqueues the calling thread's slot as ready and blocks until the
-  /// scheduler grants it the run token.
-  void AwaitTokenLocked(std::unique_lock<std::mutex>& lk, ActorSlot* slot);
-  /// Blocks the current actor; if `deadline` is non-null a timer entry is
-  /// registered too.
-  void BlockCurrentLocked(std::unique_lock<std::mutex>& lk, ActorSlot* slot,
-                          const Timestamp* deadline = nullptr);
+  void CheckThread() const;
+  /// Blocks the running context (race-detector edges included) until it is
+  /// readied again; with a `deadline`, a timer readies it too.
+  void Block(const Timestamp* deadline);
+  /// Suspends `self` as blocked until it is readied.
+  void Suspend(Fiber* self, const Timestamp* deadline);
+  /// Switches to the next ready context; returns once `self` runs again.
+  void Dispatch(Fiber* self);
+  /// Pops the next ready context, advancing virtual time and readying due
+  /// sleepers while none is ready.
+  Fiber* PickNext();
+  /// Drops every timer entry of an exiting context.
+  void PurgeTimers(Fiber* fiber);
+  /// Body of an actor fiber; switches away for good when `fn` returns.
+  [[noreturn]] void RunFiber(Fiber* self);
 
-  // Conditions with parked waiters (diagnostics for deadlock reports).
-  std::set<VirtualCondition*> parked_conditions_;
-
-  // Waiver(thread-annotations): the clock core keeps std::mutex — its
-  // condition_variables require std::unique_lock<std::mutex>, and the clock
-  // is the substrate the vedb::Mutex instrumentation itself runs on (the
-  // lock-order graph excludes its own runtime, like lockdep does).
-  mutable std::mutex mu_;
+  Fiber* const root_;  // the owning thread's root context
   Timestamp now_ = 0;
-  int actors_ = 0;
-  int blocked_ = 0;         // actors currently sleeping/parked/external
-  int external_waits_ = 0;  // subset of blocked_: waiting outside the clock
-  ActorSlot* runner_ = nullptr;   // holder of the run token, if any
-  std::deque<ActorSlot*> ready_;  // woken actors awaiting the token, FIFO
-  // Actors returning from an ExternalWaitScope. Served before ready_ and
-  // exempt from the reserved-actor admission gate: a rejoiner may be the
-  // very thread that must call ActorGroup::Start() to open that gate.
-  std::deque<ActorSlot*> rejoiners_;
-  // Spawned-but-not-yet-admitted actors. Bound slots buffer here and are
-  // flushed into ready_ in ticket order at the next dispatch, so the
-  // real-time order in which spawned threads start cannot perturb the
-  // schedule.
-  std::vector<std::pair<uint64_t, ActorSlot*>> pending_bind_;
-  int reserved_unbound_ = 0;  // reservations whose thread has not bound yet
-  uint64_t next_ticket_ = 1;
+  std::deque<Fiber*> ready_;  // woken contexts awaiting the thread, FIFO
+  // Actors spawned since the last dispatch, in spawn order; they join the
+  // back of ready_ when the running context next blocks.
+  std::vector<Fiber*> spawned_;
   std::priority_queue<SleepEntry, std::vector<SleepEntry>,
                       std::greater<SleepEntry>>
       sleepers_;
+  // Conditions with parked waiters (diagnostics for deadlock reports).
+  std::set<VirtualCondition*> parked_conditions_;
 };
 
-/// An eventcount-style condition integrated with the virtual clock: parked
-/// waiters count as blocked so the clock can keep advancing, and a notify
-/// makes them logically runnable at the current virtual instant.
+/// A condition integrated with the virtual clock: parked waiters count as
+/// blocked so the clock can keep advancing, and a notify makes them ready at
+/// the current virtual instant, in parking order.
 ///
 /// Usage (user_mu guards the predicate's state):
 ///   std::unique_lock<std::mutex> lk(user_mu);
@@ -193,12 +156,10 @@ class VirtualCondition {
   /// again on return; it is released while parked.
   template <typename Pred>
   void Wait(std::unique_lock<std::mutex>& lock, Pred pred) {
-    while (true) {
-      uint64_t g = PrepareWait();
-      if (pred()) return;
+    while (!pred()) {
       RaceLockReleased(lock.mutex());
       lock.unlock();
-      CommitWait(g);
+      Park(nullptr);
       lock.lock();
       RaceLockAcquired(lock.mutex());
     }
@@ -209,16 +170,15 @@ class VirtualCondition {
   template <typename Pred>
   bool WaitUntil(std::unique_lock<std::mutex>& lock, Timestamp deadline,
                  Pred pred) {
-    while (true) {
-      uint64_t g = PrepareWait();
-      if (pred()) return true;
+    while (!pred()) {
       if (clock_->Now() >= deadline) return false;
       RaceLockReleased(lock.mutex());
       lock.unlock();
-      CommitWaitUntil(g, deadline);
+      Park(&deadline);
       lock.lock();
       RaceLockAcquired(lock.mutex());
     }
+    return true;
   }
 
   /// As Wait above, for predicate state guarded by an annotated
@@ -228,11 +188,9 @@ class VirtualCondition {
   template <typename Pred>
   void Wait(vedb::Mutex* mu, Pred pred) REQUIRES(mu)
       NO_THREAD_SAFETY_ANALYSIS {
-    while (true) {
-      uint64_t g = PrepareWait();
-      if (pred()) return;
+    while (!pred()) {
       mu->Unlock();
-      CommitWait(g);
+      Park(nullptr);
       mu->Lock();
     }
   }
@@ -241,65 +199,56 @@ class VirtualCondition {
   template <typename Pred>
   bool WaitUntil(vedb::Mutex* mu, Timestamp deadline, Pred pred) REQUIRES(mu)
       NO_THREAD_SAFETY_ANALYSIS {
-    while (true) {
-      uint64_t g = PrepareWait();
-      if (pred()) return true;
+    while (!pred()) {
       if (clock_->Now() >= deadline) return false;
       mu->Unlock();
-      CommitWaitUntil(g, deadline);
+      Park(&deadline);
       mu->Lock();
     }
+    return true;
   }
 
-  /// Wakes all parked waiters. Call after mutating the predicate's state
+  /// Readies all parked waiters. Call after mutating the predicate's state
   /// (holding or having released the user lock).
   void NotifyAll();
 
  private:
   friend class VirtualClock;
 
-  uint64_t PrepareWait();
-  void CommitWait(uint64_t generation);
-  void CommitWaitUntil(uint64_t generation, Timestamp deadline);
+  /// Parks the running context until a notify (or the deadline, if any).
+  void Park(const Timestamp* deadline);
 
   VirtualClock* clock_;
   const char* name_;
-  // Guarded by clock_->mu_:
-  uint64_t generation_ = 0;
-  std::vector<VirtualClock::ActorSlot*> parked_;
+  std::vector<Fiber*> parked_;
 };
 
-/// Spawns actor threads bound to a clock and joins them on destruction.
-///
-/// Threads spawned before Start() is called are held at a gate so that a
-/// non-actor coordinator (e.g. a test's main thread) can spawn several
-/// actors without the first one racing virtual time ahead of the others.
-/// JoinAll()/destruction call Start() implicitly. Threads spawned after
-/// Start() begin immediately, which is safe when the spawner is itself a
-/// running actor (the clock cannot advance while it runs).
+/// Spawns actor fibers on a clock and joins them on destruction. Actors
+/// spawned while a context runs join the back of the ready queue, in spawn
+/// order, when that context next blocks.
 class ActorGroup {
  public:
-  explicit ActorGroup(VirtualClock* clock) : clock_(clock) {}
-  ~ActorGroup() { JoinAll(); }
+  explicit ActorGroup(VirtualClock* clock);
+  ~ActorGroup();
 
-  /// Creates a new actor thread running `fn`. The actor slot is reserved
-  /// immediately, so the clock cannot race past the new actor's birth.
+  /// Creates a new actor fiber running `fn`.
   void Spawn(std::function<void()> fn);
 
-  /// Opens the gate: all previously spawned threads begin running.
-  void Start();
+  /// Does nothing: spawned actors need no start signal.
+  void Start() {}
 
-  /// Opens the gate if needed and joins every spawned thread.
+  /// Blocks the caller until every spawned actor has exited. The caller
+  /// resumes at the virtual instant the last one exits, ahead of every
+  /// other ready actor.
   void JoinAll();
 
  private:
+  friend class VirtualClock;
+
   VirtualClock* clock_;
-  // Waiver(thread-annotations): gate state waits on a real (not virtual)
-  // condition_variable, which requires std::unique_lock<std::mutex>.
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  bool started_ = false;
-  std::vector<std::thread> threads_;
+  std::vector<std::unique_ptr<Fiber>> fibers_;
+  int live_ = 0;             // spawned actors that have not exited
+  Fiber* joiner_ = nullptr;  // context blocked in JoinAll, if any
 };
 
 }  // namespace vedb::sim

@@ -16,9 +16,10 @@ std::atomic<bool> LockOrderGraph::enabled_{false};
 
 namespace {
 
-// Per-thread stack of currently held vedb::Mutex instances. Only the owning
-// thread touches its stack, so no lock is needed; the epoch tag discards
-// state left over from before the last Enable().
+// Per-thread stack of currently held vedb::Mutex instances. The actor
+// fibers of a thread share it: CheckNoneHeldAcrossWait keeps it empty at
+// every switch, so it only ever holds the running context's locks. The
+// epoch tag discards state left over from before the last Enable().
 struct HeldLock {
   const void* mu;
   std::string cls;
@@ -83,6 +84,19 @@ void LockOrderGraph::OnAcquire(const void* mu, const char* cls,
     }
   }
   tls_held.push_back(HeldLock{mu, cls, site});
+}
+
+void LockOrderGraph::CheckNoneHeldAcrossWait() {
+  if (tls_held.empty() ||
+      tls_held_gen != Instance().epoch_gen_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  std::string held;
+  for (const HeldLock& h : tls_held) held += " " + h.cls + "@" + h.site;
+  std::fprintf(stderr, "lock-order: vedb::Mutex held across a clock wait:%s\n",
+               held.c_str());
+  std::fflush(stderr);
+  std::_Exit(65);
 }
 
 void LockOrderGraph::OnRelease(const void* mu) {

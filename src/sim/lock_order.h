@@ -55,6 +55,12 @@ class LockOrderGraph {
     return enabled_.load(std::memory_order_relaxed);
   }
 
+  /// Called by the clock before it switches away from the running context:
+  /// if that context holds a vedb::Mutex, prints the held lock classes and
+  /// their acquisition sites and exits 65. The next actor to contend for
+  /// such a lock would block the one thread that must run its holder.
+  static void CheckNoneHeldAcrossWait();
+
   // --- hook entry points (called from the installed MutexObserver) ---
   void OnAcquire(const void* mu, const char* cls, const char* file, int line);
   void OnRelease(const void* mu);

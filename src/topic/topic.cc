@@ -267,20 +267,23 @@ Result<std::unique_ptr<Topic>> Topic::Recover(astore::AStoreClient* client,
     auto part = std::make_unique<Partition>();
     // Old segments stay readable in place through the locator index; new
     // produces go to a fresh ring.
+    // OpenSegment blocks on the clock, so the index is built unlocked
+    // and published under the lock.
     std::map<astore::SegmentId, astore::SegmentHandlePtr> handles;
+    std::map<uint64_t, Locator> index;
+    for (const auto& loc : rec.locations) {
+      auto it = handles.find(loc.segment);
+      if (it == handles.end()) {
+        VEDB_ASSIGN_OR_RETURN(astore::SegmentHandlePtr seg,
+                              client->OpenSegment(loc.segment));
+        it = handles.emplace(loc.segment, std::move(seg)).first;
+      }
+      index[loc.lsn] = Locator{it->second, loc.offset, loc.payload_size};
+    }
     {
       vedb::MutexLock lk(&part->mu);
       part->next_lsn = std::max<uint64_t>(1, rec.next_lsn);
-      for (const auto& loc : rec.locations) {
-        auto it = handles.find(loc.segment);
-        if (it == handles.end()) {
-          VEDB_ASSIGN_OR_RETURN(astore::SegmentHandlePtr seg,
-                                client->OpenSegment(loc.segment));
-          it = handles.emplace(loc.segment, std::move(seg)).first;
-        }
-        part->index[loc.lsn] =
-            Locator{it->second, loc.offset, loc.payload_size};
-      }
+      part->index = std::move(index);
     }
     VEDB_ASSIGN_OR_RETURN(part->ring,
                           astore::SegmentRing::Create(client, data_opts));

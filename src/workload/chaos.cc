@@ -99,7 +99,7 @@ ChaosCampaignResult RunCmFailoverChaos(const ChaosCampaignOptions& options) {
 
   {
     sim::ActorGroup background(env.clock());
-    for (auto& cm : cms) cm->StartBackground(&background);
+    for (auto& cm : cms) cm->StartBackground();
     client->StartBackground(&background);
 
     // The campaign script. Absolute virtual timestamps keep the fault
@@ -129,7 +129,6 @@ ChaosCampaignResult RunCmFailoverChaos(const ChaosCampaignOptions& options) {
       for (auto& cm : cms) cm->RequestShutdown();
       for (auto& cm : cms) cm->Shutdown();
     });
-    background.Start();
 
     const std::string payload(options.payload_bytes, 'w');
     LoadResult result = RunClosedLoop(

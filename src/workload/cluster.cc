@@ -152,7 +152,7 @@ void VedbCluster::StartBackground() {
   for (auto& server : astore_servers_) {
     server->StartBackground(background_.get());
   }
-  for (auto& cm : cms_) cm->StartBackground(background_.get());
+  for (auto& cm : cms_) cm->StartBackground();
   pagestore_->StartBackground(background_.get());
   astore_client_->StartBackground(background_.get());
   if (ebp_ != nullptr) {
@@ -160,15 +160,13 @@ void VedbCluster::StartBackground() {
     ebp_->StartBackground(background_.get());
   }
   engine_->StartBackground(background_.get());
-  background_->Start();
   background_started_ = true;
 }
 
 void VedbCluster::Shutdown() {
   if (!background_started_) return;
-  // Flag everything first, then drain the CMs: a CM drain is a real-time
-  // wait, and any loop not yet flagged would free-run virtual time through
-  // it nondeterministically.
+  // Flag everything first, then drain the CMs: any loop not yet flagged
+  // would keep running through the drain.
   for (auto& server : astore_servers_) server->Shutdown();
   for (auto& cm : cms_) cm->RequestShutdown();
   pagestore_->Shutdown();

@@ -43,11 +43,6 @@ inline LoadResult RunClosedLoop(
   const Timestamp measure_start = t0 + warmup;
   const Timestamp end = measure_start + duration;
   {
-    // NOTE: no ExternalWaitScope here — while spawning, the gated client
-    // threads hold unblocked actor reservations, which freezes the clock
-    // until JoinAll (inside the group destructor) opens the gate. Declaring
-    // the caller externally-blocked during spawning would instead let
-    // background actors free-run virtual time past the measurement window.
     sim::ActorGroup group(env->clock());
     for (int i = 0; i < clients; ++i) {
       group.Spawn([&, i] {

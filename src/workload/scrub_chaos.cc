@@ -154,9 +154,9 @@ ScrubChaosResult RunScrubChaos(const ScrubChaosOptions& options) {
 
   {
     sim::ActorGroup background(env.clock());
-    cm->StartBackground(&background);
+    cm->StartBackground();
     client->StartBackground(&background);
-    for (auto& sc : scrubbers) sc->StartBackground(&background);
+    for (auto& sc : scrubbers) sc->StartBackground();
 
     // Crash script: one storage node dies and returns, entirely before the
     // corruption era (see the header note on rebuild sources).
@@ -255,7 +255,6 @@ ScrubChaosResult RunScrubChaos(const ScrubChaosOptions& options) {
       for (auto& sc : scrubbers) sc->Shutdown();
       cm->Shutdown();
     });
-    background.Start();
 
     const int clients = options.writers + options.readers;
     LoadResult result = RunClosedLoop(

@@ -62,8 +62,8 @@ Result<TopicWorkloadResult> RunTopicWorkload(
       env.clock(), qos::AdmissionController::Options{
                        options.total_inflight_bytes});
 
-  // Setup runs under the scheduler's run token so segment pre-creation is
-  // deterministic; the main thread steps out before the actors run.
+  // Setup runs as an actor, queued ahead of the tenants' actors; main
+  // steps out before they run.
   env.clock()->RegisterActor();
   std::vector<std::unique_ptr<TenantRig>> rigs;
   for (size_t i = 0; i < options.tenants.size(); ++i) {

@@ -156,12 +156,11 @@ TEST(AStoreRetryTest, CrashDuringAppendIsAbsorbedByHealthLoop) {
   Status failed = Status::OK();
   {
     sim::ActorGroup group(c.env.clock());
-    c.cm->StartBackground(&group);
+    c.cm->StartBackground();
     group.Spawn([&] {
       c.env.clock()->SleepFor(5 * kMillisecond);
       c.env.GetNode(victim)->SetAlive(false);
     });
-    group.Start();
 
     for (int i = 0; i < 100 && failed.ok(); ++i) {
       failed = c.client->Append(seg, Slice("steady-payload"), nullptr);
@@ -196,7 +195,6 @@ TEST(AStoreRetryTest, CmUnreachableThenRecoveredOpenSucceeds) {
       c.env.clock()->SleepFor(20 * kMillisecond);
       c.cm_node->SetAlive(true);
     });
-    group.Start();
     // Each attempt against the dead CM burns its bounded per-call wait;
     // the retry loop outlives the outage and the open lands after revival.
     auto reopened = c.client->OpenSegment(id);
@@ -339,25 +337,20 @@ CrashRunResult RunCrashWorkload(uint64_t seed) {
 
   {
     sim::ActorGroup background(c.env.clock());
-    c.cm->StartBackground(&background);
+    c.cm->StartBackground();
     c.client->StartBackground(&background);
     background.Spawn([&] {
       c.env.clock()->SleepFor(60 * kMillisecond);
       c.env.GetNode(victim)->SetAlive(false);
     });
     // Stop the background loops at a FIXED virtual time past the workload's
-    // end, from inside the actor schedule. Shutting down from the test
-    // thread after RunClosedLoop would be racy: while the driver joins its
-    // workers (a real-time wait), the periodic loops free-run virtual time,
-    // so the shutdown's virtual timestamp — and with it the number of
-    // background refresh cycles in the snapshot — would depend on wall-clock
-    // scheduling instead of the seed.
+    // end, from inside the actor schedule, so the number of background
+    // refresh cycles in the snapshot is fixed by the seed.
     background.Spawn([&] {
       c.env.clock()->SleepUntil(500 * kMillisecond);
       c.client->Shutdown();
       c.cm->Shutdown();
     });
-    background.Start();
 
     const std::string payload(256, 'w');
     workload::LoadResult result = workload::RunClosedLoop(

@@ -224,7 +224,7 @@ TEST(CmFailoverTest, ShutdownIsIdempotentAndDrainsHealthActor) {
 
   {
     sim::ActorGroup group(g.env.clock());
-    for (auto& cm : g.cms) cm->StartBackground(&group);
+    for (auto& cm : g.cms) cm->StartBackground();
     group.Spawn([&] {
       g.env.clock()->SleepFor(120 * kMillisecond);
       for (auto& cm : g.cms) cm->RequestShutdown();
@@ -233,7 +233,6 @@ TEST(CmFailoverTest, ShutdownIsIdempotentAndDrainsHealthActor) {
       // immediately instead of waiting on an actor that is gone.
       for (auto& cm : g.cms) cm->Shutdown();
     });
-    group.Start();
   }
   // And once more from the test thread after the group joined.
   for (auto& cm : g.cms) cm->Shutdown();

@@ -301,7 +301,6 @@ TEST_F(EngineTest, HotRowUpdatesSerialize) {
   std::atomic<int> failures{0};
   {
     sim::ActorGroup group(env()->clock());
-    sim::VirtualClock::ExternalWaitScope wait(env()->clock());
     for (int i = 0; i < kThreads; ++i) {
       group.Spawn([&] {
         for (int j = 0; j < kPerThread; ++j) {
@@ -333,7 +332,6 @@ TEST_F(EngineTest, DeadlockResolvedByAbort) {
   std::atomic<int> done{0};
   {
     sim::ActorGroup group(env()->clock());
-    sim::VirtualClock::ExternalWaitScope wait(env()->clock());
     for (int dir = 0; dir < 2; ++dir) {
       group.Spawn([&, dir] {
         Status s = engine()->RunTransaction(

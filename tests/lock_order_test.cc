@@ -279,5 +279,21 @@ TEST(LockOrderTest, ContractConformingOrderStaysClean) {
   EXPECT_EQ(graph.CycleCount(), 0u) << graph.Report();
 }
 
+TEST(LockOrderDeathTest, MutexHeldAcrossClockWaitExits65) {
+  // Every actor runs on the clock's one thread: a second actor contending
+  // for a lock held across a wait would relock it on that same thread and
+  // hang. The graph names the held lock and its site, and exits 65.
+  EXPECT_EXIT(
+      {
+        LockOrderGraph::Enable();
+        VirtualClock clock;
+        vedb::Mutex mu("test.held");
+        vedb::MutexLock lk(&mu);
+        clock.SleepFor(10);
+      },
+      ::testing::ExitedWithCode(65),
+      "held across a clock wait: test.held@lock_order_test.cc:[0-9]+");
+}
+
 }  // namespace
 }  // namespace vedb::sim

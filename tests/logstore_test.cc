@@ -185,7 +185,6 @@ TEST_F(LogStoreTest, ConcurrentAppendsKeepDenseMonotonicLsns) {
   std::atomic<int> failures{0};
   {
     sim::ActorGroup group(env_.clock());
-    sim::VirtualClock::ExternalWaitScope wait(env_.clock());
     for (int t = 0; t < kThreads; ++t) {
       group.Spawn([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
@@ -245,7 +244,6 @@ TEST_F(LogStoreTest, GroupCommitCoalescesConcurrentAppends) {
   t0 = env_.clock()->Now();
   {
     sim::ActorGroup group(env_.clock());
-    sim::VirtualClock::ExternalWaitScope wait(env_.clock());
     for (int i = 0; i < kThreads; ++i) {
       group.Spawn([&, i] {
         auto r = log->AppendBatch({"t" + std::to_string(i)});
@@ -271,7 +269,6 @@ TEST_F(LogStoreTest, GroupCommitFailurePropagatesToWholeGroup) {
   std::atomic<int> failures{0};
   {
     sim::ActorGroup group(env_.clock());
-    sim::VirtualClock::ExternalWaitScope wait(env_.clock());
     for (int i = 0; i < 4; ++i) {
       group.Spawn([&] {
         if (!log->AppendBatch({"doomed"}).ok()) failures++;
@@ -294,7 +291,6 @@ TEST_F(LogStoreTest, BlobBackendGroupCommitAlsoCoalesces) {
   t0 = env_.clock()->Now();
   {
     sim::ActorGroup group(env_.clock());
-    sim::VirtualClock::ExternalWaitScope wait(env_.clock());
     for (int i = 0; i < kThreads; ++i) {
       group.Spawn([&, i] {
         EXPECT_TRUE(log->AppendBatch({"c" + std::to_string(i)}).ok());
@@ -408,7 +404,6 @@ TEST_F(LogStoreTest, TimedOutWaiterPayloadStaysPinnedThroughLaterFlush) {
   const std::string b_payload(2048, 'b');
   {
     sim::ActorGroup group(env_.clock());
-    sim::VirtualClock::ExternalWaitScope wait(env_.clock());
     group.Spawn([&] {
       // Leader: starts the 10ms flush immediately.
       GroupCommitter::Item item;

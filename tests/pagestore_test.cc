@@ -121,7 +121,6 @@ TEST_F(PageStoreTest, BackgroundGossipRepairsLaggards) {
   {
     sim::ActorGroup group(env_.clock());
     store_->StartBackground(&group);
-    group.Start();
     env_.clock()->SleepFor(200 * kMillisecond);
     store_->Shutdown();
   }

@@ -1,7 +1,7 @@
 // Regression tests for the REDO shipper's progress rule. When a ship pass
 // moves nothing, the shipper must wait for its next period instead of
-// looping: a loop that never advances virtual time keeps the run token,
-// so the actor that would fill the gap never runs and the whole simulation
+// looping: a loop that never advances virtual time never gives up the
+// thread, so the actor that would fill the gap never runs and the whole simulation
 // hangs. The test builds such a gap on purpose; the ctest TIMEOUT turns a
 // regression into a failure instead of a hang.
 

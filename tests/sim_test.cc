@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -354,22 +355,20 @@ TEST(VirtualConditionTest, StaleTimerEntryDoesNotWakeLaterSleep) {
   EXPECT_EQ(second_wake, 10100u);
 }
 
-TEST(VirtualClockTest, GuestThreadCanSleepWithoutRegistering) {
-  // Threads that never registered (e.g. a test main constructing a
-  // cluster) may still block on the clock; they join the actor set for the
-  // duration of the block.
+TEST(VirtualClockTest, GuestMainCanSleepWithoutRegistering) {
+  // A main that never registered (e.g. a test constructing a cluster) may
+  // still block on the clock.
   VirtualClock clock;
-  clock.SleepFor(1234);  // this thread is not a registered actor
+  clock.SleepFor(1234);  // main is not a registered actor
   EXPECT_EQ(clock.Now(), 1234u);
 }
 
 TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
-  // Regression for a teardown race: a non-actor thread stops a
-  // notification-driven waiter while timer-driven actors are also exiting.
-  // The supported protocol is "notify the parked waiter first, then release
-  // the pollers" — done in the opposite order, the pollers can all exit
-  // while the NotifyAll is still waiting for the clock mutex, and the last
-  // exit sees "everyone parked, no timers" and aborts as a deadlock.
+  // Regression for a teardown race: a non-actor stops a notification-driven
+  // waiter while timer-driven actors are also exiting. The supported
+  // protocol is "notify the parked waiter first, then release the pollers":
+  // done in the opposite order, the last poller to exit would see
+  // "everyone parked, no timers" and abort as a deadlock.
   for (int round = 0; round < 50; ++round) {
     VirtualClock clock;
     std::mutex mu;
@@ -386,7 +385,6 @@ TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
     group.Spawn([&] {  // polling actor (the shipper shape)
       while (!poll_stop.load()) clock.SleepFor(kMillisecond);
     });
-    group.Start();
     {
       std::lock_guard<std::mutex> lk(mu);
       stop = true;
@@ -398,21 +396,73 @@ TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
   }
 }
 
-TEST(VirtualClockTest, ExternalWaitLetsOthersAdvance) {
+TEST(VirtualClockTest, JoinAllResumesAheadOfActorsReadyAtTheSameInstant) {
+  // A registered actor's JoinAll resumes at the virtual instant its last
+  // member exits, before another actor that became ready at that instant.
   VirtualClock clock;
   clock.RegisterActor();
-  Timestamp worker_end = 0;
+  std::vector<std::pair<std::string, Timestamp>> events;
+  ActorGroup group(&clock);
+  ActorGroup other(&clock);
+  group.Spawn([&] {
+    clock.SleepFor(5000);
+    events.push_back({"member", clock.Now()});
+  });
+  other.Spawn([&] {
+    clock.SleepFor(5000);  // readied right behind the member
+    events.push_back({"other", clock.Now()});
+  });
+  group.JoinAll();
+  events.push_back({"joiner", clock.Now()});
+  other.JoinAll();
+  clock.UnregisterActor();
+  const std::vector<std::pair<std::string, Timestamp>> expected = {
+      {"member", 5000}, {"joiner", 5000}, {"other", 5000}};
+  EXPECT_EQ(events, expected);
+}
+
+TEST(VirtualClockTest, SpawnedActorsFirstRunInSpawnOrder) {
+  VirtualClock clock;
+  std::vector<int> order;
   {
     ActorGroup group(&clock);
-    group.Spawn([&] {
-      clock.SleepFor(5000);
-      worker_end = clock.Now();
-    });
-    // JoinAll (inside the destructor) declares this registered actor
-    // externally blocked, so the worker's sleeps can advance the clock.
+    for (int i = 0; i < 8; ++i) {
+      group.Spawn([&order, i] { order.push_back(i); });
+    }
   }
-  EXPECT_EQ(worker_end, 5000u);
-  clock.UnregisterActor();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// A guest main (never registered) starts background actors and keeps
+// working between its own sleeps; returns every (actor, virtual time)
+// event in the order it happened.
+std::vector<std::pair<int, Timestamp>> RunGuestMainWithBackground() {
+  VirtualClock clock;
+  std::vector<std::pair<int, Timestamp>> events;
+  bool stop = false;
+  ActorGroup background(&clock);
+  for (int a = 1; a <= 3; ++a) {
+    background.Spawn([&, a] {
+      while (!stop) {
+        clock.SleepFor(50 * a);
+        events.push_back({a, clock.Now()});
+      }
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    clock.SleepFor(75);
+    events.push_back({0, clock.Now()});
+  }
+  stop = true;
+  background.JoinAll();
+  return events;
+}
+
+TEST(VirtualClockTest, GuestMainWithBackgroundActorsRunsDeterministically) {
+  const auto first = RunGuestMainWithBackground();
+  const auto second = RunGuestMainWithBackground();
+  EXPECT_GT(first.size(), 20u);
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace
