@@ -55,7 +55,8 @@ Rig MakeRig() {
 
 enum class Policy { kThreshold, kAlways, kCost };
 
-double RunQuerySet(Rig* rig, Policy policy) {
+/// Clears `*ok` when any query run, warm-up included, fails.
+double RunQuerySet(Rig* rig, Policy policy, bool* ok) {
   // A mix of small-table-heavy and scan-heavy queries: Q2/Q16 (stock x
   // item/supplier, mostly resident after warm-up) and Q1/Q6/Q22 (large
   // scans). A good policy keeps the former local and pushes the latter.
@@ -81,17 +82,15 @@ double RunQuerySet(Rig* rig, Policy policy) {
   // Warm-up pass, then two timed passes.
   for (int q : queries) {
     query::ExecContext ctx = ctx_for();
-    // discard-ok: timed run; per-query failures would show up as zeros.
-    (void)workload::RunChQuery(q, rig->db.get(), &ctx, true);
+    *ok &= bench::QueryOk(
+        q, workload::RunChQuery(q, rig->db.get(), &ctx, true).status());
   }
   const Timestamp t0 = rig->cluster->env()->clock()->Now();
   for (int pass = 0; pass < 2; ++pass) {
     for (int q : queries) {
       query::ExecContext ctx = ctx_for();
-      auto r = workload::RunChQuery(q, rig->db.get(), &ctx, true);
-      if (!r.ok()) {
-        fprintf(stderr, "Q%d: %s\n", q, r.status().ToString().c_str());
-      }
+      *ok &= bench::QueryOk(
+          q, workload::RunChQuery(q, rig->db.get(), &ctx, true).status());
     }
   }
   return ToMillis(rig->cluster->env()->clock()->Now() - t0) / 2;
@@ -103,19 +102,24 @@ double RunQuerySet(Rig* rig, Policy policy) {
 int main() {
   using namespace vedb;
   Rig rig = MakeRig();
+  bool ok = true;
+  const double threshold = RunQuerySet(&rig, Policy::kThreshold, &ok);
+  const double always = RunQuerySet(&rig, Policy::kAlways, &ok);
+  const double cost = RunQuerySet(&rig, Policy::kCost, &ok);
+  rig.cluster->env()->clock()->UnregisterActor();
+  rig.cluster->Shutdown();
+  if (!ok) {
+    fprintf(stderr, "ablation: a query failed; no table reported\n");
+    return 1;
+  }
   bench::PrintHeader(
       "Ablation: push-down decision policy (mixed CH query set, total ms "
       "per pass)");
   bench::PrintRow({"policy", "total (ms)"}, 22);
-  const double threshold = RunQuerySet(&rig, Policy::kThreshold);
   bench::PrintRow({"row threshold", bench::Fmt("%.1f", threshold)}, 22);
-  const double always = RunQuerySet(&rig, Policy::kAlways);
   bench::PrintRow({"always push", bench::Fmt("%.1f", always)}, 22);
-  const double cost = RunQuerySet(&rig, Policy::kCost);
   bench::PrintRow({"cost based", bench::Fmt("%.1f", cost)}, 22);
   printf("\nthe cost model keeps resident small-table scans local and "
          "pushes storage-heavy fragments (paper future work, implemented)\n");
-  rig.cluster->env()->clock()->UnregisterActor();
-  rig.cluster->Shutdown();
   return 0;
 }

@@ -3,7 +3,8 @@
 // Paper (1000 warehouses; 16GB & 32GB BPs; 256GB EBP): query 7 gains >3x in
 // both settings, query 16 barely changes (its working set fits the BP);
 // others gain up to 3.5x. Each query runs once to warm up, then the average
-// of three timed runs is reported.
+// of three timed runs is reported. Exits 1 if any query run, warm-up
+// included, fails.
 
 #include <cmath>
 #include <cstdio>
@@ -24,24 +25,24 @@ struct QueryTiming {
   double ebp_ms[2];      // [bp_config] with EBP enabled
 };
 
+/// Clears `*ok` when any run fails.
 double TimeQuery(workload::TpccDatabase* db, workload::VedbCluster* cluster,
-                 int q) {
+                 int q, bool* ok) {
   query::ExecContext ctx;
   ctx.engine = cluster->engine();
   // Warm-up run, then three timed runs (paper's procedure).
-  // discard-ok: warm-up run; only the timed runs below are reported.
-  (void)workload::RunChQuery(q, db, &ctx, false);
+  *ok &= bench::QueryOk(q, workload::RunChQuery(q, db, &ctx, false).status());
   Duration total = 0;
   for (int run = 0; run < 3; ++run) {
     const Timestamp t0 = cluster->env()->clock()->Now();
-    auto r = workload::RunChQuery(q, db, &ctx, false);
-    if (!r.ok()) fprintf(stderr, "Q%d: %s\n", q, r.status().ToString().c_str());
+    *ok &=
+        bench::QueryOk(q, workload::RunChQuery(q, db, &ctx, false).status());
     total += cluster->env()->clock()->Now() - t0;
   }
   return ToMillis(total / 3);
 }
 
-void RunConfig(size_t bp_pages, bool enable_ebp, double out_ms[]) {
+void RunConfig(size_t bp_pages, bool enable_ebp, double out_ms[], bool* ok) {
   workload::ClusterOptions opts =
       bench::MakeClusterOptions(true, enable_ebp ? 128 * kMiB : 0);
   opts.engine.buffer_pool.capacity_pages = bp_pages;
@@ -60,7 +61,7 @@ void RunConfig(size_t bp_pages, bool enable_ebp, double out_ms[]) {
 
   int idx = 0;
   for (int q : kQueries) {
-    out_ms[idx++] = TimeQuery(&db, &cluster, q);
+    out_ms[idx++] = TimeQuery(&db, &cluster, q, ok);
   }
   cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
@@ -76,10 +77,15 @@ int main() {
   const size_t kBpSmall = 24, kBpMedium = 64;
 
   double base_small[kN], ebp_small[kN], base_medium[kN], ebp_medium[kN];
-  RunConfig(kBpSmall, false, base_small);
-  RunConfig(kBpSmall, true, ebp_small);
-  RunConfig(kBpMedium, false, base_medium);
-  RunConfig(kBpMedium, true, ebp_medium);
+  bool ok = true;
+  RunConfig(kBpSmall, false, base_small, &ok);
+  RunConfig(kBpSmall, true, ebp_small, &ok);
+  RunConfig(kBpMedium, false, base_medium, &ok);
+  RunConfig(kBpMedium, true, ebp_medium, &ok);
+  if (!ok) {
+    fprintf(stderr, "fig11: a query failed; no figure reported\n");
+    return 1;
+  }
 
   bench::PrintHeader(
       "Figure 11: EBP speedup on TPC-CH queries (elapsed no-EBP / EBP)");

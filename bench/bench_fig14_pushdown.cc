@@ -8,10 +8,16 @@
 //                     EBP hosts / PageStore (the paper's orange bars).
 // Paper: Q1,6,11,13,15,20,22 gain 4x-24x; geomean over all 22 queries
 // ~2.8x; vs the plan-change baseline, still ~2x.
+//
+// Writes results/bench_fig14_pushdown.json: each query's virtual ms in the
+// three configurations plus the three geomeans. Exits 1 if any query run,
+// warm-up included, fails.
 
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "query/pushdown.h"
@@ -56,7 +62,10 @@ Setup MakeSetup(bool enable_ebp) {
   return s;
 }
 
-double TimeQuery(Setup* s, int q, bool friendly_plan, bool pushdown) {
+/// Virtual ms of one query: the mean of runs two and three. Clears `*ok`
+/// when any run fails.
+double TimeQuery(Setup* s, int q, bool friendly_plan, bool pushdown,
+                 bool* ok) {
   query::ExecContext ctx;
   ctx.engine = s->cluster->engine();
   ctx.pushdown = s->pushdown.get();
@@ -64,15 +73,13 @@ double TimeQuery(Setup* s, int q, bool friendly_plan, bool pushdown) {
   ctx.pushdown_row_threshold = 500;
   // All queries run three times; the average of runs two and three is used
   // (the paper's procedure, minimizing cold-cache effects).
-  // discard-ok: warm-up run; only the timed runs below are reported.
-  (void)workload::RunChQuery(q, s->db.get(), &ctx, friendly_plan);
+  *ok &= bench::QueryOk(
+      q, workload::RunChQuery(q, s->db.get(), &ctx, friendly_plan).status());
   Duration total = 0;
   for (int run = 0; run < 2; ++run) {
     const Timestamp t0 = s->cluster->env()->clock()->Now();
-    auto r = workload::RunChQuery(q, s->db.get(), &ctx, friendly_plan);
-    if (!r.ok()) {
-      fprintf(stderr, "Q%d failed: %s\n", q, r.status().ToString().c_str());
-    }
+    *ok &= bench::QueryOk(
+        q, workload::RunChQuery(q, s->db.get(), &ctx, friendly_plan).status());
     total += s->cluster->env()->clock()->Now() - t0;
   }
   return ToMillis(total / 2);
@@ -84,13 +91,19 @@ double TimeQuery(Setup* s, int q, bool friendly_plan, bool pushdown) {
 int main() {
   using namespace vedb;
 
+  bool ok = true;
+  std::vector<obs::Snapshot> snapshots;
+
   // Baseline + plan-change run on a cluster without EBP/PQ.
   Setup plain = MakeSetup(/*enable_ebp=*/false);
   double baseline[23], plan_change[23];
   for (int q = 1; q <= 22; ++q) {
-    baseline[q] = TimeQuery(&plain, q, /*friendly=*/false, /*pq=*/false);
-    plan_change[q] = TimeQuery(&plain, q, /*friendly=*/true, /*pq=*/false);
+    baseline[q] = TimeQuery(&plain, q, /*friendly=*/false, /*pq=*/false, &ok);
+    plan_change[q] =
+        TimeQuery(&plain, q, /*friendly=*/true, /*pq=*/false, &ok);
   }
+  snapshots.push_back(
+      bench::CollectRunSnapshot(plain.cluster->env(), "fig14/local"));
   plain.cluster->env()->clock()->UnregisterActor();
   plain.cluster->Shutdown();
 
@@ -98,10 +111,16 @@ int main() {
   Setup pq = MakeSetup(/*enable_ebp=*/true);
   double pushed[23];
   for (int q = 1; q <= 22; ++q) {
-    pushed[q] = TimeQuery(&pq, q, /*friendly=*/true, /*pq=*/true);
+    pushed[q] = TimeQuery(&pq, q, /*friendly=*/true, /*pq=*/true, &ok);
   }
+  snapshots.push_back(
+      bench::CollectRunSnapshot(pq.cluster->env(), "fig14/pq_ebp"));
   pq.cluster->env()->clock()->UnregisterActor();
   pq.cluster->Shutdown();
+  if (!ok) {
+    fprintf(stderr, "fig14: a query failed; no figure reported\n");
+    return 1;
+  }
 
   bench::PrintHeader(
       "Figure 14: push-down speedups on the 22 TPC-CH queries");
@@ -121,10 +140,31 @@ int main() {
                      bench::Fmt("%.2fx", s_plan)},
                     16);
   }
+  const double geomean_pq = std::pow(geo_pq, 1.0 / 22);
+  const double geomean_plan = std::pow(geo_plan, 1.0 / 22);
+  const double geomean_vs_plan = std::pow(geo_vs_plan, 1.0 / 22);
   printf("\ngeomean: PQ+EBP %.2fx over baseline (paper ~2.8x); "
          "plan-change alone %.2fx; PQ+EBP vs plan-change %.2fx "
          "(paper ~2x)\n",
-         std::pow(geo_pq, 1.0 / 22), std::pow(geo_plan, 1.0 / 22),
-         std::pow(geo_vs_plan, 1.0 / 22));
+         geomean_pq, geomean_plan, geomean_vs_plan);
+
+  std::string queries = "\"queries\":[";
+  for (int q = 1; q <= 22; ++q) {
+    if (q > 1) queries += ",";
+    queries += "{\"query\":" + std::to_string(q) +
+               bench::Fmt(",\"baseline_ms\":%.17g", baseline[q]) +
+               bench::Fmt(",\"plan_change_ms\":%.17g", plan_change[q]) +
+               bench::Fmt(",\"pq_ebp_ms\":%.17g", pushed[q]) + "}";
+  }
+  queries += "]";
+  Status wrote = bench::WriteBenchResults(
+      "bench_fig14_pushdown", "bench_fig14_pushdown.json", snapshots,
+      {queries, bench::Fmt("\"geomean_pq_speedup\":%.17g", geomean_pq),
+       bench::Fmt("\"geomean_plan_change_speedup\":%.17g", geomean_plan),
+       bench::Fmt("\"geomean_pq_vs_plan_change\":%.17g", geomean_vs_plan)});
+  if (!wrote.ok()) {
+    fprintf(stderr, "results: %s\n", wrote.ToString().c_str());
+    return 1;
+  }
   return 0;
 }

@@ -60,6 +60,14 @@ inline int ArgInt(int argc, char** argv, int def) {
   return v >= 1 ? v : def;
 }
 
+/// Reports a failed query run on stderr and returns false for it. The
+/// query benches exit nonzero when any run, warm-up included, fails.
+inline bool QueryOk(int q, const Status& s) {
+  if (s.ok()) return true;
+  fprintf(stderr, "Q%d failed: %s\n", q, s.ToString().c_str());
+  return false;
+}
+
 /// Snapshots the default metrics registry at the cluster's current virtual
 /// time under `run_label`, then zeroes every metric value so the next
 /// configuration of a multi-config bench starts from a clean registry.

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validates bench results JSON against the obs::Snapshot schema.
 
-CI runs a short deterministic bench (bench_table2_log_micro) and feeds the
-file(s) it wrote into this checker. The point is schema drift: if the C++
+CI runs short deterministic benches (bench_table2_log_micro,
+bench_fig14_pushdown and the chaos benches) and feeds the files they wrote
+into this checker. The point is schema drift: if the C++
 exporter (src/obs/export.cc) changes shape without bumping
 Snapshot::kSchemaVersion and updating this script, the bench-smoke job
 fails. Pure stdlib; exits non-zero with a pointed message on violation.
@@ -11,6 +12,7 @@ Usage: check_bench_schema.py results/bench_table2_log_micro.json [...]
 """
 
 import json
+import math
 import sys
 
 SCHEMA_VERSION = 1
@@ -199,6 +201,40 @@ def check_table2(doc, filename):
            "table2 must embed a non-null 'breakdown' object")
 
 
+def check_fig14(doc, filename):
+    """Bench-specific contract for bench_fig14_pushdown: all 22 CH queries
+    with a positive virtual time in each configuration, and geomeans that
+    follow from those times."""
+    queries = doc.get("queries")
+    expect(isinstance(queries, list) and len(queries) == 22, filename,
+           "'queries' must list the 22 CH queries")
+    fields = ("baseline_ms", "plan_change_ms", "pq_ebp_ms")
+    for i, q in enumerate(queries):
+        expect(isinstance(q, dict) and q.get("query") == i + 1, filename,
+               f"queries[{i}] must be query {i + 1}")
+        for field in fields:
+            v = q.get(field)
+            expect(isinstance(v, (int, float)) and v > 0, filename,
+                   f"Q{i + 1} {field} must be a positive number, got {v!r}")
+
+    def geomean(ratio):
+        return math.exp(sum(math.log(ratio(q)) for q in queries) / 22)
+
+    for key, ratio in (
+            ("geomean_pq_speedup",
+             lambda q: q["baseline_ms"] / q["pq_ebp_ms"]),
+            ("geomean_plan_change_speedup",
+             lambda q: q["baseline_ms"] / q["plan_change_ms"]),
+            ("geomean_pq_vs_plan_change",
+             lambda q: q["plan_change_ms"] / q["pq_ebp_ms"])):
+        got = doc.get(key)
+        expect(isinstance(got, (int, float)) and got > 0, filename,
+               f"missing positive number '{key}'")
+        want = geomean(ratio)
+        expect(math.isclose(got, want, rel_tol=1e-9), filename,
+               f"{key} is {got} but the per-query times give {want}")
+
+
 def check_breakdown(bd, path):
     if bd is None:
         return
@@ -236,6 +272,8 @@ def check_file(filename):
         check_scrub_chaos(doc, filename)
     if doc["bench"] == "bench_table2_log_micro":
         check_table2(doc, filename)
+    if doc["bench"] == "bench_fig14_pushdown":
+        check_fig14(doc, filename)
     if "breakdown" in doc:
         check_breakdown(doc["breakdown"], f"{filename}.breakdown")
     if "trace_spans" in doc:

@@ -91,6 +91,15 @@ class SegmentHandle {
     return route_;
   }
 
+  /// The first replica's node, without copying the whole route; false when
+  /// the route has no replicas.
+  bool FirstReplicaNode(std::string* node) const {
+    vedb::MutexLock lk(&mu_);
+    if (route_.replicas.empty()) return false;
+    *node = route_.replicas[0].node;
+    return true;
+  }
+
  private:
   friend class AStoreClient;
 

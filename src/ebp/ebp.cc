@@ -197,10 +197,8 @@ bool ExtendedBufferPool::LookupPlacement(PageKey key, Placement* out) const {
                     "ExtendedBufferPool::LookupPlacement");
   auto it = index_.find(key);
   if (it == index_.end()) return false;
-  const auto route = it->second.seg->route();
-  if (route.replicas.empty()) return false;
+  if (!it->second.seg->FirstReplicaNode(&out->node)) return false;
   out->segment = it->second.seg->id();
-  out->node = route.replicas[0].node;
   out->offset = it->second.offset;
   out->len = it->second.len;
   return true;

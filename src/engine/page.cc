@@ -13,10 +13,32 @@ void Page::Format(std::string* buf) {
   page.set_free_ptr(kHeaderSize);
 }
 
-uint64_t Page::lsn() const { return DecodeFixed64(buf_->data()); }
+namespace {
+uint64_t SlotPos(uint16_t slot) {
+  return Page::kPageSize - (slot + 1) * Page::kSlotEntrySize;
+}
+}  // namespace
+
+uint64_t PageView::lsn() const { return DecodeFixed64(data_); }
+
+uint16_t PageView::slot_count() const { return DecodeFixed16(data_ + 8); }
+
+Status PageView::GetRow(uint16_t slot, Slice* row) const {
+  if (slot >= slot_count()) return Status::NotFound("no such slot");
+  const uint16_t off = DecodeFixed16(data_ + SlotPos(slot));
+  const uint16_t len = DecodeFixed16(data_ + SlotPos(slot) + 2);
+  if (off == 0) return Status::NotFound("tombstoned slot");
+  *row = Slice(data_ + off, len);
+  return Status::OK();
+}
+
+bool PageView::SlotLive(uint16_t slot) const {
+  if (slot >= slot_count()) return false;
+  return DecodeFixed16(data_ + SlotPos(slot)) != 0;
+}
+
 void Page::set_lsn(uint64_t lsn) { EncodeFixed64(buf_->data(), lsn); }
 
-uint16_t Page::slot_count() const { return DecodeFixed16(buf_->data() + 8); }
 void Page::set_slot_count(uint16_t v) { EncodeFixed16(buf_->data() + 8, v); }
 
 uint16_t Page::free_ptr() const { return DecodeFixed16(buf_->data() + 10); }
@@ -83,15 +105,6 @@ Status Page::DeleteRow(uint16_t slot) {
   return Status::OK();
 }
 
-Status Page::GetRow(uint16_t slot, Slice* row) const {
-  if (slot >= slot_count()) return Status::NotFound("no such slot");
-  const uint16_t off = DecodeFixed16(buf_->data() + SlotPos(slot));
-  const uint16_t len = DecodeFixed16(buf_->data() + SlotPos(slot) + 2);
-  if (off == 0) return Status::NotFound("tombstoned slot");
-  *row = Slice(buf_->data() + off, len);
-  return Status::OK();
-}
-
 void Page::Compact() {
   const uint16_t count = slot_count();
   std::string rows;
@@ -112,11 +125,6 @@ void Page::Compact() {
     EncodeFixed16(buf_->data() + SlotPos(s), placements[s].first);
     EncodeFixed16(buf_->data() + SlotPos(s) + 2, placements[s].second);
   }
-}
-
-bool Page::SlotLive(uint16_t slot) const {
-  if (slot >= slot_count()) return false;
-  return DecodeFixed16(buf_->data() + SlotPos(slot)) != 0;
 }
 
 }  // namespace vedb::engine

@@ -22,6 +22,23 @@
 
 namespace vedb::engine {
 
+/// Read-only access to a kPageSize page image the reader neither owns nor
+/// modifies, e.g. one inside a storage-side request buffer.
+class PageView {
+ public:
+  explicit PageView(const char* data) : data_(data) {}
+
+  uint64_t lsn() const;
+  uint16_t slot_count() const;
+  /// Reads the row in `slot`; NotFound for tombstones/out of range.
+  Status GetRow(uint16_t slot, Slice* row) const;
+  /// True if `slot` holds a live row.
+  bool SlotLive(uint16_t slot) const;
+
+ private:
+  const char* data_;
+};
+
 class Page {
  public:
   static constexpr uint64_t kPageSize = 16 * 1024;
@@ -34,10 +51,10 @@ class Page {
   /// Wraps an existing page buffer (borrowed; not owned).
   explicit Page(std::string* buf) : buf_(buf) {}
 
-  uint64_t lsn() const;
+  uint64_t lsn() const { return view().lsn(); }
   void set_lsn(uint64_t lsn);
 
-  uint16_t slot_count() const;
+  uint16_t slot_count() const { return view().slot_count(); }
 
   /// Bytes still available for one more row of `len` bytes (including its
   /// slot entry if `new_slot`).
@@ -52,23 +69,20 @@ class Page {
   /// Tombstones a slot.
   Status DeleteRow(uint16_t slot);
 
-  /// Reads the row in `slot`; NotFound for tombstones/out of range.
-  Status GetRow(uint16_t slot, Slice* row) const;
-
-  /// True if `slot` holds a live row.
-  bool SlotLive(uint16_t slot) const;
+  Status GetRow(uint16_t slot, Slice* row) const {
+    return view().GetRow(slot, row);
+  }
+  bool SlotLive(uint16_t slot) const { return view().SlotLive(slot); }
 
   /// Rewrites the data area keeping only live rows, reclaiming the dead
   /// space left by superseded row versions.
   void Compact();
 
  private:
+  PageView view() const { return PageView(buf_->data()); }
   uint16_t free_ptr() const;
   void set_free_ptr(uint16_t v);
   void set_slot_count(uint16_t v);
-  uint64_t SlotPos(uint16_t slot) const {
-    return kPageSize - (slot + 1) * kSlotEntrySize;
-  }
 
   std::string* buf_;
 };

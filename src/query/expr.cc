@@ -63,34 +63,19 @@ ExprPtr Expr::Arith(ArithOp op, ExprPtr a, ExprPtr b) {
 Value Expr::Eval(const Row& row) const {
   switch (kind_) {
     case Kind::kConst:
-      return const_value_;
-    case Kind::kCol:
-      VEDB_CHECK(col_ >= 0 && static_cast<size_t>(col_) < row.size(),
-                 "column %d out of range (row has %zu)", col_, row.size());
-      return row[col_];
-    case Kind::kCmp: {
-      const int c = a_->Eval(row).Compare(b_->Eval(row));
-      bool r = false;
-      switch (cmp_) {
-        case CmpOp::kEq: r = c == 0; break;
-        case CmpOp::kNe: r = c != 0; break;
-        case CmpOp::kLt: r = c < 0; break;
-        case CmpOp::kLe: r = c <= 0; break;
-        case CmpOp::kGt: r = c > 0; break;
-        case CmpOp::kGe: r = c >= 0; break;
-      }
-      return Value(static_cast<int64_t>(r));
+    case Kind::kCol: {
+      Value unused;
+      return Ref(row, &unused);
     }
+    case Kind::kCmp:
     case Kind::kAnd:
-      return Value(
-          static_cast<int64_t>(a_->EvalBool(row) && b_->EvalBool(row)));
     case Kind::kOr:
-      return Value(
-          static_cast<int64_t>(a_->EvalBool(row) || b_->EvalBool(row)));
     case Kind::kNot:
-      return Value(static_cast<int64_t>(!a_->EvalBool(row)));
+      return Value(static_cast<int64_t>(EvalBool(row)));
     case Kind::kArith: {
-      const Value va = a_->Eval(row), vb = b_->Eval(row);
+      Value sa, sb;
+      const Value& va = a_->Ref(row, &sa);
+      const Value& vb = b_->Ref(row, &sb);
       if (va.is_int() && vb.is_int()) {
         switch (arith_) {
           case ArithOp::kAdd: return Value(va.AsInt() + vb.AsInt());
@@ -109,12 +94,53 @@ Value Expr::Eval(const Row& row) const {
   return Value();
 }
 
+const Value& Expr::Ref(const Row& row, Value* scratch) const {
+  switch (kind_) {
+    case Kind::kConst:
+      return const_value_;
+    case Kind::kCol:
+      VEDB_CHECK(col_ >= 0 && static_cast<size_t>(col_) < row.size(),
+                 "column %d out of range (row has %zu)", col_, row.size());
+      return row[col_];
+    default:
+      *scratch = Eval(row);
+      return *scratch;
+  }
+}
+
+bool Expr::CmpHolds(const Row& row) const {
+  Value sa, sb;
+  const int c = a_->Ref(row, &sa).Compare(b_->Ref(row, &sb));
+  switch (cmp_) {
+    case CmpOp::kEq: return c == 0;
+    case CmpOp::kNe: return c != 0;
+    case CmpOp::kLt: return c < 0;
+    case CmpOp::kLe: return c <= 0;
+    case CmpOp::kGt: return c > 0;
+    case CmpOp::kGe: return c >= 0;
+  }
+  return false;
+}
+
 bool Expr::EvalBool(const Row& row) const {
-  const Value v = Eval(row);
-  if (v.is_null()) return false;
-  if (v.is_int()) return v.AsInt() != 0;
-  if (v.is_double()) return v.AsDouble() != 0.0;
-  return !v.AsString().empty();
+  switch (kind_) {
+    case Kind::kCmp:
+      return CmpHolds(row);
+    case Kind::kAnd:
+      return a_->EvalBool(row) && b_->EvalBool(row);
+    case Kind::kOr:
+      return a_->EvalBool(row) || b_->EvalBool(row);
+    case Kind::kNot:
+      return !a_->EvalBool(row);
+    default: {
+      Value scratch;
+      const Value& v = Ref(row, &scratch);
+      if (v.is_null()) return false;
+      if (v.is_int()) return v.AsInt() != 0;
+      if (v.is_double()) return v.AsDouble() != 0.0;
+      return !v.AsString().empty();
+    }
+  }
 }
 
 void Expr::EncodeTo(std::string* out) const {

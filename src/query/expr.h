@@ -56,6 +56,10 @@ class Expr {
   }
 
   Value Eval(const Row& row) const;
+  /// Like Eval, but returns column and constant operands by reference;
+  /// any other result is stored in `*scratch` and returned from there. The
+  /// reference lives as long as `row`, this expression and `*scratch`.
+  const Value& Ref(const Row& row, Value* scratch) const;
   bool EvalBool(const Row& row) const;
 
   void EncodeTo(std::string* out) const;
@@ -65,6 +69,9 @@ class Expr {
 
  private:
   Expr() = default;
+
+  /// The kCmp result, without building a Value.
+  bool CmpHolds(const Row& row) const;
 
   Kind kind_ = Kind::kConst;
   Value const_value_;

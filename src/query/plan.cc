@@ -1,7 +1,8 @@
 #include "query/plan.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstring>
+#include <string_view>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -17,12 +18,152 @@ void ChargeRows(ExecContext* ctx, uint64_t rows) {
   if (rows == 0 || ctx->engine == nullptr) return;
   ctx->engine->node()->cpu()->Access(0, rows * ctx->cpu_per_row);
 }
+
+/// The 8 bytes Value::EncodeSortable writes after a number's tag, as one
+/// word. Ints and doubles share that tag, so their words are compared as
+/// the bytes are.
+uint64_t SortableWord(const Value& v) {
+  if (v.is_int()) return static_cast<uint64_t>(v.AsInt()) ^ (1ull << 63);
+  const double d = v.AsDouble();
+  uint64_t bits;
+  memcpy(&bits, &d, 8);
+  return (bits & (1ull << 63)) ? ~bits : bits ^ (1ull << 63);
+}
+
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return x;
+}
+
+bool ValuesKeyEqual(const Value& a, const Value& b) {
+  if (a.is_string() || b.is_string()) {
+    return a.is_string() && b.is_string() && a.AsString() == b.AsString();
+  }
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  return SortableWord(a) == SortableWord(b);
+}
+
+/// The key columns `cols` of `row`; null `cols` means every column.
+struct KeyRef {
+  const Row* row;
+  const std::vector<int>* cols;
+
+  size_t size() const { return cols ? cols->size() : row->size(); }
+  const Value& operator[](size_t i) const {
+    return (*row)[cols ? (*cols)[i] : i];
+  }
+};
+
+// Join and group key identity: two keys are equal exactly when their
+// concatenated EncodeSortable bytes are. NULL equals NULL, strings compare
+// by bytes, numbers by their 8-byte sortable image: int 5 and double 5.0
+// differ, but int 0 and double 0.0 share 0x80 00..00 and are equal. (Strings
+// holding NUL, which keys must not, are the one place the byte rule and
+// this one could part.) Neither function builds the bytes.
+uint64_t HashKey(KeyRef key) {
+  uint64_t h = key.size();
+  for (size_t i = 0; i < key.size(); ++i) {
+    const Value& v = key[i];
+    uint64_t word = 0;
+    if (v.is_string()) {
+      word = std::hash<std::string_view>()(v.AsString()) + 2;
+    } else if (!v.is_null()) {
+      word = SortableWord(v) + 1;
+    }
+    h = Mix(h * 31 + word);
+  }
+  return h;
+}
+
+bool KeysEqual(KeyRef a, KeyRef b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!ValuesKeyEqual(a[i], b[i])) return false;
+  }
+  return true;
+}
 }  // namespace
+
+void KeyIndex::Grow() {
+  slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
+  const size_t mask = slots_.size() - 1;
+  for (size_t id = 0; id < hashes_.size(); ++id) {
+    size_t i = hashes_[id] & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(id + 1);
+  }
+}
+
+AggState* GroupTable::Find(const Row& row, const std::vector<int>& cols) {
+  const KeyRef probe{&row, &cols};
+  bool inserted = false;
+  const uint32_t g = index_.FindOrInsert(
+      HashKey(probe),
+      [&](uint32_t id) { return KeysEqual(KeyRef{&keys_[id], nullptr}, probe); },
+      &inserted);
+  if (inserted) {
+    Row key;
+    key.reserve(cols.size());
+    for (int c : cols) key.push_back(row[c]);
+    keys_.push_back(std::move(key));
+    states_.resize(states_.size() + num_aggs_);
+  }
+  return states_.data() + g * num_aggs_;
+}
+
+void GroupTable::Merge(const Row& key, const std::vector<AggState>& states) {
+  const KeyRef probe{&key, nullptr};
+  bool inserted = false;
+  const uint32_t g = index_.FindOrInsert(
+      HashKey(probe),
+      [&](uint32_t id) { return KeysEqual(KeyRef{&keys_[id], nullptr}, probe); },
+      &inserted);
+  if (inserted) {
+    keys_.push_back(key);
+    states_.insert(states_.end(), states.begin(), states.end());
+    return;
+  }
+  for (size_t a = 0; a < num_aggs_; ++a) {
+    states_[g * num_aggs_ + a].Merge(states[a]);
+  }
+}
+
+std::vector<uint32_t> GroupTable::SortedGroups() const {
+  std::vector<std::string> sort_keys(keys_.size());
+  std::vector<uint32_t> order(keys_.size());
+  for (uint32_t g = 0; g < keys_.size(); ++g) {
+    for (const Value& v : keys_[g]) v.EncodeSortable(&sort_keys[g]);
+    order[g] = g;
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return sort_keys[a] < sort_keys[b];
+  });
+  return order;
+}
+
+std::vector<Row> GroupTable::Finalize(const std::vector<AggSpec>& aggs) {
+  std::vector<Row> out;
+  out.reserve(keys_.size());
+  for (uint32_t g : SortedGroups()) {
+    Row row = std::move(keys_[g]);
+    row.reserve(row.size() + aggs.size());
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      row.push_back(states_[g * num_aggs_ + a].Finalize(aggs[a]));
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
 
 void AggState::Update(const AggSpec& spec, const Row& row) {
   count++;
   if (spec.arg == nullptr) return;  // COUNT(*)
-  const Value v = spec.arg->Eval(row);
+  Value scratch;
+  const Value& v = spec.arg->Ref(row, &scratch);
   if (v.is_null()) return;
   sum += v.AsDouble();
   if (!any || v.Compare(min) < 0) min = v;
@@ -84,35 +225,12 @@ bool AggState::DecodeFrom(Slice* in, AggState* out) {
 Result<std::vector<Row>> HashAggregate(const std::vector<Row>& rows,
                                        const std::vector<int>& group_cols,
                                        const std::vector<AggSpec>& aggs) {
-  std::map<std::string, std::pair<Row, std::vector<AggState>>> groups;
+  GroupTable groups(aggs.size());
   for (const Row& row : rows) {
-    std::string key;
-    Row group_vals;
-    for (int c : group_cols) {
-      row[c].EncodeSortable(&key);
-      group_vals.push_back(row[c]);
-    }
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups
-               .emplace(key, std::make_pair(std::move(group_vals),
-                                            std::vector<AggState>(aggs.size())))
-               .first;
-    }
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      it->second.second[i].Update(aggs[i], row);
-    }
+    AggState* states = groups.Find(row, group_cols);
+    for (size_t i = 0; i < aggs.size(); ++i) states[i].Update(aggs[i], row);
   }
-  std::vector<Row> out;
-  out.reserve(groups.size());
-  for (auto& [key, entry] : groups) {
-    Row row = std::move(entry.first);
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      row.push_back(entry.second[i].Finalize(aggs[i]));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
+  return groups.Finalize(aggs);
 }
 
 Result<std::vector<Row>> ScanNode::Execute(ExecContext* ctx) {
@@ -180,7 +298,9 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
   // through EBP/PageStore on misses).
   engine::BufferPool* bp = ctx->engine->buffer_pool();
   std::vector<Row> rows;
+  GroupTable groups(aggs_.size());
   uint64_t scanned = 0;
+  Row row;  // reused until a matching row is moved out
   for (engine::PageNo page_no : table_->PageList()) {
     auto frame =
         bp->Pin(engine::PackPageKey(table_->space(), page_no), false);
@@ -194,13 +314,18 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
       for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
         Slice bytes;
         if (!page.GetRow(slot, &bytes).ok()) continue;
-        Row row;
         if (!DecodeRow(bytes, &row)) {
           bp->Unpin(*frame, 0);
           return Status::Corruption("bad row in scan");
         }
         scanned++;
-        if (predicate_ == nullptr || predicate_->EvalBool(row)) {
+        if (predicate_ != nullptr && !predicate_->EvalBool(row)) continue;
+        if (has_agg_) {
+          AggState* states = groups.Find(row, group_cols_);
+          for (size_t i = 0; i < aggs_.size(); ++i) {
+            states[i].Update(aggs_[i], row);
+          }
+        } else {
           rows.push_back(std::move(row));
         }
       }
@@ -209,9 +334,7 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
   }
   ChargeRows(ctx, scanned);
   ctx->rows_scanned += scanned;
-  if (has_agg_) {
-    return HashAggregate(rows, group_cols_, aggs_);
-  }
+  if (has_agg_) return groups.Finalize(aggs_);
   return rows;
 }
 
@@ -244,22 +367,46 @@ Result<std::vector<Row>> HashJoinNode::Execute(ExecContext* ctx) {
   VEDB_ASSIGN_OR_RETURN(std::vector<Row> right, right_->Execute(ctx));
   ChargeRows(ctx, left.size() + right.size());
 
-  std::unordered_map<std::string, std::vector<const Row*>> build;
-  build.reserve(right.size());
-  for (const Row& row : right) {
-    std::string key;
-    for (int c : right_keys_) row[c].EncodeSortable(&key);
-    build[key].push_back(&row);
+  // Build: each distinct right key chains its rows in input order.
+  constexpr uint32_t kEnd = KeyIndex::kNone;
+  KeyIndex index;
+  std::vector<uint32_t> first, last, next(right.size(), kEnd);
+  for (uint32_t r = 0; r < right.size(); ++r) {
+    const KeyRef key{&right[r], &right_keys_};
+    bool inserted = false;
+    const uint32_t k = index.FindOrInsert(
+        HashKey(key),
+        [&](uint32_t id) {
+          return KeysEqual(KeyRef{&right[first[id]], &right_keys_}, key);
+        },
+        &inserted);
+    if (inserted) {
+      first.push_back(r);
+      last.push_back(r);
+    } else {
+      next[last[k]] = r;
+      last[k] = r;
+    }
   }
+  // Probe in left order; the last match takes the left row itself.
   std::vector<Row> out;
-  for (const Row& lrow : left) {
-    std::string key;
-    for (int c : left_keys_) lrow[c].EncodeSortable(&key);
-    auto it = build.find(key);
-    if (it == build.end()) continue;
-    for (const Row* rrow : it->second) {
-      Row joined = lrow;
-      joined.insert(joined.end(), rrow->begin(), rrow->end());
+  for (Row& lrow : left) {
+    const KeyRef key{&lrow, &left_keys_};
+    const uint32_t k = index.Find(HashKey(key), [&](uint32_t id) {
+      return KeysEqual(KeyRef{&right[first[id]], &right_keys_}, key);
+    });
+    if (k == kEnd) continue;
+    for (uint32_t r = first[k]; r != kEnd; r = next[r]) {
+      const Row& rrow = right[r];
+      Row joined;
+      if (next[r] == kEnd) {
+        joined = std::move(lrow);
+        joined.reserve(joined.size() + rrow.size());
+      } else {
+        joined.reserve(lrow.size() + rrow.size());
+        joined.insert(joined.end(), lrow.begin(), lrow.end());
+      }
+      joined.insert(joined.end(), rrow.begin(), rrow.end());
       out.push_back(std::move(joined));
     }
   }

@@ -10,6 +10,7 @@
 #ifndef VEDB_QUERY_PLAN_H_
 #define VEDB_QUERY_PLAN_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -224,8 +225,94 @@ struct AggState {
   static bool DecodeFrom(Slice* in, AggState* out);
 };
 
-/// Groups rows and computes aggregates; shared by AggregateNode, ScanNode's
-/// folded aggregation, and the storage-side push-down executor.
+/// Open-addressing index from key hashes to dense ids 0, 1, 2, ... in
+/// first-insertion order. The caller owns the keys and decides equality,
+/// so ids, not hashes, fix every output order.
+class KeyIndex {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// The id whose key has hash `hash` and for which `same(id)` holds, or
+  /// kNone.
+  template <typename Same>
+  uint32_t Find(uint64_t hash, const Same& same) const {
+    if (slots_.empty()) return kNone;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t s = slots_[i];
+      if (s == 0) return kNone;
+      if (hashes_[s - 1] == hash && same(s - 1)) return s - 1;
+    }
+  }
+
+  /// As Find, but registers a new id (the previous size()) when no key
+  /// matches; `*inserted` says which happened.
+  template <typename Same>
+  uint32_t FindOrInsert(uint64_t hash, const Same& same, bool* inserted) {
+    if ((hashes_.size() + 1) * 2 > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t s = slots_[i];
+      if (s == 0) {
+        hashes_.push_back(hash);
+        slots_[i] = static_cast<uint32_t>(hashes_.size());
+        *inserted = true;
+        return slots_[i] - 1;
+      }
+      if (hashes_[s - 1] == hash && same(s - 1)) {
+        *inserted = false;
+        return s - 1;
+      }
+    }
+  }
+
+  size_t size() const { return hashes_.size(); }
+
+ private:
+  void Grow();
+
+  std::vector<uint64_t> hashes_;  // by id
+  std::vector<uint32_t> slots_;   // id + 1, 0 = empty; a power of two long
+};
+
+/// Groups with their running aggregate states; shared by HashAggregate,
+/// the storage-side push-down executor and its secondary merge. Two group
+/// keys (like two hash-join keys) are equal exactly when their concatenated
+/// Value::EncodeSortable bytes are, but lookups hash and compare the typed
+/// values; only emission builds those bytes, once per group, and orders
+/// groups by them.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t num_aggs) : num_aggs_(num_aggs) {}
+
+  /// The states (num_aggs of them) of the group keyed by columns `cols` of
+  /// `row`, creating it with a copy of those values as its key. Valid until
+  /// the next insertion.
+  AggState* Find(const Row& row, const std::vector<int>& cols);
+  /// Folds partial states into the group keyed by all of `key`; a new group
+  /// starts as copies of `key` and `states`.
+  void Merge(const Row& key, const std::vector<AggState>& states);
+
+  size_t size() const { return keys_.size(); }
+  /// Group ids in EncodeSortable order of their keys.
+  std::vector<uint32_t> SortedGroups() const;
+  const Row& key(uint32_t group) const { return keys_[group]; }
+  const AggState* states(uint32_t group) const {
+    return states_.data() + group * num_aggs_;
+  }
+
+  /// Rows of key values ++ finalized aggregates, in SortedGroups order.
+  /// Leaves the table's keys moved-from.
+  std::vector<Row> Finalize(const std::vector<AggSpec>& aggs);
+
+ private:
+  size_t num_aggs_;
+  KeyIndex index_;
+  std::vector<Row> keys_;         // by group id
+  std::vector<AggState> states_;  // num_aggs_ per group, by group id
+};
+
+/// Groups rows and computes aggregates (AggregateNode).
 Result<std::vector<Row>> HashAggregate(const std::vector<Row>& rows,
                                        const std::vector<int>& group_cols,
                                        const std::vector<AggSpec>& aggs);

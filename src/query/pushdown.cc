@@ -83,19 +83,18 @@ bool PushdownRuntime::DecodeFragment(Slice* in, Fragment* out) {
   return true;
 }
 
-void PushdownRuntime::ExecutePages(
-    const Fragment& fragment, const std::vector<std::string>& images,
-    std::vector<Row>* rows,
-    std::map<std::string, std::pair<Row, std::vector<AggState>>>* groups,
-    uint64_t* rows_processed) {
+void PushdownRuntime::ExecutePages(const Fragment& fragment,
+                                   const std::vector<Slice>& images,
+                                   std::vector<Row>* rows, GroupTable* groups,
+                                   uint64_t* rows_processed) {
   const bool aggregate = !fragment.aggs.empty();
-  for (const std::string& image_const : images) {
-    std::string image = image_const;  // Page wraps a mutable buffer
-    engine::Page page(&image);
+  Row row;  // reused until a matching row is moved out
+  for (const Slice& image : images) {
+    if (image.size() != engine::Page::kPageSize) continue;
+    const engine::PageView page(image.data());
     for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
       Slice bytes;
       if (!page.GetRow(slot, &bytes).ok()) continue;
-      Row row;
       if (!engine::DecodeRow(bytes, &row)) continue;
       (*rows_processed)++;
       if (fragment.predicate != nullptr &&
@@ -106,41 +105,29 @@ void PushdownRuntime::ExecutePages(
         rows->push_back(std::move(row));
         continue;
       }
-      std::string key;
-      Row group_vals;
-      for (int c : fragment.group_cols) {
-        row[c].EncodeSortable(&key);
-        group_vals.push_back(row[c]);
-      }
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        it = groups
-                 ->emplace(key,
-                           std::make_pair(
-                               std::move(group_vals),
-                               std::vector<AggState>(fragment.aggs.size())))
-                 .first;
-      }
+      AggState* states = groups->Find(row, fragment.group_cols);
       for (size_t i = 0; i < fragment.aggs.size(); ++i) {
-        it->second.second[i].Update(fragment.aggs[i], row);
+        states[i].Update(fragment.aggs[i], row);
       }
     }
   }
 }
 
-void PushdownRuntime::EncodeResponse(
-    const Fragment& fragment, const std::vector<Row>& rows,
-    const std::map<std::string, std::pair<Row, std::vector<AggState>>>& groups,
-    std::string* out) {
+void PushdownRuntime::EncodeResponse(const Fragment& fragment,
+                                     const std::vector<Row>& rows,
+                                     const GroupTable& groups,
+                                     std::string* out) {
   if (fragment.aggs.empty()) {
     PutVarint32(out, static_cast<uint32_t>(rows.size()));
     for (const Row& row : rows) engine::EncodeRow(row, out);
     return;
   }
   PutVarint32(out, static_cast<uint32_t>(groups.size()));
-  for (const auto& [key, entry] : groups) {
-    engine::EncodeRow(entry.first, out);
-    for (const AggState& state : entry.second) state.EncodeTo(out);
+  for (uint32_t g : groups.SortedGroups()) {
+    engine::EncodeRow(groups.key(g), out);
+    for (size_t a = 0; a < fragment.aggs.size(); ++a) {
+      groups.states(g)[a].EncodeTo(out);
+    }
   }
 }
 
@@ -156,7 +143,8 @@ Status PushdownRuntime::HandleEbpExec(astore::AStoreServer* server,
     return Status::InvalidArgument("bad page list");
   }
   // Read the requested page frames from local PMem.
-  std::vector<std::string> images;
+  std::vector<std::string> frames;
+  std::vector<Slice> images;
   uint64_t read_bytes = 0;
   for (uint32_t i = 0; i < count; ++i) {
     Slice raw;
@@ -184,11 +172,16 @@ Status PushdownRuntime::HandleEbpExec(astore::AStoreServer* server,
       continue;
     }
     read_bytes += frame.size();
-    images.push_back(frame.substr(ebp::PageFrame::kHeaderSize));
+    frames.push_back(std::move(frame));
+  }
+  // Slices into `frames`, taken once it stops growing.
+  for (const std::string& frame : frames) {
+    images.emplace_back(frame.data() + ebp::PageFrame::kHeaderSize,
+                        frame.size() - ebp::PageFrame::kHeaderSize);
   }
 
   std::vector<Row> rows;
-  std::map<std::string, std::pair<Row, std::vector<AggState>>> groups;
+  GroupTable groups(fragment.aggs.size());
   uint64_t processed = 0;
   ExecutePages(fragment, images, &rows, &groups, &processed);
   // "We can use idle CPU resources and warm data pages in the EBP": the
@@ -212,7 +205,7 @@ Status PushdownRuntime::HandlePsExec(sim::SimNode* node, Slice request,
   if (!GetVarint32(&request, &count)) {
     return Status::InvalidArgument("bad page list");
   }
-  std::vector<std::string> images;
+  std::vector<std::string> pages;
   uint64_t applied_total = 0;
   for (uint32_t i = 0; i < count; ++i) {
     Slice raw;
@@ -223,16 +216,17 @@ Status PushdownRuntime::HandlePsExec(sim::SimNode* node, Slice request,
     std::string image;
     uint64_t applied = 0;
     if (pagestore_->PeekLocalPage(node, key, &image, &applied).ok()) {
-      images.push_back(std::move(image));
+      pages.push_back(std::move(image));
     }
     applied_total += applied;
   }
+  const std::vector<Slice> images(pages.begin(), pages.end());
   std::vector<Row> rows;
-  std::map<std::string, std::pair<Row, std::vector<AggState>>> groups;
+  GroupTable groups(fragment.aggs.size());
   uint64_t processed = 0;
   ExecutePages(fragment, images, &rows, &groups, &processed);
   // Local SSD reads per page, then executor CPU (incl. any catch-up apply).
-  Timestamp t = node->storage()->SubmitAt(start, images.size() * 16 * kKiB);
+  Timestamp t = node->storage()->SubmitAt(start, pages.size() * 16 * kKiB);
   t = node->cpu()->SubmitAt(
       t, 0, processed * options_.exec_cpu_per_row + applied_total * 2000);
   *done = t;
@@ -260,9 +254,9 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
   // Keyed by name, not address, so the dispatch order cannot depend on
   // where the nodes happen to sit in the heap.
   std::map<std::string, std::vector<uint64_t>> ps_tasks;  // by PageStore node
+  ebp::ExtendedBufferPool::Placement placement;
   for (engine::PageNo page_no : table->PageList()) {
     const uint64_t key = engine::PackPageKey(table->space(), page_no);
-    ebp::ExtendedBufferPool::Placement placement;
     if (ebp_ != nullptr && ebp_->LookupPlacement(key, &placement)) {
       EbpTask& task = ebp_tasks[placement.node];
       PutFixed64(&task.request, placement.segment);
@@ -302,7 +296,7 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
 
   // Merge partials.
   std::vector<Row> rows;
-  std::map<std::string, std::pair<Row, std::vector<AggState>>> groups;
+  GroupTable groups(aggs.size());
   for (size_t i = 0; i < statuses.size(); ++i) {
     VEDB_RETURN_IF_ERROR(statuses[i]);
     Slice in(responses[i]);
@@ -312,7 +306,9 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
       for (uint32_t j = 0; j < n; ++j) {
         Row row;
         uint32_t arity = 0;
-        if (!GetVarint32(&in, &arity)) return Status::Corruption("bad row");
+        if (!GetVarint32(&in, &arity) || arity > in.size()) {
+          return Status::Corruption("bad row");
+        }
         row.reserve(arity);
         for (uint32_t c = 0; c < arity; ++c) {
           Value v;
@@ -324,52 +320,35 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
         rows.push_back(std::move(row));
       }
     } else {
+      Row key;  // reused across partial groups; a new group copies it
+      std::vector<AggState> states(aggs.size());
       for (uint32_t j = 0; j < n; ++j) {
         uint32_t arity = 0;
-        if (!GetVarint32(&in, &arity)) return Status::Corruption("bad group");
-        Row group_vals;
-        group_vals.reserve(arity);
+        if (!GetVarint32(&in, &arity) || arity > in.size()) {
+          return Status::Corruption("bad group");
+        }
+        key.clear();
         for (uint32_t c = 0; c < arity; ++c) {
           Value v;
           if (!Value::DecodeFrom(&in, &v)) {
             return Status::Corruption("bad group value");
           }
-          group_vals.push_back(std::move(v));
+          key.push_back(std::move(v));
         }
-        std::vector<AggState> states(aggs.size());
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          if (!AggState::DecodeFrom(&in, &states[a])) {
+        for (AggState& state : states) {
+          state = AggState();
+          if (!AggState::DecodeFrom(&in, &state)) {
             return Status::Corruption("bad agg state");
           }
         }
-        std::string key;
-        for (const Value& v : group_vals) v.EncodeSortable(&key);
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-          groups.emplace(key,
-                         std::make_pair(std::move(group_vals),
-                                        std::move(states)));
-        } else {
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            it->second.second[a].Merge(states[a]);
-          }
-        }
+        groups.Merge(key, states);
       }
     }
   }
 
   if (aggs.empty()) return rows;
   // Secondary aggregation: finalize merged states.
-  std::vector<Row> out;
-  out.reserve(groups.size());
-  for (auto& [key, entry] : groups) {
-    Row row = std::move(entry.first);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(entry.second[a].Finalize(aggs[a]));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
+  return groups.Finalize(aggs);
 }
 
 }  // namespace vedb::query

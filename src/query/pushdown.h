@@ -61,20 +61,16 @@ class PushdownRuntime {
   static void EncodeFragment(const Fragment& fragment, std::string* out);
   static bool DecodeFragment(Slice* in, Fragment* out);
 
-  /// Shared executor core: filter + partial aggregation over decoded pages.
-  /// Results are rows (no aggs) or {group row, agg states} pairs.
+  /// Shared executor core: filter + partial aggregation over page images.
+  /// Results are rows (no aggs) or groups of partial agg states.
   static void ExecutePages(const Fragment& fragment,
-                           const std::vector<std::string>& images,
-                           std::vector<Row>* rows,
-                           std::map<std::string, std::pair<Row, std::vector<AggState>>>*
-                               groups,
+                           const std::vector<Slice>& images,
+                           std::vector<Row>* rows, GroupTable* groups,
                            uint64_t* rows_processed);
 
-  static void EncodeResponse(
-      const Fragment& fragment, const std::vector<Row>& rows,
-      const std::map<std::string, std::pair<Row, std::vector<AggState>>>&
-          groups,
-      std::string* out);
+  static void EncodeResponse(const Fragment& fragment,
+                             const std::vector<Row>& rows,
+                             const GroupTable& groups, std::string* out);
 
   Status HandleEbpExec(astore::AStoreServer* server, Slice request,
                        std::string* response, Timestamp start,

@@ -81,6 +81,9 @@ TEST_F(AStoreTest, CreateWriteRead) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   SegmentHandlePtr seg = res.value();
   EXPECT_EQ(seg->route().replicas.size(), 3u);
+  std::string first_node;
+  ASSERT_TRUE(seg->FirstReplicaNode(&first_node));
+  EXPECT_EQ(first_node, seg->route().replicas[0].node);
 
   uint64_t off = 0;
   ASSERT_TRUE(client_->Append(seg, Slice("hello astore"), &off).ok());

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
 #include <memory>
 
 #include "query/plan.h"
@@ -262,6 +265,217 @@ TEST_F(QueryTest, CostBasedPushdownSkipsResidentTables) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(ctx.cost_based_pushed, 1u);
   EXPECT_EQ((*result)[0][0].AsInt(), kRows);
+}
+
+// ---- Executor semantics the typed keys must keep ----
+
+/// A plan leaf that yields fixed rows.
+class RowsNode : public PlanNode {
+ public:
+  explicit RowsNode(std::vector<engine::Row> rows) : rows_(std::move(rows)) {}
+  Result<std::vector<engine::Row>> Execute(ExecContext*) override {
+    return rows_;
+  }
+
+ private:
+  std::vector<engine::Row> rows_;
+};
+
+std::string SortableKey(const engine::Row& row, const std::vector<int>& cols) {
+  std::string key;
+  for (int c : cols) row[c].EncodeSortable(&key);
+  return key;
+}
+
+/// Same type and same value, doubles to the bit.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_null()) return true;
+  if (a.is_string()) return a.AsString() == b.AsString();
+  if (a.is_int()) return a.AsInt() == b.AsInt();
+  const double da = a.AsDouble(), db = b.AsDouble();
+  return memcmp(&da, &db, sizeof da) == 0;
+}
+
+void ExpectSameRows(const std::vector<engine::Row>& got,
+                    const std::vector<engine::Row>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << "row " << i;
+    for (size_t c = 0; c < got[i].size(); ++c) {
+      EXPECT_TRUE(SameValue(got[i][c], want[i][c]))
+          << "row " << i << " col " << c << ": " << got[i][c].ToString()
+          << " vs " << want[i][c].ToString();
+    }
+  }
+}
+
+/// The hash join's contract: left rows outer, right rows inner, pairs whose
+/// EncodeSortable keys are equal.
+std::vector<engine::Row> NaiveJoin(const std::vector<engine::Row>& left,
+                                   const std::vector<engine::Row>& right,
+                                   const std::vector<int>& lk,
+                                   const std::vector<int>& rk) {
+  std::vector<engine::Row> out;
+  for (const engine::Row& l : left) {
+    for (const engine::Row& r : right) {
+      if (SortableKey(l, lk) != SortableKey(r, rk)) continue;
+      engine::Row joined = l;
+      joined.insert(joined.end(), r.begin(), r.end());
+      out.push_back(std::move(joined));
+    }
+  }
+  return out;
+}
+
+void ExpectJoinMatchesNaive(const std::vector<engine::Row>& left,
+                            const std::vector<engine::Row>& right,
+                            const std::vector<int>& lk,
+                            const std::vector<int>& rk) {
+  ExecContext ctx;  // no engine: nothing is charged
+  auto got = HashJoinNode(std::make_unique<RowsNode>(left),
+                          std::make_unique<RowsNode>(right), lk, rk)
+                 .Execute(&ctx);
+  ASSERT_TRUE(got.ok());
+  ExpectSameRows(*got, NaiveJoin(left, right, lk, rk));
+}
+
+TEST(HashJoinSemantics, DuplicateKeysOnBothSidesKeepNaiveOrder) {
+  std::vector<engine::Row> left, right;
+  for (int i = 0; i < 12; ++i) left.push_back({Value(i % 3), Value(i)});
+  for (int i = 0; i < 9; ++i) right.push_back({Value(100 + i), Value(i % 4)});
+  ExpectJoinMatchesNaive(left, right, {0}, {1});
+}
+
+TEST(HashJoinSemantics, TwoColumnKeys) {
+  std::vector<engine::Row> left, right;
+  for (int i = 0; i < 20; ++i) {
+    left.push_back({Value(i % 2), Value(i), Value(i % 5)});
+  }
+  for (int i = 0; i < 15; ++i) right.push_back({Value(i % 5), Value(i % 2)});
+  ExpectJoinMatchesNaive(left, right, {0, 2}, {1, 0});
+}
+
+TEST(HashJoinSemantics, StringKeys) {
+  const char* names[] = {"", "a", "ab", "b", "a"};
+  std::vector<engine::Row> left, right;
+  for (int i = 0; i < 10; ++i) left.push_back({Value(names[i % 5]), Value(i)});
+  for (int i = 0; i < 7; ++i) right.push_back({Value(names[(i * 3) % 5])});
+  ExpectJoinMatchesNaive(left, right, {0}, {0});
+}
+
+TEST(HashJoinSemantics, NullKeysJoinEachOther) {
+  std::vector<engine::Row> left = {{Value(), Value(1)},
+                                   {Value(7), Value(2)},
+                                   {Value(), Value(3)}};
+  std::vector<engine::Row> right = {{Value()}, {Value(7)}, {Value()}};
+  ExpectJoinMatchesNaive(left, right, {0}, {0});
+  ExecContext ctx;
+  auto got = HashJoinNode(std::make_unique<RowsNode>(left),
+                          std::make_unique<RowsNode>(right), {0}, {0})
+                 .Execute(&ctx);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->size(), 5u);  // 2 NULLs x 2 NULLs, plus 7 = 7
+}
+
+TEST(HashJoinSemantics, IntAndDoubleKeysMatchOnlyWhenTheirBytesDo) {
+  // int 5 and double 5.0 do not join: their EncodeSortable bytes differ.
+  // Ints and doubles share a tag byte, though, so int 0 joins double 0.0
+  // (both encode as 0x80 00..00), and so does an int whose sortable bytes
+  // are a double's.
+  const int64_t bits_of_five = [] {
+    const double five = 5.0;
+    int64_t i;
+    memcpy(&i, &five, sizeof i);
+    return i;
+  }();
+  std::vector<engine::Row> left = {{Value(5)},  {Value(5.0)},
+                                   {Value(-2)}, {Value(bits_of_five)},
+                                   {Value(0)}};
+  std::vector<engine::Row> right = {
+      {Value(5.0)}, {Value(-2.0)}, {Value(5)}, {Value(0.0)}, {Value(-0.0)}};
+  ExpectJoinMatchesNaive(left, right, {0}, {0});
+  ExecContext ctx;
+  auto got = HashJoinNode(std::make_unique<RowsNode>(left),
+                          std::make_unique<RowsNode>(right), {0}, {0})
+                 .Execute(&ctx);
+  ASSERT_TRUE(got.ok());
+  // 5=5, 5.0=5.0, bits(5.0)=5.0, 0=0.0; never -2=-2.0 or 0=-0.0.
+  ASSERT_EQ(got->size(), 4u);
+  EXPECT_TRUE((*got)[0][0].is_int() && (*got)[0][1].is_int());
+  EXPECT_TRUE((*got)[1][0].is_double() && (*got)[1][1].is_double());
+  EXPECT_TRUE((*got)[2][0].is_int() && (*got)[2][1].is_double());
+  EXPECT_TRUE((*got)[3][0].is_int() && (*got)[3][1].is_double());
+}
+
+TEST(HashAggregateSemantics, GroupsComeOutInEncodeSortableOrder) {
+  const Value keys[] = {Value("b"), Value(3),    Value(-1.5), Value(),
+                        Value("a"), Value(-7),   Value(3.0),  Value(""),
+                        Value(0.0), Value(-0.0), Value(0)};
+  std::vector<engine::Row> rows;
+  for (int i = 0; i < 66; ++i) {
+    rows.push_back({keys[(i * 7) % 11], Value(i % 2), Value(i)});
+  }
+  const std::vector<int> group_cols = {0, 1};
+  const std::vector<AggSpec> aggs = {AggSpec::Count(),
+                                     AggSpec::Sum(Expr::Col(2)),
+                                     AggSpec::Min(Expr::Col(2))};
+  auto got = HashAggregate(rows, group_cols, aggs);
+  ASSERT_TRUE(got.ok());
+
+  // Reference: groups keyed by their EncodeSortable bytes, first row's
+  // values kept, emitted in byte order.
+  std::map<std::string, std::pair<engine::Row, std::vector<AggState>>> ref;
+  for (const engine::Row& row : rows) {
+    auto& group = ref[SortableKey(row, group_cols)];
+    if (group.second.empty()) {
+      group.first = {row[0], row[1]};
+      group.second.resize(aggs.size());
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) group.second[a].Update(aggs[a], row);
+  }
+  std::vector<engine::Row> want;
+  for (auto& [key, group] : ref) {
+    engine::Row row = group.first;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      row.push_back(group.second[a].Finalize(aggs[a]));
+    }
+    want.push_back(std::move(row));
+  }
+  // int 0 and double 0.0 share their bytes: 10 distinct keys x 2.
+  EXPECT_EQ(want.size(), 20u);
+  ExpectSameRows(*got, want);
+}
+
+TEST_F(QueryTest, GroupedPushdownSplitAcrossEbpAndPageStoreKeepsLocalOrder) {
+  // Churn part of the table through the tiny buffer pool so that some
+  // pages are cached in the EBP and the rest only live on PageStore.
+  ExecContext warm_ctx = Ctx(false);
+  ASSERT_TRUE(std::make_unique<ScanNode>(table_, nullptr)
+                  ->Execute(&warm_ctx)
+                  .ok());
+
+  auto make_plan = [&]() {
+    auto scan = std::make_unique<ScanNode>(
+        table_, Expr::ColCmp(0, CmpOp::kLt, Value(3000)));
+    scan->SetAggregation({3, 1},
+                         {AggSpec::Count(), AggSpec::Sum(Expr::Col(2)),
+                          AggSpec::Min(Expr::Col(0)),
+                          AggSpec::Max(Expr::Col(2)),
+                          AggSpec::Avg(Expr::Col(2))});
+    return scan;
+  };
+  ExecContext local_ctx = Ctx(false);
+  auto local = make_plan()->Execute(&local_ctx);
+  ASSERT_TRUE(local.ok());
+  ExecContext pq_ctx = Ctx(true);
+  auto pushed = make_plan()->Execute(&pq_ctx);
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  EXPECT_GT(pq_ctx.pushdown_pages_from_ebp, 0u);
+  EXPECT_GT(pq_ctx.pushdown_pages_from_pagestore, 0u);
+  EXPECT_GT(pq_ctx.pushdown_tasks, 1u);
+  EXPECT_EQ(local->size(), 8u);  // tag parity is region parity
+  ExpectSameRows(*pushed, *local);
 }
 
 }  // namespace
