@@ -2,7 +2,8 @@
 """Validates bench results JSON against the obs::Snapshot schema.
 
 CI runs short deterministic benches (bench_table2_log_micro,
-bench_fig14_pushdown and the chaos benches) and feeds the files they wrote
+bench_fig12_ebp_size, bench_fig14_pushdown and the chaos benches) and feeds
+the files they wrote
 into this checker. The point is schema drift: if the C++
 exporter (src/obs/export.cc) changes shape without bumping
 Snapshot::kSchemaVersion and updating this script, the bench-smoke job
@@ -235,6 +236,47 @@ def check_fig14(doc, filename):
                f"{key} is {got} but the per-query times give {want}")
 
 
+FIG12_SIZES_MIB = [0, 2, 4, 8, 32]
+
+
+def fig12_shape_holds(avg):
+    """The average never rises from one EBP size to the next, and each
+    step's reduction is no larger than the previous step's."""
+    for i in range(1, len(avg)):
+        if avg[i] > avg[i - 1]:
+            return False
+        if i >= 2 and avg[i - 1] - avg[i] > avg[i - 2] - avg[i - 1]:
+            return False
+    return True
+
+
+def check_fig12(doc, filename):
+    """Bench-specific contract for bench_fig12_ebp_size: avg and P99 per
+    EBP size (disabled first), one registry snapshot per size, and a shape
+    verdict that follows from the averages."""
+    sizes = doc.get("sizes")
+    expect(isinstance(sizes, list) and
+           [s.get("ebp_mib") if isinstance(s, dict) else None
+            for s in sizes] == FIG12_SIZES_MIB, filename,
+           f"'sizes' must list EBP sizes {FIG12_SIZES_MIB} MiB in order")
+    for s in sizes:
+        for field in ("avg_us", "p99_us"):
+            v = s.get(field)
+            expect(isinstance(v, (int, float)) and v > 0, filename,
+                   f"{s['ebp_mib']} MiB {field} must be a positive number, "
+                   f"got {v!r}")
+    expect(isinstance(doc.get("shape_pass"), bool), filename,
+           "missing boolean 'shape_pass'")
+    want = fig12_shape_holds([s["avg_us"] for s in sizes])
+    expect(doc["shape_pass"] == want, filename,
+           f"shape_pass is {doc['shape_pass']} but the averages give {want}")
+    labels = [c.get("run_label") for c in doc["configs"]]
+    want_labels = ["fig12/disabled"] + [f"fig12/{m}MiB"
+                                        for m in FIG12_SIZES_MIB[1:]]
+    expect(labels == want_labels, filename,
+           f"configs must be {want_labels}, got {labels}")
+
+
 def check_breakdown(bd, path):
     if bd is None:
         return
@@ -272,6 +314,8 @@ def check_file(filename):
         check_scrub_chaos(doc, filename)
     if doc["bench"] == "bench_table2_log_micro":
         check_table2(doc, filename)
+    if doc["bench"] == "bench_fig12_ebp_size":
+        check_fig12(doc, filename)
     if doc["bench"] == "bench_fig14_pushdown":
         check_fig14(doc, filename)
     if "breakdown" in doc:

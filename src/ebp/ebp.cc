@@ -172,7 +172,9 @@ ExtendedBufferPool::ExtendedBufferPool(sim::SimEnvironment* env,
   puts_metric_ = reg.GetCounter("ebp.puts");
   evictions_metric_ = reg.GetCounter("ebp.evictions");
   compactions_metric_ = reg.GetCounter("ebp.compactions");
+  put_failures_metric_ = reg.GetCounter("ebp.put_failures");
   live_bytes_metric_ = reg.GetGauge("ebp.live_bytes");
+  segments_metric_ = reg.GetGauge("ebp.segments");
 }
 
 ExtendedBufferPool::Stats ExtendedBufferPool::stats() const {
@@ -216,6 +218,28 @@ bool ExtendedBufferPool::PriorityHasRoomLocked(int priority,
   return used + bytes <= cap;
 }
 
+ExtendedBufferPool::SegmentState* ExtendedBufferPool::FindSegmentLocked(
+    const astore::SegmentHandlePtr& handle) {
+  for (SegmentState& seg : segments_) {
+    if (seg.handle == handle) return &seg;
+  }
+  return nullptr;
+}
+
+void ExtendedBufferPool::RetireLocked(
+    std::unordered_map<PageKey, IndexEntry>::iterator it) {
+  const IndexEntry& e = it->second;
+  const uint64_t frame = PageFrame::kHeaderSize + e.len;
+  if (SegmentState* seg = FindSegmentLocked(e.seg)) {
+    seg->garbage += frame;
+    seg->live_pages--;
+  }
+  live_bytes_ -= frame;
+  priority_bytes_[e.priority] -= frame;
+  lru_[e.lru_shard].erase(e.lru_it);
+  index_.erase(it);
+}
+
 void ExtendedBufferPool::EvictLocked(uint64_t needed) {
   const uint64_t target =
       options_.capacity -
@@ -240,20 +264,7 @@ void ExtendedBufferPool::EvictLocked(uint64_t needed) {
               idx->second.priority > pass) {
             continue;
           }
-          // Evict.
-          IndexEntry& e = idx->second;
-          const uint64_t frame = PageFrame::kHeaderSize + e.len;
-          for (auto& seg : segments_) {
-            if (seg.handle == e.seg) {
-              seg.garbage += frame;
-              seg.live_pages--;
-              break;
-            }
-          }
-          live_bytes_ -= frame;
-          priority_bytes_[e.priority] -= frame;
-          list.erase(std::next(it).base());
-          index_.erase(idx);
+          RetireLocked(idx);  // erases the LRU node `it` points at
           stats_.evicted_pages++;
           evictions_metric_->Add(1);
           progress = true;
@@ -289,6 +300,7 @@ Result<astore::SegmentHandlePtr> ExtendedBufferPool::ActiveSegmentFor(
   sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
                     "ExtendedBufferPool::ActiveSegmentFor");
   segments_.push_back(SegmentState{handle, 0, 0, 0});
+  SetSegmentsGaugeLocked();
   SegmentState& active = segments_.back();
   if (active.used + bytes > options_.segment_size) {
     return Status::NoSpace("page larger than EBP segment");
@@ -313,22 +325,13 @@ Status ExtendedBufferPool::PutPage(PageKey key, uint64_t lsn, Slice image,
     vedb::MutexLock lk(&mu_);
     sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
                       "ExtendedBufferPool::PutPage");
-    // Replace any older version: its bytes become garbage.
     auto it = index_.find(key);
     if (it != index_.end()) {
-      IndexEntry& e = it->second;
-      const uint64_t old_frame = PageFrame::kHeaderSize + e.len;
-      for (auto& seg : segments_) {
-        if (seg.handle == e.seg) {
-          seg.garbage += old_frame;
-          seg.live_pages--;
-          break;
-        }
-      }
-      live_bytes_ -= old_frame;
-      priority_bytes_[e.priority] -= old_frame;
-      lru_[e.lru_shard].erase(e.lru_it);
-      index_.erase(it);
+      // A newer version is already cached (e.g. the flusher's put overtook
+      // a compaction move of an older one): nothing to do.
+      if (it->second.lsn > lsn) return Status::OK();
+      // Replace the older version: its bytes become garbage.
+      RetireLocked(it);
     }
     if (live_bytes_ + frame.size() > options_.capacity ||
         !PriorityHasRoomLocked(priority, frame.size())) {
@@ -342,25 +345,47 @@ Status ExtendedBufferPool::PutPage(PageKey key, uint64_t lsn, Slice image,
     }
   }
 
+  Status s = WriteAndInstall(key, lsn, frame, priority, shard);
+  // The engine drops cache puts' statuses; the counter keeps them seen.
+  if (!s.ok()) put_failures_metric_->Add(1);
+  return s;
+}
+
+Status ExtendedBufferPool::WriteAndInstall(PageKey key, uint64_t lsn,
+                                           const std::string& frame,
+                                           int priority, int shard) {
   uint64_t offset = 0;
   VEDB_ASSIGN_OR_RETURN(astore::SegmentHandlePtr seg,
                         ActiveSegmentFor(frame.size(), &offset));
   Status s = client_->WriteAt(seg, offset, Slice(frame));
-  if (!s.ok()) return s;  // cache write failure is benign; caller drops page
 
   vedb::MutexLock lk(&mu_);
   sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
                     "ExtendedBufferPool::PutPage/install");
+  SegmentState* held = FindSegmentLocked(seg);
+  if (held == nullptr) {
+    return s.ok() ? Status::Aborted("EBP segment released during put") : s;
+  }
+  // The write ran without the pool lock, so another put of this key may
+  // have installed meanwhile. The newer LSN wins; the loser's frame is
+  // garbage either way.
+  auto it = index_.find(key);
+  if (!s.ok() || (it != index_.end() && it->second.lsn >= lsn)) {
+    held->garbage += frame.size();
+    held->live_pages--;
+    return s;  // a failed cache write is benign; the caller drops the page
+  }
+  if (it != index_.end()) RetireLocked(it);
   IndexEntry e;
   e.lsn = lsn;
   e.seg = seg;
   e.offset = offset;
-  e.len = static_cast<uint32_t>(image.size());
+  e.len = static_cast<uint32_t>(frame.size() - PageFrame::kHeaderSize);
   e.priority = priority;
   e.lru_shard = shard;
   lru_[shard].push_front(key);
   e.lru_it = lru_[shard].begin();
-  index_[key] = std::move(e);
+  index_.emplace(key, std::move(e));
   live_bytes_ += frame.size();
   priority_bytes_[priority] += frame.size();
   stats_.puts++;
@@ -453,20 +478,7 @@ void ExtendedBufferPool::Erase(PageKey key) {
   sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
                     "ExtendedBufferPool::Erase");
   auto it = index_.find(key);
-  if (it == index_.end()) return;
-  IndexEntry& e = it->second;
-  const uint64_t frame = PageFrame::kHeaderSize + e.len;
-  for (auto& seg : segments_) {
-    if (seg.handle == e.seg) {
-      seg.garbage += frame;
-      seg.live_pages--;
-      break;
-    }
-  }
-  live_bytes_ -= frame;
-  priority_bytes_[e.priority] -= frame;
-  lru_[e.lru_shard].erase(e.lru_it);
-  index_.erase(it);
+  if (it != index_.end()) RetireLocked(it);
 }
 
 void ExtendedBufferPool::NoteLatestLsn(PageKey key, uint64_t lsn) {
@@ -588,6 +600,7 @@ Status ExtendedBufferPool::RecoverFromServers(
     seg_slot[id] = segments_.size();
     segments_.push_back(SegmentState{handle, 0, 0, 0});
   }
+  SetSegmentsGaugeLocked();
   for (const auto& [key, e] : newest) {
     auto slot = seg_slot.find(e.seg);
     if (slot == seg_slot.end()) continue;
@@ -643,29 +656,14 @@ Status ExtendedBufferPool::ReattachSegments(
     seg_slot[id] = segments_.size();
     segments_.push_back(SegmentState{handle, 0, 0, 0});
   }
-  size_t reattached = 0;
+  SetSegmentsGaugeLocked();
   for (const auto& [key, e] : newest) {
     auto existing = index_.find(key);
     // Keep any current entry with the same or newer version.
     if (existing != index_.end() && existing->second.lsn >= e.lsn) continue;
     auto slot = seg_slot.find(e.seg);
     if (slot == seg_slot.end()) continue;
-    if (existing != index_.end()) {
-      // Replace the older entry.
-      IndexEntry& old = existing->second;
-      const uint64_t old_frame = PageFrame::kHeaderSize + old.len;
-      for (auto& seg : segments_) {
-        if (seg.handle == old.seg) {
-          seg.garbage += old_frame;
-          seg.live_pages--;
-          break;
-        }
-      }
-      live_bytes_ -= old_frame;
-      priority_bytes_[old.priority] -= old_frame;
-      lru_[old.lru_shard].erase(old.lru_it);
-      index_.erase(existing);
-    }
+    if (existing != index_.end()) RetireLocked(existing);  // older entry
     SegmentState& seg = segments_[slot->second];
     const uint64_t frame = PageFrame::kHeaderSize + e.len;
     seg.used = std::max(seg.used, e.offset + frame);
@@ -682,33 +680,76 @@ Status ExtendedBufferPool::ReattachSegments(
     index_[key] = std::move(entry);
     live_bytes_ += frame;
     priority_bytes_[3] += frame;
-    reattached++;
   }
-  (void)reattached;
   return Status::OK();
 }
 
+const ExtendedBufferPool::SegmentState*
+ExtendedBufferPool::WorstSealedLocked() const {
+  const SegmentState* worst = nullptr;
+  for (size_t i = 0; i + 1 < segments_.size(); ++i) {  // skip active (last)
+    const SegmentState& seg = segments_[i];
+    if (seg.used == 0) continue;
+    if (worst == nullptr || seg.garbage_ratio() >= worst->garbage_ratio()) {
+      worst = &seg;
+    }
+  }
+  return worst;
+}
+
+double ExtendedBufferPool::WorstSealedGarbageRatio() const {
+  vedb::MutexLock lk(&mu_);
+  const SegmentState* worst = WorstSealedLocked();
+  return worst == nullptr ? 0.0 : worst->garbage_ratio();
+}
+
+bool ExtendedBufferPool::UnderSpacePressure() const {
+  vedb::MutexLock lk(&mu_);
+  uint64_t sealed = 0;
+  for (size_t i = 0; i + 1 < segments_.size(); ++i) {  // skip active (last)
+    sealed += segments_[i].used;
+  }
+  // Sealed segments that each keep (1 - threshold) of their bytes live hold
+  // at most capacity / (1 - threshold); past that, some segment is over the
+  // threshold. Below it, moving pages would only spend PMem writes.
+  return static_cast<double>(sealed) * (1.0 - options_.garbage_threshold) >=
+         static_cast<double>(options_.capacity);
+}
+
 Status ExtendedBufferPool::CompactOnce() {
-  // Pick the worst non-active garbage-heavy segment.
-  astore::SegmentHandlePtr victim;
+  // Pages moved out of a victim land in the active segment, which can seal
+  // it and make it a candidate in turn; bounding the pass by the segment
+  // count at its start keeps that from looping forever.
+  size_t budget;
+  {
+    vedb::MutexLock lk(&mu_);
+    budget = segments_.size();
+  }
+  for (; budget > 0; --budget) {
+    astore::SegmentHandlePtr victim;
+    {
+      vedb::MutexLock lk(&mu_);
+      sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
+                        "ExtendedBufferPool::CompactOnce/select");
+      const SegmentState* worst = WorstSealedLocked();
+      if (worst != nullptr &&
+          worst->garbage_ratio() >= options_.garbage_threshold) {
+        victim = worst->handle;
+      }
+    }
+    if (victim == nullptr) break;
+    ReclaimSegment(victim);
+  }
+  return Status::OK();
+}
+
+void ExtendedBufferPool::ReclaimSegment(
+    const astore::SegmentHandlePtr& victim) {
   std::vector<std::pair<PageKey, IndexEntry>> live;
   {
     vedb::MutexLock lk(&mu_);
     sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
-                      "ExtendedBufferPool::CompactOnce/select");
-    double worst_ratio = options_.garbage_threshold;
-    size_t worst = segments_.size();
-    for (size_t i = 0; i + 1 < segments_.size(); ++i) {  // skip active (last)
-      const SegmentState& seg = segments_[i];
-      if (seg.used == 0) continue;
-      const double ratio = static_cast<double>(seg.garbage) / seg.used;
-      if (ratio >= worst_ratio) {
-        worst_ratio = ratio;
-        worst = i;
-      }
-    }
-    if (worst == segments_.size()) return Status::OK();  // nothing to do
-    victim = segments_[worst].handle;
+                      "ExtendedBufferPool::CompactOnce/collect");
     for (const auto& [key, e] : index_) {
       if (e.seg == victim) live.push_back({key, e});
     }
@@ -735,7 +776,7 @@ Status ExtendedBufferPool::CompactOnce() {
       }
       if (still_current) {
         // discard-ok: failing to re-cache a compacted page only loses a
-        // cache entry.
+        // cache entry (and is counted in ebp.put_failures).
         (void)PutPage(key, lsn,
                       Slice(buf.data() + PageFrame::kHeaderSize, len),
                       e.priority);
@@ -751,11 +792,7 @@ Status ExtendedBufferPool::CompactOnce() {
     for (const auto& [key, e] : live) {
       auto it = index_.find(key);
       if (it == index_.end() || it->second.seg != victim) continue;
-      const uint64_t frame = PageFrame::kHeaderSize + it->second.len;
-      live_bytes_ -= frame;
-      priority_bytes_[it->second.priority] -= frame;
-      lru_[it->second.lru_shard].erase(it->second.lru_it);
-      index_.erase(it);
+      RetireLocked(it);
       stats_.dropped_live_pages++;
     }
   }
@@ -771,13 +808,13 @@ Status ExtendedBufferPool::CompactOnce() {
         break;
       }
     }
+    SetSegmentsGaugeLocked();
     stats_.compactions++;
     compactions_metric_->Add(1);
   }
   // discard-ok: a failed delete leaks the segment until its lease-based
   // clean; the cache itself is already consistent.
   (void)client_->Delete(victim);
-  return Status::OK();
 }
 
 void ExtendedBufferPool::BackgroundLoop() {
@@ -785,7 +822,7 @@ void ExtendedBufferPool::BackgroundLoop() {
   while (!shutdown_.load()) {
     env_->clock()->SleepFor(options_.compaction_period);
     // discard-ok: background maintenance is retried next period.
-    (void)CompactOnce();
+    if (UnderSpacePressure()) (void)CompactOnce();
     const Timestamp now = env_->clock()->Now();
     if (now - last_report >= options_.report_period) {
       // discard-ok: reports are re-sent with fresher data next period.

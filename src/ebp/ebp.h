@@ -8,8 +8,10 @@
 //    high concurrency exactly as Section VII-B reports.
 //  * Page recency is tracked in multiple hash-sharded LRU lists.
 //  * Space is managed append-only: overwritten/evicted pages become garbage
-//    and a background compaction moves live pages out of garbage-heavy
-//    segments (or, with compaction disabled, drops such segments whole).
+//    and, once the sealed segments hold capacity / (1 - garbage threshold), a
+//    background compaction pass moves live pages out of every
+//    garbage-heavy segment (or, with compaction disabled, drops such
+//    segments whole), so the segments held stay bounded by the live bytes.
 //  * Capacity policy is flat or priority-based (Section V-C).
 //  * Recovery of DBEngine failures: servers keep an in-memory page->latest
 //    LSN map fed by periodic batched reports; a restarting engine asks each
@@ -116,7 +118,10 @@ class ExtendedBufferPool {
 
   /// Caches a page image (called when DBEngine's buffer pool evicts).
   /// `priority` is only meaningful under the priority policy (0..3, 3 is
-  /// highest). May trigger an eviction round.
+  /// highest). May trigger an eviction round. The index never moves a key
+  /// to an older LSN: a put that finds (or, after its write, meets) a
+  /// version at least as new keeps that version and turns its own frame
+  /// into garbage.
   Status PutPage(PageKey key, uint64_t lsn, Slice image, int priority = 3);
 
   /// Fetches a cached page via one-sided RDMA READ. NotFound on miss.
@@ -161,9 +166,15 @@ class ExtendedBufferPool {
   /// index. Existing entries are kept.
   Status ReattachSegments(const std::vector<astore::SegmentId>& segments);
 
-  /// One compaction pass (also run by the background actor).
+  /// One compaction pass (the background actor runs one per period while
+  /// UnderSpacePressure()): reclaims every sealed segment whose garbage
+  /// ratio reached the threshold, worst first. Afterwards (absent
+  /// concurrent puts) every sealed segment keeps live bytes of at least
+  /// (1 - threshold) of its appended bytes.
   Status CompactOnce();
 
+  /// Test hook: the highest garbage ratio among sealed segments (0 if none).
+  double WorstSealedGarbageRatio() const;
 
   void StartBackground(sim::ActorGroup* group);
   void Shutdown() { shutdown_.store(true); }
@@ -197,6 +208,10 @@ class ExtendedBufferPool {
     uint64_t used = 0;     // appended bytes
     uint64_t garbage = 0;  // bytes belonging to dead page versions
     uint64_t live_pages = 0;
+
+    double garbage_ratio() const {
+      return static_cast<double>(garbage) / static_cast<double>(used);
+    }
   };
 
   int ShardOf(PageKey key) const {
@@ -210,6 +225,35 @@ class ExtendedBufferPool {
   /// Ensures the active segment can hold `bytes`; creates a new one if not.
   Result<astore::SegmentHandlePtr> ActiveSegmentFor(uint64_t bytes,
                                                     uint64_t* offset);
+
+  /// Writes an admitted frame to the active segment and installs it.
+  Status WriteAndInstall(PageKey key, uint64_t lsn, const std::string& frame,
+                         int priority, int shard);
+
+  /// The held segment `handle`, or null once it was released.
+  SegmentState* FindSegmentLocked(const astore::SegmentHandlePtr& handle)
+      REQUIRES(mu_);
+
+  /// Removes an index entry: its frame becomes garbage in its segment and
+  /// leaves the live bytes and the LRU.
+  void RetireLocked(std::unordered_map<PageKey, IndexEntry>::iterator it)
+      REQUIRES(mu_);
+
+  /// True once the sealed segments hold capacity / (1 - threshold) bytes:
+  /// the background actor runs a compaction pass only then.
+  bool UnderSpacePressure() const;
+
+  /// The sealed (non-active) non-empty segment with the highest garbage
+  /// ratio, or null when there is none.
+  const SegmentState* WorstSealedLocked() const REQUIRES(mu_);
+
+  /// Moves (or, with compaction disabled, drops) the live pages of
+  /// `victim`, then releases it cluster-wide.
+  void ReclaimSegment(const astore::SegmentHandlePtr& victim);
+
+  void SetSegmentsGaugeLocked() REQUIRES(mu_) {
+    segments_metric_->Set(static_cast<int64_t>(segments_.size()));
+  }
 
   /// Scans `segment_ids` on their hosting servers; fills handles/entries.
   Status ScanServers(
@@ -259,7 +303,9 @@ class ExtendedBufferPool {
   obs::Counter* puts_metric_ = nullptr;
   obs::Counter* evictions_metric_ = nullptr;
   obs::Counter* compactions_metric_ = nullptr;
+  obs::Counter* put_failures_metric_ = nullptr;
   obs::Gauge* live_bytes_metric_ = nullptr;
+  obs::Gauge* segments_metric_ = nullptr;
 
   friend class EbpServerAgent;
 };

@@ -1,7 +1,11 @@
 #include "pmem/pmem_device.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+
+#include "common/logging.h"
 
 namespace vedb::pmem {
 
@@ -9,8 +13,12 @@ PmemDevice::PmemDevice(uint64_t capacity, bool ddio_enabled,
                        uint64_t crash_seed)
     : capacity_(capacity),
       ddio_enabled_(ddio_enabled),
-      bytes_(capacity, 0),
       crash_rng_(crash_seed) {
+  void* map = mmap(nullptr, capacity_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  VEDB_CHECK(map != MAP_FAILED, "pmem mmap of %llu bytes failed",
+             static_cast<unsigned long long>(capacity_));
+  bytes_ = static_cast<char*>(map);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   remote_write_bytes_ = reg.GetCounter("pmem.write_bytes", {{"source", "remote"}});
   local_write_bytes_ = reg.GetCounter("pmem.write_bytes", {{"source", "local"}});
@@ -25,6 +33,8 @@ PmemDevice::PmemDevice(uint64_t capacity, bool ddio_enabled,
   corrupt_healed_ = reg.GetCounter("pmem.corruption.healed");
 }
 
+PmemDevice::~PmemDevice() { munmap(bytes_, capacity_); }
+
 uint64_t PmemDevice::PendingBytesLocked() const {
   uint64_t total = 0;
   for (const auto& [offset, end] : pending_) total += end - offset;
@@ -37,7 +47,7 @@ Status PmemDevice::WriteFromRemote(uint64_t offset, Slice data) {
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    memcpy(bytes_.data() + offset, data.data(), data.size());
+    memcpy(bytes_ + offset, data.data(), data.size());
     MarkPendingLocked(offset, data.size());
     HealBadRegionsLocked(offset, data.size());
   }
@@ -52,7 +62,7 @@ Status PmemDevice::WriteLocal(uint64_t offset, Slice data) {
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    memcpy(bytes_.data() + offset, data.data(), data.size());
+    memcpy(bytes_ + offset, data.data(), data.size());
     HealBadRegionsLocked(offset, data.size());
   }
   local_write_bytes_->Add(data.size());
@@ -65,7 +75,7 @@ Status PmemDevice::Read(uint64_t offset, uint64_t len, char* out) const {
     return Status::InvalidArgument("pmem read out of bounds");
   }
   std::lock_guard<std::mutex> lk(mu_);
-  memcpy(out, bytes_.data() + offset, len);
+  memcpy(out, bytes_ + offset, len);
   // Latent bad regions corrupt on the way out: the stored bytes stay
   // untouched, but every read through the region is damaged (XOR keeps the
   // damage deterministic so seeded runs stay byte-identical).
@@ -166,7 +176,7 @@ Status PmemDevice::CorruptZeroCacheline(uint64_t offset) {
   uint64_t end = std::min(line + 64, capacity_);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    memset(bytes_.data() + line, 0, end - line);
+    memset(bytes_ + line, 0, end - line);
     corruptions_injected_++;
   }
   corrupt_zero_lines_->Add(1);

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <vector>
 
 #include "common/random.h"
 #include "common/slice.h"
@@ -34,6 +33,10 @@ class PmemDevice {
   /// paper rejects); when false, an RDMA READ flush moves them into the
   /// persistence domain (the configuration the paper ships).
   PmemDevice(uint64_t capacity, bool ddio_enabled, uint64_t crash_seed = 7);
+  ~PmemDevice();
+
+  PmemDevice(const PmemDevice&) = delete;
+  PmemDevice& operator=(const PmemDevice&) = delete;
 
   uint64_t capacity() const { return capacity_; }
   bool ddio_enabled() const { return ddio_enabled_; }
@@ -122,7 +125,9 @@ class PmemDevice {
   const uint64_t capacity_;
   const bool ddio_enabled_;
   mutable std::mutex mu_;
-  std::vector<char> bytes_;
+  // One private anonymous mapping: pages are backed on first touch, and
+  // bytes never written read as zero, like a freshly formatted device.
+  char* bytes_ = nullptr;
   // offset -> end of ranges written but not yet persistent.
   std::map<uint64_t, uint64_t> pending_;
   // offset -> bad-region descriptor (see MarkBadRegion).

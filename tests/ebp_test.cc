@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <string>
 
 #include "astore/client.h"
 #include "astore/cluster_manager.h"
 #include "astore/server.h"
+#include "common/random.h"
 #include "ebp/ebp.h"
+#include "obs/metrics.h"
 #include "sim/env.h"
 
 namespace vedb::ebp {
@@ -217,6 +220,114 @@ TEST_F(EbpTest, NoCompactionDropsLivePagesFromGarbageSegments) {
     ASSERT_TRUE(ebp.CompactOnce().ok());
   }
   EXPECT_GT(ebp.stats().dropped_live_pages, 0u);
+}
+
+TEST_F(EbpTest, CompactionPassKeepsFootprintBounded) {
+  // 8 MiB of live pages over 3 x 32 MiB of PMem, rewritten for 20x the
+  // capacity. A pass must reclaim every garbage-heavy segment, or the pool
+  // leaks segments until CreateSegment runs out of PMem and puts fail.
+  ExtendedBufferPool::Options opts;
+  opts.capacity = 8 * kMiB;
+  opts.segment_size = 2 * kMiB;
+  ExtendedBufferPool ebp(&env_, client_.get(), opts);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const obs::Gauge* segments = reg.GetGauge("ebp.segments");
+  const obs::Counter* failures = reg.GetCounter("ebp.put_failures");
+  const uint64_t failures0 = failures->value();
+  const int64_t bound =
+      static_cast<int64_t>(std::ceil(
+          static_cast<double>(opts.capacity) /
+          ((1 - opts.garbage_threshold) * opts.segment_size))) +
+      2;
+
+  const int kKeys = 600;  // ~9.4 MiB: evictions add garbage too
+  const int kPutsPerPass = 256;  // 4 MiB of frames between passes
+  const uint64_t puts = 20 * opts.capacity / Image('k').size();
+  Random rng(15);
+  for (uint64_t i = 1; i <= puts; ++i) {
+    ASSERT_TRUE(ebp.PutPage(rng.Uniform(kKeys), i, Slice(Image('k'))).ok())
+        << "put " << i;
+    if (i % kPutsPerPass != 0) continue;
+    ASSERT_TRUE(ebp.CompactOnce().ok());
+    ASSERT_LT(ebp.WorstSealedGarbageRatio(), opts.garbage_threshold)
+        << "after put " << i;
+    ASSERT_LE(segments->value(), bound) << "after put " << i;
+  }
+  EXPECT_EQ(failures->value(), failures0);
+  EXPECT_GT(ebp.stats().compactions, 0u);
+}
+
+TEST_F(EbpTest, BackgroundCompactionWaitsForSpacePressure) {
+  // Garbage-heavy segments are left alone while the sealed segments hold
+  // less than capacity / (1 - threshold) (4 MiB here): moving their live
+  // pages would only spend PMem writes. Past that, a pass reclaims them.
+  auto opts = SmallOptions();  // 2 MiB capacity, 512 KiB segments
+  ExtendedBufferPool ebp(&env_, client_.get(), opts);
+  const int kKeys = 30;  // ~0.5 MiB of frames per generation
+  uint64_t lsn = 0;
+  auto put_generation = [&] {
+    lsn++;
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(ebp.PutPage(i, lsn, Slice(Image('0' + lsn % 10))).ok());
+    }
+  };
+  {
+    sim::ActorGroup background(env_.clock());
+    ebp.StartBackground(&background);
+    put_generation();
+    put_generation();  // the first generation's segment is now garbage
+    env_.clock()->SleepFor(5 * opts.compaction_period);
+    EXPECT_EQ(ebp.stats().compactions, 0u);
+
+    for (int g = 0; g < 8; ++g) put_generation();  // ~5 MiB appended
+    env_.clock()->SleepFor(2 * opts.compaction_period);
+    EXPECT_GT(ebp.stats().compactions, 0u);
+    EXPECT_LT(ebp.WorstSealedGarbageRatio(), opts.garbage_threshold);
+    ebp.Shutdown();
+  }
+  EXPECT_EQ(ebp.stats().dropped_live_pages, 0u);
+  for (int i = 0; i < kKeys; ++i) {
+    std::string image;
+    uint64_t got = 0;
+    ASSERT_TRUE(ebp.GetPage(i, &image, &got).ok()) << "page " << i;
+    EXPECT_EQ(got, lsn);
+  }
+}
+
+TEST_F(EbpTest, ConcurrentPutsOfOneKeyKeepTheNewestVersion) {
+  // Both puts pass the pre-write index check before either installs; the
+  // older LSN installs last and must not replace the newer one or leave a
+  // second LRU node behind.
+  auto opts = SmallOptions();
+  opts.lru_shards = 1;  // eviction walks one list in strict LRU order
+  ExtendedBufferPool ebp(&env_, client_.get(), opts);
+  {
+    sim::ActorGroup group(env_.clock());
+    group.Spawn(
+        [&] { ASSERT_TRUE(ebp.PutPage(9, 2, Slice(Image('2'))).ok()); });
+    group.Spawn([&] {
+      env_.clock()->SleepFor(100);  // after the LSN-2 put has started
+      ASSERT_TRUE(ebp.PutPage(9, 1, Slice(Image('1'))).ok());
+    });
+  }
+  std::string image;
+  uint64_t lsn = 0;
+  ASSERT_TRUE(ebp.GetPage(9, &image, &lsn).ok());
+  ASSERT_EQ(lsn, 2u);
+  EXPECT_TRUE(image == Image('2'));
+  // An older put that starts after the install is dropped before it writes.
+  ASSERT_TRUE(ebp.PutPage(9, 1, Slice(Image('1'))).ok());
+  ASSERT_TRUE(ebp.GetPage(9, &image, &lsn).ok());
+  ASSERT_EQ(lsn, 2u);
+  ASSERT_EQ(ebp.stats().live_bytes, PageFrame::kHeaderSize + Image('2').size());
+
+  // Three capacities of other pages evict every old LRU node, key 9's
+  // included; an orphaned second node for it would abort the eviction.
+  for (int i = 100; i < 500; ++i) {
+    ASSERT_TRUE(ebp.PutPage(i, 1, Slice(Image('f'))).ok());
+  }
+  EXPECT_FALSE(ebp.Contains(9));
+  EXPECT_LE(ebp.stats().live_bytes, opts.capacity);
 }
 
 TEST_F(EbpTest, RecoverySurvivesDbeCrash) {
