@@ -27,9 +27,15 @@
 #      see every actor and lock. A deliberate exception is waived with a
 #      `// thread-ok` comment on the same line.
 #
+#   5. ucontext-switch: <ucontext.h> and its getcontext/makecontext/
+#      swapcontext/setcontext calls are banned everywhere. Those save and
+#      restore the signal mask, i.e. make a system call on every fiber
+#      switch; the clock switches fibers with its own register-only routine
+#      (src/sim/clock.cc). No waiver.
+#
 # In addition, if clang-tidy is on PATH, it is run over src/ with the
 # repo's .clang-tidy config. Containers without clang-tidy (like the CI
-# sanitizer image) still get rules 1-3.
+# sanitizer image) still get rules 1-5.
 #
 # Usage:
 #   scripts/lint.sh                # lint the repo; exit 1 on any violation
@@ -122,10 +128,23 @@ lint: deliberate use with '// thread-ok'):"
   fi
 }
 
+# --- Rule 5: no ucontext fiber switching ----------------------------------
+check_ucontext_switch() {
+  local -a dirs=("$@")
+  local hits
+  hits=$(grep -rnE '\bucontext(\.h|_t)\b|\b(get|make|swap|set)context[[:space:]]*\(' \
+              --include='*.cc' --include='*.h' "${dirs[@]}" 2>/dev/null)
+  if [[ -n "$hits" ]]; then
+    fail "ucontext fiber switching (one system call per switch; switch
+lint: contexts through the sim clock's ActorGroup instead):"
+    printf '%s\n' "$hits" >&2
+  fi
+}
+
 # --- clang-tidy (optional: skipped when the toolchain lacks it) -------------
 run_clang_tidy() {
   if ! command -v clang-tidy >/dev/null 2>&1; then
-    note "lint: clang-tidy not found on PATH; skipping (rules 1-3 still ran)"
+    note "lint: clang-tidy not found on PATH; skipping (rules 1-5 still ran)"
     return 0
   fi
   if [[ ! -f build/compile_commands.json ]]; then
@@ -161,16 +180,21 @@ self_test() {
   check_naked_threads "$fx/threads"
   [[ $FAILED -eq 1 ]] || { echo "self-test: rule 4 did NOT trip" >&2; st=1; }
 
+  FAILED=0
+  check_ucontext_switch "$fx/ucontext"
+  [[ $FAILED -eq 1 ]] || { echo "self-test: rule 5 did NOT trip" >&2; st=1; }
+
   # And none of them may trip on the clean fixture.
   FAILED=0
   check_pmem_raw_write "$fx/clean"
   check_pmem_api_bypass "$fx/clean"
   check_status_discard "$fx/clean"
   check_naked_threads "$fx/clean"
+  check_ucontext_switch "$fx/clean"
   [[ $FAILED -eq 0 ]] || { echo "self-test: false positive on clean fixture" >&2; st=1; }
 
   if [[ $st -eq 0 ]]; then
-    echo "lint self-test: OK (4 rules trip on fixtures, clean file passes)"
+    echo "lint self-test: OK (5 rules trip on fixtures, clean file passes)"
   fi
   return $st
 }
@@ -185,6 +209,7 @@ check_pmem_raw_write src/astore src/net src/logstore src/ebp src/topic \
 check_pmem_api_bypass src
 check_status_discard src tests bench examples
 check_naked_threads src tests bench examples
+check_ucontext_switch src tests bench examples
 run_clang_tidy
 
 if [[ $FAILED -eq 0 ]]; then

@@ -1,9 +1,9 @@
 #include "sim/clock.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -18,8 +18,74 @@
 #endif
 #endif
 #ifdef VEDB_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
+
+#if !defined(__x86_64__)
+#error "fiber switching is x86-64 only: port vedb_sim_switch_stack below"
+#endif
+
+// Suspends the running context by pushing its callee-saved registers
+// (rbx, rbp, r12-r15) and its FP control state (MXCSR, x87 control word)
+// onto its stack and storing the stack pointer in *save_sp; then resumes
+// the context whose stack pointer is `load_sp` by popping the same state
+// off its stack and returning on it. Caller-saved registers are the
+// compiler's to spill around the call, and no signal mask is touched, so
+// a switch makes no system call. Saved frame, from the stored rsp up:
+// MXCSR (4 bytes), x87 control word (2 + 2 pad), r15, r14, r13, r12, rbx,
+// rbp, return address. Both stacks hold that same frame, so the CFI stays
+// right across the stack pointer swap and an unwinder walks into the
+// resumed context's caller.
+extern "C" void vedb_sim_switch_stack(void** save_sp, void* load_sp);
+
+asm(R"(
+  .pushsection .text
+  .globl vedb_sim_switch_stack
+  .hidden vedb_sim_switch_stack
+  .type vedb_sim_switch_stack, @function
+  .p2align 4
+vedb_sim_switch_stack:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size vedb_sim_switch_stack, . - vedb_sim_switch_stack
+  .popsection
+)");
 
 namespace vedb::sim {
 
@@ -29,7 +95,7 @@ constexpr size_t kFiberStackBytes = 256 * 1024;
 }  // namespace
 
 struct Fiber {
-  ucontext_t context;
+  void* sp = nullptr;  // saved stack pointer while switched out
   // Owned mapping (guard page + stack); null for a thread's root context.
   void* mapping = nullptr;
   size_t mapping_size = 0;
@@ -79,16 +145,35 @@ void SwitchTo(Fiber* to, [[maybe_unused]] bool exiting) {
   tls_switched_from = from;
   __sanitizer_start_switch_fiber(exiting ? nullptr : &fake_stack,
                                  to->stack_bottom, to->stack_size);
-  swapcontext(&from->context, &to->context);
+  vedb_sim_switch_stack(&from->sp, to->sp);
   FinishSwitch(fake_stack);
 #else
-  swapcontext(&from->context, &to->context);
+  vedb_sim_switch_stack(&from->sp, to->sp);
 #endif
 }
 
 void FiberEntry() {
   FinishSwitch(nullptr);
   Running()->Run();
+}
+
+// Lays out a fresh stack as vedb_sim_switch_stack's saved frame, so the
+// first switch to it "returns" into FiberEntry with rsp = 8 (mod 16), as
+// after a call, and with the spawner's current MXCSR and x87 control word.
+// Returns the stack pointer to switch to.
+void* SeedStack(const void* bottom, size_t size) {
+  uint64_t* top = reinterpret_cast<uint64_t*>(
+      (reinterpret_cast<uintptr_t>(bottom) + size) & ~uintptr_t{15});
+  uint64_t* sp = top - 9;
+  uint32_t mxcsr;
+  uint16_t x87_cw;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(x87_cw));
+  sp[0] = mxcsr | uint64_t{x87_cw} << 32;
+  for (int i = 1; i <= 6; ++i) sp[i] = 0;  // r15 .. rbp
+  sp[7] = reinterpret_cast<uintptr_t>(&FiberEntry);
+  sp[8] = 0;  // FiberEntry's return address: it never returns
+  return sp;
 }
 
 }  // namespace
@@ -168,7 +253,10 @@ void VirtualClock::Suspend(Fiber* self, const Timestamp* deadline) {
 
 void VirtualClock::Dispatch(Fiber* self) {
   Fiber* next = PickNext();
-  if (next != self) SwitchTo(next, /*exiting=*/false);
+  if (next != self) {
+    switches_++;
+    SwitchTo(next, /*exiting=*/false);
+  }
 }
 
 Fiber* VirtualClock::PickNext() {
@@ -196,7 +284,10 @@ Fiber* VirtualClock::PickNext() {
                  static_cast<void*>(this), (unsigned long long)now_);
     }
     const Timestamp next = sleepers_.top().wake;
-    if (next > now_) now_ = next;
+    if (next > now_) {
+      now_ = next;
+      advances_++;
+    }
     // Ready every sleeper whose time has arrived; they run one at a time in
     // timer pop order. Everything due may have been stale: loop again.
     while (!sleepers_.empty() && sleepers_.top().wake <= now_) {
@@ -235,7 +326,9 @@ void VirtualClock::RunFiber(Fiber* self) {
     group->joiner_->blocked = false;
     ready_.push_front(group->joiner_);
   }
-  SwitchTo(PickNext(), /*exiting=*/true);
+  Fiber* next = PickNext();
+  switches_++;
+  SwitchTo(next, /*exiting=*/true);
   std::abort();  // an exited fiber is never resumed
 }
 
@@ -305,11 +398,12 @@ void ActorGroup::Spawn(std::function<void()> fn) {
              "fiber guard page mprotect failed");
   fiber->stack_bottom = static_cast<char*>(fiber->mapping) + page;
   fiber->stack_size = kFiberStackBytes;
-  getcontext(&fiber->context);
-  fiber->context.uc_stack.ss_sp = const_cast<void*>(fiber->stack_bottom);
-  fiber->context.uc_stack.ss_size = fiber->stack_size;
-  fiber->context.uc_link = nullptr;
-  makecontext(&fiber->context, &FiberEntry, 0);
+#ifdef VEDB_ASAN_FIBERS
+  // The mapping may reuse addresses of an exited fiber's stack, whose
+  // frames never returned and so left their redzones poisoned.
+  ASAN_UNPOISON_MEMORY_REGION(fiber->stack_bottom, fiber->stack_size);
+#endif
+  fiber->sp = SeedStack(fiber->stack_bottom, fiber->stack_size);
   clock_->spawned_.push_back(fiber.get());
   live_++;
   fibers_.push_back(std::move(fiber));

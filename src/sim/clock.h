@@ -1,5 +1,5 @@
-// Virtual-time runtime: simulation actors are fibers (ucontext) that all
-// run on the one OS thread that owns the VirtualClock, and all of their
+// Virtual-time runtime: simulation actors are fibers that all run on the
+// one OS thread that owns the VirtualClock, and all of their
 // blocking flows through that clock. When every actor is asleep (with a
 // wake time) or parked (on a VirtualCondition), the clock jumps to the
 // earliest pending wake time. Database code therefore runs unmodified as
@@ -11,7 +11,9 @@
 // runs until it blocks on the clock; the clock then switches to the next
 // ready context in a deterministic order (timer pop order, condition
 // parking order, spawn order), so two identical seeded runs are
-// byte-identical. Every clock call must come from the clock's thread.
+// byte-identical. Every clock call must come from the clock's thread. A
+// switch is a register-only x86-64 stack switch (callee-saved registers
+// plus the FP control state, no signal mask), so it makes no system call.
 //
 // Rules for actor code:
 //  * Any wait whose release depends on another actor making progress in
@@ -94,6 +96,13 @@ class VirtualClock {
   /// Blocks the calling context for `d` virtual nanoseconds.
   void SleepFor(Duration d);
 
+  /// Context switches made so far: each hand-off of the thread from one
+  /// context to another, an exiting actor's last one included.
+  uint64_t switches() const { return switches_; }
+
+  /// Times virtual time has jumped forward to a pending wake time.
+  uint64_t advances() const { return advances_; }
+
  private:
   friend class VirtualCondition;
   friend class ActorGroup;
@@ -124,6 +133,8 @@ class VirtualClock {
 
   Fiber* const root_;  // the owning thread's root context
   Timestamp now_ = 0;
+  uint64_t switches_ = 0;
+  uint64_t advances_ = 0;
   std::deque<Fiber*> ready_;  // woken contexts awaiting the thread, FIFO
   // Actors spawned since the last dispatch, in spawn order; they join the
   // back of ready_ when the running context next blocks.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -431,6 +432,100 @@ TEST(VirtualClockTest, SpawnedActorsFirstRunInSpawnOrder) {
     }
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(VirtualClockTest, CountsSwitchesAndAdvancesForPingPong) {
+  // Two actors take turns: ping wakes at 10, 30, 50 and pong at 20, 40, 60.
+  VirtualClock clock;
+  {
+    ActorGroup group(&clock);
+    group.Spawn([&] {
+      for (Timestamp t = 10; t <= 50; t += 20) clock.SleepUntil(t);
+    });
+    group.Spawn([&] {
+      for (Timestamp t = 20; t <= 60; t += 20) clock.SleepUntil(t);
+    });
+  }
+  EXPECT_EQ(clock.Now(), 60u);
+  // One advance per wake time. One switch per resumption: each actor's
+  // first run, the six wakes, and main's return from the join.
+  EXPECT_EQ(clock.advances(), 6u);
+  EXPECT_EQ(clock.switches(), 9u);
+}
+
+// 1/3 in the current SSE rounding mode; volatile keeps it at run time.
+double OneThird() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(VirtualClockTest, FloatingPointControlIsPerFiber) {
+  // fegetround reads the x87 control word; OneThird rounds through MXCSR.
+  VirtualClock clock;
+  const double nearest = OneThird();
+  int a_mode = -1, a_mode_after = -1, b_mode = -1;
+  double a_third = 0, a_third_after = 0, b_third = 0;
+  {
+    ActorGroup group(&clock);
+    group.Spawn([&] {
+      fesetround(FE_UPWARD);
+      a_mode = fegetround();
+      a_third = OneThird();
+      clock.SleepFor(100);
+      a_mode_after = fegetround();
+      a_third_after = OneThird();
+    });
+    group.Spawn([&] {
+      clock.SleepFor(50);  // runs while A sleeps with FE_UPWARD set
+      b_mode = fegetround();
+      b_third = OneThird();
+    });
+  }
+  EXPECT_EQ(a_mode, FE_UPWARD);
+  EXPECT_GT(a_third, nearest);
+  EXPECT_EQ(b_mode, FE_TONEAREST);
+  EXPECT_EQ(b_third, nearest);
+  EXPECT_EQ(a_mode_after, FE_UPWARD);
+  EXPECT_EQ(a_third_after, a_third);
+  EXPECT_EQ(fegetround(), FE_TONEAREST);
+  EXPECT_EQ(OneThird(), nearest);
+}
+
+// Fills a 1 KiB frame at each of `depth` nested calls, then yields to the
+// clock with every frame live.
+[[gnu::noinline]] int TouchDeepStack(VirtualClock* clock, int depth) {
+  volatile char frame[1024];
+  for (size_t i = 0; i < sizeof(frame); ++i) {
+    frame[i] = static_cast<char>(depth + i);
+  }
+  int sum = 0;
+  if (depth > 0) {
+    sum = TouchDeepStack(clock, depth - 1);
+  } else {
+    clock->SleepFor(1);
+  }
+  return sum + frame[depth];
+}
+
+TEST(VirtualClockTest, FiberStacksAreReusedCleanly) {
+  // Each round unmaps its actors' stacks at the join, and the next round's
+  // stacks reuse those addresses. An exited fiber's frames never return, so
+  // under ASan a fresh stack must not inherit their poisoned redzones.
+  VirtualClock clock;
+  int exited = 0;
+  for (int round = 0; round < 100; ++round) {
+    ActorGroup group(&clock);
+    for (int i = 0; i < 40; ++i) {
+      group.Spawn([&] {
+        TouchDeepStack(&clock, 32);
+        exited++;
+      });
+    }
+    group.JoinAll();
+  }
+  EXPECT_EQ(exited, 4000);
+  EXPECT_EQ(clock.Now(), 100u);
 }
 
 // A guest main (never registered) starts background actors and keeps
