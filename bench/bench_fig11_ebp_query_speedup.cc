@@ -3,11 +3,16 @@
 // Paper (1000 warehouses; 16GB & 32GB BPs; 256GB EBP): query 7 gains >3x in
 // both settings, query 16 barely changes (its working set fits the BP);
 // others gain up to 3.5x. Each query runs once to warm up, then the average
-// of three timed runs is reported. Exits 1 if any query run, warm-up
-// included, fails.
+// of three timed runs is reported.
+//
+// Writes results/bench_fig11_ebp_query_speedup.json: each query's virtual
+// ms in the four configurations, both geomean speedups and one registry
+// snapshot per configuration. Exits 1 if any query run, warm-up included,
+// fails.
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -42,7 +47,9 @@ double TimeQuery(workload::TpccDatabase* db, workload::VedbCluster* cluster,
   return ToMillis(total / 3);
 }
 
-void RunConfig(size_t bp_pages, bool enable_ebp, double out_ms[], bool* ok) {
+void RunConfig(size_t bp_pages, bool enable_ebp, const std::string& label,
+               double out_ms[], std::vector<obs::Snapshot>* snapshots,
+               bool* ok) {
   workload::ClusterOptions opts =
       bench::MakeClusterOptions(true, enable_ebp ? 128 * kMiB : 0);
   opts.engine.buffer_pool.capacity_pages = bp_pages;
@@ -63,6 +70,7 @@ void RunConfig(size_t bp_pages, bool enable_ebp, double out_ms[], bool* ok) {
   for (int q : kQueries) {
     out_ms[idx++] = TimeQuery(&db, &cluster, q, ok);
   }
+  snapshots->push_back(bench::CollectRunSnapshot(cluster.env(), label));
   cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
@@ -78,10 +86,12 @@ int main() {
 
   double base_small[kN], ebp_small[kN], base_medium[kN], ebp_medium[kN];
   bool ok = true;
-  RunConfig(kBpSmall, false, base_small, &ok);
-  RunConfig(kBpSmall, true, ebp_small, &ok);
-  RunConfig(kBpMedium, false, base_medium, &ok);
-  RunConfig(kBpMedium, true, ebp_medium, &ok);
+  std::vector<obs::Snapshot> snapshots;
+  RunConfig(kBpSmall, false, "fig11/small", base_small, &snapshots, &ok);
+  RunConfig(kBpSmall, true, "fig11/small_ebp", ebp_small, &snapshots, &ok);
+  RunConfig(kBpMedium, false, "fig11/medium", base_medium, &snapshots, &ok);
+  RunConfig(kBpMedium, true, "fig11/medium_ebp", ebp_medium, &snapshots,
+            &ok);
   if (!ok) {
     fprintf(stderr, "fig11: a query failed; no figure reported\n");
     return 1;
@@ -92,11 +102,12 @@ int main() {
   bench::PrintRow({"query", "BP=small", "BP=medium", "no-EBP ms (small)",
                    "EBP ms (small)"},
                   18);
-  double geo_small = 1;
+  double geo_small = 1, geo_medium = 1;
   for (int i = 0; i < kN; ++i) {
     const double s_small = base_small[i] / ebp_small[i];
     const double s_medium = base_medium[i] / ebp_medium[i];
     geo_small *= s_small;
+    geo_medium *= s_medium;
     bench::PrintRow({"Q" + std::to_string(kQueries[i]),
                      bench::Fmt("%.2fx", s_small),
                      bench::Fmt("%.2fx", s_medium),
@@ -104,9 +115,31 @@ int main() {
                      bench::Fmt("%.1f", ebp_small[i])},
                     18);
   }
-  printf("\ngeomean speedup (small BP): %.2fx\n",
-         std::pow(geo_small, 1.0 / kN));
+  const double geomean_small = std::pow(geo_small, 1.0 / kN);
+  const double geomean_medium = std::pow(geo_medium, 1.0 / kN);
+  printf("\ngeomean speedup (small BP): %.2fx\n", geomean_small);
   printf("paper: Q7 >3x in both settings; Q16 ~1x (working set fits BP); "
          "up to 3.5x elsewhere\n");
+
+  std::string queries = "\"queries\":[";
+  for (int i = 0; i < kN; ++i) {
+    if (i > 0) queries += ",";
+    queries += "{\"query\":" + std::to_string(kQueries[i]) +
+               bench::Fmt(",\"no_ebp_small_ms\":%.17g", base_small[i]) +
+               bench::Fmt(",\"ebp_small_ms\":%.17g", ebp_small[i]) +
+               bench::Fmt(",\"no_ebp_medium_ms\":%.17g", base_medium[i]) +
+               bench::Fmt(",\"ebp_medium_ms\":%.17g", ebp_medium[i]) + "}";
+  }
+  queries += "]";
+  Status wrote = bench::WriteBenchResults(
+      "bench_fig11_ebp_query_speedup", "bench_fig11_ebp_query_speedup.json",
+      snapshots,
+      {queries,
+       bench::Fmt("\"geomean_speedup_small\":%.17g", geomean_small),
+       bench::Fmt("\"geomean_speedup_medium\":%.17g", geomean_medium)});
+  if (!wrote.ok()) {
+    fprintf(stderr, "results: %s\n", wrote.ToString().c_str());
+    return 1;
+  }
   return 0;
 }

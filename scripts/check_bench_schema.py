@@ -2,8 +2,8 @@
 """Validates bench results JSON against the obs::Snapshot schema.
 
 CI runs short deterministic benches (bench_table2_log_micro,
-bench_fig12_ebp_size, bench_fig14_pushdown and the chaos benches) and feeds
-the files they wrote
+bench_fig11_ebp_query_speedup, bench_fig12_ebp_size, bench_fig14_pushdown
+and the chaos benches) and feeds the files they wrote
 into this checker. The point is schema drift: if the C++
 exporter (src/obs/export.cc) changes shape without bumping
 Snapshot::kSchemaVersion and updating this script, the bench-smoke job
@@ -236,6 +236,42 @@ def check_fig14(doc, filename):
                f"{key} is {got} but the per-query times give {want}")
 
 
+FIG11_QUERIES = [1, 4, 6, 7, 11, 12, 14, 16, 19, 22]
+
+
+def check_fig11(doc, filename):
+    """Bench-specific contract for bench_fig11_ebp_query_speedup: the
+    figure's ten CH queries with a positive virtual time in each of the four
+    configurations, geomeans that follow from those times, and one registry
+    snapshot per configuration."""
+    queries = doc.get("queries")
+    expect(isinstance(queries, list) and
+           [q.get("query") if isinstance(q, dict) else None
+            for q in queries] == FIG11_QUERIES, filename,
+           f"'queries' must list CH queries {FIG11_QUERIES} in order")
+    for q in queries:
+        for field in ("no_ebp_small_ms", "ebp_small_ms", "no_ebp_medium_ms",
+                      "ebp_medium_ms"):
+            v = q.get(field)
+            expect(isinstance(v, (int, float)) and v > 0, filename,
+                   f"Q{q['query']} {field} must be a positive number, "
+                   f"got {v!r}")
+    for key, bp in (("geomean_speedup_small", "small"),
+                    ("geomean_speedup_medium", "medium")):
+        got = doc.get(key)
+        expect(isinstance(got, (int, float)) and got > 0, filename,
+               f"missing positive number '{key}'")
+        want = math.exp(sum(math.log(q[f"no_ebp_{bp}_ms"] / q[f"ebp_{bp}_ms"])
+                            for q in queries) / len(queries))
+        expect(math.isclose(got, want, rel_tol=1e-9), filename,
+               f"{key} is {got} but the per-query times give {want}")
+    labels = [c.get("run_label") for c in doc["configs"]]
+    want_labels = ["fig11/small", "fig11/small_ebp", "fig11/medium",
+                   "fig11/medium_ebp"]
+    expect(labels == want_labels, filename,
+           f"configs must be {want_labels}, got {labels}")
+
+
 FIG12_SIZES_MIB = [0, 2, 4, 8, 32]
 
 
@@ -314,6 +350,8 @@ def check_file(filename):
         check_scrub_chaos(doc, filename)
     if doc["bench"] == "bench_table2_log_micro":
         check_table2(doc, filename)
+    if doc["bench"] == "bench_fig11_ebp_query_speedup":
+        check_fig11(doc, filename)
     if doc["bench"] == "bench_fig12_ebp_size":
         check_fig12(doc, filename)
     if doc["bench"] == "bench_fig14_pushdown":

@@ -89,6 +89,8 @@ class Value {
 
   void EncodeTo(std::string* out) const;
   static bool DecodeFrom(Slice* in, Value* out);
+  /// Advances `*in` past one encoded value without building it.
+  static bool SkipFrom(Slice* in);
 
   /// Appends a binary-comparable encoding (for index keys).
   void EncodeSortable(std::string* out) const;

@@ -128,6 +128,8 @@ class PageStoreCluster {
   Status PeekLocalPage(sim::SimNode* node, PageKey key, std::string* image,
                        uint64_t* applied);
 
+  const Options& options() const { return options_; }
+
   /// Test/metrics hooks.
   uint64_t GossipFillCount() const { return gossip_fills_.load(); }
   uint64_t AppliedRecordCount() const { return applied_records_.load(); }

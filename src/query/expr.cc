@@ -143,6 +143,30 @@ bool Expr::EvalBool(const Row& row) const {
   }
 }
 
+void Expr::CollectColumns(std::vector<bool>* used) const {
+  if (kind_ == Kind::kCol) {
+    VEDB_CHECK(col_ >= 0 && static_cast<size_t>(col_) < used->size(),
+               "column %d out of range (%zu columns)", col_, used->size());
+    (*used)[col_] = true;
+    return;
+  }
+  if (a_ != nullptr) a_->CollectColumns(used);
+  if (b_ != nullptr) b_->CollectColumns(used);
+}
+
+ExprPtr Expr::Remap(const ColumnMap& map) const {
+  auto e = std::shared_ptr<Expr>(new Expr(*this));
+  if (kind_ == Kind::kCol) {
+    VEDB_CHECK(col_ >= 0 && static_cast<size_t>(col_) < map.size() &&
+                   map[col_] >= 0,
+               "column %d was pruned", col_);
+    e->col_ = map[col_];
+  }
+  if (a_ != nullptr) e->a_ = a_->Remap(map);
+  if (b_ != nullptr) e->b_ = b_->Remap(map);
+  return e;
+}
+
 void Expr::EncodeTo(std::string* out) const {
   out->push_back(static_cast<char>(kind_));
   switch (kind_) {

@@ -24,6 +24,10 @@ enum class ArithOp : uint8_t { kAdd, kSub, kMul };
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
+/// Where a plan node's output columns went when it was pruned: old column
+/// `c` is new column `map[c]`, or was dropped when `map[c]` is -1.
+using ColumnMap = std::vector<int>;
+
 class Expr {
  public:
   enum class Kind : uint8_t {
@@ -61,6 +65,13 @@ class Expr {
   /// reference lives as long as `row`, this expression and `*scratch`.
   const Value& Ref(const Row& row, Value* scratch) const;
   bool EvalBool(const Row& row) const;
+
+  /// Marks every column this expression reads in `*used`, which must
+  /// have an entry for each of them.
+  void CollectColumns(std::vector<bool>* used) const;
+  /// This expression over pruned rows: each column reference `c` becomes
+  /// `map[c]`, which must not be dropped.
+  ExprPtr Remap(const ColumnMap& map) const;
 
   void EncodeTo(std::string* out) const;
   static bool DecodeFrom(Slice* in, ExprPtr* out);

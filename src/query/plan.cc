@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string_view>
 
 #include "common/coding.h"
@@ -86,7 +87,38 @@ bool KeysEqual(KeyRef a, KeyRef b) {
   }
   return true;
 }
+
+ColumnMap IdentityMap(size_t arity) {
+  ColumnMap map(arity);
+  std::iota(map.begin(), map.end(), 0);
+  return map;
+}
+
+/// Rewrites column references through a pruned input's map.
+void RemapColumns(const ColumnMap& map, std::vector<int>* cols) {
+  for (int& c : *cols) {
+    VEDB_CHECK(map[c] >= 0, "column %d was pruned", c);
+    c = map[c];
+  }
+}
+
+/// Prunes a join's inputs to `needed`, one flag per column of left ++
+/// right, and returns the join's column map.
+ColumnMap PruneJoinInputs(PlanNode* left, PlanNode* right,
+                          const std::vector<bool>& needed) {
+  const auto split = needed.begin() + static_cast<ptrdiff_t>(left->Arity());
+  ColumnMap map = left->Prune(std::vector<bool>(needed.begin(), split));
+  const ColumnMap right_map =
+      right->Prune(std::vector<bool>(split, needed.end()));
+  const int left_arity = static_cast<int>(left->Arity());
+  for (int c : right_map) map.push_back(c < 0 ? -1 : left_arity + c);
+  return map;
+}
 }  // namespace
+
+void PruneColumns(PlanNode* plan) {
+  plan->Prune(std::vector<bool>(plan->Arity(), true));
+}
 
 void KeyIndex::Grow() {
   slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
@@ -233,6 +265,28 @@ Result<std::vector<Row>> HashAggregate(const std::vector<Row>& rows,
   return groups.Finalize(aggs);
 }
 
+ScanNode::ScanNode(engine::Table* table, ExprPtr predicate)
+    : table_(table),
+      predicate_(std::move(predicate)),
+      columns_(IdentityMap(table->schema().columns.size())) {}
+
+size_t ScanNode::Arity() const {
+  return has_agg_ ? group_cols_.size() + aggs_.size() : columns_.size();
+}
+
+ColumnMap ScanNode::Prune(const std::vector<bool>& needed) {
+  if (has_agg_) return IdentityMap(Arity());
+  ColumnMap map(columns_.size(), -1);
+  std::vector<int> kept;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (!needed[i]) continue;
+    map[i] = static_cast<int>(kept.size());
+    kept.push_back(columns_[i]);
+  }
+  columns_ = std::move(kept);
+  return map;
+}
+
 Result<std::vector<Row>> ScanNode::Execute(ExecContext* ctx) {
   if (ctx->enable_pushdown && ctx->pushdown != nullptr) {
     bool push;
@@ -249,7 +303,7 @@ Result<std::vector<Row>> ScanNode::Execute(ExecContext* ctx) {
     }
     if (push) {
       return ctx->pushdown->ExecuteFragment(
-          ctx, table_, predicate_, group_cols_,
+          ctx, table_, predicate_, columns_, group_cols_,
           has_agg_ ? aggs_ : std::vector<AggSpec>{});
     }
   }
@@ -264,17 +318,14 @@ bool ScanNode::CostModelPrefersPushdown(ExecContext* ctx) const {
   const auto pages = table_->PageList();
   const uint64_t rows = table_->approximate_row_count();
   double local = static_cast<double>(rows) * ctx->cpu_per_row;
-  uint64_t remote_pages = 0;
   for (engine::PageNo page_no : pages) {
     const uint64_t key = engine::PackPageKey(table_->space(), page_no);
     if (bp->IsResident(key)) {
       local += ctx->cost_bp_hit;
     } else if (ebp != nullptr && ebp->Contains(key)) {
       local += ctx->cost_ebp_read;
-      remote_pages++;
     } else {
       local += ctx->cost_pagestore_read;
-      remote_pages++;
     }
   }
   // Push-down cost: non-resident pages execute storage-side in parallel
@@ -300,7 +351,7 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
   std::vector<Row> rows;
   GroupTable groups(aggs_.size());
   uint64_t scanned = 0;
-  Row row;  // reused until a matching row is moved out
+  Row row;  // reused: a match moves only its kept values out
   for (engine::PageNo page_no : table_->PageList()) {
     auto frame =
         bp->Pin(engine::PackPageKey(table_->space(), page_no), false);
@@ -326,7 +377,10 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
             states[i].Update(aggs_[i], row);
           }
         } else {
-          rows.push_back(std::move(row));
+          Row kept;
+          kept.reserve(columns_.size());
+          for (int c : columns_) kept.push_back(std::move(row[c]));
+          rows.push_back(std::move(kept));
         }
       }
     }
@@ -338,6 +392,14 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
   return rows;
 }
 
+ColumnMap FilterNode::Prune(const std::vector<bool>& needed) {
+  std::vector<bool> used = needed;
+  predicate_->CollectColumns(&used);
+  const ColumnMap map = input_->Prune(used);
+  predicate_ = predicate_->Remap(map);
+  return map;
+}
+
 Result<std::vector<Row>> FilterNode::Execute(ExecContext* ctx) {
   VEDB_ASSIGN_OR_RETURN(std::vector<Row> input, input_->Execute(ctx));
   ChargeRows(ctx, input.size());
@@ -346,6 +408,14 @@ Result<std::vector<Row>> FilterNode::Execute(ExecContext* ctx) {
     if (predicate_->EvalBool(row)) out.push_back(std::move(row));
   }
   return out;
+}
+
+ColumnMap ProjectNode::Prune(const std::vector<bool>& /*needed*/) {
+  std::vector<bool> used(input_->Arity(), false);
+  for (const ExprPtr& e : exprs_) e->CollectColumns(&used);
+  const ColumnMap map = input_->Prune(used);
+  for (ExprPtr& e : exprs_) e = e->Remap(map);
+  return IdentityMap(exprs_.size());
 }
 
 Result<std::vector<Row>> ProjectNode::Execute(ExecContext* ctx) {
@@ -360,6 +430,18 @@ Result<std::vector<Row>> ProjectNode::Execute(ExecContext* ctx) {
     out.push_back(std::move(projected));
   }
   return out;
+}
+
+ColumnMap HashJoinNode::Prune(const std::vector<bool>& needed) {
+  const size_t left_arity = left_->Arity();
+  std::vector<bool> used = needed;
+  for (int c : left_keys_) used[c] = true;
+  for (int c : right_keys_) used[left_arity + c] = true;
+  const ColumnMap map = PruneJoinInputs(left_.get(), right_.get(), used);
+  const int pruned_left_arity = static_cast<int>(left_->Arity());
+  RemapColumns(map, &left_keys_);
+  for (int& c : right_keys_) c = map[left_arity + c] - pruned_left_arity;
+  return map;
 }
 
 Result<std::vector<Row>> HashJoinNode::Execute(ExecContext* ctx) {
@@ -413,6 +495,14 @@ Result<std::vector<Row>> HashJoinNode::Execute(ExecContext* ctx) {
   return out;
 }
 
+ColumnMap NestLoopJoinNode::Prune(const std::vector<bool>& needed) {
+  std::vector<bool> used = needed;
+  if (predicate_ != nullptr) predicate_->CollectColumns(&used);
+  const ColumnMap map = PruneJoinInputs(left_.get(), right_.get(), used);
+  if (predicate_ != nullptr) predicate_ = predicate_->Remap(map);
+  return map;
+}
+
 Result<std::vector<Row>> NestLoopJoinNode::Execute(ExecContext* ctx) {
   VEDB_ASSIGN_OR_RETURN(std::vector<Row> left, left_->Execute(ctx));
   VEDB_ASSIGN_OR_RETURN(std::vector<Row> right, right_->Execute(ctx));
@@ -439,10 +529,32 @@ Result<std::vector<Row>> NestLoopJoinNode::Execute(ExecContext* ctx) {
   return out;
 }
 
+ColumnMap AggregateNode::Prune(const std::vector<bool>& /*needed*/) {
+  std::vector<bool> used(input_->Arity(), false);
+  for (int c : group_cols_) used[c] = true;
+  for (const AggSpec& agg : aggs_) {
+    if (agg.arg != nullptr) agg.arg->CollectColumns(&used);
+  }
+  const ColumnMap map = input_->Prune(used);
+  RemapColumns(map, &group_cols_);
+  for (AggSpec& agg : aggs_) {
+    if (agg.arg != nullptr) agg.arg = agg.arg->Remap(map);
+  }
+  return IdentityMap(Arity());
+}
+
 Result<std::vector<Row>> AggregateNode::Execute(ExecContext* ctx) {
   VEDB_ASSIGN_OR_RETURN(std::vector<Row> input, input_->Execute(ctx));
   ChargeRows(ctx, input.size());
   return HashAggregate(input, group_cols_, aggs_);
+}
+
+ColumnMap SortNode::Prune(const std::vector<bool>& needed) {
+  std::vector<bool> used = needed;
+  for (int c : cols_) used[c] = true;
+  const ColumnMap map = input_->Prune(used);
+  RemapColumns(map, &cols_);
+  return map;
 }
 
 Result<std::vector<Row>> SortNode::Execute(ExecContext* ctx) {

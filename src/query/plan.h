@@ -6,6 +6,10 @@
 // optional partial aggregation over one table. When push-down is enabled
 // and the scan qualifies, it is decomposed into per-storage-server tasks by
 // the PushdownRuntime instead of pulling pages through the buffer pool.
+//
+// PruneColumns narrows a plan to the columns its operators read. It changes
+// which values rows carry, never how many rows there are, their order, or
+// what any operator charges.
 
 #ifndef VEDB_QUERY_PLAN_H_
 #define VEDB_QUERY_PLAN_H_
@@ -75,17 +79,27 @@ class PlanNode {
  public:
   virtual ~PlanNode() = default;
   virtual Result<std::vector<Row>> Execute(ExecContext* ctx) = 0;
+  /// Columns in each output row.
+  virtual size_t Arity() const = 0;
+  /// Drops the output columns whose `needed` flag (one per column of
+  /// Arity()) is false, where this node can, and prunes its inputs to what
+  /// it still reads. Kept columns keep their order. Returns the old-to-new
+  /// column map; every needed column is kept.
+  virtual ColumnMap Prune(const std::vector<bool>& needed) = 0;
 };
 
 using PlanPtr = std::unique_ptr<PlanNode>;
+
+/// Prunes every operator of `plan` to the columns its ancestors read; the
+/// root keeps all of its output columns.
+void PruneColumns(PlanNode* plan);
 
 /// Scan of one table with optional predicate and optional pre-aggregation
 /// (group columns refer to the table row layout). The push-down-eligible
 /// fragment shape: no joins, no subqueries (Section VI-A).
 class ScanNode : public PlanNode {
  public:
-  ScanNode(engine::Table* table, ExprPtr predicate)
-      : table_(table), predicate_(std::move(predicate)) {}
+  ScanNode(engine::Table* table, ExprPtr predicate);
 
   /// Folds aggregation into the scan (executed storage-side under
   /// push-down): output rows are group values followed by aggregates.
@@ -96,6 +110,10 @@ class ScanNode : public PlanNode {
   }
 
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override;
+  /// A plain scan keeps the needed table columns; an aggregating one keeps
+  /// its output.
+  ColumnMap Prune(const std::vector<bool>& needed) override;
 
   engine::Table* table() { return table_; }
 
@@ -105,6 +123,9 @@ class ScanNode : public PlanNode {
 
   engine::Table* table_;
   ExprPtr predicate_;
+  /// The table columns a plain scan emits, ascending; the predicate still
+  /// sees whole rows.
+  std::vector<int> columns_;
   bool has_agg_ = false;
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
@@ -115,6 +136,8 @@ class FilterNode : public PlanNode {
   FilterNode(PlanPtr input, ExprPtr predicate)
       : input_(std::move(input)), predicate_(std::move(predicate)) {}
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override { return input_->Arity(); }
+  ColumnMap Prune(const std::vector<bool>& needed) override;
 
  private:
   PlanPtr input_;
@@ -126,6 +149,9 @@ class ProjectNode : public PlanNode {
   ProjectNode(PlanPtr input, std::vector<ExprPtr> exprs)
       : input_(std::move(input)), exprs_(std::move(exprs)) {}
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override { return exprs_.size(); }
+  /// Keeps every output column; narrows the input to what `exprs` read.
+  ColumnMap Prune(const std::vector<bool>& needed) override;
 
  private:
   PlanPtr input_;
@@ -142,6 +168,8 @@ class HashJoinNode : public PlanNode {
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)) {}
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override { return left_->Arity() + right_->Arity(); }
+  ColumnMap Prune(const std::vector<bool>& needed) override;
 
  private:
   PlanPtr left_, right_;
@@ -159,6 +187,8 @@ class NestLoopJoinNode : public PlanNode {
         right_(std::move(right)),
         predicate_(std::move(predicate)) {}
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override { return left_->Arity() + right_->Arity(); }
+  ColumnMap Prune(const std::vector<bool>& needed) override;
 
  private:
   PlanPtr left_, right_;
@@ -174,6 +204,10 @@ class AggregateNode : public PlanNode {
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)) {}
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override { return group_cols_.size() + aggs_.size(); }
+  /// Keeps every output column; narrows the input to the group columns and
+  /// aggregate arguments.
+  ColumnMap Prune(const std::vector<bool>& needed) override;
 
  private:
   PlanPtr input_;
@@ -190,6 +224,8 @@ class SortNode : public PlanNode {
         cols_(std::move(cols)),
         descending_(std::move(descending)) {}
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override { return input_->Arity(); }
+  ColumnMap Prune(const std::vector<bool>& needed) override;
 
  private:
   PlanPtr input_;
@@ -202,6 +238,10 @@ class LimitNode : public PlanNode {
   LimitNode(PlanPtr input, size_t limit)
       : input_(std::move(input)), limit_(limit) {}
   Result<std::vector<Row>> Execute(ExecContext* ctx) override;
+  size_t Arity() const override { return input_->Arity(); }
+  ColumnMap Prune(const std::vector<bool>& needed) override {
+    return input_->Prune(needed);
+  }
 
  private:
   PlanPtr input_;

@@ -83,12 +83,15 @@ bool PushdownRuntime::DecodeFragment(Slice* in, Fragment* out) {
   return true;
 }
 
-void PushdownRuntime::ExecutePages(const Fragment& fragment,
-                                   const std::vector<Slice>& images,
-                                   std::vector<Row>* rows, GroupTable* groups,
-                                   uint64_t* rows_processed) {
+uint64_t PushdownRuntime::ExecutePages(const Fragment& fragment,
+                                       const std::vector<Slice>& images,
+                                       std::string* response) {
   const bool aggregate = !fragment.aggs.empty();
-  Row row;  // reused until a matching row is moved out
+  GroupTable groups(fragment.aggs.size());
+  std::string matched;  // stored bytes of the matching rows
+  uint32_t matches = 0;
+  uint64_t processed = 0;
+  Row row;
   for (const Slice& image : images) {
     if (image.size() != engine::Page::kPageSize) continue;
     const engine::PageView page(image.data());
@@ -96,39 +99,35 @@ void PushdownRuntime::ExecutePages(const Fragment& fragment,
       Slice bytes;
       if (!page.GetRow(slot, &bytes).ok()) continue;
       if (!engine::DecodeRow(bytes, &row)) continue;
-      (*rows_processed)++;
+      processed++;
       if (fragment.predicate != nullptr &&
           !fragment.predicate->EvalBool(row)) {
         continue;
       }
       if (!aggregate) {
-        rows->push_back(std::move(row));
+        matched.append(bytes.data(), bytes.size());
+        matches++;
         continue;
       }
-      AggState* states = groups->Find(row, fragment.group_cols);
+      AggState* states = groups.Find(row, fragment.group_cols);
       for (size_t i = 0; i < fragment.aggs.size(); ++i) {
         states[i].Update(fragment.aggs[i], row);
       }
     }
   }
-}
-
-void PushdownRuntime::EncodeResponse(const Fragment& fragment,
-                                     const std::vector<Row>& rows,
-                                     const GroupTable& groups,
-                                     std::string* out) {
-  if (fragment.aggs.empty()) {
-    PutVarint32(out, static_cast<uint32_t>(rows.size()));
-    for (const Row& row : rows) engine::EncodeRow(row, out);
-    return;
+  if (!aggregate) {
+    PutVarint32(response, matches);
+    response->append(matched);
+    return processed;
   }
-  PutVarint32(out, static_cast<uint32_t>(groups.size()));
+  PutVarint32(response, static_cast<uint32_t>(groups.size()));
   for (uint32_t g : groups.SortedGroups()) {
-    engine::EncodeRow(groups.key(g), out);
+    engine::EncodeRow(groups.key(g), response);
     for (size_t a = 0; a < fragment.aggs.size(); ++a) {
-      groups.states(g)[a].EncodeTo(out);
+      groups.states(g)[a].EncodeTo(response);
     }
   }
+  return processed;
 }
 
 Status PushdownRuntime::HandleEbpExec(astore::AStoreServer* server,
@@ -180,17 +179,13 @@ Status PushdownRuntime::HandleEbpExec(astore::AStoreServer* server,
                         frame.size() - ebp::PageFrame::kHeaderSize);
   }
 
-  std::vector<Row> rows;
-  GroupTable groups(fragment.aggs.size());
-  uint64_t processed = 0;
-  ExecutePages(fragment, images, &rows, &groups, &processed);
+  const uint64_t processed = ExecutePages(fragment, images, response);
   // "We can use idle CPU resources and warm data pages in the EBP": the
   // scan reads local PMem, then the executor burns the server's CPU.
   Timestamp t = server->node()->storage()->SubmitAt(start, read_bytes);
   t = server->node()->cpu()->SubmitAt(t, 0,
                                       processed * options_.exec_cpu_per_row);
   *done = t;
-  EncodeResponse(fragment, rows, groups, response);
   return Status::OK();
 }
 
@@ -221,22 +216,21 @@ Status PushdownRuntime::HandlePsExec(sim::SimNode* node, Slice request,
     applied_total += applied;
   }
   const std::vector<Slice> images(pages.begin(), pages.end());
-  std::vector<Row> rows;
-  GroupTable groups(fragment.aggs.size());
-  uint64_t processed = 0;
-  ExecutePages(fragment, images, &rows, &groups, &processed);
+  const uint64_t processed = ExecutePages(fragment, images, response);
   // Local SSD reads per page, then executor CPU (incl. any catch-up apply).
-  Timestamp t = node->storage()->SubmitAt(start, pages.size() * 16 * kKiB);
-  t = node->cpu()->SubmitAt(
-      t, 0, processed * options_.exec_cpu_per_row + applied_total * 2000);
+  const pagestore::PageStoreCluster::Options& ps = pagestore_->options();
+  Timestamp t = node->storage()->SubmitAt(start, pages.size() * ps.page_size);
+  t = node->cpu()->SubmitAt(t, 0,
+                            processed * options_.exec_cpu_per_row +
+                                applied_total * ps.apply_cpu_per_record);
   *done = t;
-  EncodeResponse(fragment, rows, groups, response);
   return Status::OK();
 }
 
 Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
     ExecContext* ctx, engine::Table* table, const ExprPtr& predicate,
-    const std::vector<int>& group_cols, const std::vector<AggSpec>& aggs) {
+    const std::vector<int>& columns, const std::vector<int>& group_cols,
+    const std::vector<AggSpec>& aggs) {
   Fragment fragment;
   fragment.predicate = predicate;
   fragment.group_cols = group_cols;
@@ -303,19 +297,24 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
     uint32_t n = 0;
     if (!GetVarint32(&in, &n)) return Status::Corruption("bad pq response");
     if (aggs.empty()) {
+      // Whole stored rows: build only the scanned columns' values.
       for (uint32_t j = 0; j < n; ++j) {
-        Row row;
         uint32_t arity = 0;
         if (!GetVarint32(&in, &arity) || arity > in.size()) {
           return Status::Corruption("bad row");
         }
-        row.reserve(arity);
+        Row row;
+        row.reserve(columns.size());
         for (uint32_t c = 0; c < arity; ++c) {
-          Value v;
-          if (!Value::DecodeFrom(&in, &v)) {
+          const bool scanned = row.size() < columns.size() &&
+                               columns[row.size()] == static_cast<int>(c);
+          if (scanned ? !Value::DecodeFrom(&in, &row.emplace_back())
+                      : !Value::SkipFrom(&in)) {
             return Status::Corruption("bad value");
           }
-          row.push_back(std::move(v));
+        }
+        if (row.size() != columns.size()) {
+          return Status::Corruption("row lacks a scanned column");
         }
         rows.push_back(std::move(row));
       }

@@ -44,33 +44,35 @@ class PushdownRuntime {
 
   /// Executes a pushed-down fragment over `table`: per-server tasks run
   /// remotely; this call merges their partial results (and performs the
-  /// secondary aggregation when `aggs` is non-empty).
+  /// secondary aggregation when `aggs` is non-empty). Without `aggs`, the
+  /// servers ship whole rows and each returned row holds only the table
+  /// columns listed in `columns` (ascending).
   Result<std::vector<Row>> ExecuteFragment(ExecContext* ctx,
                                            engine::Table* table,
                                            const ExprPtr& predicate,
+                                           const std::vector<int>& columns,
                                            const std::vector<int>& group_cols,
                                            const std::vector<AggSpec>& aggs);
 
- private:
+  /// What a storage-side task executes.
   struct Fragment {
     ExprPtr predicate;
     std::vector<int> group_cols;
     std::vector<AggSpec> aggs;
   };
 
+  /// The storage-side executor core: filters the rows of `images` and
+  /// appends the task's response to `*response`. Without aggregates that
+  /// is the row count, then each matching row's stored bytes verbatim
+  /// (stored rows are canonical EncodeRow output); with them, the groups
+  /// of partial aggregate states. Returns the rows processed.
+  static uint64_t ExecutePages(const Fragment& fragment,
+                               const std::vector<Slice>& images,
+                               std::string* response);
+
+ private:
   static void EncodeFragment(const Fragment& fragment, std::string* out);
   static bool DecodeFragment(Slice* in, Fragment* out);
-
-  /// Shared executor core: filter + partial aggregation over page images.
-  /// Results are rows (no aggs) or groups of partial agg states.
-  static void ExecutePages(const Fragment& fragment,
-                           const std::vector<Slice>& images,
-                           std::vector<Row>* rows, GroupTable* groups,
-                           uint64_t* rows_processed);
-
-  static void EncodeResponse(const Fragment& fragment,
-                             const std::vector<Row>& rows,
-                             const GroupTable& groups, std::string* out);
 
   Status HandleEbpExec(astore::AStoreServer* server, Slice request,
                        std::string* response, Timestamp start,

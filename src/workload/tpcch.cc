@@ -370,6 +370,7 @@ Result<std::vector<engine::Row>> RunChQuery(int number, TpccDatabase* db,
                                             query::ExecContext* ctx,
                                             bool pushdown_friendly) {
   PlanPtr plan = BuildChQuery(number, db, pushdown_friendly);
+  query::PruneColumns(plan.get());
   return plan->Execute(ctx);
 }
 

@@ -20,12 +20,13 @@
 
 namespace vedb::workload {
 
-/// Builds CH query `number` (1-22). `pushdown_friendly` selects the plan
-/// variant; both compute the same result.
+/// Builds CH query `number` (1-22) as written, without column pruning.
+/// `pushdown_friendly` selects the plan variant; both compute the same
+/// result.
 query::PlanPtr BuildChQuery(int number, TpccDatabase* db,
                             bool pushdown_friendly);
 
-/// Convenience: build and execute.
+/// Builds, prunes (query::PruneColumns) and executes.
 Result<std::vector<engine::Row>> RunChQuery(int number, TpccDatabase* db,
                                             query::ExecContext* ctx,
                                             bool pushdown_friendly);

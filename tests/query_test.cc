@@ -93,6 +93,50 @@ TEST_F(QueryTest, ExprEvalAndCodec) {
   EXPECT_FALSE(decoded->EvalBool(no));
 }
 
+TEST(ExprColumns, CollectColumnsAndRemap) {
+  // (c1 == 3 AND c4 * c2 > 10) OR NOT c4, over six columns.
+  const ExprPtr e = Expr::Or(
+      Expr::And(Expr::ColCmp(1, CmpOp::kEq, Value(3)),
+                Expr::Cmp(CmpOp::kGt,
+                          Expr::Arith(ArithOp::kMul, Expr::Col(4),
+                                      Expr::Col(2)),
+                          Expr::Const(Value(10)))),
+      Expr::Not(Expr::Col(4)));
+  std::vector<bool> used(6, false);
+  e->CollectColumns(&used);
+  EXPECT_EQ(used, (std::vector<bool>{false, true, true, false, true, false}));
+
+  const ColumnMap map = {-1, 0, 1, -1, 2, -1};
+  const ExprPtr narrow = e->Remap(map);
+  std::vector<bool> narrow_used(3, false);
+  narrow->CollectColumns(&narrow_used);
+  EXPECT_EQ(narrow_used, (std::vector<bool>{true, true, true}));
+  // The same expression written against the narrow rows encodes the same.
+  const ExprPtr direct = Expr::Or(
+      Expr::And(Expr::ColCmp(0, CmpOp::kEq, Value(3)),
+                Expr::Cmp(CmpOp::kGt,
+                          Expr::Arith(ArithOp::kMul, Expr::Col(2),
+                                      Expr::Col(1)),
+                          Expr::Const(Value(10)))),
+      Expr::Not(Expr::Col(2)));
+  std::string got, want;
+  narrow->EncodeTo(&got);
+  direct->EncodeTo(&want);
+  EXPECT_EQ(got, want);
+  for (int a : {2, 3}) {
+    for (int c : {0, 1, 5}) {
+      const engine::Row wide = {Value("x"), Value(a), Value(4), Value(-1.5),
+                                Value(c), Value()};
+      const engine::Row pruned = {Value(a), Value(4), Value(c)};
+      EXPECT_EQ(e->EvalBool(wide), narrow->EvalBool(pruned));
+    }
+  }
+  // Remap builds a new tree: the original still reads column 4.
+  std::vector<bool> again(6, false);
+  e->CollectColumns(&again);
+  EXPECT_EQ(again, used);
+}
+
 TEST_F(QueryTest, LocalScanWithFilter) {
   ExecContext ctx = Ctx(false);
   auto scan = std::make_unique<ScanNode>(
@@ -269,16 +313,42 @@ TEST_F(QueryTest, CostBasedPushdownSkipsResidentTables) {
 
 // ---- Executor semantics the typed keys must keep ----
 
-/// A plan leaf that yields fixed rows.
+/// A plan leaf that yields fixed rows, all of one width. Pruned, it keeps
+/// the needed columns and records which it was asked for.
 class RowsNode : public PlanNode {
  public:
-  explicit RowsNode(std::vector<engine::Row> rows) : rows_(std::move(rows)) {}
+  explicit RowsNode(std::vector<engine::Row> rows) : rows_(std::move(rows)) {
+    arity_ = rows_.empty() ? 0 : rows_[0].size();
+  }
   Result<std::vector<engine::Row>> Execute(ExecContext*) override {
     return rows_;
   }
+  size_t Arity() const override { return arity_; }
+  ColumnMap Prune(const std::vector<bool>& needed) override {
+    EXPECT_EQ(needed.size(), arity_);
+    asked_ = needed;
+    ColumnMap map(arity_, -1);
+    std::vector<size_t> kept;
+    for (size_t c = 0; c < arity_; ++c) {
+      if (!needed[c]) continue;
+      map[c] = static_cast<int>(kept.size());
+      kept.push_back(c);
+    }
+    for (engine::Row& row : rows_) {
+      engine::Row narrow;
+      for (size_t c : kept) narrow.push_back(row[c]);
+      row = std::move(narrow);
+    }
+    arity_ = kept.size();
+    return map;
+  }
+  /// The `needed` flags of the last Prune.
+  const std::vector<bool>& asked() const { return asked_; }
 
  private:
   std::vector<engine::Row> rows_;
+  size_t arity_;
+  std::vector<bool> asked_;
 };
 
 std::string SortableKey(const engine::Row& row, const std::vector<int>& cols) {
@@ -445,6 +515,189 @@ TEST(HashAggregateSemantics, GroupsComeOutInEncodeSortableOrder) {
   // int 0 and double 0.0 share their bytes: 10 distinct keys x 2.
   EXPECT_EQ(want.size(), 20u);
   ExpectSameRows(*got, want);
+}
+
+// ---- Column pruning ----
+
+std::vector<engine::Row> Wide(int n) {
+  std::vector<engine::Row> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back({Value(i % 4), Value(i * 0.25), Value(std::to_string(i))});
+  }
+  return rows;
+}
+
+/// Executes `make()` as written, and again pruned to `needed`; every needed
+/// column of every row must be the same, in the same row order, and the
+/// pruned plan's map must be `want_map`. Returns the pruned plan.
+template <typename Make>
+PlanPtr ExpectPruneKeepsNeeded(const Make& make,
+                               const std::vector<bool>& needed,
+                               const ColumnMap& want_map) {
+  ExecContext ctx;
+  PlanPtr whole = make();
+  auto want = whole->Execute(&ctx);
+  EXPECT_TRUE(want.ok());
+  PlanPtr plan = make();
+  const ColumnMap map = plan->Prune(needed);
+  EXPECT_EQ(map, want_map);
+  auto got = plan->Execute(&ctx);
+  EXPECT_TRUE(got.ok());
+  if (!want.ok() || !got.ok()) return plan;
+  EXPECT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < got->size() && i < want->size(); ++i) {
+    EXPECT_EQ((*got)[i].size(), plan->Arity());
+    for (size_t c = 0; c < needed.size(); ++c) {
+      if (!needed[c]) continue;
+      EXPECT_TRUE(SameValue((*got)[i][map[c]], (*want)[i][c]))
+          << "row " << i << " col " << c;
+    }
+  }
+  return plan;
+}
+
+TEST(ColumnPruning, HashJoinKeepsItsKeysAndRemapsThem) {
+  RowsNode* left = nullptr;
+  RowsNode* right = nullptr;
+  auto make = [&] {
+    auto l = std::make_unique<RowsNode>(Wide(6));
+    auto r = std::make_unique<RowsNode>(Wide(5));
+    left = l.get();
+    right = r.get();
+    return std::make_unique<HashJoinNode>(std::move(l), std::move(r),
+                                          std::vector<int>{0},
+                                          std::vector<int>{0});
+  };
+  // Only the left tag and the right double are read above the join.
+  PlanPtr plan = ExpectPruneKeepsNeeded(
+      make, {false, false, true, false, true, false}, {0, -1, 1, 2, 3, -1});
+  EXPECT_EQ(left->asked(), (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(right->asked(), (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(plan->Arity(), 4u);
+}
+
+TEST(ColumnPruning, NestLoopJoinKeepsItsPredicateColumns) {
+  RowsNode* left = nullptr;
+  RowsNode* right = nullptr;
+  auto make = [&] {
+    auto l = std::make_unique<RowsNode>(Wide(4));
+    auto r = std::make_unique<RowsNode>(Wide(6));
+    left = l.get();
+    right = r.get();
+    return std::make_unique<NestLoopJoinNode>(
+        std::move(l), std::move(r),
+        Expr::Cmp(CmpOp::kEq, Expr::Col(0), Expr::Col(3)));
+  };
+  PlanPtr plan = ExpectPruneKeepsNeeded(
+      make, {false, false, false, false, false, true}, {0, -1, -1, 1, -1, 2});
+  EXPECT_EQ(left->asked(), (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(right->asked(), (std::vector<bool>{true, false, true}));
+}
+
+TEST(ColumnPruning, FilterSortAndLimitPassTheirInputsMapThrough) {
+  RowsNode* leaf = nullptr;
+  auto rows = [&] {
+    auto node = std::make_unique<RowsNode>(Wide(9));
+    leaf = node.get();
+    return node;
+  };
+  // The plan owns `leaf`; keep it while checking what `leaf` was asked.
+  PlanPtr plan = ExpectPruneKeepsNeeded(
+      [&] {
+        return std::make_unique<FilterNode>(
+            rows(), Expr::ColCmp(1, CmpOp::kGt, Value(0.5)));
+      },
+      {false, false, true}, {-1, 0, 1});
+  EXPECT_EQ(leaf->asked(), (std::vector<bool>{false, true, true}));
+
+  plan = ExpectPruneKeepsNeeded(
+      [&] {
+        return std::make_unique<SortNode>(rows(), std::vector<int>{0, 1},
+                                          std::vector<bool>{true, false});
+      },
+      {false, false, true}, {0, 1, 2});
+  EXPECT_EQ(leaf->asked(), (std::vector<bool>{true, true, true}));
+  plan = ExpectPruneKeepsNeeded(
+      [&] {
+        return std::make_unique<SortNode>(rows(), std::vector<int>{0},
+                                          std::vector<bool>{true});
+      },
+      {false, false, true}, {0, -1, 1});
+  EXPECT_EQ(leaf->asked(), (std::vector<bool>{true, false, true}));
+
+  plan = ExpectPruneKeepsNeeded(
+      [&] { return std::make_unique<LimitNode>(rows(), 4); },
+      {false, true, false}, {-1, 0, -1});
+  EXPECT_EQ(leaf->asked(), (std::vector<bool>{false, true, false}));
+}
+
+TEST(ColumnPruning, ProjectAndAggregateNarrowOnlyTheirInput) {
+  RowsNode* leaf = nullptr;
+  auto rows = [&] {
+    auto node = std::make_unique<RowsNode>(Wide(10));
+    leaf = node.get();
+    return node;
+  };
+  // The plan owns `leaf`; keep it while checking what `leaf` was asked.
+  PlanPtr plan = ExpectPruneKeepsNeeded(
+      [&] {
+        return std::make_unique<ProjectNode>(
+            rows(), std::vector<ExprPtr>{
+                        Expr::Col(2), Expr::Arith(ArithOp::kAdd, Expr::Col(0),
+                                                  Expr::Col(0))});
+      },
+      {false, true}, {0, 1});
+  EXPECT_EQ(leaf->asked(), (std::vector<bool>{true, false, true}));
+
+  plan = ExpectPruneKeepsNeeded(
+      [&] {
+        return std::make_unique<AggregateNode>(
+            rows(), std::vector<int>{2},
+            std::vector<AggSpec>{AggSpec::Sum(Expr::Col(0)),
+                                 AggSpec::Count()});
+      },
+      {true, false, false}, {0, 1, 2});
+  EXPECT_EQ(leaf->asked(), (std::vector<bool>{true, false, true}));
+}
+
+TEST_F(QueryTest, CountStarOverAScanThatNeedsNoColumn) {
+  ExprPtr pred = Expr::ColCmp(1, CmpOp::kEq, Value(5));
+  for (bool pushdown : {false, true}) {
+    ExecContext ctx = Ctx(pushdown);
+    auto scan = std::make_unique<ScanNode>(table_, pred);
+    EXPECT_EQ(scan->Prune({false, false, false, false}),
+              (ColumnMap{-1, -1, -1, -1}));
+    EXPECT_EQ(scan->Arity(), 0u);
+    auto plan = std::make_unique<AggregateNode>(
+        std::move(scan), std::vector<int>{},
+        std::vector<AggSpec>{AggSpec::Count()});
+    PruneColumns(plan.get());
+    auto rows = plan->Execute(&ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ((*rows)[0][0].AsInt(), kRows / 8);
+    EXPECT_EQ(ctx.pushdown_tasks > 0, pushdown);
+  }
+}
+
+TEST_F(QueryTest, PrunedScanKeepsTheNeededColumnsLocallyAndPushedDown) {
+  ExprPtr pred = Expr::ColCmp(0, CmpOp::kLt, Value(300));
+  ExecContext whole_ctx = Ctx(false);
+  auto whole = ScanNode(table_, pred).Execute(&whole_ctx);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole->size(), 300u);
+  for (bool pushdown : {false, true}) {
+    ExecContext ctx = Ctx(pushdown);
+    ScanNode scan(table_, pred);
+    EXPECT_EQ(scan.Prune({false, true, false, true}),
+              (ColumnMap{-1, 0, -1, 1}));
+    auto rows = scan.Execute(&ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    std::vector<engine::Row> want;
+    for (const engine::Row& row : *whole) want.push_back({row[1], row[3]});
+    ExpectSameRows(*rows, want);
+    EXPECT_EQ(ctx.pushdown_tasks > 0, pushdown);
+  }
 }
 
 TEST_F(QueryTest, GroupedPushdownSplitAcrossEbpAndPageStoreKeepsLocalOrder) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "engine/page.h"
+#include "query/pushdown.h"
 #include "workload/cluster.h"
 #include "workload/driver.h"
 #include "workload/internal.h"
@@ -128,6 +131,175 @@ TEST_F(TpccTest, AllChQueriesExecuteBothPlanVariants) {
     // Both variants agree on cardinality (same logical result).
     EXPECT_EQ(default_plan->size(), friendly->size()) << "Q" << q;
   }
+}
+
+/// The stored bytes of every live row of `table`, in scan order.
+std::vector<std::string> StoredRows(VedbCluster* cluster,
+                                    engine::Table* table) {
+  engine::BufferPool* bp = cluster->engine()->buffer_pool();
+  std::vector<std::string> rows;
+  for (engine::PageNo page_no : table->PageList()) {
+    auto frame = bp->Pin(engine::PackPageKey(table->space(), page_no), false);
+    if (!frame.ok()) continue;
+    {
+      vedb::MutexLock lk(&(*frame)->mu);
+      const engine::PageView page((*frame)->image.data());
+      for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
+        Slice bytes;
+        if (page.GetRow(slot, &bytes).ok()) rows.push_back(bytes.ToString());
+      }
+    }
+    bp->Unpin(*frame, 0);
+  }
+  return rows;
+}
+
+TEST_F(TpccTest, StoredRowsAreCanonicalEncodeRowOutput) {
+  // Push-down ships matching rows' stored bytes verbatim in place of
+  // re-encoding the decoded rows; that is only the same response if every
+  // stored row is exactly what EncodeRow makes of it.
+  engine::Table* tables[] = {
+      db_->warehouse(), db_->district(), db_->customer(), db_->history(),
+      db_->neworder(),  db_->orders(),   db_->orderline(), db_->item(),
+      db_->stock(),     db_->supplier(), db_->nation(),    db_->region()};
+  for (engine::Table* table : tables) {
+    const std::vector<std::string> stored = StoredRows(cluster_.get(), table);
+    ASSERT_FALSE(stored.empty()) << table->name();
+    for (const std::string& bytes : stored) {
+      engine::Row row;
+      ASSERT_TRUE(engine::DecodeRow(Slice(bytes), &row)) << table->name();
+      EXPECT_EQ(row.size(), table->schema().columns.size()) << table->name();
+      std::string encoded;
+      engine::EncodeRow(row, &encoded);
+      ASSERT_EQ(encoded, bytes) << table->name();
+    }
+  }
+
+  // A plain fragment's response is the row count, then EncodeRow of each
+  // row a local scan with the same predicate returns.
+  engine::Table* ol = db_->orderline();
+  const query::ExprPtr late =
+      query::Expr::ColCmp(8, query::CmpOp::kGt, engine::Value(0));
+  query::ExecContext ctx;
+  ctx.engine = cluster_->engine();
+  auto local = query::ScanNode(ol, late).Execute(&ctx);
+  ASSERT_TRUE(local.ok());
+  ASSERT_FALSE(local->empty());
+  std::string want;
+  PutVarint32(&want, static_cast<uint32_t>(local->size()));
+  for (const engine::Row& row : *local) engine::EncodeRow(row, &want);
+
+  std::vector<std::string> pages;
+  engine::BufferPool* bp = cluster_->engine()->buffer_pool();
+  for (engine::PageNo page_no : ol->PageList()) {
+    auto frame = bp->Pin(engine::PackPageKey(ol->space(), page_no), false);
+    ASSERT_TRUE(frame.ok());
+    {
+      vedb::MutexLock lk(&(*frame)->mu);
+      pages.push_back((*frame)->image);
+    }
+    bp->Unpin(*frame, 0);
+  }
+  query::PushdownRuntime::Fragment fragment;
+  fragment.predicate = late;
+  std::string response;
+  const uint64_t processed = query::PushdownRuntime::ExecutePages(
+      fragment, std::vector<Slice>(pages.begin(), pages.end()), &response);
+  EXPECT_EQ(processed, ol->approximate_row_count());
+  EXPECT_EQ(response, want);
+}
+
+/// A CH database whose pages are split between the EBP and PageStore, with
+/// every scan pushed down when push-down is on.
+class ChPruningTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ClusterOptions opts;
+    opts.enable_ebp = true;
+    opts.ebp.capacity = 8 * kMiB;
+    opts.astore_server.pmem_capacity = 64 * kMiB;
+    opts.astore_log.ring.segment_size = 512 * kKiB;
+    opts.astore_log.ring.ring_size = 6;
+    opts.engine.buffer_pool.capacity_pages = 8;
+    cluster_ = std::make_unique<VedbCluster>(opts);
+    pushdown_ = std::make_unique<query::PushdownRuntime>(
+        cluster_->env(), cluster_->rpc(), cluster_->pagestore(),
+        std::vector<sim::SimNode*>{cluster_->env()->GetNode("ps-0"),
+                                   cluster_->env()->GetNode("ps-1"),
+                                   cluster_->env()->GetNode("ps-2")},
+        cluster_->astore_servers(), query::PushdownRuntime::Options{});
+    pushdown_->AttachEbp(cluster_->ebp());
+    cluster_->StartBackground();
+    cluster_->env()->clock()->RegisterActor();
+
+    TpccScale scale;
+    scale.warehouses = 2;
+    scale.customers_per_district = 30;
+    scale.items = 200;
+    scale.initial_orders_per_district = 10;
+    db_ = std::make_unique<TpccDatabase>(cluster_->engine(), scale, 3,
+                                         /*with_ch_tables=*/true);
+    ASSERT_TRUE(db_->Load().ok());
+  }
+  void TearDown() override {
+    cluster_->env()->clock()->UnregisterActor();
+    cluster_->Shutdown();
+  }
+
+  query::ExecContext Ctx(bool pushdown) {
+    query::ExecContext ctx;
+    ctx.engine = cluster_->engine();
+    ctx.pushdown = pushdown_.get();
+    ctx.enable_pushdown = pushdown;
+    ctx.pushdown_row_threshold = 0;
+    return ctx;
+  }
+
+  std::unique_ptr<VedbCluster> cluster_;
+  std::unique_ptr<query::PushdownRuntime> pushdown_;
+  std::unique_ptr<TpccDatabase> db_;
+};
+
+/// The rows' encodings: equal exactly when every value has the same type
+/// and the same value, doubles to the bit.
+std::vector<std::string> Encoded(const std::vector<engine::Row>& rows) {
+  std::vector<std::string> out;
+  for (const engine::Row& row : rows) {
+    out.emplace_back();
+    engine::EncodeRow(row, &out.back());
+  }
+  return out;
+}
+
+TEST_F(ChPruningTest, PruningNeverChangesAnAnswer) {
+  // Warm pass: churning the small buffer pool leaves pages in the EBP.
+  for (int q = 1; q <= 22; ++q) {
+    query::ExecContext warm = Ctx(false);
+    ASSERT_TRUE(RunChQuery(q, db_.get(), &warm, false).ok());
+  }
+  uint64_t ebp_pages = 0, pagestore_pages = 0;
+  for (bool pushdown : {false, true}) {
+    for (bool friendly : {false, true}) {
+      for (int q = 1; q <= 22; ++q) {
+        query::ExecContext ctx = Ctx(pushdown);
+        auto written = BuildChQuery(q, db_.get(), friendly)->Execute(&ctx);
+        ASSERT_TRUE(written.ok()) << "Q" << q;
+        query::PlanPtr plan = BuildChQuery(q, db_.get(), friendly);
+        const size_t arity = plan->Arity();
+        query::PruneColumns(plan.get());
+        EXPECT_EQ(plan->Arity(), arity) << "Q" << q;
+        auto pruned = plan->Execute(&ctx);
+        ASSERT_TRUE(pruned.ok()) << "Q" << q;
+        EXPECT_EQ(Encoded(*pruned), Encoded(*written))
+            << "Q" << q << (friendly ? " push-down-friendly" : " default")
+            << (pushdown ? " plan, pushed down" : " plan, local");
+        ebp_pages += ctx.pushdown_pages_from_ebp;
+        pagestore_pages += ctx.pushdown_pages_from_pagestore;
+      }
+    }
+  }
+  EXPECT_GT(ebp_pages, 0u);
+  EXPECT_GT(pagestore_pages, 0u);
 }
 
 TEST(InternalWorkloadTest, OrderProcessingMaintainsBalanceInvariant) {
