@@ -47,10 +47,11 @@ void BM_PagePutGet(benchmark::State& state) {
 BENCHMARK(BM_PagePutGet);
 
 void BM_RedoApply(benchmark::State& state) {
+  const std::string row(120, 'x');
   engine::RedoRecord rec;
   rec.type = engine::RedoType::kPutRow;
   rec.slot = 0;
-  rec.row = std::string(120, 'x');
+  rec.row = Slice(row);
   std::string payload;
   rec.EncodeTo(&payload);
   std::string image;

@@ -2,6 +2,7 @@
 """Validates bench results JSON against the obs::Snapshot schema.
 
 CI runs short deterministic benches (bench_table2_log_micro,
+bench_fig8_order_processing, bench_fig9_advertisement,
 bench_fig11_ebp_query_speedup, bench_fig12_ebp_size, bench_fig14_pushdown
 and the chaos benches) and feeds the files they wrote
 into this checker. The point is schema drift: if the C++
@@ -236,6 +237,67 @@ def check_fig14(doc, filename):
                f"{key} is {got} but the per-query times give {want}")
 
 
+FIG8_CLIENTS = [8, 16, 64]
+
+
+def check_fig8(doc, filename):
+    """Bench-specific contract for bench_fig8_order_processing: TPS per
+    client count and log backend for both panels, one registry snapshot per
+    run, and a verdict that follows from the single-insert speedup at 8
+    clients (the paper's >3x)."""
+    for panel in ("single_insert", "order_txn"):
+        rows = doc.get(panel)
+        expect(isinstance(rows, list) and
+               [r.get("clients") if isinstance(r, dict) else None
+                for r in rows] == FIG8_CLIENTS, filename,
+               f"'{panel}' must list client counts {FIG8_CLIENTS} in order")
+        for r in rows:
+            for field in ("ssd_tps", "astore_tps"):
+                v = r.get(field)
+                expect(isinstance(v, (int, float)) and v > 0, filename,
+                       f"{panel} {r['clients']} clients {field} must be a "
+                       f"positive number, got {v!r}")
+    first = doc["single_insert"][0]
+    got = doc.get("insert_speedup_8")
+    want = first["astore_tps"] / first["ssd_tps"]
+    expect(isinstance(got, (int, float)) and
+           math.isclose(got, want, rel_tol=1e-9), filename,
+           f"insert_speedup_8 is {got!r} but the 8-client TPS give {want}")
+    expect(isinstance(doc.get("verdict_pass"), bool), filename,
+           "missing boolean 'verdict_pass'")
+    expect(doc["verdict_pass"] == (want >= 3.0), filename,
+           f"verdict_pass is {doc['verdict_pass']} but the speedup is {want}")
+    labels = [c.get("run_label") for c in doc["configs"]]
+    want_labels = [f"fig8/{panel}/{log}/{c}"
+                   for panel in ("insert", "order") for c in FIG8_CLIENTS
+                   for log in ("ssd", "astore")]
+    expect(labels == want_labels, filename,
+           f"configs must be {want_labels}, got {labels}")
+
+
+def check_fig9(doc, filename):
+    """Bench-specific contract for bench_fig9_advertisement: avg/P99/max
+    per log backend, one registry snapshot per run, and a verdict that
+    follows from them (AStore lowers all three)."""
+    fields = ("avg_ms", "p99_ms", "max_ms")
+    for config in ("stock", "astore"):
+        res = doc.get(config)
+        expect(isinstance(res, dict), filename, f"missing object '{config}'")
+        for field in fields:
+            v = res.get(field)
+            expect(isinstance(v, (int, float)) and v > 0, filename,
+                   f"{config} {field} must be a positive number, got {v!r}")
+    expect(isinstance(doc.get("verdict_pass"), bool), filename,
+           "missing boolean 'verdict_pass'")
+    want = all(doc["astore"][f] < doc["stock"][f] for f in fields)
+    expect(doc["verdict_pass"] == want, filename,
+           f"verdict_pass is {doc['verdict_pass']} but the latencies give "
+           f"{want}")
+    labels = [c.get("run_label") for c in doc["configs"]]
+    expect(labels == ["fig9/stock", "fig9/astore"], filename,
+           f"configs must be ['fig9/stock', 'fig9/astore'], got {labels}")
+
+
 FIG11_QUERIES = [1, 4, 6, 7, 11, 12, 14, 16, 19, 22]
 
 
@@ -350,6 +412,10 @@ def check_file(filename):
         check_scrub_chaos(doc, filename)
     if doc["bench"] == "bench_table2_log_micro":
         check_table2(doc, filename)
+    if doc["bench"] == "bench_fig8_order_processing":
+        check_fig8(doc, filename)
+    if doc["bench"] == "bench_fig9_advertisement":
+        check_fig9(doc, filename)
     if doc["bench"] == "bench_fig11_ebp_query_speedup":
         check_fig11(doc, filename)
     if doc["bench"] == "bench_fig12_ebp_size":

@@ -52,7 +52,7 @@ void BufferPool::EvictIfNeededLocked() {
     if (victim == nullptr) return;  // everything pinned: allow overshoot
     // Detach from the LRU but keep the frame resident while we fence and
     // hand the image to the EBP; concurrent Pins can rescue it.
-    lru_.erase(victim->lru_it);
+    pinned_.splice(pinned_.end(), lru_, victim->lru_it);
     victim->in_lru = false;
     victim->pins = 1;  // eviction holds a pin so the frame cannot vanish
     const uint64_t key = victim->key;
@@ -79,6 +79,7 @@ void BufferPool::EvictIfNeededLocked() {
     if (victim->pins == 0) {
       // No one rescued it: drop the frame.
       stats_.evictions++;
+      pinned_.erase(victim->lru_it);
       frames_.erase(key);
     } else {
       // Rescued by a concurrent Pin; it is pinned and off the LRU, which is
@@ -96,15 +97,15 @@ Result<Frame*> BufferPool::Pin(uint64_t key, bool create_if_missing) {
                       "BufferPool::Pin");
     auto it = frames_.find(key);
     if (it != frames_.end()) {
-      std::shared_ptr<Frame> fp = it->second;  // keep alive across waits
-      Frame* f = fp.get();
+      Frame* f = it->second.get();
       if (f->loading) {
+        std::shared_ptr<Frame> fp = it->second;  // keep alive across waits
         load_cond_.Wait(&mu_, [&fp] { return !fp->loading; });
         continue;  // re-examine (load may have failed and erased the frame)
       }
       f->pins++;
       if (f->in_lru) {
-        lru_.erase(f->lru_it);
+        pinned_.splice(pinned_.end(), lru_, f->lru_it);
         f->in_lru = false;
       }
       stats_.hits++;
@@ -118,6 +119,7 @@ Result<Frame*> BufferPool::Pin(uint64_t key, bool create_if_missing) {
     f->key = key;
     f->loading = true;
     f->pins = 1;
+    f->lru_it = pinned_.insert(pinned_.end(), key);
     frames_[key] = std::move(frame);
     EvictIfNeededLocked();
 
@@ -144,6 +146,7 @@ Result<Frame*> BufferPool::Pin(uint64_t key, bool create_if_missing) {
 
     if (!s.ok()) {
       f->loading = false;  // before erase: waiters hold shared_ptr copies
+      pinned_.erase(f->lru_it);
       frames_.erase(key);
       lk.Unlock();
       load_cond_.NotifyAll();
@@ -169,26 +172,20 @@ Result<Frame*> BufferPool::Pin(uint64_t key, bool create_if_missing) {
 }
 
 void BufferPool::Unpin(Frame* frame, uint64_t modified_lsn) {
-  bool notify = false;
-  {
-    vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/true,
-                      "BufferPool::Unpin");
-    if (modified_lsn != 0) {
-      vedb::MutexLock flk(&frame->mu);
-      frame->dirty = true;
-      if (modified_lsn > frame->lsn) frame->lsn = modified_lsn;
-    }
-    frame->pins--;
-    VEDB_CHECK(frame->pins >= 0, "unpin without pin");
-    if (frame->pins == 0 && !frame->in_lru) {
-      lru_.push_front(frame->key);
-      frame->lru_it = lru_.begin();
-      frame->in_lru = true;
-      notify = true;
-    }
+  vedb::MutexLock lk(&mu_);
+  sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/true,
+                    "BufferPool::Unpin");
+  if (modified_lsn != 0) {
+    vedb::MutexLock flk(&frame->mu);
+    frame->dirty = true;
+    if (modified_lsn > frame->lsn) frame->lsn = modified_lsn;
   }
-  (void)notify;
+  frame->pins--;
+  VEDB_CHECK(frame->pins >= 0, "unpin without pin");
+  if (frame->pins == 0 && !frame->in_lru) {
+    lru_.splice(lru_.begin(), pinned_, frame->lru_it);
+    frame->in_lru = true;
+  }
 }
 
 }  // namespace vedb::engine

@@ -36,6 +36,8 @@ struct Frame {
   // GUARDED_BY on a member of a different object cannot name.
   int pins = 0;
   bool loading = false;
+  // The frame's node in the pool's lru_ (in_lru) or pinned_ list; Pin and
+  // Unpin splice it between the two.
   std::list<uint64_t>::iterator lru_it;
   bool in_lru = false;
 };
@@ -111,6 +113,8 @@ class BufferPool {
   std::unordered_map<uint64_t, std::shared_ptr<Frame>> frames_ GUARDED_BY(mu_);
   // front = most recent, unpinned pages only
   std::list<uint64_t> lru_ GUARDED_BY(mu_);
+  // Nodes of the pinned frames, in no particular order.
+  std::list<uint64_t> pinned_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
 };
 

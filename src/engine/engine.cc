@@ -92,40 +92,45 @@ void DBEngine::Abort(Txn* txn) {
 Status DBEngine::Commit(Txn* txn) {
   node_->cpu()->Access(0, options_.txn_overhead_cpu);
 
-  // Collect modified entries in touch order.
+  // Collect modified entries in touch order, encoding each one's REDO
+  // record straight into the commit's log batch.
   struct PendingWrite {
     Table* table;
-    std::string pk;
+    const std::string* pk;  // the overlay's key
     Txn::OverlayEntry* entry;
-    RedoRecord rec;
+    uint64_t page_key;
   };
   std::vector<PendingWrite> writes;
-  for (const auto& key : txn->touch_order_) {
-    auto it = txn->overlay_.find(key);
-    if (it == txn->overlay_.end() || !it->second.modified) continue;
-    Txn::OverlayEntry& entry = it->second;
+  std::vector<std::string> payloads;
+  writes.reserve(txn->touch_order_.size());
+  payloads.reserve(txn->touch_order_.size());
+  std::string row_bytes;
+  for (Txn::Overlay::value_type* touched : txn->touch_order_) {
+    Txn::OverlayEntry& entry = touched->second;
+    if (!entry.modified) continue;
     if (!entry.has_committed && !entry.current.has_value()) continue;
-    PendingWrite w;
-    w.table = key.first;
-    w.pk = key.second;
-    w.entry = &entry;
-    w.rec.space = w.table->space();
+    Table* table = touched->first.first;
+    RedoRecord rec;
+    rec.space = table->space();
     if (entry.current.has_value()) {
-      std::string bytes;
-      EncodeRow(*entry.current, &bytes);
-      Rid rid = entry.has_committed ? entry.committed_rid
-                                    : w.table->ReservePlacement(bytes.size());
-      w.rec.type = RedoType::kPutRow;
-      w.rec.page_no = rid.page_no;
-      w.rec.slot = rid.slot;
-      w.rec.row = std::move(bytes);
+      row_bytes.clear();
+      EncodeRow(*entry.current, &row_bytes);
+      Rid rid = entry.has_committed
+                    ? entry.committed_rid
+                    : table->ReservePlacement(row_bytes.size());
+      rec.type = RedoType::kPutRow;
+      rec.page_no = rid.page_no;
+      rec.slot = rid.slot;
+      rec.row = Slice(row_bytes);
       entry.committed_rid = rid;  // remember placement for index update
     } else {
-      w.rec.type = RedoType::kDeleteRow;
-      w.rec.page_no = entry.committed_rid.page_no;
-      w.rec.slot = entry.committed_rid.slot;
+      rec.type = RedoType::kDeleteRow;
+      rec.page_no = entry.committed_rid.page_no;
+      rec.slot = entry.committed_rid.slot;
     }
-    writes.push_back(std::move(w));
+    writes.push_back(
+        PendingWrite{table, &touched->first.second, &entry, rec.page_key()});
+    rec.EncodeTo(&payloads.emplace_back());
   }
 
   if (!writes.empty() && log_ == nullptr) {
@@ -144,21 +149,13 @@ Status DBEngine::Commit(Txn* txn) {
 
   // One log batch per commit ("the database transaction can be committed"
   // once the write request completes, Section V-B).
-  std::vector<std::string> payloads;
-  payloads.reserve(writes.size());
-  for (const PendingWrite& w : writes) {
-    std::string payload;
-    w.rec.EncodeTo(&payload);
-    payloads.push_back(std::move(payload));
-  }
-
   logstore::AppendHooks hooks;
   hooks.on_assigned = [&](uint64_t first, uint64_t last) {
     // Runs under the LSN lock: enqueue ship records in LSN order.
     vedb::MutexLock lk(&ship_mu_);
     for (size_t i = 0; i < writes.size(); ++i) {
       pagestore::RedoShipRecord rec;
-      rec.page_key = writes[i].rec.page_key();
+      rec.page_key = writes[i].page_key;
       rec.lsn = first + i;
       rec.payload = payloads[i];
       ship_queue_[rec.lsn] = std::move(rec);
@@ -182,7 +179,7 @@ Status DBEngine::Commit(Txn* txn) {
   for (size_t i = 0; i < writes.size(); ++i) {
     const uint64_t lsn = appended->first_lsn + i;
     const PendingWrite& w = writes[i];
-    auto frame = bp_.Pin(w.rec.page_key(), /*create_if_missing=*/true);
+    auto frame = bp_.Pin(w.page_key, /*create_if_missing=*/true);
     if (!frame.ok()) {
       // The page is unreachable (storage outage). The commit is already
       // durable in the log; PageStore will materialize it. Skip the local
@@ -196,19 +193,18 @@ Status DBEngine::Commit(Txn* txn) {
       ApplyRedoToPage(Slice(payloads[i]), lsn, &(*frame)->image);
     }
     bp_.Unpin(*frame, lsn);
-    if (ebp_ != nullptr) ebp_->NoteLatestLsn(w.rec.page_key(), lsn);
+    if (ebp_ != nullptr) ebp_->NoteLatestLsn(w.page_key, lsn);
 
     // Index maintenance.
     Txn::OverlayEntry& entry = *w.entry;
     if (entry.current.has_value()) {
       if (entry.has_committed) {
-        w.table->ApplyIndexUpdate(w.pk, entry.committed_rid,
-                                  entry.committed_row, *entry.current);
+        w.table->ApplyIndexUpdate(*w.pk, entry.committed_row, *entry.current);
       } else {
-        w.table->ApplyIndexInsert(w.pk, entry.committed_rid, *entry.current);
+        w.table->ApplyIndexInsert(*w.pk, entry.committed_rid, *entry.current);
       }
     } else {
-      w.table->ApplyIndexDelete(w.pk, entry.committed_row);
+      w.table->ApplyIndexDelete(*w.pk, entry.committed_row);
     }
   }
 
@@ -255,6 +251,10 @@ Status DBEngine::ShipEligibleOnce() {
     vedb::MutexLock lk(&ship_mu_);
     const uint64_t durable = log_->DurableLsn();
     new_shipped_through = shipped_through_;
+    if (durable > new_shipped_through) {
+      batch.reserve(std::min<uint64_t>(durable - new_shipped_through,
+                                       options_.shipper_max_batch));
+    }
     while (new_shipped_through < durable &&
            batch.size() < options_.shipper_max_batch) {
       const uint64_t lsn = new_shipped_through + 1;
@@ -459,8 +459,8 @@ Status DBEngine::Recover(const std::vector<astore::LogRecord>& tail_records) {
     if (!RedoRecord::DecodeFrom(Slice(rec.payload), &decoded)) {
       return Status::Corruption("bad redo record in recovered log");
     }
-    reship.push_back(pagestore::RedoShipRecord{decoded.page_key(), rec.lsn,
-                                               rec.payload});
+    reship.push_back(
+        pagestore::RedoShipRecord{decoded.page_key(), rec.lsn, rec.payload});
   }
   if (!reship.empty()) {
     VEDB_RETURN_IF_ERROR(pagestore_->ShipRecords(node_, reship));

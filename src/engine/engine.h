@@ -25,6 +25,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -60,16 +62,23 @@ class Txn {
     /// Committed base state captured on first touch.
     bool has_committed = false;
     Rid committed_rid;
+    /// Read only by secondary-index maintenance, so it is captured only
+    /// when the table has a secondary index.
     Row committed_row;
     bool modified = false;
   };
 
+  using Overlay = std::unordered_map<std::pair<Table*, std::string>,
+                                     OverlayEntry, TaggedKeyHash, TaggedKeyEq>;
+
   explicit Txn(TxnId id) : id_(id) {}
 
   TxnId id_;
-  std::map<std::pair<Table*, std::string>, OverlayEntry> overlay_;
-  // Touch order, so commit logs in statement order.
-  std::vector<std::pair<Table*, std::string>> touch_order_;
+  // Only found, inserted and erased: commit order comes from touch_order_.
+  Overlay overlay_;
+  // Touch order, so commit logs in statement order. Points at overlay_'s
+  // nodes, which stay put until the overlay is cleared.
+  std::vector<Overlay::value_type*> touch_order_;
 };
 
 using TxnPtr = std::unique_ptr<Txn>;
@@ -148,16 +157,17 @@ class Table {
   bool LookupRid(const std::string& pk, Rid* rid) const;
 
   /// Loads (or initializes) the overlay entry for (this, pk), taking the
-  /// row lock on first touch.
-  Status EnsureEntry(Txn* txn, const std::string& pk,
+  /// row lock on first touch. A new entry takes over `pk`.
+  Status EnsureEntry(Txn* txn, std::string&& pk,
                      Txn::OverlayEntry** entry_out);
 
-  /// Index maintenance at commit (caller holds no table lock).
+  /// Index maintenance at commit (caller holds no table lock). An update
+  /// keeps its rid, so only the secondary indexes change.
   void ApplyIndexInsert(const std::string& pk, const Rid& rid,
                         const Row& row);
   void ApplyIndexDelete(const std::string& pk, const Row& old_row);
-  void ApplyIndexUpdate(const std::string& pk, const Rid& rid,
-                        const Row& old_row, const Row& new_row);
+  void ApplyIndexUpdate(const std::string& pk, const Row& old_row,
+                        const Row& new_row);
 
   std::string SecKeyOf(const std::vector<int>& cols, const Row& row) const;
 

@@ -20,27 +20,27 @@ bool LockManager::WouldDeadlockLocked(TxnId waiter,
 }
 
 Status LockManager::Lock(TxnId txn, SpaceId space, const std::string& key) {
-  const LockKey lk{space, key};
+  const std::pair<SpaceId, std::string_view> probe(space, key);
   const Timestamp deadline = clock_->Now() + options_.wait_timeout;
   vedb::MutexLock lock(&mu_);
   while (true) {
-    auto it = held_.find(lk);
+    auto it = held_.find(probe);
     if (it == held_.end()) {
-      held_[lk] = txn;
-      by_txn_[txn].push_back(lk);
+      auto ins = held_.emplace(LockKey(space, key), txn).first;
+      by_txn_[txn].push_back(&ins->first);
       return Status::OK();
     }
     if (it->second == txn) return Status::OK();  // re-entrant
     // Deadlock detection on the wait-for graph: abort the requester rather
     // than stalling until the timeout (InnoDB-style immediate detection).
-    if (WouldDeadlockLocked(txn, lk)) {
+    if (WouldDeadlockLocked(txn, it->first)) {
       return Status::Aborted("deadlock detected");
     }
-    waiting_for_[txn] = lk;
+    waiting_for_[txn] = it->first;
     // Park until some lock is released or the deadline passes (the
     // deadline is a backstop for pathological queues).
     const bool ok = cond_.WaitUntil(&mu_, deadline, [&] {
-      auto cur = held_.find(lk);
+      auto cur = held_.find(probe);
       return cur == held_.end() || cur->second == txn;
     });
     waiting_for_.erase(txn);
@@ -53,8 +53,9 @@ void LockManager::ReleaseAll(TxnId txn) {
     vedb::MutexLock lock(&mu_);
     auto it = by_txn_.find(txn);
     if (it == by_txn_.end()) return;
-    for (const LockKey& lk : it->second) {
-      auto h = held_.find(lk);
+    for (const LockKey* lk : it->second) {
+      // Look the key up before erasing: *lk lives in the erased node.
+      auto h = held_.find(*lk);
       if (h != held_.end() && h->second == txn) held_.erase(h);
     }
     by_txn_.erase(it);

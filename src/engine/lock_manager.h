@@ -8,9 +8,10 @@
 #define VEDB_ENGINE_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -43,14 +44,7 @@ class LockManager {
   size_t HeldCount() const;
 
  private:
-  struct LockKey {
-    SpaceId space;
-    std::string key;
-    bool operator<(const LockKey& o) const {
-      if (space != o.space) return space < o.space;
-      return key < o.key;
-    }
-  };
+  using LockKey = std::pair<SpaceId, std::string>;
 
   /// True if making `waiter` wait for `key` would close a cycle in the
   /// wait-for graph.
@@ -61,10 +55,15 @@ class LockManager {
   mutable vedb::Mutex mu_{"engine.row_locks"};
   sim::VirtualCondition cond_;
   Options options_;
-  std::map<LockKey, TxnId> held_ GUARDED_BY(mu_);
-  std::map<TxnId, std::vector<LockKey>> by_txn_ GUARDED_BY(mu_);
+  // Only found, inserted and erased: nothing depends on an order.
+  std::unordered_map<LockKey, TxnId, TaggedKeyHash, TaggedKeyEq> held_
+      GUARDED_BY(mu_);
+  // Each transaction's locks, in acquisition order, as pointers to the keys
+  // in held_ (node-based, so the keys stay put until ReleaseAll erases them).
+  std::unordered_map<TxnId, std::vector<const LockKey*>> by_txn_
+      GUARDED_BY(mu_);
   // wait-for graph edges
-  std::map<TxnId, LockKey> waiting_for_ GUARDED_BY(mu_);
+  std::unordered_map<TxnId, LockKey> waiting_for_ GUARDED_BY(mu_);
 };
 
 }  // namespace vedb::engine

@@ -1,7 +1,5 @@
 #include "engine/page.h"
 
-#include <vector>
-
 #include "common/coding.h"
 #include "common/logging.h"
 
@@ -106,25 +104,28 @@ Status Page::DeleteRow(uint16_t slot) {
 }
 
 void Page::Compact() {
+  // Live rows are staged in slot order in a per-thread buffer that keeps
+  // its capacity, so compaction allocates nothing after the first call.
+  thread_local std::string rows;
   const uint16_t count = slot_count();
-  std::string rows;
-  rows.reserve(free_ptr());
-  std::vector<std::pair<uint16_t, uint16_t>> placements(count, {0, 0});
+  rows.clear();
+  for (uint16_t s = 0; s < count; ++s) {
+    const uint16_t off = DecodeFixed16(buf_->data() + SlotPos(s));
+    if (off == 0) continue;
+    const uint16_t len = DecodeFixed16(buf_->data() + SlotPos(s) + 2);
+    rows.append(buf_->data() + off, len);
+  }
+  memcpy(buf_->data() + kHeaderSize, rows.data(), rows.size());
   uint16_t cursor = kHeaderSize;
   for (uint16_t s = 0; s < count; ++s) {
     const uint16_t off = DecodeFixed16(buf_->data() + SlotPos(s));
-    const uint16_t len = DecodeFixed16(buf_->data() + SlotPos(s) + 2);
-    if (off == 0) continue;
-    rows.append(buf_->data() + off, len);
-    placements[s] = {cursor, len};
+    const uint16_t len =
+        off == 0 ? 0 : DecodeFixed16(buf_->data() + SlotPos(s) + 2);
+    EncodeFixed16(buf_->data() + SlotPos(s), off == 0 ? 0 : cursor);
+    EncodeFixed16(buf_->data() + SlotPos(s) + 2, len);
     cursor += len;
   }
-  memcpy(buf_->data() + kHeaderSize, rows.data(), rows.size());
   set_free_ptr(cursor);
-  for (uint16_t s = 0; s < count; ++s) {
-    EncodeFixed16(buf_->data() + SlotPos(s), placements[s].first);
-    EncodeFixed16(buf_->data() + SlotPos(s) + 2, placements[s].second);
-  }
 }
 
 }  // namespace vedb::engine

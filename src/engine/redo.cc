@@ -11,7 +11,7 @@ void RedoRecord::EncodeTo(std::string* out) const {
   PutFixed32(out, space);
   PutFixed32(out, page_no);
   PutFixed16(out, slot);
-  PutLengthPrefixedSlice(out, Slice(row));
+  PutLengthPrefixedSlice(out, row);
 }
 
 bool RedoRecord::DecodeFrom(Slice in, RedoRecord* out) {
@@ -25,10 +25,7 @@ bool RedoRecord::DecodeFrom(Slice in, RedoRecord* out) {
   out->page_no = DecodeFixed32(raw.data());
   if (!GetFixedBytes(&in, 2, &raw)) return false;
   out->slot = DecodeFixed16(raw.data());
-  Slice row;
-  if (!GetLengthPrefixedSlice(&in, &row)) return false;
-  out->row = row.ToString();
-  return true;
+  return GetLengthPrefixedSlice(&in, &out->row);
 }
 
 void ApplyRedoToPage(Slice redo_payload, uint64_t lsn, std::string* image) {
@@ -46,7 +43,7 @@ void ApplyRedoToPage(Slice redo_payload, uint64_t lsn, std::string* image) {
   // engine under group commit, and must all be applied.
   switch (rec.type) {
     case RedoType::kPutRow: {
-      Status s = page.PutRow(rec.slot, Slice(rec.row));
+      Status s = page.PutRow(rec.slot, rec.row);
       if (!s.ok()) {
         VEDB_LOG(kWarn, "redo PutRow failed: %s", s.ToString().c_str());
       }

@@ -20,12 +20,16 @@ enum class RedoType : uint8_t {
   kDeleteRow = 2,  // tombstone a slot
 };
 
+/// One REDO record. `row` (the encoded row bytes; empty for deletes) is
+/// borrowed: a decoded record points into the payload it was parsed from,
+/// and a record being encoded points at the caller's bytes. Either way the
+/// bytes must outlive the record.
 struct RedoRecord {
   RedoType type = RedoType::kPutRow;
   SpaceId space = 0;
   PageNo page_no = 0;
   uint16_t slot = 0;
-  std::string row;  // encoded row bytes (empty for deletes)
+  Slice row;
 
   uint64_t page_key() const { return PackPageKey(space, page_no); }
 

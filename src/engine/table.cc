@@ -61,10 +61,9 @@ bool Table::LookupRid(const std::string& pk, Rid* rid) const {
   return true;
 }
 
-Status Table::EnsureEntry(Txn* txn, const std::string& pk,
+Status Table::EnsureEntry(Txn* txn, std::string&& pk,
                           Txn::OverlayEntry** entry_out) {
-  auto key = std::make_pair(this, pk);
-  auto it = txn->overlay_.find(key);
+  auto it = txn->overlay_.find(std::pair<Table*, std::string_view>(this, pk));
   if (it != txn->overlay_.end()) {
     *entry_out = &it->second;
     return Status::OK();
@@ -72,15 +71,26 @@ Status Table::EnsureEntry(Txn* txn, const std::string& pk,
   VEDB_RETURN_IF_ERROR(engine_->locks_.Lock(txn->id(), space_, pk));
   Txn::OverlayEntry entry;
   Rid rid;
-  if (LookupRid(pk, &rid)) {
+  bool found;
+  bool indexed;
+  {
+    vedb::MutexLock lk(&mu_);
+    auto pit = pk_index_.find(pk);
+    found = pit != pk_index_.end();
+    if (found) rid = pit->second;
+    indexed = !sec_indexes_.empty();
+  }
+  if (found) {
     VEDB_ASSIGN_OR_RETURN(Row row, engine_->ReadRowAt(space_, rid));
     entry.has_committed = true;
     entry.committed_rid = rid;
-    entry.committed_row = row;
+    if (indexed) entry.committed_row = row;
     entry.current = std::move(row);
   }
-  auto [ins, added] = txn->overlay_.emplace(key, std::move(entry));
-  if (added) txn->touch_order_.push_back(key);
+  auto ins =
+      txn->overlay_.emplace(std::pair(this, std::move(pk)), std::move(entry))
+          .first;
+  txn->touch_order_.push_back(&*ins);
   *entry_out = &ins->second;
   return Status::OK();
 }
@@ -90,9 +100,8 @@ Status Table::Insert(Txn* txn, const Row& row) {
     return Status::InvalidArgument("row arity mismatch for " + name_);
   }
   engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
-  const std::string pk = PkOf(schema_, row);
   Txn::OverlayEntry* entry = nullptr;
-  VEDB_RETURN_IF_ERROR(EnsureEntry(txn, pk, &entry));
+  VEDB_RETURN_IF_ERROR(EnsureEntry(txn, PkOf(schema_, row), &entry));
   if (entry->current.has_value()) {
     return Status::AlreadyExists("duplicate PK in " + name_);
   }
@@ -104,9 +113,8 @@ Status Table::Insert(Txn* txn, const Row& row) {
 Status Table::Update(Txn* txn, const std::vector<Value>& pk_values,
                      const std::function<void(Row*)>& mutator) {
   engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
-  const std::string pk = MakeKey(pk_values);
   Txn::OverlayEntry* entry = nullptr;
-  VEDB_RETURN_IF_ERROR(EnsureEntry(txn, pk, &entry));
+  VEDB_RETURN_IF_ERROR(EnsureEntry(txn, MakeKey(pk_values), &entry));
   if (!entry->current.has_value()) {
     return Status::NotFound("no row for PK in " + name_);
   }
@@ -117,9 +125,8 @@ Status Table::Update(Txn* txn, const std::vector<Value>& pk_values,
 
 Status Table::Delete(Txn* txn, const std::vector<Value>& pk_values) {
   engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
-  const std::string pk = MakeKey(pk_values);
   Txn::OverlayEntry* entry = nullptr;
-  VEDB_RETURN_IF_ERROR(EnsureEntry(txn, pk, &entry));
+  VEDB_RETURN_IF_ERROR(EnsureEntry(txn, MakeKey(pk_values), &entry));
   if (!entry->current.has_value()) {
     return Status::NotFound("no row for PK in " + name_);
   }
@@ -132,7 +139,8 @@ Result<Row> Table::Get(Txn* txn, const std::vector<Value>& pk_values) {
   engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
   const std::string pk = MakeKey(pk_values);
   if (txn != nullptr) {
-    auto it = txn->overlay_.find({this, pk});
+    auto it =
+        txn->overlay_.find(std::pair<Table*, std::string_view>(this, pk));
     if (it != txn->overlay_.end()) {
       if (!it->second.current.has_value()) {
         return Status::NotFound("row deleted in this transaction");
@@ -219,10 +227,9 @@ void Table::ApplyIndexDelete(const std::string& pk, const Row& old_row) {
   }
 }
 
-void Table::ApplyIndexUpdate(const std::string& pk, const Rid& rid,
-                             const Row& old_row, const Row& new_row) {
+void Table::ApplyIndexUpdate(const std::string& pk, const Row& old_row,
+                             const Row& new_row) {
   vedb::MutexLock lk(&mu_);
-  pk_index_[pk] = rid;
   for (auto& [name, idx] : sec_indexes_) {
     const std::string old_key = SecKeyOf(idx.columns, old_row);
     const std::string new_key = SecKeyOf(idx.columns, new_row);

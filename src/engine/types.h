@@ -5,7 +5,10 @@
 #define VEDB_ENGINE_TYPES_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -131,6 +134,26 @@ struct Schema {
 std::string PkOf(const Schema& schema, const Row& row);
 /// Builds the sortable encoding of explicit key values.
 std::string MakeKey(const std::vector<Value>& key_values);
+
+/// Hash and equality for hash maps keyed by a (tag, key string) pair, such
+/// as (space, PK). Both also take a (tag, std::string_view) probe, so a
+/// lookup copies no key.
+struct TaggedKeyHash {
+  using is_transparent = void;
+  template <typename Tag, typename Str>
+  size_t operator()(const std::pair<Tag, Str>& k) const {
+    return std::hash<std::string_view>()(k.second) * 31 +
+           std::hash<Tag>()(k.first);
+  }
+};
+struct TaggedKeyEq {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return a.first == b.first &&
+           std::string_view(a.second) == std::string_view(b.second);
+  }
+};
 
 }  // namespace vedb::engine
 

@@ -114,7 +114,10 @@ Status GroupCommitter::Submit(Item item, Duration wait_timeout) {
 }
 
 std::string EncodeBatchPayload(const std::vector<Slice>& payloads) {
+  size_t bound = 5;  // varint32 count
+  for (const Slice& p : payloads) bound += 5 + p.size();
   std::string out;
+  out.reserve(bound);
   PutVarint32(&out, static_cast<uint32_t>(payloads.size()));
   for (const Slice& p : payloads) {
     PutLengthPrefixedSlice(&out, p);

@@ -28,14 +28,29 @@ obs::TraceContext StripEnvelope(Slice* enveloped) {
   return ctx;
 }
 
-void RecordCall(const std::string& service, Duration latency) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  reg.GetCounter("net.rpc.calls", {{"service", service}})->Add(1);
-  reg.GetHistogram("net.rpc.latency_ns", {{"service", service}})
-      ->Observe(latency);
-}
-
 }  // namespace
+
+void RpcTransport::RecordCall(const std::string& service, Duration latency) {
+  ServiceMetrics m;
+  {
+    vedb::MutexLock lk(&mu_);
+    auto it = metrics_.find(service);
+    if (it == metrics_.end()) {
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+      it = metrics_
+               .emplace(service,
+                        ServiceMetrics{
+                            reg.GetCounter("net.rpc.calls",
+                                           {{"service", service}}),
+                            reg.GetHistogram("net.rpc.latency_ns",
+                                             {{"service", service}})})
+               .first;
+    }
+    m = it->second;
+  }
+  m.calls->Add(1);
+  m.latency_ns->Observe(latency);
+}
 
 void RpcTransport::RegisterService(sim::SimNode* node,
                                    const std::string& service,

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/random.h"
@@ -17,6 +18,11 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "sim/env.h"
+
+namespace vedb::obs {
+class Counter;
+class HistogramMetric;
+}  // namespace vedb::obs
 
 namespace vedb::net {
 
@@ -114,7 +120,15 @@ class RpcTransport {
                                    int required_acks = 0);
 
  private:
+  /// Per-service metric handles, resolved on a service's first call.
+  struct ServiceMetrics {
+    obs::Counter* calls;
+    obs::HistogramMetric* latency_ns;
+  };
+
   Duration SchedJitter();
+  /// Counts one call to `service` that took `latency`.
+  void RecordCall(const std::string& service, Duration latency);
 
   sim::SimEnvironment* env_;
   Options options_;
@@ -124,6 +138,7 @@ class RpcTransport {
       GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, TimedRpcHandler>
       timed_services_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, ServiceMetrics> metrics_ GUARDED_BY(mu_);
 };
 
 }  // namespace vedb::net

@@ -42,21 +42,25 @@ PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
   // Register per-(node, shard-replica) services. Service names carry the
   // shard & replica index so one node can host several shards.
   for (int s = 0; s < options_.num_shards; ++s) {
+    Shard* shard = shards_[s].get();
     for (int r = 0; r < options_.replication; ++r) {
-      sim::SimNode* node = shards_[s]->nodes[r];
+      sim::SimNode* node = shard->nodes[r];
       const std::string suffix =
           "." + std::to_string(s) + "." + std::to_string(r);
+      shard->ship_service.push_back("ps.ship" + suffix);
+      shard->read_service.push_back("ps.read_page" + suffix);
+      shard->fetch_service.push_back("ps.fetch" + suffix);
       rpc_->RegisterTimedService(
-          node, "ps.ship" + suffix,
+          node, shard->ship_service[r],
           [this, s, r](Slice req, std::string* resp, Timestamp start,
                        Timestamp* done) {
             return HandleShip(s, r, req, resp, start, done);
           });
-      rpc_->RegisterService(node, "ps.read_page" + suffix,
+      rpc_->RegisterService(node, shard->read_service[r],
                             [this, s, r](Slice req, std::string* resp) {
                               return HandleReadPage(s, r, req, resp);
                             });
-      rpc_->RegisterService(node, "ps.fetch" + suffix,
+      rpc_->RegisterService(node, shard->fetch_service[r],
                             [this, s, r](Slice req, std::string* resp) {
                               return HandleFetch(s, r, req, resp);
                             });
@@ -75,15 +79,54 @@ const std::vector<sim::SimNode*>& PageStoreCluster::ReplicaNodes(
   return shards_[shard]->nodes;
 }
 
-void PageStoreCluster::InsertRecordsLocked(
-    ShardReplica* rep,
-    const std::vector<std::pair<uint64_t, StoredRecord>>& records) {
-  for (const auto& [seq, rec] : records) {
-    rep->records[seq] = rec;
+bool PageStoreCluster::DecodeRecords(Slice in, std::vector<SeqRecord>* out) {
+  Slice raw;
+  if (!GetFixedBytes(&in, 4, &raw)) return false;
+  const uint32_t count = DecodeFixed32(raw.data());
+  out->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    if (!GetFixedBytes(&in, 8, &raw)) return false;
+    const uint64_t seq = DecodeFixed64(raw.data());
+    StoredRecord rec;
+    rec.present = true;
+    if (!GetFixedBytes(&in, 8, &raw)) return false;
+    rec.lsn = DecodeFixed64(raw.data());
+    if (!GetFixedBytes(&in, 8, &raw)) return false;
+    rec.page_key = DecodeFixed64(raw.data());
+    Slice payload;
+    if (!GetLengthPrefixedSlice(&in, &payload)) return false;
+    rec.payload.assign(payload.data(), payload.size());
+    out->emplace_back(seq, std::move(rec));
+  }
+  return true;
+}
+
+const PageStoreCluster::StoredRecord* PageStoreCluster::FindLocked(
+    const ShardReplica* rep, uint64_t seq) {
+  if (seq < rep->first_seq) return nullptr;
+  const uint64_t idx = seq - rep->first_seq;
+  if (idx >= rep->records.size() || !rep->records[idx].present) {
+    return nullptr;
+  }
+  return &rep->records[idx];
+}
+
+void PageStoreCluster::InsertRecordsLocked(ShardReplica* rep,
+                                           std::vector<SeqRecord>&& records) {
+  for (auto& [seq, rec] : records) {
+    // A late duplicate of a record already dropped from the front is kept
+    // like any other arrival: grow the deque backwards to reach its slot.
+    while (seq < rep->first_seq) {
+      rep->records.emplace_front();
+      rep->first_seq--;
+    }
+    const uint64_t idx = seq - rep->first_seq;
+    if (idx >= rep->records.size()) rep->records.resize(idx + 1);
+    rep->records[idx] = std::move(rec);
     rep->max_seen_seq = std::max(rep->max_seen_seq, seq);
   }
   // Dense chain: advance over every present successor.
-  while (rep->records.count(rep->contiguous_seq + 1) != 0) {
+  while (FindLocked(rep, rep->contiguous_seq + 1) != nullptr) {
     rep->contiguous_seq++;
   }
 }
@@ -93,17 +136,16 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(ShardReplica* rep) {
   // of the applied records is charged by the caller after unlocking.
   uint64_t applied = 0;
   while (rep->applied_seq < rep->contiguous_seq) {
-    auto it = rep->records.find(rep->applied_seq + 1);
-    if (it == rep->records.end()) {
+    const StoredRecord* rec = FindLocked(rep, rep->applied_seq + 1);
+    if (rec == nullptr) {
       // Truncated below: the record was already applied and GCed.
       rep->applied_seq++;
       continue;
     }
-    PageImage& img = rep->pages[it->second.page_key];
-    apply_(it->second.page_key, Slice(it->second.payload), it->second.lsn,
-           &img.bytes);
-    if (it->second.lsn > img.lsn) img.lsn = it->second.lsn;
-    rep->applied_lsn = std::max(rep->applied_lsn, it->second.lsn);
+    PageImage& img = rep->pages[rec->page_key];
+    apply_(rec->page_key, Slice(rec->payload), rec->lsn, &img.bytes);
+    if (rec->lsn > img.lsn) img.lsn = rec->lsn;
+    rep->applied_lsn = std::max(rep->applied_lsn, rec->lsn);
     rep->applied_seq++;
     applied++;
   }
@@ -118,42 +160,19 @@ Status PageStoreCluster::HandleShip(int shard, int replica_idx, Slice request,
   VEDB_RETURN_IF_ERROR(env_->faults()->MaybeFail("ps.ship"));
   ShardReplica* rep = shards_[shard]->replicas[replica_idx].get();
 
-  Slice raw;
-  if (!GetFixedBytes(&request, 4, &raw)) {
+  std::vector<SeqRecord> records;
+  if (!DecodeRecords(request, &records)) {
     return Status::InvalidArgument("ship batch");
   }
-  const uint32_t count = DecodeFixed32(raw.data());
-  std::vector<std::pair<uint64_t, StoredRecord>> records;
-  records.reserve(count);
   uint64_t total_bytes = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!GetFixedBytes(&request, 8, &raw)) {
-      return Status::InvalidArgument("ship batch");
-    }
-    const uint64_t seq = DecodeFixed64(raw.data());
-    StoredRecord rec;
-    if (!GetFixedBytes(&request, 8, &raw)) {
-      return Status::InvalidArgument("ship batch");
-    }
-    rec.lsn = DecodeFixed64(raw.data());
-    if (!GetFixedBytes(&request, 8, &raw)) {
-      return Status::InvalidArgument("ship batch");
-    }
-    rec.page_key = DecodeFixed64(raw.data());
-    Slice payload;
-    if (!GetLengthPrefixedSlice(&request, &payload)) {
-      return Status::InvalidArgument("ship batch");
-    }
-    rec.payload = payload.ToString();
-    total_bytes += payload.size();
-    records.emplace_back(seq, std::move(rec));
-  }
+  for (const auto& [seq, rec] : records) total_bytes += rec.payload.size();
 
   // Records are persisted (SSD) before acking.
-  *done = rep->node->storage()->SubmitAt(start, total_bytes + 64 * count);
+  *done = rep->node->storage()->SubmitAt(start,
+                                         total_bytes + 64 * records.size());
   {
     vedb::MutexLock lk(&rep->mu);
-    InsertRecordsLocked(rep, records);
+    InsertRecordsLocked(rep, std::move(records));
   }
   response->clear();
   return Status::OK();
@@ -164,13 +183,14 @@ Status PageStoreCluster::ShipRecords(
   if (records.empty()) return Status::OK();
 
   // Group by shard and stamp chain sequence numbers under the shard's ship
-  // lock so the per-shard chain stays dense and in ship order.
+  // lock so the per-shard chain stays dense and in ship order. Each
+  // request starts with a 4-byte record count, filled in below.
   struct ShardBatch {
     std::string request;  // encoded incrementally
     uint32_t count = 0;
     uint64_t max_lsn = 0;
   };
-  std::map<int, ShardBatch> batches;
+  std::vector<ShardBatch> batches(options_.num_shards);
   for (const auto& rec : records) {
     const int s = ShardOf(rec.page_key);
     ShardBatch& batch = batches[s];
@@ -181,6 +201,7 @@ Status PageStoreCluster::ShipRecords(
       seq = shard->next_seq++;
       shard->last_shipped_lsn = std::max(shard->last_shipped_lsn, rec.lsn);
     }
+    if (batch.count == 0) batch.request.assign(4, '\0');
     PutFixed64(&batch.request, seq);
     PutFixed64(&batch.request, rec.lsn);
     PutFixed64(&batch.request, rec.page_key);
@@ -189,29 +210,32 @@ Status PageStoreCluster::ShipRecords(
     batch.max_lsn = std::max(batch.max_lsn, rec.lsn);
   }
 
-  // One scatter covering every (shard, replica) pair; we wait for all calls
-  // but tolerate per-replica failures as long as each shard has a quorum.
+  // One scatter covering every (shard, replica) pair, in shard order; we
+  // wait for all calls but tolerate per-replica failures as long as each
+  // shard has a quorum.
   std::vector<net::RpcTransport::ScatterCall> calls;
   std::vector<int> call_shard;
-  for (auto& [s, batch] : batches) {
-    std::string req;
-    PutFixed32(&req, batch.count);
-    req += batch.request;
+  for (int s = 0; s < options_.num_shards; ++s) {
+    ShardBatch& batch = batches[s];
+    if (batch.count == 0) continue;
+    EncodeFixed32(batch.request.data(), batch.count);
     for (int r = 0; r < options_.replication; ++r) {
-      calls.push_back({shards_[s]->nodes[r],
-                       "ps.ship." + std::to_string(s) + "." +
-                           std::to_string(r),
-                       req});
+      calls.push_back({shards_[s]->nodes[r], shards_[s]->ship_service[r],
+                       r + 1 == options_.replication
+                           ? std::move(batch.request)
+                           : batch.request});
       call_shard.push_back(s);
     }
   }
   auto statuses = rpc_->CallScatter(client, calls, nullptr, /*acks=*/0);
 
-  std::map<int, int> acks;
+  std::vector<int> acks(options_.num_shards, 0);
   for (size_t i = 0; i < statuses.size(); ++i) {
     if (statuses[i].ok()) acks[call_shard[i]]++;
   }
-  for (auto& [s, batch] : batches) {
+  for (int s = 0; s < options_.num_shards; ++s) {
+    const ShardBatch& batch = batches[s];
+    if (batch.count == 0) continue;
     if (acks[s] < options_.write_quorum) {
       return Status::Unavailable("PageStore shard " + std::to_string(s) +
                                  " lost its quorum");
@@ -246,9 +270,11 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
   {
     vedb::MutexLock lk(&rep->mu);
     uint64_t reachable_lsn = rep->applied_lsn;
-    for (auto it = rep->records.upper_bound(rep->applied_seq);
-         it != rep->records.end() && it->first <= rep->contiguous_seq; ++it) {
-      reachable_lsn = std::max(reachable_lsn, it->second.lsn);
+    for (uint64_t seq = rep->applied_seq + 1; seq <= rep->contiguous_seq;
+         ++seq) {
+      if (const StoredRecord* rec = FindLocked(rep, seq)) {
+        reachable_lsn = std::max(reachable_lsn, rec->lsn);
+      }
     }
     need_gossip = reachable_lsn < min_lsn;
   }
@@ -298,14 +324,13 @@ Status PageStoreCluster::ReadPage(sim::SimNode* client, PageKey key,
     sim::SimNode* node = shard->nodes[r];
     if (!node->alive()) continue;
     std::string resp;
-    const std::string service =
-        "ps.read_page." + std::to_string(s) + "." + std::to_string(r);
     net::RpcCallOptions call_opts;
     if (options_.read_attempt_deadline != 0) {
       call_opts.deadline =
           env_->clock()->Now() + options_.read_attempt_deadline;
     }
-    last = rpc_->Call(client, node, service, Slice(req), &resp, call_opts);
+    last = rpc_->Call(client, node, shard->read_service[r], Slice(req), &resp,
+                      call_opts);
     if (last.ok()) {
       if (resp.size() < 8) return Status::Corruption("bad page response");
       if (image_lsn != nullptr) *image_lsn = DecodeFixed64(resp.data());
@@ -332,12 +357,15 @@ Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
   std::string body;
   {
     vedb::MutexLock lk(&rep->mu);
-    for (auto it = rep->records.upper_bound(after); it != rep->records.end();
-         ++it) {
-      PutFixed64(&body, it->first);
-      PutFixed64(&body, it->second.lsn);
-      PutFixed64(&body, it->second.page_key);
-      PutLengthPrefixedSlice(&body, Slice(it->second.payload));
+    const uint64_t end_seq = rep->first_seq + rep->records.size();
+    for (uint64_t seq = std::max(after + 1, rep->first_seq); seq < end_seq;
+         ++seq) {
+      const StoredRecord& rec = rep->records[seq - rep->first_seq];
+      if (!rec.present) continue;
+      PutFixed64(&body, seq);
+      PutFixed64(&body, rec.lsn);
+      PutFixed64(&body, rec.page_key);
+      PutLengthPrefixedSlice(&body, Slice(rec.payload));
       count++;
     }
   }
@@ -361,33 +389,18 @@ bool PageStoreCluster::GossipCatchUp(int shard, int replica_idx) {
     if (!peer->alive()) continue;
     std::string req, resp;
     PutFixed64(&req, after);
-    const std::string service =
-        "ps.fetch." + std::to_string(shard) + "." + std::to_string(r);
-    if (!rpc_->Call(rep->node, peer, service, Slice(req), &resp).ok()) {
+    if (!rpc_->Call(rep->node, peer, shards_[shard]->fetch_service[r],
+                    Slice(req), &resp)
+             .ok()) {
       continue;
     }
-    Slice in(resp);
-    Slice raw;
-    if (!GetFixedBytes(&in, 4, &raw)) continue;
-    const uint32_t count = DecodeFixed32(raw.data());
-    std::vector<std::pair<uint64_t, StoredRecord>> records;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!GetFixedBytes(&in, 8, &raw)) break;
-      const uint64_t seq = DecodeFixed64(raw.data());
-      StoredRecord rec;
-      if (!GetFixedBytes(&in, 8, &raw)) break;
-      rec.lsn = DecodeFixed64(raw.data());
-      if (!GetFixedBytes(&in, 8, &raw)) break;
-      rec.page_key = DecodeFixed64(raw.data());
-      Slice payload;
-      if (!GetLengthPrefixedSlice(&in, &payload)) break;
-      rec.payload = payload.ToString();
-      records.emplace_back(seq, std::move(rec));
-    }
+    std::vector<SeqRecord> records;
+    // discard-ok: a cut-short response still fills the holes it covers.
+    (void)DecodeRecords(Slice(resp), &records);
     if (!records.empty()) {
       vedb::MutexLock lk(&rep->mu);
       const uint64_t before = rep->contiguous_seq;
-      InsertRecordsLocked(rep, records);
+      InsertRecordsLocked(rep, std::move(records));
       if (rep->contiguous_seq > before) {
         progressed = true;
         gossip_fills_.fetch_add(1);
@@ -494,15 +507,37 @@ void PageStoreCluster::TruncateBelow(uint64_t lsn) {
     for (auto& rep : shard->replicas) {
       vedb::MutexLock lk(&rep->mu);
       // Only applied records may be dropped.
-      for (auto it = rep->records.begin(); it != rep->records.end();) {
-        if (it->first <= rep->applied_seq && it->second.lsn < lsn) {
-          it = rep->records.erase(it);
-        } else {
-          ++it;
-        }
+      const uint64_t end_seq = rep->first_seq + rep->records.size();
+      for (uint64_t seq = rep->first_seq;
+           seq <= rep->applied_seq && seq < end_seq; ++seq) {
+        StoredRecord& rec = rep->records[seq - rep->first_seq];
+        if (rec.present && rec.lsn < lsn) rec = StoredRecord();
+      }
+      // Release the dropped prefix.
+      while (!rep->records.empty() && !rep->records.front().present &&
+             rep->first_seq <= rep->applied_seq) {
+        rep->records.pop_front();
+        rep->first_seq++;
       }
     }
   }
+}
+
+std::vector<uint64_t> PageStoreCluster::RetainedRecords(int shard,
+                                                        int replica) const {
+  ShardReplica* rep = shards_[shard]->replicas[replica].get();
+  vedb::MutexLock lk(&rep->mu);
+  std::vector<uint64_t> seqs;
+  for (size_t i = 0; i < rep->records.size(); ++i) {
+    if (rep->records[i].present) seqs.push_back(rep->first_seq + i);
+  }
+  return seqs;
+}
+
+uint64_t PageStoreCluster::ContiguousSeq(int shard, int replica) const {
+  ShardReplica* rep = shards_[shard]->replicas[replica].get();
+  vedb::MutexLock lk(&rep->mu);
+  return rep->contiguous_seq;
 }
 
 void PageStoreCluster::BackgroundLoop(sim::SimNode* node) {

@@ -20,11 +20,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -133,6 +134,12 @@ class PageStoreCluster {
   /// Test/metrics hooks.
   uint64_t GossipFillCount() const { return gossip_fills_.load(); }
   uint64_t AppliedRecordCount() const { return applied_records_.load(); }
+  /// Chain sequence numbers of the records replica `replica` of `shard`
+  /// still holds, ascending.
+  std::vector<uint64_t> RetainedRecords(int shard, int replica) const;
+  /// Replica `replica` of `shard`: every record up to this sequence number
+  /// has arrived (the contiguity watermark).
+  uint64_t ContiguousSeq(int shard, int replica) const;
 
  private:
   struct PageImage {
@@ -141,18 +148,24 @@ class PageStoreCluster {
   };
 
   struct StoredRecord {
+    /// False for a hole (not yet received) or a truncated record.
+    bool present = false;
     uint64_t lsn = 0;
     PageKey page_key = 0;
     std::string payload;
   };
+  /// A decoded record with its chain sequence number.
+  using SeqRecord = std::pair<uint64_t, StoredRecord>;
 
-  /// One replica of one shard, resident on a node. Records are keyed by
-  /// their dense chain sequence number.
+  /// One replica of one shard, resident on a node. The chain is dense, so
+  /// records sit in a deque indexed by sequence number: slot i holds
+  /// sequence number first_seq + i.
   struct ShardReplica {
     vedb::Mutex mu{"pagestore.replica"};
     sim::SimNode* node = nullptr;
-    // by chain seq (1-based)
-    std::map<uint64_t, StoredRecord> records GUARDED_BY(mu);
+    std::deque<StoredRecord> records GUARDED_BY(mu);
+    // chain seq (1-based) of records.front()
+    uint64_t first_seq GUARDED_BY(mu) = 1;
     // all seqs <= this are present
     uint64_t contiguous_seq GUARDED_BY(mu) = 0;
     // largest seq ever received
@@ -161,12 +174,16 @@ class PageStoreCluster {
     uint64_t applied_seq GUARDED_BY(mu) = 0;
     // lsn of the last applied record
     uint64_t applied_lsn GUARDED_BY(mu) = 0;
-    std::map<PageKey, PageImage> pages GUARDED_BY(mu);
+    std::unordered_map<PageKey, PageImage> pages GUARDED_BY(mu);
   };
 
   struct Shard {
     std::vector<sim::SimNode*> nodes;
     std::vector<std::unique_ptr<ShardReplica>> replicas;
+    // Per-replica RPC service names ("ps.ship.<shard>.<replica>" ...).
+    std::vector<std::string> ship_service;
+    std::vector<std::string> read_service;
+    std::vector<std::string> fetch_service;
     // Storage-SDK-side bookkeeping: chain sequence allocation and the
     // quorum-acked high-water mark.
     mutable vedb::Mutex ship_mu{"pagestore.ship"};
@@ -182,10 +199,17 @@ class PageStoreCluster {
   Status HandleFetch(int shard, int replica_idx, Slice request,
                      std::string* response);
 
-  /// Inserts records and advances the contiguity watermark.
-  void InsertRecordsLocked(
-      ShardReplica* rep,
-      const std::vector<std::pair<uint64_t, StoredRecord>>& records)
+  /// Decodes a count-prefixed run of {seq, lsn, page_key, payload}
+  /// records (the ship request and fetch response body). Returns false on
+  /// a malformed buffer; `out` then holds the records before the fault.
+  static bool DecodeRecords(Slice in, std::vector<SeqRecord>* out);
+
+  /// The record with chain sequence number `seq`, or null if absent.
+  static const StoredRecord* FindLocked(const ShardReplica* rep, uint64_t seq)
+      REQUIRES(rep->mu);
+
+  /// Moves records in and advances the contiguity watermark.
+  void InsertRecordsLocked(ShardReplica* rep, std::vector<SeqRecord>&& records)
       REQUIRES(rep->mu);
 
   /// Applies contiguous unapplied records; returns how many were applied.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "net/rpc.h"
@@ -42,6 +44,55 @@ class PageStoreTest : public ::testing::Test {
 
   RedoShipRecord Rec(PageKey key, uint64_t lsn, const std::string& payload) {
     return RedoShipRecord{key, lsn, payload};
+  }
+
+  /// A page key that lands in `shard`.
+  PageKey KeyInShard(int shard) {
+    PageKey key = 0;
+    while (store_->ShardOf(key) != shard) key++;
+    return key;
+  }
+
+  /// One record of a hand-built ship request: {seq, lsn, payload}.
+  struct Wire {
+    uint64_t seq;
+    uint64_t lsn;
+    std::string payload;
+  };
+
+  /// Sends `records` for `key`, in the given order, straight to one
+  /// replica's ship service (bypassing ShipRecords' sequence stamping).
+  void ShipRaw(int shard, int replica, PageKey key,
+               const std::vector<Wire>& records) {
+    std::string req;
+    PutFixed32(&req, static_cast<uint32_t>(records.size()));
+    for (const Wire& w : records) {
+      PutFixed64(&req, w.seq);
+      PutFixed64(&req, w.lsn);
+      PutFixed64(&req, key);
+      PutLengthPrefixedSlice(&req, Slice(w.payload));
+    }
+    auto statuses = rpc_->CallParallel(
+        client_, {store_->ReplicaNodes(shard)[replica]},
+        "ps.ship." + std::to_string(shard) + "." + std::to_string(replica),
+        Slice(req), nullptr);
+    ASSERT_TRUE(statuses[0].ok());
+  }
+
+  /// Applies what replica `replica` of `shard` can and returns its image.
+  std::string LocalImage(int shard, int replica, PageKey key) {
+    std::string image;
+    Status s = store_->ReadLocalPage(store_->ReplicaNodes(shard)[replica],
+                                     key, &image);
+    return s.ok() ? image : "<" + s.ToString() + ">";
+  }
+
+  /// Runs the background apply/gossip actors for `d` of virtual time.
+  void RunBackground(Duration d) {
+    sim::ActorGroup group(env_.clock());
+    store_->StartBackground(&group);
+    env_.clock()->SleepFor(d);
+    store_->Shutdown();
   }
 
   sim::SimEnvironment env_;
@@ -153,6 +204,85 @@ TEST_F(PageStoreTest, TruncateDropsOnlyAppliedRecords) {
   // The page image must remain readable after record GC.
   ASSERT_TRUE(store_->ReadPage(client_, 9, &image, nullptr).ok());
   EXPECT_EQ(image, "ab");
+}
+
+TEST_F(PageStoreTest, OutOfOrderBatchStopsAtTheHoleUntilGossipFillsIt) {
+  const PageKey key = KeyInShard(1);
+  // Replica 0 receives seqs 3 and 1 (out of order); seq 2 is missing.
+  ShipRaw(1, 0, key, {{3, 30, "c"}, {1, 10, "a"}});
+  EXPECT_EQ(store_->ContiguousSeq(1, 0), 1u);
+  EXPECT_EQ(store_->RetainedRecords(1, 0), (std::vector<uint64_t>{1, 3}));
+  EXPECT_EQ(LocalImage(1, 0, key), "a");  // apply stops at the hole
+
+  // A peer holds the whole chain; gossip fills the hole and apply catches
+  // up past it.
+  ShipRaw(1, 1, key, {{1, 10, "a"}, {2, 20, "b"}, {3, 30, "c"}});
+  RunBackground(100 * kMillisecond);
+  EXPECT_EQ(store_->ContiguousSeq(1, 0), 3u);
+  EXPECT_GT(store_->GossipFillCount(), 0u);
+  EXPECT_EQ(LocalImage(1, 0, key), "abc");
+}
+
+TEST_F(PageStoreTest, TruncateReleasesTheAppliedPrefixOnly) {
+  const PageKey key = KeyInShard(2);
+  ASSERT_TRUE(store_->ShipRecords(client_, {Rec(key, 1, "a"), Rec(key, 2, "b"),
+                                            Rec(key, 3, "c")})
+                  .ok());
+  // Only replica 0 applies; replicas 1 and 2 keep their records unapplied.
+  EXPECT_EQ(LocalImage(2, 0, key), "abc");
+  store_->TruncateBelow(3);
+  EXPECT_EQ(store_->RetainedRecords(2, 0), (std::vector<uint64_t>{3}));
+  EXPECT_EQ(store_->RetainedRecords(2, 1), (std::vector<uint64_t>{1, 2, 3}));
+  store_->TruncateBelow(100);
+  EXPECT_TRUE(store_->RetainedRecords(2, 0).empty());
+  EXPECT_EQ(store_->RetainedRecords(2, 2), (std::vector<uint64_t>{1, 2, 3}));
+  // Truncation never loses state: every replica still serves the page.
+  for (int r = 0; r < 3; ++r) EXPECT_EQ(LocalImage(2, r, key), "abc");
+  store_->TruncateBelow(100);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_TRUE(store_->RetainedRecords(2, r).empty());
+  }
+}
+
+TEST_F(PageStoreTest, LaggardFetchingAfterPeerTruncationGetsOnlyRetained) {
+  const int shard = 3;
+  const PageKey key = KeyInShard(shard);
+  const int lagging = (2 - shard % 3 + 3) % 3;  // the replica on nodes_[2]
+  ASSERT_EQ(store_->ReplicaNodes(shard)[lagging], nodes_[2]);
+  nodes_[2]->SetAlive(false);
+  ASSERT_TRUE(store_->ShipRecords(client_, {Rec(key, 1, "a"), Rec(key, 2, "b"),
+                                            Rec(key, 3, "c")})
+                  .ok());
+  for (int r = 0; r < 3; ++r) {
+    if (r == lagging) continue;
+    EXPECT_EQ(LocalImage(shard, r, key), "abc");
+  }
+  store_->TruncateBelow(3);  // peers keep only seq 3
+  nodes_[2]->SetAlive(true);
+  RunBackground(100 * kMillisecond);
+  EXPECT_EQ(store_->RetainedRecords(shard, lagging),
+            (std::vector<uint64_t>{3}));
+  EXPECT_EQ(store_->ContiguousSeq(shard, lagging), 0u);
+  EXPECT_EQ(LocalImage(shard, lagging, key),
+            "<NotFound: no such page on this replica>");
+}
+
+TEST_F(PageStoreTest, ApplySkipsTruncatedSequenceNumbers) {
+  const PageKey key = KeyInShard(0);
+  ShipRaw(0, 0, key, {{1, 1, "a"}, {2, 2, "b"}, {3, 3, "c"}});
+  EXPECT_EQ(LocalImage(0, 0, key), "abc");
+  store_->TruncateBelow(100);
+  EXPECT_TRUE(store_->RetainedRecords(0, 0).empty());
+  // A late duplicate of truncated seq 2 arrives with the next record; apply
+  // resumes after seq 3 and never replays the duplicate.
+  ShipRaw(0, 0, key, {{2, 2, "b"}, {4, 4, "d"}});
+  EXPECT_EQ(store_->RetainedRecords(0, 0), (std::vector<uint64_t>{2, 4}));
+  EXPECT_EQ(store_->ContiguousSeq(0, 0), 4u);
+  EXPECT_EQ(LocalImage(0, 0, key), "abcd");
+  store_->TruncateBelow(100);
+  EXPECT_TRUE(store_->RetainedRecords(0, 0).empty());
+  ShipRaw(0, 0, key, {{5, 5, "e"}});
+  EXPECT_EQ(LocalImage(0, 0, key), "abcde");
 }
 
 TEST_F(PageStoreTest, ShardingSpreadsPages) {
