@@ -23,7 +23,7 @@
 #   4. naked-thread: no naked threads. std::thread / pthread_* are banned
 #      everywhere, src/sim included: every actor is a fiber on the clock's
 #      one OS thread (ActorGroup, VirtualCondition, vedb::Mutex), so the
-#      deterministic scheduler, the race detector, and the lock-order graph
+#      deterministic scheduler, the race detector, and the held-lock check
 #      see every actor and lock. A deliberate exception is waived with a
 #      `// thread-ok` comment on the same line.
 #
@@ -33,9 +33,16 @@
 #      switch; the clock switches fibers with its own register-only routine
 #      (src/sim/clock.cc). No waiver.
 #
+#   6. raw-mutex: a declared std::mutex (or another std::*mutex) is banned
+#      unless a `Waiver(thread-annotations)` comment on its line or within
+#      the three lines above says why it cannot be a vedb::Mutex. Only a
+#      vedb::Mutex carries the Clang thread-safety annotations and shows up
+#      in the clock's held-across-wait check. Mentions in comments and
+#      template arguments (std::lock_guard<std::mutex>) are not declarations.
+#
 # In addition, if clang-tidy is on PATH, it is run over src/ with the
 # repo's .clang-tidy config. Containers without clang-tidy (like the CI
-# sanitizer image) still get rules 1-5.
+# sanitizer image) still get rules 1-6.
 #
 # Usage:
 #   scripts/lint.sh                # lint the repo; exit 1 on any violation
@@ -141,10 +148,36 @@ lint: contexts through the sim clock's ActorGroup instead):"
   fi
 }
 
+# --- Rule 6: raw std::mutex needs a thread-annotations waiver --------------
+check_raw_mutex() {
+  local -a dirs=("$@")
+  local file rule_failed=0
+  while IFS= read -r file; do
+    awk -v file="$file" '
+      { lines[NR] = $0; code = $0; sub(/\/\/.*/, "", code) }
+      code ~ /std::[a-z_]*mutex[[:space:]]+[A-Za-z_]/ {
+        ok = 0
+        for (i = NR; i >= NR - 3 && i >= 1; i--) {
+          if (lines[i] ~ /Waiver\(thread-annotations\)/) { ok = 1; break }
+        }
+        if (!ok) {
+          printf "%s:%d: %s\n", file, NR, $0
+          bad = 1
+        }
+      }
+      END { exit bad }
+    ' "$file" >&2 || rule_failed=1
+  done < <(find "${dirs[@]}" \( -name '*.cc' -o -name '*.h' \) 2>/dev/null)
+  if [[ $rule_failed -ne 0 ]]; then
+    fail "raw std::mutex above — use vedb::Mutex (common/thread_annotations.h)" \
+         "or say why not in a '// Waiver(thread-annotations): <reason>' comment"
+  fi
+}
+
 # --- clang-tidy (optional: skipped when the toolchain lacks it) -------------
 run_clang_tidy() {
   if ! command -v clang-tidy >/dev/null 2>&1; then
-    note "lint: clang-tidy not found on PATH; skipping (rules 1-5 still ran)"
+    note "lint: clang-tidy not found on PATH; skipping (rules 1-6 still ran)"
     return 0
   fi
   if [[ ! -f build/compile_commands.json ]]; then
@@ -184,6 +217,10 @@ self_test() {
   check_ucontext_switch "$fx/ucontext"
   [[ $FAILED -eq 1 ]] || { echo "self-test: rule 5 did NOT trip" >&2; st=1; }
 
+  FAILED=0
+  check_raw_mutex "$fx/raw_mutex"
+  [[ $FAILED -eq 1 ]] || { echo "self-test: rule 6 did NOT trip" >&2; st=1; }
+
   # And none of them may trip on the clean fixture.
   FAILED=0
   check_pmem_raw_write "$fx/clean"
@@ -191,10 +228,11 @@ self_test() {
   check_status_discard "$fx/clean"
   check_naked_threads "$fx/clean"
   check_ucontext_switch "$fx/clean"
+  check_raw_mutex "$fx/clean"
   [[ $FAILED -eq 0 ]] || { echo "self-test: false positive on clean fixture" >&2; st=1; }
 
   if [[ $st -eq 0 ]]; then
-    echo "lint self-test: OK (5 rules trip on fixtures, clean file passes)"
+    echo "lint self-test: OK (6 rules trip on fixtures, clean file passes)"
   fi
   return $st
 }
@@ -210,6 +248,7 @@ check_pmem_api_bypass src
 check_status_discard src tests bench examples
 check_naked_threads src tests bench examples
 check_ucontext_switch src tests bench examples
+check_raw_mutex src tests bench examples
 run_clang_tidy
 
 if [[ $FAILED -eq 0 ]]; then

@@ -4,7 +4,6 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
-#include "sim/lock_order.h"
 
 namespace vedb::astore {
 
@@ -17,7 +16,6 @@ ClusterManager::ClusterManager(sim::SimEnvironment* env,
       options_(options),
       background_(env->clock()) {
   VEDB_CHECK(options_.node_id < 0x10000, "cm node_id must fit 16 bits");
-  sim::LockOrderGraph::RegisterContract("cm.repl", "cm.state");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   term_gauge_ = reg.GetGauge("cm.term", {{"node", node_->name()}});
   failovers_ = reg.GetCounter("cm.failovers", {{"node", node_->name()}});

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "obs/trace.h"
-#include "sim/lock_order.h"
 
 namespace vedb::astore {
 
@@ -20,8 +19,6 @@ Scrubber::Scrubber(sim::SimEnvironment* env, AStoreClient* client,
               qos::TokenBucket::Options{options.rate_bytes_per_sec,
                                         options.burst_bytes}),
       background_(env->clock()) {
-  sim::LockOrderGraph::RegisterContract("astore.scrub", "astore.server");
-  sim::LockOrderGraph::RegisterContract("astore.scrub", "cm.state");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const std::string node = server_->node()->name();
   chunks_ = reg.GetCounter("astore.scrub.chunks", {{"node", node}});

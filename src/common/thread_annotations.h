@@ -9,22 +9,21 @@
 //   std::map<SegmentId, Route> routes_ GUARDED_BY(mu_);
 //   void RebalanceLocked() REQUIRES(mu_);
 //
-// Dynamic half: vedb::Mutex is also the sim runtime's instrumentation point.
-// Every Lock/Unlock dispatches (one relaxed atomic load when disabled)
-// through a process-global MutexObserver that src/sim installs to feed
-//   * the happens-before race detector (sim/race_detector.h), and
-//   * the lock-order graph (sim/lock_order.h), which detects lock-order
-//     inversions deterministically on the virtual clock.
+// Dynamic half: vedb::Mutex keeps, per OS thread, a stack of the locks it
+// holds with their acquisition sites. The sim clock checks that stack at
+// every fiber switch: a lock held across a clock wait exits the process
+// with status 65 (see sim/clock.h). A process-global MutexObserver slot,
+// empty unless the happens-before race detector (sim/race_detector.h) is
+// enabled, reports every acquire/release to that detector.
 //
 // Rules of use (see DESIGN.md "Lock discipline"):
-//   * Shared mutable state in the database layers is guarded by vedb::Mutex
-//     and annotated GUARDED_BY; helpers that expect the lock held are named
-//     *Locked and annotated REQUIRES.
+//   * Shared mutable state is guarded by vedb::Mutex and annotated
+//     GUARDED_BY; helpers that expect the lock held are named *Locked and
+//     annotated REQUIRES.
 //   * Scopes use MutexLock (never std::lock_guard on a vedb::Mutex — the
 //     guard cannot carry the scoped-capability annotation).
-//   * Code that genuinely cannot be annotated (the virtual-clock core, whose
-//     condition_variables require std::unique_lock<std::mutex>) keeps
-//     std::mutex and carries an explicit waiver comment.
+//   * A raw std::mutex carries a `Waiver(thread-annotations)` comment that
+//     says why it cannot be a vedb::Mutex; scripts/lint.sh enforces this.
 //
 // This header must stay dependency-free besides the standard library:
 // src/common cannot depend on src/sim, so the observer is a plain function
@@ -34,6 +33,8 @@
 #define VEDB_COMMON_THREAD_ANNOTATIONS_H_
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 
 #if defined(__clang__) && !defined(SWIG)
@@ -71,17 +72,60 @@
 
 namespace vedb {
 
-/// Instrumentation hooks for the annotated mutex. src/sim installs a table
-/// whose functions feed the race detector and the lock-order graph; when no
-/// table is installed (or the detectors are disabled) the cost per
-/// Lock/Unlock is a single relaxed atomic load.
+class Mutex;
+
+/// One vedb::Mutex the running OS thread holds: the lock, its class name
+/// and its acquisition site. Plain data, so recording it allocates nothing.
+struct HeldMutex {
+  const Mutex* mu;
+  const char* name;
+  const char* file;
+  int line;
+};
+
+/// The vedb::Mutexes the running OS thread holds, in acquisition order. The
+/// actor fibers of a thread share it; the clock checks that it is empty at
+/// every switch, so it only ever holds the running context's locks.
+struct HeldMutexes {
+  static constexpr int kCapacity = 32;
+  int depth = 0;
+  HeldMutex locks[kCapacity] = {};
+
+  void Push(const Mutex* mu, const char* name, const char* file, int line) {
+    if (depth == kCapacity) {
+      std::fprintf(stderr, "more than %d vedb::Mutex held at %s:%d\n",
+                   kCapacity, file, line);
+      std::abort();
+    }
+    locks[depth++] = HeldMutex{mu, name, file, line};
+  }
+
+  void Pop(const Mutex* mu) {
+    // Locks are almost always released LIFO; a relockable MutexLock may
+    // release out of order, so search down from the top.
+    for (int i = depth - 1; i >= 0; --i) {
+      if (locks[i].mu != mu) continue;
+      for (; i + 1 < depth; ++i) locks[i] = locks[i + 1];
+      --depth;
+      return;
+    }
+  }
+};
+
+/// The calling OS thread's held-lock stack.
+inline HeldMutexes& ThreadHeldMutexes() {
+  static thread_local HeldMutexes held;
+  return held;
+}
+
+/// Instrumentation hooks for the annotated mutex. The race detector installs
+/// a table while it is enabled; otherwise the slot is empty and the cost per
+/// Lock/Unlock is a single atomic load.
 struct MutexObserver {
-  /// Called with the lock HELD, immediately after acquisition. `name` is the
-  /// lock class (constructor argument), `file`/`line` the acquisition site.
-  void (*on_acquire)(const void* mu, const char* name, const char* file,
-                     int line);
+  /// Called with the lock HELD, immediately after acquisition.
+  void (*on_acquire)(const void* mu);
   /// Called with the lock still held, immediately before release.
-  void (*on_release)(const void* mu, const char* name);
+  void (*on_release)(const void* mu);
 };
 
 inline std::atomic<const MutexObserver*>& MutexObserverSlot() {
@@ -95,13 +139,12 @@ inline void SetMutexObserver(const MutexObserver* observer) {
 }
 
 /// The repo's annotated mutex: a std::mutex that (a) is a Clang capability,
-/// so GUARDED_BY/REQUIRES/ACQUIRE annotations type-check, and (b) reports
-/// every acquire/release to the installed MutexObserver.
+/// so GUARDED_BY/REQUIRES/ACQUIRE annotations type-check, (b) records itself
+/// on the thread's held-lock stack while held, and (c) reports every
+/// acquire/release to the installed MutexObserver.
 ///
-/// The constructor names the *lock class* (e.g. "ebp.index", "cm.state").
-/// The lock-order graph merges all instances of a class into one node —
-/// pointer addresses are not stable across runs, class names are — exactly
-/// like Linux lockdep's lock classes.
+/// The constructor names the *lock class* (e.g. "ebp.index", "cm.state"),
+/// which a held-across-wait report prints with the acquisition site.
 class CAPABILITY("mutex") Mutex {
  public:
   explicit Mutex(const char* name = "mutex") : name_(name) {}
@@ -111,18 +154,10 @@ class CAPABILITY("mutex") Mutex {
   void Lock(const char* file = __builtin_FILE(),
             int line = __builtin_LINE()) ACQUIRE() {
     mu_.lock();
+    ThreadHeldMutexes().Push(this, name_, file, line);
     const MutexObserver* obs =
         MutexObserverSlot().load(std::memory_order_acquire);
-    if (obs != nullptr) obs->on_acquire(this, name_, file, line);
-  }
-
-  bool TryLock(const char* file = __builtin_FILE(),
-               int line = __builtin_LINE()) TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    const MutexObserver* obs =
-        MutexObserverSlot().load(std::memory_order_acquire);
-    if (obs != nullptr) obs->on_acquire(this, name_, file, line);
-    return true;
+    if (obs != nullptr) obs->on_acquire(this);
   }
 
   void Unlock() RELEASE() {
@@ -130,17 +165,13 @@ class CAPABILITY("mutex") Mutex {
     // recorded while the lock is still held.
     const MutexObserver* obs =
         MutexObserverSlot().load(std::memory_order_acquire);
-    if (obs != nullptr) obs->on_release(this, name_);
+    if (obs != nullptr) obs->on_release(this);
+    ThreadHeldMutexes().Pop(this);
     mu_.unlock();
   }
 
-  /// Static-analysis escape hatch: tells the analysis the lock is held on
-  /// paths it cannot follow (e.g. callbacks invoked under the lock).
-  void AssertHeld() const ASSERT_CAPABILITY(this) {}
-
-  const char* name() const { return name_; }
-
  private:
+  // Waiver(thread-annotations): the annotated mutex's own implementation.
   std::mutex mu_;
   const char* name_;
 };

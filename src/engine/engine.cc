@@ -467,9 +467,7 @@ Status DBEngine::Recover(const std::vector<astore::LogRecord>& tail_records) {
   }
   // Read both watermarks BEFORE taking ship_mu_: NextLsn() takes the
   // logstore's LSN lock, and AppendBatch's on_assigned hook takes ship_mu_
-  // under that same lock — the established order is logstore.astore before
-  // engine.ship, and inverting it here is a lock-order cycle (caught by
-  // the LockOrderGraph on the failure_drill example).
+  // under that same lock, so logstore.astore is taken before engine.ship.
   uint64_t resume_through = pagestore_->DurableLsn();
   if (log_ != nullptr) {
     resume_through = std::max(resume_through, log_->NextLsn() - 1);

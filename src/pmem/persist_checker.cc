@@ -16,7 +16,7 @@ void PersistChecker::SetAbortOnViolation(bool abort_on_violation) {
 
 void PersistChecker::OnWrite(uint64_t offset, uint64_t length,
                              bool persistent) {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   epoch_++;
   if (persistent) {
     // A flushed local store: carve the range out of any volatile overlap
@@ -66,13 +66,13 @@ void PersistChecker::OnWrite(uint64_t offset, uint64_t length,
 }
 
 void PersistChecker::OnFlush() {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   flush_epoch_ = epoch_;
   volatile_ranges_.clear();
 }
 
 void PersistChecker::OnCrash() {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   // The volatile bytes were lost, not persisted; but nothing is pending
   // anymore either. Epochs survive (diagnostics may span the crash).
   volatile_ranges_.clear();
@@ -80,7 +80,7 @@ void PersistChecker::OnCrash() {
 
 Status PersistChecker::CheckPersisted(uint64_t offset, uint64_t length,
                                       std::string_view context) {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   const uint64_t end = offset + length;
   auto it = volatile_ranges_.upper_bound(offset);
   if (it != volatile_ranges_.begin()) --it;
@@ -117,22 +117,22 @@ Status PersistChecker::CheckPersisted(uint64_t offset, uint64_t length,
 }
 
 uint64_t PersistChecker::violations() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   return violation_count_;
 }
 
 std::vector<PersistChecker::Violation> PersistChecker::violation_log() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   return violation_log_;
 }
 
 uint64_t PersistChecker::write_epoch() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   return epoch_;
 }
 
 uint64_t PersistChecker::flush_epoch() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   return flush_epoch_;
 }
 

@@ -21,12 +21,12 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 namespace vedb::pmem {
 
@@ -81,13 +81,15 @@ class PersistChecker {
  private:
   static constexpr size_t kMaxLoggedViolations = 64;
 
-  mutable std::mutex mu_;
-  uint64_t epoch_ = 0;        // bumped on every write event
-  uint64_t flush_epoch_ = 0;  // all writes with epoch <= this are persistent
+  mutable Mutex mu_{"pmem.persist"};
+  uint64_t epoch_ GUARDED_BY(mu_) = 0;  // bumped on every write event
+  // All writes with epoch <= this are persistent.
+  uint64_t flush_epoch_ GUARDED_BY(mu_) = 0;
   // offset -> (end, epoch) for writes outside the persistence domain.
-  std::map<uint64_t, std::pair<uint64_t, uint64_t>> volatile_ranges_;
-  uint64_t violation_count_ = 0;
-  std::vector<Violation> violation_log_;
+  std::map<uint64_t, std::pair<uint64_t, uint64_t>> volatile_ranges_
+      GUARDED_BY(mu_);
+  uint64_t violation_count_ GUARDED_BY(mu_) = 0;
+  std::vector<Violation> violation_log_ GUARDED_BY(mu_);
 };
 
 }  // namespace vedb::pmem

@@ -46,7 +46,7 @@ Status PmemDevice::WriteFromRemote(uint64_t offset, Slice data) {
     return Status::InvalidArgument("pmem write out of bounds");
   }
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     memcpy(bytes_ + offset, data.data(), data.size());
     MarkPendingLocked(offset, data.size());
     HealBadRegionsLocked(offset, data.size());
@@ -61,7 +61,7 @@ Status PmemDevice::WriteLocal(uint64_t offset, Slice data) {
     return Status::InvalidArgument("pmem write out of bounds");
   }
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     memcpy(bytes_ + offset, data.data(), data.size());
     HealBadRegionsLocked(offset, data.size());
   }
@@ -74,7 +74,7 @@ Status PmemDevice::Read(uint64_t offset, uint64_t len, char* out) const {
   if (offset + len > capacity_) {
     return Status::InvalidArgument("pmem read out of bounds");
   }
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   memcpy(out, bytes_ + offset, len);
   // Latent bad regions corrupt on the way out: the stored bytes stay
   // untouched, but every read through the region is damaged (XOR keeps the
@@ -119,7 +119,7 @@ void PmemDevice::MarkPendingLocked(uint64_t offset, uint64_t len) {
 void PmemDevice::FlushViaRdmaRead() {
   if (ddio_enabled_) return;  // read hits the LLC; nothing reaches the iMC
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     flush_bytes_->Add(PendingBytesLocked());
     pending_.clear();
   }
@@ -129,7 +129,7 @@ void PmemDevice::FlushViaRdmaRead() {
 
 void PmemDevice::PersistAll() {
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     flush_bytes_->Add(PendingBytesLocked());
     pending_.clear();
   }
@@ -139,7 +139,7 @@ void PmemDevice::PersistAll() {
 
 void PmemDevice::Crash() {
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     for (const auto& [offset, end] : pending_) {
       for (uint64_t i = offset; i < end; ++i) {
         bytes_[i] = static_cast<char>(crash_rng_.Next());
@@ -151,7 +151,7 @@ void PmemDevice::Crash() {
 }
 
 size_t PmemDevice::PendingRangeCount() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   return pending_.size();
 }
 
@@ -160,7 +160,7 @@ Status PmemDevice::CorruptBitFlip(uint64_t offset, int bit) {
     return Status::InvalidArgument("pmem corruption out of bounds");
   }
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     bytes_[offset] = static_cast<char>(bytes_[offset] ^ (1u << (bit & 7)));
     corruptions_injected_++;
   }
@@ -175,7 +175,7 @@ Status PmemDevice::CorruptZeroCacheline(uint64_t offset) {
   uint64_t line = offset & ~uint64_t{63};
   uint64_t end = std::min(line + 64, capacity_);
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     memset(bytes_ + line, 0, end - line);
     corruptions_injected_++;
   }
@@ -188,7 +188,7 @@ Status PmemDevice::MarkBadRegion(uint64_t offset, uint64_t len, bool sticky) {
     return Status::InvalidArgument("pmem corruption out of bounds");
   }
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    MutexLock lk(&mu_);
     bad_regions_[offset] = BadRegion{offset + len, sticky};
     corruptions_injected_++;
   }
@@ -197,7 +197,7 @@ Status PmemDevice::MarkBadRegion(uint64_t offset, uint64_t len, bool sticky) {
 }
 
 bool PmemDevice::HasBadRegionOverlap(uint64_t offset, uint64_t len) const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   uint64_t end = offset + len;
   for (const auto& [start, region] : bad_regions_) {
     if (start >= end) break;
@@ -207,7 +207,7 @@ bool PmemDevice::HasBadRegionOverlap(uint64_t offset, uint64_t len) const {
 }
 
 uint64_t PmemDevice::CorruptionCount() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   return corruptions_injected_;
 }
 

@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 
 #include "common/random.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "pmem/persist_checker.h"
 
@@ -113,27 +113,27 @@ class PmemDevice {
     bool sticky = false;
   };
 
-  void MarkPendingLocked(uint64_t offset, uint64_t len);
+  void MarkPendingLocked(uint64_t offset, uint64_t len) REQUIRES(mu_);
 
-  /// Sums the byte lengths of all pending ranges. Caller holds mu_.
-  uint64_t PendingBytesLocked() const;
+  /// Sums the byte lengths of all pending ranges.
+  uint64_t PendingBytesLocked() const REQUIRES(mu_);
 
   /// Removes the non-sticky parts of bad regions overlapping
   /// [offset, offset+len) — a rewrite heals latent (but not sticky) rot.
-  void HealBadRegionsLocked(uint64_t offset, uint64_t len);
+  void HealBadRegionsLocked(uint64_t offset, uint64_t len) REQUIRES(mu_);
 
   const uint64_t capacity_;
   const bool ddio_enabled_;
-  mutable std::mutex mu_;
+  mutable Mutex mu_{"pmem.device"};
   // One private anonymous mapping: pages are backed on first touch, and
   // bytes never written read as zero, like a freshly formatted device.
-  char* bytes_ = nullptr;
+  char* bytes_ PT_GUARDED_BY(mu_) = nullptr;
   // offset -> end of ranges written but not yet persistent.
-  std::map<uint64_t, uint64_t> pending_;
+  std::map<uint64_t, uint64_t> pending_ GUARDED_BY(mu_);
   // offset -> bad-region descriptor (see MarkBadRegion).
-  std::map<uint64_t, BadRegion> bad_regions_;
-  uint64_t corruptions_injected_ = 0;
-  Random crash_rng_;
+  std::map<uint64_t, BadRegion> bad_regions_ GUARDED_BY(mu_);
+  uint64_t corruptions_injected_ GUARDED_BY(mu_) = 0;
+  Random crash_rng_ GUARDED_BY(mu_);
   PersistChecker checker_;
 
   // Observability (resolved once at construction; see obs/metrics.h).

@@ -1,7 +1,5 @@
 #include "qos/admission.h"
 
-#include "sim/lock_order.h"
-
 namespace vedb::qos {
 
 void Ticket::Release() {
@@ -31,18 +29,7 @@ AdmissionController::AdmissionController(sim::VirtualClock* clock,
                                          const Options& options)
     : clock_(clock),
       memory_(clock, GroupedMemoryLimiter::Options{
-                         options.total_inflight_bytes}) {
-  // One-way order contracts (see sim/lock_order.h): admission lookups may
-  // consult the bucket/limiter, and every qos wait must happen before any
-  // astore lock is taken — an Admit() under an astore handle or ring lock
-  // would stall unrelated tenants behind a throttled one. The contract
-  // edges make the lock-order gate fail the first run that tries.
-  sim::LockOrderGraph::RegisterContract("qos.admission", "qos.bucket");
-  sim::LockOrderGraph::RegisterContract("qos.admission", "qos.memory");
-  sim::LockOrderGraph::RegisterContract("qos.bucket", "astore.handle");
-  sim::LockOrderGraph::RegisterContract("qos.memory", "astore.handle");
-  sim::LockOrderGraph::RegisterContract("qos.memory", "astore.ring");
-}
+                         options.total_inflight_bytes}) {}
 
 Status AdmissionController::RegisterTenant(const std::string& tenant,
                                            const TenantConfig& config) {

@@ -6,9 +6,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
-#include "sim/lock_order.h"
+#include "sim/race_detector.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define VEDB_ASAN_FIBERS 1
@@ -176,6 +177,20 @@ void* SeedStack(const void* bottom, size_t size) {
   return sp;
 }
 
+// A switch with a vedb::Mutex held: the next actor to take that lock would
+// block the one OS thread its holder needs. Names each held lock and exits.
+[[noreturn]] [[gnu::cold]] void ExitHeldAcrossWait() {
+  const HeldMutexes& held = ThreadHeldMutexes();
+  for (int i = 0; i < held.depth; ++i) {
+    const HeldMutex& h = held.locks[i];
+    const char* slash = std::strrchr(h.file, '/');
+    std::fprintf(stderr, "held across a clock wait: %s@%s:%d\n", h.name,
+                 slash != nullptr ? slash + 1 : h.file, h.line);
+  }
+  std::fflush(stderr);
+  std::_Exit(65);
+}
+
 }  // namespace
 
 int NewFiberLocalKey() {
@@ -260,9 +275,9 @@ void VirtualClock::Dispatch(Fiber* self) {
 }
 
 Fiber* VirtualClock::PickNext() {
-  // Every wait passes here, so the running context's held locks are
-  // checked at every switch.
-  if (LockOrderGraph::IsEnabled()) LockOrderGraph::CheckNoneHeldAcrossWait();
+  // Every switch passes here, an exiting actor's last one included, so the
+  // running context's held locks are checked at every switch.
+  if (ThreadHeldMutexes().depth != 0) ExitHeldAcrossWait();
   auto stale = [](const SleepEntry& e) {
     return !e.fiber->blocked || e.fiber->seq != e.seq;
   };

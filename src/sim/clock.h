@@ -20,9 +20,12 @@
 //    virtual time (row locks held across I/O, group-commit waits, RPC
 //    completions) must use VirtualCondition, otherwise the clock deadlocks
 //    (and aborts with a diagnostic).
-//  * A lock is never held across a clock wait: the next actor to take it
-//    would block the one OS thread that must run the holder. With the
-//    lock-order graph on, such a wait exits 65 naming the held locks.
+//  * A vedb::Mutex is never held across a clock wait: the next actor to
+//    take it would block the one OS thread that must run the holder. Every
+//    switch checks this; a lock held there exits 65 naming the held locks
+//    and their sites. Since only one context runs and it never switches
+//    holding a lock, no actor can find a lock taken by another, so no
+//    acquisition order can deadlock.
 //  * Never spin on shared state waiting for another actor without blocking
 //    through the clock: the spinner never gives up the thread.
 
@@ -33,14 +36,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <set>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "common/units.h"
-#include "sim/race_detector.h"
 
 namespace vedb::sim {
 
@@ -150,11 +151,11 @@ class VirtualClock {
 /// blocked so the clock can keep advancing, and a notify makes them ready at
 /// the current virtual instant, in parking order.
 ///
-/// Usage (user_mu guards the predicate's state):
-///   std::unique_lock<std::mutex> lk(user_mu);
-///   cond.Wait(lk, [&] { return ready; });
+/// Usage (mu guards the predicate's state):
+///   vedb::MutexLock lk(&mu);
+///   cond.Wait(&mu, [&] { return ready; });
 /// Notifier:
-///   { std::lock_guard<std::mutex> lk(user_mu); ready = true; }
+///   { vedb::MutexLock lk(&mu); ready = true; }
 ///   cond.NotifyAll();
 class VirtualCondition {
  public:
@@ -163,58 +164,33 @@ class VirtualCondition {
   VirtualCondition(const VirtualCondition&) = delete;
   VirtualCondition& operator=(const VirtualCondition&) = delete;
 
-  /// Blocks until `pred()` is true. `lock` must be held on entry and is held
-  /// again on return; it is released while parked.
+  /// Blocks until `pred()` is true. `mu` must be held on entry and is held
+  /// again on return, re-acquired at the caller's site; it is released while
+  /// parked. The body toggles the lock through the wait, which the static
+  /// analysis cannot follow; callers are still checked against REQUIRES(mu).
   template <typename Pred>
-  void Wait(std::unique_lock<std::mutex>& lock, Pred pred) {
+  void Wait(vedb::Mutex* mu, Pred pred, const char* file = __builtin_FILE(),
+            int line = __builtin_LINE()) REQUIRES(mu)
+      NO_THREAD_SAFETY_ANALYSIS {
     while (!pred()) {
-      RaceLockReleased(lock.mutex());
-      lock.unlock();
+      mu->Unlock();
       Park(nullptr);
-      lock.lock();
-      RaceLockAcquired(lock.mutex());
+      mu->Lock(file, line);
     }
   }
 
   /// Like Wait, but gives up at virtual time `deadline`. Returns true if
   /// `pred()` held on exit, false on timeout.
   template <typename Pred>
-  bool WaitUntil(std::unique_lock<std::mutex>& lock, Timestamp deadline,
-                 Pred pred) {
-    while (!pred()) {
-      if (clock_->Now() >= deadline) return false;
-      RaceLockReleased(lock.mutex());
-      lock.unlock();
-      Park(&deadline);
-      lock.lock();
-      RaceLockAcquired(lock.mutex());
-    }
-    return true;
-  }
-
-  /// As Wait above, for predicate state guarded by an annotated
-  /// vedb::Mutex. `mu` must be held on entry and is held again on return.
-  /// The body toggles the lock through the wait, which the static analysis
-  /// cannot follow; callers are still checked against REQUIRES(mu).
-  template <typename Pred>
-  void Wait(vedb::Mutex* mu, Pred pred) REQUIRES(mu)
-      NO_THREAD_SAFETY_ANALYSIS {
-    while (!pred()) {
-      mu->Unlock();
-      Park(nullptr);
-      mu->Lock();
-    }
-  }
-
-  /// As WaitUntil above, for vedb::Mutex-guarded state.
-  template <typename Pred>
-  bool WaitUntil(vedb::Mutex* mu, Timestamp deadline, Pred pred) REQUIRES(mu)
+  bool WaitUntil(vedb::Mutex* mu, Timestamp deadline, Pred pred,
+                 const char* file = __builtin_FILE(),
+                 int line = __builtin_LINE()) REQUIRES(mu)
       NO_THREAD_SAFETY_ANALYSIS {
     while (!pred()) {
       if (clock_->Now() >= deadline) return false;
       mu->Unlock();
       Park(&deadline);
-      mu->Lock();
+      mu->Lock(file, line);
     }
     return true;
   }

@@ -17,7 +17,8 @@ QueueingDevice::QueueingDevice(VirtualClock* clock, std::string name,
   busy_until_.assign(params.channels, 0);
 }
 
-Duration QueueingDevice::ServiceTime(uint64_t bytes, Duration extra_cost) {
+Duration QueueingDevice::ServiceTimeLocked(uint64_t bytes,
+                                           Duration extra_cost) {
   Duration t = params_.base_latency + extra_cost +
                static_cast<Duration>(bytes * params_.ns_per_byte);
   if (params_.jitter_mean > 0) {
@@ -37,12 +38,12 @@ Timestamp QueueingDevice::Submit(uint64_t bytes, Duration extra_cost) {
 
 Timestamp QueueingDevice::SubmitAt(Timestamp earliest, uint64_t bytes,
                                    Duration extra_cost, Duration* queue_wait) {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   ops_++;
   // Pick the channel that frees up first.
   auto it = std::min_element(busy_until_.begin(), busy_until_.end());
   const Timestamp start = std::max(earliest, *it);
-  const Timestamp done = start + ServiceTime(bytes, extra_cost);
+  const Timestamp done = start + ServiceTimeLocked(bytes, extra_cost);
   *it = done;
   if (queue_wait != nullptr) *queue_wait = start - earliest;
   return done;
@@ -56,7 +57,7 @@ Duration QueueingDevice::Access(uint64_t bytes, Duration extra_cost) {
 }
 
 uint64_t QueueingDevice::op_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  MutexLock lk(&mu_);
   return ops_;
 }
 

@@ -8,11 +8,11 @@
 #define VEDB_SIM_DEVICE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_annotations.h"
 #include "common/units.h"
 #include "sim/clock.h"
 
@@ -73,16 +73,17 @@ class QueueingDevice {
   uint64_t op_count() const;
 
  private:
-  Duration ServiceTime(uint64_t bytes, Duration extra_cost);
+  Duration ServiceTimeLocked(uint64_t bytes, Duration extra_cost)
+      REQUIRES(mu_);
 
   VirtualClock* clock_;
   std::string name_;
   DeviceParams params_;
 
-  mutable std::mutex mu_;
-  std::vector<Timestamp> busy_until_;  // one per channel
-  Random rng_;
-  uint64_t ops_ = 0;
+  mutable Mutex mu_{"sim.device"};
+  std::vector<Timestamp> busy_until_ GUARDED_BY(mu_);  // one per channel
+  Random rng_ GUARDED_BY(mu_);
+  uint64_t ops_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace vedb::sim

@@ -1,17 +1,6 @@
 #include "sim/env.h"
 
-#include "sim/lock_order.h"
-
 namespace vedb::sim {
-
-SimEnvironment::SimEnvironment(uint64_t seed) : seed_rng_(seed) {
-  // Route vedb::Mutex acquire/release into the race detector and the
-  // lock-order graph, and honor the VEDB_LOCK_ORDER environment contract.
-  // Both calls are idempotent: a second SimEnvironment (common in tests
-  // that build several clusters) neither resets nor re-registers anything.
-  InstallMutexObserver();
-  InitLockOrderFromEnv();
-}
 
 DeviceParams HardwareProfile::NvmeSsd(uint64_t seed) {
   DeviceParams p;

@@ -83,9 +83,7 @@ class SimNode {
 /// Owns the clock, fault registry, and nodes of one simulation.
 class SimEnvironment {
  public:
-  /// Besides seeding, the constructor installs the vedb::Mutex observer and
-  /// honors VEDB_LOCK_ORDER / VEDB_LOCK_ORDER_REPORT (see sim/lock_order.h).
-  explicit SimEnvironment(uint64_t seed = 2023);
+  explicit SimEnvironment(uint64_t seed = 2023) : seed_rng_(seed) {}
 
   VirtualClock* clock() { return &clock_; }
   FaultInjector* faults() { return &faults_; }

@@ -1,8 +1,8 @@
 #include "sim/race_detector.h"
 
 #include "common/logging.h"
+#include "common/thread_annotations.h"
 #include "sim/clock.h"
-#include "sim/lock_order.h"
 
 namespace vedb::sim {
 
@@ -16,6 +16,16 @@ struct CachedTid {
   uint64_t gen = 0;
 };
 const FiberLocal<CachedTid> fiber_tid;
+
+// vedb::Mutex acquire/release reach the detector through this table, which
+// is installed only while the detector is enabled.
+void ObserveAcquire(const void* mu) {
+  RaceDetector::Instance().LockAcquired(mu);
+}
+void ObserveRelease(const void* mu) {
+  RaceDetector::Instance().LockReleased(mu);
+}
+const MutexObserver kMutexObserver{&ObserveAcquire, &ObserveRelease};
 }  // namespace
 
 RaceDetector& RaceDetector::Instance() {
@@ -24,15 +34,17 @@ RaceDetector& RaceDetector::Instance() {
 }
 
 void RaceDetector::Enable() {
-  // vedb::Mutex acquire/release reach the detector through the observer.
-  InstallMutexObserver();
   RaceDetector& d = Instance();
-  std::lock_guard<std::mutex> lk(d.mu_);
-  d.ResetLocked();
+  {
+    std::lock_guard<std::mutex> lk(d.mu_);
+    d.ResetLocked();
+  }
   enabled_.store(true, std::memory_order_relaxed);
+  SetMutexObserver(&kMutexObserver);
 }
 
 void RaceDetector::Disable() {
+  SetMutexObserver(nullptr);
   enabled_.store(false, std::memory_order_relaxed);
 }
 

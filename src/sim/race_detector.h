@@ -6,7 +6,8 @@
 // flake. This detector instead tracks the happens-before relation itself
 // (FastTrack-style vector clocks) over the sim's synchronization edges:
 //
-//   * mutex acquire/release        (RaceLockAcquired / RaceLockReleased)
+//   * mutex acquire/release        (every vedb::Mutex, through the
+//     MutexObserver that Enable() installs and Disable() removes)
 //   * virtual-clock hand-offs      (an actor blocking releases to the global
 //     clock; waking acquires it — hooked inside VirtualClock)
 //   * VirtualCondition notify/wake (release on NotifyAll, acquire on wake)
@@ -18,10 +19,9 @@
 // with the same seed, and a properly synchronized run reports zero.
 //
 // Shared structures opt in with RaceAnnotate(addr, size, is_write) at their
-// representative mutable state, or by replacing std::lock_guard with
-// RaceScopedLock (which records the lock edges). The detector is disabled
-// by default (one relaxed atomic load per hook); tests enable it around the
-// region under scrutiny.
+// representative mutable state. The detector is disabled by default (one
+// relaxed atomic load per hook); tests enable it around the region under
+// scrutiny.
 
 #ifndef VEDB_SIM_RACE_DETECTOR_H_
 #define VEDB_SIM_RACE_DETECTOR_H_
@@ -126,6 +126,8 @@ class RaceDetector {
 
   static std::atomic<bool> enabled_;
 
+  // Waiver(thread-annotations): a vedb::Mutex here would report its own
+  // acquisitions back into the detector's hooks, which take this lock.
   mutable std::mutex mu_;
   int next_tid_ = 0;
   uint64_t epoch_gen_ = 0;  // bumped on Enable(); invalidates cached tids
@@ -148,36 +150,6 @@ inline void RaceAnnotate(const void* addr, size_t size, bool is_write,
   if (!RaceDetector::IsEnabled()) return;
   RaceDetector::Instance().Annotate(addr, size, is_write, site);
 }
-
-/// Lock-edge annotations for code that manages std::mutex manually (e.g.
-/// unlock/relock around a blocking wait).
-inline void RaceLockAcquired(const void* lock) {
-  if (!RaceDetector::IsEnabled()) return;
-  RaceDetector::Instance().LockAcquired(lock);
-}
-inline void RaceLockReleased(const void* lock) {
-  if (!RaceDetector::IsEnabled()) return;
-  RaceDetector::Instance().LockReleased(lock);
-}
-
-/// Drop-in replacement for std::lock_guard<std::mutex> that records the
-/// acquire/release happens-before edges with the detector.
-class RaceScopedLock {
- public:
-  explicit RaceScopedLock(std::mutex& mu) : lk_(mu) {
-    RaceLockAcquired(lk_.mutex());
-  }
-  ~RaceScopedLock() {
-    // Runs before lk_'s destructor unlocks, so the release edge is recorded
-    // while the lock is still held.
-    RaceLockReleased(lk_.mutex());
-  }
-  RaceScopedLock(const RaceScopedLock&) = delete;
-  RaceScopedLock& operator=(const RaceScopedLock&) = delete;
-
- private:
-  std::unique_lock<std::mutex> lk_;
-};
 
 }  // namespace vedb::sim
 

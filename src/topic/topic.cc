@@ -5,7 +5,6 @@
 #include "astore/frame.h"
 #include "common/coding.h"
 #include "obs/trace.h"
-#include "sim/lock_order.h"
 #include "topic/record.h"
 
 namespace vedb::topic {
@@ -20,12 +19,6 @@ constexpr uint64_t kFrameOverhead = astore::PackedFrame::kHeaderSize;
 
 Topic::Topic(astore::AStoreClient* client, TopicOptions options)
     : client_(client), options_(std::move(options)) {
-  // Declared order contracts (sim/lock_order.h): both topic lock classes
-  // are held across SegmentRing::Reserve only; the gate fails any future
-  // path that takes them the other way around.
-  sim::LockOrderGraph::RegisterContract("topic.partition", "astore.ring");
-  sim::LockOrderGraph::RegisterContract("topic.meta", "astore.ring");
-
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const obs::LabelSet labels = {{"topic", options_.name}};
   produces_ = reg.GetCounter("topic.produce", labels);

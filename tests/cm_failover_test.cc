@@ -3,8 +3,7 @@
 // deterministic election promotes the lowest-id live standby, a
 // partitioned-then-healed minority member is fenced by the term scheme,
 // and Shutdown is idempotent and drains the health actor. Runs in the
-// fault ctest group with VEDB_LOCK_ORDER=1, so the cm.repl -> cm.state
-// lock-order contract is enforced throughout.
+// fault ctest group.
 
 #include <gtest/gtest.h>
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <string>
 
 #include "common/thread_annotations.h"
@@ -80,17 +79,17 @@ TEST(RaceDetectorTest, MutexSynchronizedPairIsClean) {
   for (int run = 0; run < 5; ++run) {
     VirtualClock clock;
     ScopedDetector det;
-    std::mutex mu;
+    vedb::Mutex mu("test.shared");
     int shared = 0;
     {
       ActorGroup group(&clock);
       group.Spawn([&] {
-        RaceScopedLock lk(mu);
+        vedb::MutexLock lk(&mu);
         shared = 1;
         RaceAnnotate(&shared, sizeof(shared), /*is_write=*/true, "actor-a");
       });
       group.Spawn([&] {
-        RaceScopedLock lk(mu);
+        vedb::MutexLock lk(&mu);
         shared = 2;
         RaceAnnotate(&shared, sizeof(shared), /*is_write=*/true, "actor-b");
       });

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <cfenv>
-#include <mutex>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "common/units.h"
 #include "sim/clock.h"
 #include "sim/device.h"
@@ -30,21 +32,21 @@ TEST(VirtualClockTest, SingleActorSleepAdvances) {
 
 TEST(VirtualClockTest, TwoActorsInterleaveDeterministically) {
   VirtualClock clock;
-  std::mutex mu;
+  vedb::Mutex mu("test.events");
   std::vector<std::pair<int, Timestamp>> events;
   {
     ActorGroup group(&clock);
     group.Spawn([&] {
       for (int i = 0; i < 3; ++i) {
         clock.SleepFor(100);
-        std::lock_guard<std::mutex> lk(mu);
+        vedb::MutexLock lk(&mu);
         events.push_back({1, clock.Now()});
       }
     });
     group.Spawn([&] {
       for (int i = 0; i < 2; ++i) {
         clock.SleepFor(150);
-        std::lock_guard<std::mutex> lk(mu);
+        vedb::MutexLock lk(&mu);
         events.push_back({2, clock.Now()});
       }
     });
@@ -76,21 +78,21 @@ TEST(VirtualClockTest, ManyActorsAdvanceTogether) {
 
 TEST(VirtualConditionTest, NotifyWakesWaiter) {
   VirtualClock clock;
-  std::mutex mu;
+  vedb::Mutex mu("test.cond");
   bool ready = false;
   VirtualCondition cond(&clock);
   Timestamp waiter_wake_time = 0;
   {
     ActorGroup group(&clock);
     group.Spawn([&] {
-      std::unique_lock<std::mutex> lk(mu);
-      cond.Wait(lk, [&] { return ready; });
+      vedb::MutexLock lk(&mu);
+      cond.Wait(&mu, [&] { return ready; });
       waiter_wake_time = clock.Now();
     });
     group.Spawn([&] {
       clock.SleepFor(500);
       {
-        std::lock_guard<std::mutex> lk(mu);
+        vedb::MutexLock lk(&mu);
         ready = true;
       }
       cond.NotifyAll();
@@ -103,18 +105,19 @@ TEST(VirtualConditionTest, NotifyWakesWaiter) {
 TEST(VirtualConditionTest, PredicateAlreadyTrueReturnsImmediately) {
   VirtualClock clock;
   clock.RegisterActor();
-  std::mutex mu;
+  vedb::Mutex mu("test.cond");
   VirtualCondition cond(&clock);
-  std::unique_lock<std::mutex> lk(mu);
-  cond.Wait(lk, [] { return true; });
-  EXPECT_EQ(clock.Now(), 0u);
-  lk.unlock();
+  {
+    vedb::MutexLock lk(&mu);
+    cond.Wait(&mu, [] { return true; });
+    EXPECT_EQ(clock.Now(), 0u);
+  }
   clock.UnregisterActor();
 }
 
 TEST(VirtualConditionTest, ManyWaitersAllWake) {
   VirtualClock clock;
-  std::mutex mu;
+  vedb::Mutex mu("test.cond");
   int released = 0;
   bool open = false;
   VirtualCondition cond(&clock);
@@ -122,15 +125,15 @@ TEST(VirtualConditionTest, ManyWaitersAllWake) {
     ActorGroup group(&clock);
     for (int i = 0; i < 16; ++i) {
       group.Spawn([&] {
-        std::unique_lock<std::mutex> lk(mu);
-        cond.Wait(lk, [&] { return open; });
+        vedb::MutexLock lk(&mu);
+        cond.Wait(&mu, [&] { return open; });
         released++;
       });
     }
     group.Spawn([&] {
       clock.SleepFor(1000);
       {
-        std::lock_guard<std::mutex> lk(mu);
+        vedb::MutexLock lk(&mu);
         open = true;
       }
       cond.NotifyAll();
@@ -280,7 +283,7 @@ namespace {
 
 TEST(VirtualConditionTest, WaitUntilTimesOut) {
   VirtualClock clock;
-  std::mutex mu;
+  vedb::Mutex mu("test.cond");
   VirtualCondition cond(&clock);
   bool never = false;
   Timestamp woke_at = 0;
@@ -288,8 +291,8 @@ TEST(VirtualConditionTest, WaitUntilTimesOut) {
   {
     ActorGroup group(&clock);
     group.Spawn([&] {
-      std::unique_lock<std::mutex> lk(mu);
-      result = cond.WaitUntil(lk, 1000, [&] { return never; });
+      vedb::MutexLock lk(&mu);
+      result = cond.WaitUntil(&mu, 1000, [&] { return never; });
       woke_at = clock.Now();
     });
     group.Spawn([&] { clock.SleepFor(5000); });  // keeps time flowing
@@ -300,7 +303,7 @@ TEST(VirtualConditionTest, WaitUntilTimesOut) {
 
 TEST(VirtualConditionTest, WaitUntilWokenByNotifyBeforeDeadline) {
   VirtualClock clock;
-  std::mutex mu;
+  vedb::Mutex mu("test.cond");
   VirtualCondition cond(&clock);
   bool ready = false;
   bool result = false;
@@ -308,14 +311,14 @@ TEST(VirtualConditionTest, WaitUntilWokenByNotifyBeforeDeadline) {
   {
     ActorGroup group(&clock);
     group.Spawn([&] {
-      std::unique_lock<std::mutex> lk(mu);
-      result = cond.WaitUntil(lk, 1 * kSecond, [&] { return ready; });
+      vedb::MutexLock lk(&mu);
+      result = cond.WaitUntil(&mu, 1 * kSecond, [&] { return ready; });
       woke_at = clock.Now();
     });
     group.Spawn([&] {
       clock.SleepFor(200);
       {
-        std::lock_guard<std::mutex> lk(mu);
+        vedb::MutexLock lk(&mu);
         ready = true;
       }
       cond.NotifyAll();
@@ -329,7 +332,7 @@ TEST(VirtualConditionTest, StaleTimerEntryDoesNotWakeLaterSleep) {
   // A timed wait notified early leaves a stale heap entry; a later sleep by
   // the same thread must not be woken by it.
   VirtualClock clock;
-  std::mutex mu;
+  vedb::Mutex mu("test.cond");
   VirtualCondition cond(&clock);
   bool ready = false;
   Timestamp second_wake = 0;
@@ -337,8 +340,8 @@ TEST(VirtualConditionTest, StaleTimerEntryDoesNotWakeLaterSleep) {
     ActorGroup group(&clock);
     group.Spawn([&] {
       {
-        std::unique_lock<std::mutex> lk(mu);
-        cond.WaitUntil(lk, 500, [&] { return ready; });  // woken at 100
+        vedb::MutexLock lk(&mu);
+        cond.WaitUntil(&mu, 500, [&] { return ready; });  // woken at 100
       }
       clock.SleepFor(10000);  // must sleep the full span, not wake at 500
       second_wake = clock.Now();
@@ -346,7 +349,7 @@ TEST(VirtualConditionTest, StaleTimerEntryDoesNotWakeLaterSleep) {
     group.Spawn([&] {
       clock.SleepFor(100);
       {
-        std::lock_guard<std::mutex> lk(mu);
+        vedb::MutexLock lk(&mu);
         ready = true;
       }
       cond.NotifyAll();
@@ -372,22 +375,22 @@ TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
   // "everyone parked, no timers" and abort as a deadlock.
   for (int round = 0; round < 50; ++round) {
     VirtualClock clock;
-    std::mutex mu;
+    vedb::Mutex mu("test.cond");
     VirtualCondition cond(&clock, "teardown-test");
     bool stop = false;
     std::atomic<bool> poll_stop{false};
     int waiter_rounds = 0;
     ActorGroup group(&clock);
     group.Spawn([&] {  // notification-driven waiter (the flusher shape)
-      std::unique_lock<std::mutex> lk(mu);
-      cond.Wait(lk, [&] { return stop; });
+      vedb::MutexLock lk(&mu);
+      cond.Wait(&mu, [&] { return stop; });
       waiter_rounds++;
     });
     group.Spawn([&] {  // polling actor (the shipper shape)
       while (!poll_stop.load()) clock.SleepFor(kMillisecond);
     });
     {
-      std::lock_guard<std::mutex> lk(mu);
+      vedb::MutexLock lk(&mu);
       stop = true;
     }
     cond.NotifyAll();        // lands while the poller still holds a timer
@@ -558,6 +561,73 @@ TEST(VirtualClockTest, GuestMainWithBackgroundActorsRunsDeterministically) {
   const auto second = RunGuestMainWithBackground();
   EXPECT_GT(first.size(), 20u);
   EXPECT_EQ(first, second);
+}
+
+// Every actor runs on the clock's one thread: a second actor contending for
+// a lock held across a wait would relock it on that same thread and hang.
+// Every switch checks for held locks, in every binary, with nothing to turn
+// on; one held there is named with its acquisition site and the process
+// exits 65.
+TEST(HeldLockDeathTest, MutexHeldAcrossSleepExits65) {
+  EXPECT_EXIT(
+      {
+        VirtualClock clock;
+        vedb::Mutex mu("test.held");
+        vedb::MutexLock lk(&mu);
+        clock.SleepFor(10);
+      },
+      ::testing::ExitedWithCode(65),
+      "held across a clock wait: test.held@sim_test.cc:[0-9]+");
+}
+
+TEST(HeldLockDeathTest, ConditionWaitReportsOnlyTheOtherHeldLock) {
+  // The waited mutex is released while parked, so only `other` is held
+  // across the wait; the report must name it and nothing after it.
+  EXPECT_EXIT(
+      {
+        VirtualClock clock;
+        vedb::Mutex waited("test.waited");
+        vedb::Mutex other("test.other");
+        VirtualCondition cond(&clock);
+        bool ready = false;
+        ActorGroup group(&clock);
+        group.Spawn([&] {
+          clock.SleepFor(10);
+          {
+            vedb::MutexLock lk(&waited);
+            ready = true;
+          }
+          cond.NotifyAll();
+        });
+        vedb::MutexLock lo(&other);
+        vedb::MutexLock lw(&waited);
+        cond.Wait(&waited, [&] { return ready; });
+      },
+      ::testing::ExitedWithCode(65),
+      "^held across a clock wait: test.other@sim_test.cc:[0-9]+\n$");
+}
+
+TEST(HeldLockDeathTest, OutOfOrderRelockLeavesNothingHeld) {
+  // A relockable MutexLock released and retaken under a later lock leaves
+  // the held-lock stack out of acquisition order; releasing both must still
+  // empty it, so the next switch passes.
+  EXPECT_EXIT(
+      {
+        VirtualClock clock;
+        vedb::Mutex a("test.a");
+        vedb::Mutex b("test.b");
+        {
+          vedb::MutexLock la(&a);
+          vedb::MutexLock lb(&b);
+          la.Unlock();
+          la.Lock();  // now above b
+        }  // b is released first, from below a
+        clock.SleepFor(10);
+        std::fprintf(stderr, "switched with %d held\n",
+                     vedb::ThreadHeldMutexes().depth);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "^switched with 0 held\n$");
 }
 
 }  // namespace
