@@ -2,7 +2,7 @@
 """Validates bench results JSON against the obs::Snapshot schema.
 
 CI runs short deterministic benches (bench_table2_log_micro,
-bench_fig8_order_processing, bench_fig9_advertisement,
+bench_fig6_7_tpcc, bench_fig8_order_processing, bench_fig9_advertisement,
 bench_fig11_ebp_query_speedup, bench_fig12_ebp_size, bench_fig14_pushdown
 and the chaos benches) and feeds the files they wrote
 into this checker. The point is schema drift: if the C++

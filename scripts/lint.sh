@@ -23,8 +23,8 @@
 #   4. naked-thread: no naked threads. std::thread / pthread_* are banned
 #      everywhere, src/sim included: every actor is a fiber on the clock's
 #      one OS thread (ActorGroup, VirtualCondition, vedb::Mutex), so the
-#      deterministic scheduler, the race detector, and the held-lock check
-#      see every actor and lock. A deliberate exception is waived with a
+#      deterministic scheduler and the held-lock check see every actor and
+#      lock. A deliberate exception is waived with a
 #      `// thread-ok` comment on the same line.
 #
 #   5. ucontext-switch: <ucontext.h> and its getcontext/makecontext/

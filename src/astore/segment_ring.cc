@@ -5,7 +5,6 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/logging.h"
-#include "sim/race_detector.h"
 
 namespace vedb::astore {
 
@@ -64,8 +63,6 @@ Result<std::unique_ptr<SegmentRing>> SegmentRing::Create(
 
 std::vector<SegmentId> SegmentRing::segment_ids() const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&segments_, sizeof(segments_), /*is_write=*/false,
-                    "SegmentRing::segment_ids");
   std::vector<SegmentId> ids;
   ids.reserve(segments_.size());
   for (const auto& seg : segments_) ids.push_back(seg->id());
@@ -83,10 +80,6 @@ Status SegmentRing::ReplaceSegmentSlot(size_t idx,
   VEDB_RETURN_IF_ERROR(
       client_->WriteAt(fresh, 0, EncodeHeader(SegmentStatus::kEmpty, 0)));
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&cur_offset_, sizeof(cur_offset_), /*is_write=*/true,
-                    "SegmentRing::ReplaceSegmentSlot");
-  sim::RaceAnnotate(&segments_, sizeof(segments_), /*is_write=*/true,
-                    "SegmentRing::ReplaceSegmentSlot");
   if (segments_[idx] == broken) {
     segments_[idx] = std::move(fresh);
     slot_start_lsn_[idx] = 0;
@@ -126,8 +119,6 @@ Result<SegmentRing::Reservation> SegmentRing::Reserve(uint64_t lsn,
   // The ring cursor (cur_idx_/cur_offset_/slot_start_lsn_) is the hot
   // shared state of the log write path; an unsynchronized reservation
   // would hand two records the same bytes.
-  sim::RaceAnnotate(&cur_offset_, sizeof(cur_offset_), /*is_write=*/true,
-                    "SegmentRing::Reserve");
   if (cur_offset_ + frame_size > options_.segment_size) {
     // Advance the ring: freeze the current slot, recycle the next. Checked
     // before any cursor mutation so a refused reservation leaves the ring
@@ -186,8 +177,6 @@ Result<int> SegmentRing::TrimBefore(uint64_t trim_lsn) {
     bool swapped = false;
     {
       vedb::MutexLock lk(&mu_);
-      sim::RaceAnnotate(&segments_, sizeof(segments_), /*is_write=*/true,
-                        "SegmentRing::TrimBefore");
       if (segments_[v.idx] == v.seg) {  // not concurrently replaced
         segments_[v.idx] = fresh;
         slot_start_lsn_[v.idx] = 0;
@@ -290,8 +279,6 @@ Status SegmentRing::WaitCommit(PendingCommitPtr pending) {
   size_t idx = 0;
   {
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&segments_, sizeof(segments_), /*is_write=*/false,
-                      "SegmentRing::WaitCommit");
     auto it = std::find(segments_.begin(), segments_.end(), seg);
     if (it != segments_.end()) {
       found = true;

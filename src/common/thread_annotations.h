@@ -12,9 +12,10 @@
 // Dynamic half: vedb::Mutex keeps, per OS thread, a stack of the locks it
 // holds with their acquisition sites. The sim clock checks that stack at
 // every fiber switch: a lock held across a clock wait exits the process
-// with status 65 (see sim/clock.h). A process-global MutexObserver slot,
-// empty unless the happens-before race detector (sim/race_detector.h) is
-// enabled, reports every acquire/release to that detector.
+// with status 65 (see sim/clock.h). With one OS thread and no switch while
+// a lock is held, that check is what keeps actor interleavings from
+// splitting a critical section; a check-then-act that spans a clock wait is
+// the one interleaving hazard it cannot see.
 //
 // Rules of use (see DESIGN.md "Lock discipline"):
 //   * Shared mutable state is guarded by vedb::Mutex and annotated
@@ -26,13 +27,11 @@
 //     says why it cannot be a vedb::Mutex; scripts/lint.sh enforces this.
 //
 // This header must stay dependency-free besides the standard library:
-// src/common cannot depend on src/sim, so the observer is a plain function
-// table behind an inline atomic slot.
+// src/common cannot depend on src/sim.
 
 #ifndef VEDB_COMMON_THREAD_ANNOTATIONS_H_
 #define VEDB_COMMON_THREAD_ANNOTATIONS_H_
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -118,30 +117,9 @@ inline HeldMutexes& ThreadHeldMutexes() {
   return held;
 }
 
-/// Instrumentation hooks for the annotated mutex. The race detector installs
-/// a table while it is enabled; otherwise the slot is empty and the cost per
-/// Lock/Unlock is a single atomic load.
-struct MutexObserver {
-  /// Called with the lock HELD, immediately after acquisition.
-  void (*on_acquire)(const void* mu);
-  /// Called with the lock still held, immediately before release.
-  void (*on_release)(const void* mu);
-};
-
-inline std::atomic<const MutexObserver*>& MutexObserverSlot() {
-  static std::atomic<const MutexObserver*> slot{nullptr};
-  return slot;
-}
-
-/// Installs (or clears, with nullptr) the process-global observer.
-inline void SetMutexObserver(const MutexObserver* observer) {
-  MutexObserverSlot().store(observer, std::memory_order_release);
-}
-
 /// The repo's annotated mutex: a std::mutex that (a) is a Clang capability,
-/// so GUARDED_BY/REQUIRES/ACQUIRE annotations type-check, (b) records itself
-/// on the thread's held-lock stack while held, and (c) reports every
-/// acquire/release to the installed MutexObserver.
+/// so GUARDED_BY/REQUIRES/ACQUIRE annotations type-check, and (b) records
+/// itself on the thread's held-lock stack while held.
 ///
 /// The constructor names the *lock class* (e.g. "ebp.index", "cm.state"),
 /// which a held-across-wait report prints with the acquisition site.
@@ -155,17 +133,9 @@ class CAPABILITY("mutex") Mutex {
             int line = __builtin_LINE()) ACQUIRE() {
     mu_.lock();
     ThreadHeldMutexes().Push(this, name_, file, line);
-    const MutexObserver* obs =
-        MutexObserverSlot().load(std::memory_order_acquire);
-    if (obs != nullptr) obs->on_acquire(this);
   }
 
   void Unlock() RELEASE() {
-    // Observe before unlocking so the race detector's release edge is
-    // recorded while the lock is still held.
-    const MutexObserver* obs =
-        MutexObserverSlot().load(std::memory_order_acquire);
-    if (obs != nullptr) obs->on_release(this);
     ThreadHeldMutexes().Pop(this);
     mu_.unlock();
   }

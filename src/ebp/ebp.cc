@@ -5,7 +5,6 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
-#include "sim/race_detector.h"
 
 namespace vedb::ebp {
 
@@ -49,8 +48,6 @@ EbpServerAgent::EbpServerAgent(sim::SimEnvironment* env,
 
 uint64_t EbpServerAgent::ReportedLsn(PageKey key) const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&latest_lsn_, sizeof(latest_lsn_), /*is_write=*/false,
-                    "EbpServerAgent::ReportedLsn");
   auto it = latest_lsn_.find(key);
   return it == latest_lsn_.end() ? 0 : it->second;
 }
@@ -63,8 +60,6 @@ Status EbpServerAgent::HandleReport(Slice request, std::string* response) {
   const uint32_t count = DecodeFixed32(raw.data());
   server_->node()->cpu()->Access(0, 200 * count);  // ~0.2us per entry
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&latest_lsn_, sizeof(latest_lsn_), /*is_write=*/true,
-                    "EbpServerAgent::HandleReport");
   for (uint32_t i = 0; i < count; ++i) {
     if (!GetFixedBytes(&request, 8, &raw)) {
       return Status::InvalidArgument("ebp report");
@@ -118,8 +113,6 @@ Status EbpServerAgent::HandleScan(Slice request, std::string* response) {
       bool stale;
       {
         vedb::MutexLock lk(&mu_);
-        sim::RaceAnnotate(&latest_lsn_, sizeof(latest_lsn_),
-                          /*is_write=*/false, "EbpServerAgent::HandleScan");
         auto it = latest_lsn_.find(key);
         // "Compares their LSNs with the one in memory, discards those with
         // older LSNs" (Section V-E).
@@ -179,8 +172,6 @@ ExtendedBufferPool::ExtendedBufferPool(sim::SimEnvironment* env,
 
 ExtendedBufferPool::Stats ExtendedBufferPool::stats() const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
-                    "ExtendedBufferPool::stats");
   Stats s = stats_;
   s.live_bytes = live_bytes_;
   return s;
@@ -188,15 +179,11 @@ ExtendedBufferPool::Stats ExtendedBufferPool::stats() const {
 
 bool ExtendedBufferPool::Contains(PageKey key) const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
-                    "ExtendedBufferPool::Contains");
   return index_.count(key) != 0;
 }
 
 bool ExtendedBufferPool::LookupPlacement(PageKey key, Placement* out) const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
-                    "ExtendedBufferPool::LookupPlacement");
   auto it = index_.find(key);
   if (it == index_.end()) return false;
   if (!it->second.seg->FirstReplicaNode(&out->node)) return false;
@@ -279,8 +266,6 @@ Result<astore::SegmentHandlePtr> ExtendedBufferPool::ActiveSegmentFor(
     uint64_t bytes, uint64_t* offset) {
   {
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                      "ExtendedBufferPool::ActiveSegmentFor");
     if (!segments_.empty()) {
       SegmentState& active = segments_.back();
       if (!active.handle->frozen() && !active.handle->stale() &&
@@ -297,8 +282,6 @@ Result<astore::SegmentHandlePtr> ExtendedBufferPool::ActiveSegmentFor(
       astore::SegmentHandlePtr handle,
       client_->CreateSegment(options_.segment_size, options_.replication));
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                    "ExtendedBufferPool::ActiveSegmentFor");
   segments_.push_back(SegmentState{handle, 0, 0, 0});
   SetSegmentsGaugeLocked();
   SegmentState& active = segments_.back();
@@ -323,8 +306,6 @@ Status ExtendedBufferPool::PutPage(PageKey key, uint64_t lsn, Slice image,
 
   {
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                      "ExtendedBufferPool::PutPage");
     auto it = index_.find(key);
     if (it != index_.end()) {
       // A newer version is already cached (e.g. the flusher's put overtook
@@ -360,8 +341,6 @@ Status ExtendedBufferPool::WriteAndInstall(PageKey key, uint64_t lsn,
   Status s = client_->WriteAt(seg, offset, Slice(frame));
 
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                    "ExtendedBufferPool::PutPage/install");
   SegmentState* held = FindSegmentLocked(seg);
   if (held == nullptr) {
     return s.ok() ? Status::Aborted("EBP segment released during put") : s;
@@ -403,8 +382,6 @@ Status ExtendedBufferPool::GetPage(PageKey key, std::string* image,
   const int shard = ShardOf(key);
   {
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                      "ExtendedBufferPool::GetPage");
     auto it = index_.find(key);
     if (it == index_.end()) {
       stats_.misses++;
@@ -453,8 +430,6 @@ Status ExtendedBufferPool::GetPage(PageKey key, std::string* image,
 
 std::vector<PageKey> ExtendedBufferPool::HottestKeys(size_t limit) const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
-                    "ExtendedBufferPool::HottestKeys");
   std::vector<PageKey> keys;
   // Round-robin across the shard lists from their hot ends.
   std::vector<std::list<PageKey>::const_iterator> cursors;
@@ -475,16 +450,12 @@ std::vector<PageKey> ExtendedBufferPool::HottestKeys(size_t limit) const {
 
 void ExtendedBufferPool::Erase(PageKey key) {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                    "ExtendedBufferPool::Erase");
   auto it = index_.find(key);
   if (it != index_.end()) RetireLocked(it);
 }
 
 void ExtendedBufferPool::NoteLatestLsn(PageKey key, uint64_t lsn) {
   vedb::MutexLock lk(&report_mu_);
-  sim::RaceAnnotate(&pending_reports_, sizeof(pending_reports_),
-                    /*is_write=*/true, "ExtendedBufferPool::NoteLatestLsn");
   uint64_t& cur = pending_reports_[key];
   cur = std::max(cur, lsn);
 }
@@ -493,9 +464,6 @@ Status ExtendedBufferPool::FlushLsnReports() {
   std::unordered_map<PageKey, uint64_t> batch;
   {
     vedb::MutexLock lk(&report_mu_);
-    sim::RaceAnnotate(&pending_reports_, sizeof(pending_reports_),
-                      /*is_write=*/true,
-                      "ExtendedBufferPool::FlushLsnReports");
     batch.swap(pending_reports_);
   }
   if (batch.empty()) return Status::OK();
@@ -587,8 +555,6 @@ Status ExtendedBufferPool::RecoverFromServers(
   }
 
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                    "ExtendedBufferPool::RecoverFromServers");
   index_.clear();
   for (auto& list : lru_) list.clear();
   segments_.clear();
@@ -645,8 +611,6 @@ Status ExtendedBufferPool::ReattachSegments(
   }
 
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                    "ExtendedBufferPool::ReattachSegments");
   std::map<astore::SegmentId, size_t> seg_slot;
   for (size_t i = 0; i < segments_.size(); ++i) {
     seg_slot[segments_[i].handle->id()] = i;
@@ -729,8 +693,6 @@ Status ExtendedBufferPool::CompactOnce() {
     astore::SegmentHandlePtr victim;
     {
       vedb::MutexLock lk(&mu_);
-      sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
-                        "ExtendedBufferPool::CompactOnce/select");
       const SegmentState* worst = WorstSealedLocked();
       if (worst != nullptr &&
           worst->garbage_ratio() >= options_.garbage_threshold) {
@@ -748,8 +710,6 @@ void ExtendedBufferPool::ReclaimSegment(
   std::vector<std::pair<PageKey, IndexEntry>> live;
   {
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/false,
-                      "ExtendedBufferPool::CompactOnce/collect");
     for (const auto& [key, e] : index_) {
       if (e.seg == victim) live.push_back({key, e});
     }
@@ -787,8 +747,6 @@ void ExtendedBufferPool::ReclaimSegment(
     // garbage will be released directly, releasing part of the valid pages
     // in the process."
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                      "ExtendedBufferPool::CompactOnce/drop");
     for (const auto& [key, e] : live) {
       auto it = index_.find(key);
       if (it == index_.end() || it->second.seg != victim) continue;
@@ -800,8 +758,6 @@ void ExtendedBufferPool::ReclaimSegment(
   // Release the victim segment cluster-wide.
   {
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&index_, sizeof(index_), /*is_write=*/true,
-                      "ExtendedBufferPool::CompactOnce/release");
     for (auto it = segments_.begin(); it != segments_.end(); ++it) {
       if (it->handle == victim) {
         segments_.erase(it);

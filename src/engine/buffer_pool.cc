@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "engine/page.h"
-#include "sim/race_detector.h"
 
 namespace vedb::engine {
 
@@ -16,22 +15,16 @@ BufferPool::BufferPool(sim::SimEnvironment* env, sim::SimNode* node,
 
 BufferPool::Stats BufferPool::stats() const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/false,
-                    "BufferPool::stats");
   return stats_;
 }
 
 size_t BufferPool::ResidentPages() const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/false,
-                    "BufferPool::ResidentPages");
   return frames_.size();
 }
 
 bool BufferPool::IsResident(uint64_t key) const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/false,
-                    "BufferPool::IsResident");
   auto it = frames_.find(key);
   return it != frames_.end() && !it->second->loading;
 }
@@ -57,8 +50,6 @@ void BufferPool::EvictIfNeededLocked() {
     victim->pins = 1;  // eviction holds a pin so the frame cannot vanish
     const uint64_t key = victim->key;
 
-    sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/true,
-                      "BufferPool::EvictIfNeededLocked");
     mu_.Unlock();
     uint64_t lsn;
     bool dirty;
@@ -93,8 +84,6 @@ Result<Frame*> BufferPool::Pin(uint64_t key, bool create_if_missing) {
 
   vedb::MutexLock lk(&mu_);
   while (true) {
-    sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/true,
-                      "BufferPool::Pin");
     auto it = frames_.find(key);
     if (it != frames_.end()) {
       Frame* f = it->second.get();
@@ -173,8 +162,6 @@ Result<Frame*> BufferPool::Pin(uint64_t key, bool create_if_missing) {
 
 void BufferPool::Unpin(Frame* frame, uint64_t modified_lsn) {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&frames_, sizeof(frames_), /*is_write=*/true,
-                    "BufferPool::Unpin");
   if (modified_lsn != 0) {
     vedb::MutexLock flk(&frame->mu);
     frame->dirty = true;

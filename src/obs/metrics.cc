@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/race_detector.h"
 
 namespace vedb::obs {
 
@@ -24,37 +23,27 @@ LabelSet CanonicalLabels(LabelSet labels) {
 
 void HistogramMetric::Observe(uint64_t value) {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&histogram_, sizeof(histogram_), /*is_write=*/true,
-                    "HistogramMetric::Observe");
   histogram_.Add(value);
 }
 
 void HistogramMetric::Merge(const Histogram& other) {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&histogram_, sizeof(histogram_), /*is_write=*/true,
-                    "HistogramMetric::Merge");
   histogram_.Merge(other);
 }
 
 Histogram HistogramMetric::Snapshot() const {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&histogram_, sizeof(histogram_), /*is_write=*/false,
-                    "HistogramMetric::Snapshot");
   return histogram_;
 }
 
 void HistogramMetric::Reset() {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&histogram_, sizeof(histogram_), /*is_write=*/true,
-                    "HistogramMetric::Reset");
   histogram_.Clear();
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name, LabelSet labels) {
   Key key{name, CanonicalLabels(std::move(labels))};
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&counters_, sizeof(counters_), /*is_write=*/true,
-                    "MetricsRegistry::GetCounter");
   VEDB_CHECK(gauges_.find(key) == gauges_.end() &&
                  histograms_.find(key) == histograms_.end(),
              "metric %s already registered with a different kind",
@@ -67,8 +56,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name, LabelSet labels) {
 Gauge* MetricsRegistry::GetGauge(const std::string& name, LabelSet labels) {
   Key key{name, CanonicalLabels(std::move(labels))};
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&gauges_, sizeof(gauges_), /*is_write=*/true,
-                    "MetricsRegistry::GetGauge");
   VEDB_CHECK(counters_.find(key) == counters_.end() &&
                  histograms_.find(key) == histograms_.end(),
              "metric %s already registered with a different kind",
@@ -82,8 +69,6 @@ HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name,
                                                LabelSet labels) {
   Key key{name, CanonicalLabels(std::move(labels))};
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&histograms_, sizeof(histograms_), /*is_write=*/true,
-                    "MetricsRegistry::GetHistogram");
   VEDB_CHECK(counters_.find(key) == counters_.end() &&
                  gauges_.find(key) == gauges_.end(),
              "metric %s already registered with a different kind",

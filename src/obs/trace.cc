@@ -4,7 +4,6 @@
 
 #include "common/coding.h"
 #include "sim/clock.h"
-#include "sim/race_detector.h"
 
 namespace vedb::obs {
 
@@ -65,8 +64,6 @@ void Tracer::PopContext() { context_stack.Get().pop_back(); }
 
 void Tracer::Record(Span span) {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&finished_, sizeof(finished_), /*is_write=*/true,
-                    "Tracer::Record");
   finished_.push_back(std::move(span));
 }
 
@@ -90,8 +87,6 @@ std::vector<Span> Tracer::FinishedSpans() const {
   std::vector<Span> spans;
   {
     vedb::MutexLock lk(&mu_);
-    sim::RaceAnnotate(&finished_, sizeof(finished_), /*is_write=*/false,
-                      "Tracer::FinishedSpans");
     spans = finished_;
   }
   std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
@@ -148,8 +143,6 @@ std::string Tracer::ToJson() const {
 
 void Tracer::Clear() {
   vedb::MutexLock lk(&mu_);
-  sim::RaceAnnotate(&finished_, sizeof(finished_), /*is_write=*/true,
-                    "Tracer::Clear");
   finished_.clear();
 }
 

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "sim/race_detector.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define VEDB_ASAN_FIBERS 1
@@ -226,35 +225,22 @@ void VirtualClock::RegisterActor() {
 
 void VirtualClock::UnregisterActor() {
   CheckThread();
-  // Join edge: the actor's effects become visible to whoever joins it.
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().ClockBlockRelease(this);
-  }
+  // Rebuilding the sleeper heap reorders sleepers that share a wake time,
+  // so this call is part of the schedule: keep it even when main has no
+  // timer entry left.
   PurgeTimers(Running());
 }
 
 void VirtualClock::SleepUntil(Timestamp t) {
   CheckThread();
   if (t <= now_) return;
-  Block(&t);
+  Suspend(Running(), &t);
 }
 
 void VirtualClock::SleepFor(Duration d) {
   CheckThread();
   const Timestamp t = now_ + d;
-  Block(&t);
-}
-
-void VirtualClock::Block(const Timestamp* deadline) {
-  // Race detection: blocking hands the thread to other actors, so all the
-  // blocker did so far happens-before whatever runs after the switch.
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().ClockBlockRelease(this);
-  }
-  Suspend(Running(), deadline);
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().ClockWakeAcquire(this);
-  }
+  Suspend(Running(), &t);
 }
 
 void VirtualClock::Suspend(Fiber* self, const Timestamp* deadline) {
@@ -331,9 +317,6 @@ void VirtualClock::PurgeTimers(Fiber* fiber) {
 void VirtualClock::RunFiber(Fiber* self) {
   self->fn();
   self->fn = nullptr;
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().ClockBlockRelease(this);
-  }
   // The fiber is freed by JoinAll; drop the timer entries that point at it.
   PurgeTimers(self);
   ActorGroup* group = self->group;
@@ -352,7 +335,7 @@ void VirtualCondition::Park(const Timestamp* deadline) {
   Fiber* self = Running();
   parked_.push_back(self);
   clock_->parked_conditions_.insert(this);
-  clock_->Block(deadline);
+  clock_->Suspend(self, deadline);
   // A timer wake leaves our parked_ entry behind; remove it so it cannot
   // wake a later block of this same context.
   if (deadline != nullptr) {
@@ -364,17 +347,10 @@ void VirtualCondition::Park(const Timestamp* deadline) {
     }
   }
   if (parked_.empty()) clock_->parked_conditions_.erase(this);
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().CondWakeAcquire(this);
-  }
 }
 
 void VirtualCondition::NotifyAll() {
   clock_->CheckThread();
-  // The notifier's prior writes happen-before the waiters' wakeups.
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().CondNotifyRelease(this);
-  }
   for (Fiber* fiber : parked_) {
     if (!fiber->blocked) continue;  // already woken by its timer
     fiber->blocked = false;
@@ -391,16 +367,7 @@ ActorGroup::~ActorGroup() { JoinAll(); }
 void ActorGroup::Spawn(std::function<void()> fn) {
   clock_->CheckThread();
   auto fiber = std::make_unique<Fiber>();
-  // Fork edge: the spawner's prior writes happen-before the new actor.
-  const uint64_t fork_token = RaceDetector::IsEnabled()
-                                  ? RaceDetector::Instance().ForkCapture()
-                                  : 0;
-  fiber->fn = [fork_token, fn = std::move(fn)] {
-    if (fork_token != 0 && RaceDetector::IsEnabled()) {
-      RaceDetector::Instance().ForkJoin(fork_token);
-    }
-    fn();
-  };
+  fiber->fn = std::move(fn);
   fiber->clock = clock_;
   fiber->group = this;
   // The guard page below the stack turns an overflow into a fault.
@@ -432,11 +399,6 @@ void ActorGroup::JoinAll() {
     joiner_ = nullptr;
   }
   fibers_.clear();
-  // Join edge: every exited actor released into the clock's sync clock;
-  // the joiner acquires all of it.
-  if (RaceDetector::IsEnabled()) {
-    RaceDetector::Instance().ClockWakeAcquire(clock_);
-  }
 }
 
 }  // namespace vedb::sim

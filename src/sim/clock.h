@@ -9,8 +9,9 @@
 // Exactly one context runs at a time: an actor fiber, or the thread's own
 // stack ("root", which hosts main whether or not it registered). A context
 // runs until it blocks on the clock; the clock then switches to the next
-// ready context in a deterministic order (timer pop order, condition
-// parking order, spawn order), so two identical seeded runs are
+// ready context in a deterministic order (timer pop order, which among
+// sleepers sharing a wake time is heap order, not sleep order; condition
+// parking order; spawn order), so two identical seeded runs are
 // byte-identical. Every clock call must come from the clock's thread. A
 // switch is a register-only x86-64 stack switch (callee-saved registers
 // plus the FP control state, no signal mask), so it makes no system call.
@@ -87,8 +88,8 @@ class VirtualClock {
   /// clock whether or not it registered.
   void RegisterActor();
 
-  /// Marks the end of main's actor role (a join edge for the race
-  /// detector). Ready actors run when main next blocks.
+  /// Marks the end of main's actor role: drops main's pending timer
+  /// entries. Ready actors run when main next blocks.
   void UnregisterActor();
 
   /// Blocks the calling context until virtual time reaches `t`.
@@ -117,10 +118,8 @@ class VirtualClock {
   };
 
   void CheckThread() const;
-  /// Blocks the running context (race-detector edges included) until it is
-  /// readied again; with a `deadline`, a timer readies it too.
-  void Block(const Timestamp* deadline);
-  /// Suspends `self` as blocked until it is readied.
+  /// Suspends `self`, the running context, until it is readied again; with
+  /// a `deadline`, a timer readies it too.
   void Suspend(Fiber* self, const Timestamp* deadline);
   /// Switches to the next ready context; returns once `self` runs again.
   void Dispatch(Fiber* self);

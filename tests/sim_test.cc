@@ -288,17 +288,26 @@ TEST(VirtualConditionTest, WaitUntilTimesOut) {
   bool never = false;
   Timestamp woke_at = 0;
   bool result = true;
+  int held_depth = 0;
+  const vedb::Mutex* held_top = nullptr;
   {
     ActorGroup group(&clock);
     group.Spawn([&] {
       vedb::MutexLock lk(&mu);
       result = cond.WaitUntil(&mu, 1000, [&] { return never; });
       woke_at = clock.Now();
+      // A timed-out wait returns with the lock held again, like a notified
+      // one: the caller's guard still owns exactly `mu`.
+      const vedb::HeldMutexes& held = vedb::ThreadHeldMutexes();
+      held_depth = held.depth;
+      if (held.depth > 0) held_top = held.locks[held.depth - 1].mu;
     });
     group.Spawn([&] { clock.SleepFor(5000); });  // keeps time flowing
   }
   EXPECT_FALSE(result);
   EXPECT_EQ(woke_at, 1000u);  // woke exactly at the deadline
+  EXPECT_EQ(held_depth, 1);
+  EXPECT_EQ(held_top, &mu);
 }
 
 TEST(VirtualConditionTest, WaitUntilWokenByNotifyBeforeDeadline) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -118,6 +119,24 @@ TEST_F(TpccTest, ConcurrentMixedClients) {
   EXPECT_GT(result.Throughput(), 100.0);  // txn/s of virtual time
 }
 
+/// The rows' encodings: equal exactly when every value has the same type
+/// and the same value, doubles to the bit.
+std::vector<std::string> Encoded(const std::vector<engine::Row>& rows) {
+  std::vector<std::string> out;
+  for (const engine::Row& row : rows) {
+    out.emplace_back();
+    engine::EncodeRow(row, &out.back());
+  }
+  return out;
+}
+
+/// Encoded(rows), sorted: equal exactly when the rows are the same multiset.
+std::vector<std::string> SortedEncoded(const std::vector<engine::Row>& rows) {
+  std::vector<std::string> out = Encoded(rows);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST_F(TpccTest, AllChQueriesExecuteBothPlanVariants) {
   query::ExecContext ctx;
   ctx.engine = cluster_->engine();
@@ -128,8 +147,14 @@ TEST_F(TpccTest, AllChQueriesExecuteBothPlanVariants) {
     auto friendly = RunChQuery(q, db_.get(), &ctx, true);
     ASSERT_TRUE(friendly.ok())
         << "Q" << q << ": " << friendly.status().ToString();
-    // Both variants agree on cardinality (same logical result).
-    EXPECT_EQ(default_plan->size(), friendly->size()) << "Q" << q;
+    // Both variants compute the same answer; only the row order may differ.
+    EXPECT_EQ(SortedEncoded(*default_plan), SortedEncoded(*friendly))
+        << "Q" << q;
+    // At this 2-warehouse scale only Q10, Q15 and Q22 select nothing, so
+    // every other comparison is between real rows.
+    if (q != 10 && q != 15 && q != 22) {
+      EXPECT_FALSE(default_plan->empty()) << "Q" << q;
+    }
   }
 }
 
@@ -259,17 +284,6 @@ class ChPruningTest : public ::testing::Test {
   std::unique_ptr<query::PushdownRuntime> pushdown_;
   std::unique_ptr<TpccDatabase> db_;
 };
-
-/// The rows' encodings: equal exactly when every value has the same type
-/// and the same value, doubles to the bit.
-std::vector<std::string> Encoded(const std::vector<engine::Row>& rows) {
-  std::vector<std::string> out;
-  for (const engine::Row& row : rows) {
-    out.emplace_back();
-    engine::EncodeRow(row, &out.back());
-  }
-  return out;
-}
 
 TEST_F(ChPruningTest, PruningNeverChangesAnAnswer) {
   // Warm pass: churning the small buffer pool leaves pages in the EBP.
