@@ -6,9 +6,10 @@
 // of three timed runs is reported.
 //
 // Writes results/bench_fig11_ebp_query_speedup.json: each query's virtual
-// ms in the four configurations, both geomean speedups and one registry
-// snapshot per configuration. Exits 1 if any query run, warm-up included,
-// fails.
+// ms, row count and answer digest (bench::Answer) in the four
+// configurations, both geomean speedups and one registry snapshot per
+// configuration. Exits 1 if any query run, warm-up included, fails, or if
+// two configurations return different answers to a query.
 
 #include <cmath>
 #include <cstdio>
@@ -30,9 +31,10 @@ struct QueryTiming {
   double ebp_ms[2];      // [bp_config] with EBP enabled
 };
 
-/// Clears `*ok` when any run fails.
+/// Virtual ms of one query: the mean of three timed runs, whose answer is
+/// stored in `*answer`. Clears `*ok` when any run fails.
 double TimeQuery(workload::TpccDatabase* db, workload::VedbCluster* cluster,
-                 int q, bool* ok) {
+                 int q, bench::Answer* answer, bool* ok) {
   query::ExecContext ctx;
   ctx.engine = cluster->engine();
   // Warm-up run, then three timed runs (paper's procedure).
@@ -40,16 +42,17 @@ double TimeQuery(workload::TpccDatabase* db, workload::VedbCluster* cluster,
   Duration total = 0;
   for (int run = 0; run < 3; ++run) {
     const Timestamp t0 = cluster->env()->clock()->Now();
-    *ok &=
-        bench::QueryOk(q, workload::RunChQuery(q, db, &ctx, false).status());
+    auto rows = workload::RunChQuery(q, db, &ctx, false);
     total += cluster->env()->clock()->Now() - t0;
+    *ok &= bench::QueryOk(q, rows.status());
+    if (rows.ok()) *answer = bench::AnswerOf(*rows);
   }
   return ToMillis(total / 3);
 }
 
 void RunConfig(size_t bp_pages, bool enable_ebp, const std::string& label,
-               double out_ms[], std::vector<obs::Snapshot>* snapshots,
-               bool* ok) {
+               double out_ms[], bench::Answer answers[],
+               std::vector<obs::Snapshot>* snapshots, bool* ok) {
   workload::ClusterOptions opts =
       bench::MakeClusterOptions(true, enable_ebp ? 128 * kMiB : 0);
   opts.engine.buffer_pool.capacity_pages = bp_pages;
@@ -68,7 +71,8 @@ void RunConfig(size_t bp_pages, bool enable_ebp, const std::string& label,
 
   int idx = 0;
   for (int q : kQueries) {
-    out_ms[idx++] = TimeQuery(&db, &cluster, q, ok);
+    out_ms[idx] = TimeQuery(&db, &cluster, q, &answers[idx], ok);
+    idx++;
   }
   snapshots->push_back(bench::CollectRunSnapshot(cluster.env(), label));
   cluster.env()->clock()->UnregisterActor();
@@ -85,13 +89,18 @@ int main() {
   const size_t kBpSmall = 24, kBpMedium = 64;
 
   double base_small[kN], ebp_small[kN], base_medium[kN], ebp_medium[kN];
+  // Answers by configuration, in the order above.
+  bench::Answer answers[4][kN];
   bool ok = true;
   std::vector<obs::Snapshot> snapshots;
-  RunConfig(kBpSmall, false, "fig11/small", base_small, &snapshots, &ok);
-  RunConfig(kBpSmall, true, "fig11/small_ebp", ebp_small, &snapshots, &ok);
-  RunConfig(kBpMedium, false, "fig11/medium", base_medium, &snapshots, &ok);
-  RunConfig(kBpMedium, true, "fig11/medium_ebp", ebp_medium, &snapshots,
-            &ok);
+  RunConfig(kBpSmall, false, "fig11/small", base_small, answers[0],
+            &snapshots, &ok);
+  RunConfig(kBpSmall, true, "fig11/small_ebp", ebp_small, answers[1],
+            &snapshots, &ok);
+  RunConfig(kBpMedium, false, "fig11/medium", base_medium, answers[2],
+            &snapshots, &ok);
+  RunConfig(kBpMedium, true, "fig11/medium_ebp", ebp_medium, answers[3],
+            &snapshots, &ok);
   if (!ok) {
     fprintf(stderr, "fig11: a query failed; no figure reported\n");
     return 1;
@@ -128,7 +137,11 @@ int main() {
                bench::Fmt(",\"no_ebp_small_ms\":%.17g", base_small[i]) +
                bench::Fmt(",\"ebp_small_ms\":%.17g", ebp_small[i]) +
                bench::Fmt(",\"no_ebp_medium_ms\":%.17g", base_medium[i]) +
-               bench::Fmt(",\"ebp_medium_ms\":%.17g", ebp_medium[i]) + "}";
+               bench::Fmt(",\"ebp_medium_ms\":%.17g", ebp_medium[i]) +
+               answers[0][i].ToJson("no_ebp_small") +
+               answers[1][i].ToJson("ebp_small") +
+               answers[2][i].ToJson("no_ebp_medium") +
+               answers[3][i].ToJson("ebp_medium") + "}";
   }
   queries += "]";
   Status wrote = bench::WriteBenchResults(
@@ -141,5 +154,12 @@ int main() {
     fprintf(stderr, "results: %s\n", wrote.ToString().c_str());
     return 1;
   }
-  return 0;
+  bool agree = true;
+  for (int i = 0; i < kN; ++i) {
+    agree &= bench::AnswersAgree(
+        "fig11", kQueries[i],
+        {"small", "small_ebp", "medium", "medium_ebp"},
+        {answers[0][i], answers[1][i], answers[2][i], answers[3][i]});
+  }
+  return agree ? 0 : 1;
 }

@@ -9,9 +9,10 @@
 // Paper: Q1,6,11,13,15,20,22 gain 4x-24x; geomean over all 22 queries
 // ~2.8x; vs the plan-change baseline, still ~2x.
 //
-// Writes results/bench_fig14_pushdown.json: each query's virtual ms in the
-// three configurations plus the three geomeans. Exits 1 if any query run,
-// warm-up included, fails.
+// Writes results/bench_fig14_pushdown.json: each query's virtual ms, row
+// count and answer digest (bench::Answer) in the three configurations plus
+// the three geomeans. Exits 1 if any query run, warm-up included, fails, or
+// if two configurations return different answers to a query.
 
 #include <cmath>
 #include <cstdio>
@@ -62,10 +63,10 @@ Setup MakeSetup(bool enable_ebp) {
   return s;
 }
 
-/// Virtual ms of one query: the mean of runs two and three. Clears `*ok`
-/// when any run fails.
+/// Virtual ms of one query: the mean of runs two and three, whose answer
+/// is stored in `*answer`. Clears `*ok` when any run fails.
 double TimeQuery(Setup* s, int q, bool friendly_plan, bool pushdown,
-                 bool* ok) {
+                 bench::Answer* answer, bool* ok) {
   query::ExecContext ctx;
   ctx.engine = s->cluster->engine();
   ctx.pushdown = s->pushdown.get();
@@ -78,9 +79,10 @@ double TimeQuery(Setup* s, int q, bool friendly_plan, bool pushdown,
   Duration total = 0;
   for (int run = 0; run < 2; ++run) {
     const Timestamp t0 = s->cluster->env()->clock()->Now();
-    *ok &= bench::QueryOk(
-        q, workload::RunChQuery(q, s->db.get(), &ctx, friendly_plan).status());
+    auto rows = workload::RunChQuery(q, s->db.get(), &ctx, friendly_plan);
     total += s->cluster->env()->clock()->Now() - t0;
+    *ok &= bench::QueryOk(q, rows.status());
+    if (rows.ok()) *answer = bench::AnswerOf(*rows);
   }
   return ToMillis(total / 2);
 }
@@ -97,10 +99,12 @@ int main() {
   // Baseline + plan-change run on a cluster without EBP/PQ.
   Setup plain = MakeSetup(/*enable_ebp=*/false);
   double baseline[23], plan_change[23];
+  bench::Answer baseline_answer[23], plan_change_answer[23], pushed_answer[23];
   for (int q = 1; q <= 22; ++q) {
-    baseline[q] = TimeQuery(&plain, q, /*friendly=*/false, /*pq=*/false, &ok);
-    plan_change[q] =
-        TimeQuery(&plain, q, /*friendly=*/true, /*pq=*/false, &ok);
+    baseline[q] = TimeQuery(&plain, q, /*friendly=*/false, /*pq=*/false,
+                            &baseline_answer[q], &ok);
+    plan_change[q] = TimeQuery(&plain, q, /*friendly=*/true, /*pq=*/false,
+                               &plan_change_answer[q], &ok);
   }
   snapshots.push_back(
       bench::CollectRunSnapshot(plain.cluster->env(), "fig14/local"));
@@ -111,7 +115,8 @@ int main() {
   Setup pq = MakeSetup(/*enable_ebp=*/true);
   double pushed[23];
   for (int q = 1; q <= 22; ++q) {
-    pushed[q] = TimeQuery(&pq, q, /*friendly=*/true, /*pq=*/true, &ok);
+    pushed[q] = TimeQuery(&pq, q, /*friendly=*/true, /*pq=*/true,
+                          &pushed_answer[q], &ok);
   }
   snapshots.push_back(
       bench::CollectRunSnapshot(pq.cluster->env(), "fig14/pq_ebp"));
@@ -154,7 +159,10 @@ int main() {
     queries += "{\"query\":" + std::to_string(q) +
                bench::Fmt(",\"baseline_ms\":%.17g", baseline[q]) +
                bench::Fmt(",\"plan_change_ms\":%.17g", plan_change[q]) +
-               bench::Fmt(",\"pq_ebp_ms\":%.17g", pushed[q]) + "}";
+               bench::Fmt(",\"pq_ebp_ms\":%.17g", pushed[q]) +
+               baseline_answer[q].ToJson("baseline") +
+               plan_change_answer[q].ToJson("plan_change") +
+               pushed_answer[q].ToJson("pq_ebp") + "}";
   }
   queries += "]";
   Status wrote = bench::WriteBenchResults(
@@ -166,5 +174,11 @@ int main() {
     fprintf(stderr, "results: %s\n", wrote.ToString().c_str());
     return 1;
   }
-  return 0;
+  bool agree = true;
+  for (int q = 1; q <= 22; ++q) {
+    agree &= bench::AnswersAgree(
+        "fig14", q, {"baseline", "plan-change", "PQ+EBP"},
+        {baseline_answer[q], plan_change_answer[q], pushed_answer[q]});
+  }
+  return agree ? 0 : 1;
 }

@@ -5,11 +5,14 @@
 #ifndef VEDB_BENCH_BENCH_UTIL_H_
 #define VEDB_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
+#include "engine/types.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "sim/env.h"
@@ -65,6 +68,59 @@ inline int ArgInt(int argc, char** argv, int def) {
 inline bool QueryOk(int q, const Status& s) {
   if (s.ok()) return true;
   fprintf(stderr, "Q%d failed: %s\n", q, s.ToString().c_str());
+  return false;
+}
+
+/// A query answer's oracle: its row count and the CRC32C of its rows'
+/// EncodeRow bytes, sorted, so row order does not matter. Each double is
+/// first rounded to 9 significant digits: pushed-down partial sums add in
+/// another order than a local aggregation, which moves the last bits.
+struct Answer {
+  size_t rows = 0;
+  uint32_t digest = 0;
+
+  bool operator==(const Answer&) const = default;
+  /// The JSON fields "<prefix>_rows" and "<prefix>_digest", each after a
+  /// comma.
+  std::string ToJson(const std::string& prefix) const {
+    return ",\"" + prefix + "_rows\":" + std::to_string(rows) + ",\"" +
+           prefix + "_digest\":" + std::to_string(digest);
+  }
+};
+
+inline Answer AnswerOf(const std::vector<engine::Row>& rows) {
+  std::vector<std::string> encoded(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    engine::Row rounded = rows[i];
+    for (engine::Value& v : rounded) {
+      if (!v.is_double()) continue;
+      char buf[32];
+      snprintf(buf, sizeof(buf), "%.9g", v.AsDouble());
+      const double d = strtod(buf, nullptr);
+      v = engine::Value(d == 0 ? 0.0 : d);  // -0.0 and 0.0 alike
+    }
+    engine::EncodeRow(rounded, &encoded[i]);
+  }
+  std::sort(encoded.begin(), encoded.end());
+  uint32_t crc = 0;
+  for (const std::string& e : encoded) crc = Crc32c(crc, e.data(), e.size());
+  return {rows.size(), crc};
+}
+
+/// Returns whether every configuration (named by `configs`, one per entry
+/// of `answers`) gave query `q` the same answer; reports on stderr when not.
+inline bool AnswersAgree(const char* bench, int q,
+                         const std::vector<std::string>& configs,
+                         const std::vector<Answer>& answers) {
+  bool agree = true;
+  for (const Answer& a : answers) agree &= a == answers[0];
+  if (agree) return true;
+  fprintf(stderr, "%s: Q%d answers differ:", bench, q);
+  for (size_t c = 0; c < answers.size(); ++c) {
+    fprintf(stderr, " %s %zu rows/%08x", configs[c].c_str(), answers[c].rows,
+            answers[c].digest);
+  }
+  fprintf(stderr, "\n");
   return false;
 }
 

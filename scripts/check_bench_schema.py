@@ -3,8 +3,9 @@
 
 CI runs short deterministic benches (bench_table2_log_micro,
 bench_fig6_7_tpcc, bench_fig8_order_processing, bench_fig9_advertisement,
-bench_fig11_ebp_query_speedup, bench_fig12_ebp_size, bench_fig14_pushdown
-and the chaos benches) and feeds the files they wrote
+bench_fig11_ebp_query_speedup, bench_fig12_ebp_size, bench_fig14_pushdown,
+bench_ablation_costbased_pq and the chaos benches) and feeds the files they
+wrote
 into this checker. The point is schema drift: if the C++
 exporter (src/obs/export.cc) changes shape without bumping
 Snapshot::kSchemaVersion and updating this script, the bench-smoke job
@@ -203,10 +204,34 @@ def check_table2(doc, filename):
            "table2 must embed a non-null 'breakdown' object")
 
 
+def check_answers(queries, configs, filename):
+    """Each query's answer oracle (bench::Answer in bench/bench_util.h): a
+    row count and a CRC32C digest per configuration, which every
+    configuration must agree on, since none of them may change a query's
+    answer. An empty answer has digest 0."""
+    for q in queries:
+        answers = []
+        for config in configs:
+            rows = q.get(f"{config}_rows")
+            digest = q.get(f"{config}_digest")
+            expect(isinstance(rows, int) and rows >= 0, filename,
+                   f"Q{q['query']} {config}_rows must be a count, got "
+                   f"{rows!r}")
+            expect(isinstance(digest, int) and 0 <= digest < 2**32, filename,
+                   f"Q{q['query']} {config}_digest must be a CRC32C, got "
+                   f"{digest!r}")
+            expect(rows > 0 or digest == 0, filename,
+                   f"Q{q['query']} {config} has no rows but digest {digest}")
+            answers.append((config, rows, digest))
+        expect(len({(r, d) for _, r, d in answers}) == 1, filename,
+               f"Q{q['query']} answers differ across configurations: "
+               + ", ".join(f"{c} {r} rows/{d:08x}" for c, r, d in answers))
+
+
 def check_fig14(doc, filename):
     """Bench-specific contract for bench_fig14_pushdown: all 22 CH queries
-    with a positive virtual time in each configuration, and geomeans that
-    follow from those times."""
+    with a positive virtual time and one answer in each configuration, and
+    geomeans that follow from those times."""
     queries = doc.get("queries")
     expect(isinstance(queries, list) and len(queries) == 22, filename,
            "'queries' must list the 22 CH queries")
@@ -235,6 +260,7 @@ def check_fig14(doc, filename):
         want = geomean(ratio)
         expect(math.isclose(got, want, rel_tol=1e-9), filename,
                f"{key} is {got} but the per-query times give {want}")
+    check_answers(queries, ("baseline", "plan_change", "pq_ebp"), filename)
 
 
 FIG8_CLIENTS = [8, 16, 64]
@@ -303,9 +329,9 @@ FIG11_QUERIES = [1, 4, 6, 7, 11, 12, 14, 16, 19, 22]
 
 def check_fig11(doc, filename):
     """Bench-specific contract for bench_fig11_ebp_query_speedup: the
-    figure's ten CH queries with a positive virtual time in each of the four
-    configurations, geomeans that follow from those times, and one registry
-    snapshot per configuration."""
+    figure's ten CH queries with a positive virtual time and one answer in
+    each of the four configurations, geomeans that follow from those times,
+    and one registry snapshot per configuration."""
     queries = doc.get("queries")
     expect(isinstance(queries, list) and
            [q.get("query") if isinstance(q, dict) else None
@@ -327,9 +353,35 @@ def check_fig11(doc, filename):
                             for q in queries) / len(queries))
         expect(math.isclose(got, want, rel_tol=1e-9), filename,
                f"{key} is {got} but the per-query times give {want}")
+    check_answers(queries, ("no_ebp_small", "ebp_small", "no_ebp_medium",
+                            "ebp_medium"), filename)
     labels = [c.get("run_label") for c in doc["configs"]]
     want_labels = ["fig11/small", "fig11/small_ebp", "fig11/medium",
                    "fig11/medium_ebp"]
+    expect(labels == want_labels, filename,
+           f"configs must be {want_labels}, got {labels}")
+
+
+COSTBASED_QUERIES = [2, 16, 1, 6, 22]
+COSTBASED_POLICIES = ("threshold", "always", "cost")
+
+
+def check_costbased(doc, filename):
+    """Bench-specific contract for bench_ablation_costbased_pq: a positive
+    virtual ms per pass for each push-down policy, one answer per query and
+    policy, and one registry snapshot per policy."""
+    for policy in COSTBASED_POLICIES:
+        v = doc.get(f"{policy}_ms")
+        expect(isinstance(v, (int, float)) and v > 0, filename,
+               f"{policy}_ms must be a positive number, got {v!r}")
+    queries = doc.get("queries")
+    expect(isinstance(queries, list) and
+           [q.get("query") if isinstance(q, dict) else None
+            for q in queries] == COSTBASED_QUERIES, filename,
+           f"'queries' must list CH queries {COSTBASED_QUERIES} in order")
+    check_answers(queries, COSTBASED_POLICIES, filename)
+    labels = [c.get("run_label") for c in doc["configs"]]
+    want_labels = [f"costbased/{p}" for p in COSTBASED_POLICIES]
     expect(labels == want_labels, filename,
            f"configs must be {want_labels}, got {labels}")
 
@@ -422,6 +474,8 @@ def check_file(filename):
         check_fig12(doc, filename)
     if doc["bench"] == "bench_fig14_pushdown":
         check_fig14(doc, filename)
+    if doc["bench"] == "bench_ablation_costbased_pq":
+        check_costbased(doc, filename)
     if "breakdown" in doc:
         check_breakdown(doc["breakdown"], f"{filename}.breakdown")
     if "trace_spans" in doc:

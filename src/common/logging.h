@@ -14,13 +14,24 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 /// Global minimum level that is actually printed (default: kWarn).
 LogLevel& VedbLogLevel();
 
+/// `path` past its last '/'. Log lines name the source file, not the
+/// directory the tree was built in, so output does not depend on it.
+constexpr const char* SourceBasename(const char* path) {
+  const char* base = path;
+  for (const char* p = path; *p != '\0'; ++p) {
+    if (*p == '/') base = p + 1;
+  }
+  return base;
+}
+
 }  // namespace vedb
 
 #define VEDB_LOG(level, ...)                                        \
   do {                                                              \
     if (static_cast<int>(::vedb::LogLevel::level) >=                \
         static_cast<int>(::vedb::VedbLogLevel())) {                 \
-      fprintf(stderr, "[%s] %s:%d: ", #level, __FILE__, __LINE__);  \
+      fprintf(stderr, "[%s] %s:%d: ", #level,                       \
+              ::vedb::SourceBasename(__FILE__), __LINE__);          \
       fprintf(stderr, __VA_ARGS__);                                 \
       fprintf(stderr, "\n");                                        \
     }                                                               \
@@ -31,8 +42,8 @@ LogLevel& VedbLogLevel();
 #define VEDB_CHECK(cond, ...)                                            \
   do {                                                                   \
     if (!(cond)) {                                                       \
-      fprintf(stderr, "CHECK failed at %s:%d: %s\n", __FILE__, __LINE__, \
-              #cond);                                                    \
+      fprintf(stderr, "CHECK failed at %s:%d: %s\n",                     \
+              ::vedb::SourceBasename(__FILE__), __LINE__, #cond);        \
       fprintf(stderr, "" __VA_ARGS__);                                   \
       fprintf(stderr, "\n");                                             \
       abort();                                                           \

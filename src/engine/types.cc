@@ -146,13 +146,28 @@ void EncodeRow(const Row& row, std::string* out) {
 
 bool DecodeRow(Slice in, Row* out) {
   uint32_t n = 0;
-  if (!GetVarint32(&in, &n)) return false;
+  // Every value takes at least one byte, so a longer arity cannot parse;
+  // failing early keeps a corrupt count from sizing the row.
+  if (!GetVarint32(&in, &n) || n > in.size()) return false;
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Value v;
     if (!Value::DecodeFrom(&in, &v)) return false;
     out->push_back(std::move(v));
+  }
+  return true;
+}
+
+bool DecodeRowColumns(Slice in, const std::vector<bool>& wanted, Row* out) {
+  uint32_t n = 0;
+  if (!GetVarint32(&in, &n) || n > in.size()) return false;
+  out->resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const bool ok = i < wanted.size() && wanted[i]
+                        ? Value::DecodeFrom(&in, &(*out)[i])
+                        : Value::SkipFrom(&in);
+    if (!ok) return false;
   }
   return true;
 }

@@ -4,15 +4,16 @@
 #ifndef VEDB_ENGINE_TYPES_H_
 #define VEDB_ENGINE_TYPES_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/coding.h"
+#include "common/logging.h"
 #include "common/slice.h"
 
 namespace vedb::engine {
@@ -43,35 +44,73 @@ struct Rid {
 
 enum class ValueType : uint8_t { kNull = 0, kInt = 1, kDouble = 2, kString = 3 };
 
-/// A dynamically typed SQL value.
+/// A dynamically typed SQL value, 16 bytes: an 8-byte payload and a type
+/// tag. NULL, int and double values copy, move and destroy as plain data. A
+/// string points at an immutable, atomically reference-counted buffer, so a
+/// copy shares the bytes and outlives its source. A moved-from Value is
+/// NULL. Asking for the wrong type (AsInt of a double, AsString of an int)
+/// is a programming error and fails a VEDB_CHECK.
 class Value {
  public:
-  Value() : v_(std::monostate{}) {}
-  Value(int64_t i) : v_(i) {}                      // NOLINT
-  Value(int i) : v_(static_cast<int64_t>(i)) {}    // NOLINT
-  Value(uint64_t i) : v_(static_cast<int64_t>(i)) {}  // NOLINT
-  Value(double d) : v_(d) {}                       // NOLINT
-  Value(std::string s) : v_(std::move(s)) {}       // NOLINT
-  Value(const char* s) : v_(std::string(s)) {}     // NOLINT
+  Value() noexcept : type_(ValueType::kNull) { u_.i = 0; }
+  Value(int64_t i) noexcept : type_(ValueType::kInt) { u_.i = i; }   // NOLINT
+  Value(int i) noexcept : Value(static_cast<int64_t>(i)) {}          // NOLINT
+  Value(uint64_t i) noexcept : Value(static_cast<int64_t>(i)) {}     // NOLINT
+  Value(double d) noexcept : type_(ValueType::kDouble) { u_.d = d; }  // NOLINT
+  Value(std::string s) : type_(ValueType::kString) {                 // NOLINT
+    u_.s = new SharedString(std::move(s));
+  }
+  Value(const char* s) : Value(std::string(s)) {}                    // NOLINT
 
-  bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
-  bool is_int() const { return std::holds_alternative<int64_t>(v_); }
-  bool is_double() const { return std::holds_alternative<double>(v_); }
-  bool is_string() const { return std::holds_alternative<std::string>(v_); }
+  Value(const Value& o) noexcept : u_(o.u_), type_(o.type_) {
+    if (is_string()) u_.s->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Value(Value&& o) noexcept : u_(o.u_), type_(o.type_) {
+    o.type_ = ValueType::kNull;
+  }
+  Value& operator=(const Value& o) noexcept {
+    if (this != &o) {
+      Release();
+      u_ = o.u_;
+      type_ = o.type_;
+      if (is_string()) u_.s->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    return *this;
+  }
+  Value& operator=(Value&& o) noexcept {
+    if (this != &o) {
+      Release();
+      u_ = o.u_;
+      type_ = o.type_;
+      o.type_ = ValueType::kNull;
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
-  int64_t AsInt() const { return std::get<int64_t>(v_); }
+  bool is_null() const { return type_ == ValueType::kNull; }
+  bool is_int() const { return type_ == ValueType::kInt; }
+  bool is_double() const { return type_ == ValueType::kDouble; }
+  bool is_string() const { return type_ == ValueType::kString; }
+
+  int64_t AsInt() const {
+    VEDB_CHECK(is_int(), "AsInt of a type-%d value", static_cast<int>(type_));
+    return u_.i;
+  }
+  /// An int widens to double.
   double AsDouble() const {
-    if (is_int()) return static_cast<double>(std::get<int64_t>(v_));
-    return std::get<double>(v_);
+    if (is_int()) return static_cast<double>(u_.i);
+    VEDB_CHECK(is_double(), "AsDouble of a type-%d value",
+               static_cast<int>(type_));
+    return u_.d;
   }
-  const std::string& AsString() const { return std::get<std::string>(v_); }
+  const std::string& AsString() const {
+    VEDB_CHECK(is_string(), "AsString of a type-%d value",
+               static_cast<int>(type_));
+    return u_.s->str;
+  }
 
-  ValueType type() const {
-    if (is_null()) return ValueType::kNull;
-    if (is_int()) return ValueType::kInt;
-    if (is_double()) return ValueType::kDouble;
-    return ValueType::kString;
-  }
+  ValueType type() const { return type_; }
 
   /// Total order across same-typed values (ints and doubles compare
   /// numerically with each other; NULL sorts first).
@@ -92,7 +131,8 @@ class Value {
 
   void EncodeTo(std::string* out) const;
   static bool DecodeFrom(Slice* in, Value* out);
-  /// Advances `*in` past one encoded value without building it.
+  /// Advances `*in` past one encoded value without building it. Fails
+  /// exactly where DecodeFrom would.
   static bool SkipFrom(Slice* in);
 
   /// Appends a binary-comparable encoding (for index keys).
@@ -101,14 +141,41 @@ class Value {
   std::string ToString() const;
 
  private:
-  std::variant<std::monostate, int64_t, double, std::string> v_;
+  struct SharedString {
+    explicit SharedString(std::string s) : str(std::move(s)) {}
+    std::atomic<uint32_t> refs{1};
+    const std::string str;
+  };
+
+  void Release() {
+    if (is_string() &&
+        u_.s->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete u_.s;
+    }
+  }
+
+  union {
+    int64_t i;
+    double d;
+    SharedString* s;
+  } u_;
+  ValueType type_;
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay a 16-byte tagged word");
 
 using Row = std::vector<Value>;
 
 /// Serializes a row (values in order).
 void EncodeRow(const Row& row, std::string* out);
 bool DecodeRow(Slice in, Row* out);
+/// Like DecodeRow, but builds only the columns flagged in `wanted` (a
+/// column past its end is not wanted) and steps over the others with
+/// Value::SkipFrom, so it fails on exactly the rows DecodeRow fails on.
+/// `*out` takes the row's arity; an unwanted column keeps what `*out` held
+/// there, so a row that starts empty and is reused with the same flags has
+/// NULL in every one.
+bool DecodeRowColumns(Slice in, const std::vector<bool>& wanted, Row* out);
 
 /// Column metadata.
 struct Column {

@@ -254,6 +254,25 @@ bool AggState::DecodeFrom(Slice* in, AggState* out) {
   return true;
 }
 
+std::vector<bool> ScanColumns(size_t arity, const ExprPtr& predicate,
+                              const std::vector<int>& group_cols,
+                              const std::vector<AggSpec>& aggs,
+                              const std::vector<int>& kept) {
+  std::vector<bool> wanted(arity, false);
+  if (predicate != nullptr) predicate->CollectColumns(&wanted);
+  for (const AggSpec& agg : aggs) {
+    if (agg.arg != nullptr) agg.arg->CollectColumns(&wanted);
+  }
+  for (const std::vector<int>* cols : {&group_cols, &kept}) {
+    for (int c : *cols) {
+      VEDB_CHECK(c >= 0 && static_cast<size_t>(c) < arity,
+                 "column %d out of range (%zu columns)", c, arity);
+      wanted[c] = true;
+    }
+  }
+  return wanted;
+}
+
 Result<std::vector<Row>> HashAggregate(const std::vector<Row>& rows,
                                        const std::vector<int>& group_cols,
                                        const std::vector<AggSpec>& aggs) {
@@ -351,6 +370,9 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
   std::vector<Row> rows;
   GroupTable groups(aggs_.size());
   uint64_t scanned = 0;
+  const std::vector<bool> wanted =
+      ScanColumns(table_->schema().columns.size(), predicate_, group_cols_,
+                  aggs_, has_agg_ ? std::vector<int>{} : columns_);
   Row row;  // reused: a match moves only its kept values out
   for (engine::PageNo page_no : table_->PageList()) {
     auto frame =
@@ -365,7 +387,7 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
       for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
         Slice bytes;
         if (!page.GetRow(slot, &bytes).ok()) continue;
-        if (!DecodeRow(bytes, &row)) {
+        if (!engine::DecodeRowColumns(bytes, wanted, &row)) {
           bp->Unpin(*frame, 0);
           return Status::Corruption("bad row in scan");
         }
@@ -516,13 +538,17 @@ Result<std::vector<Row>> NestLoopJoinNode::Execute(ExecContext* ctx) {
     ctx->engine->node()->cpu()->Access(0,
                                        comparisons * (ctx->cpu_per_row / 8));
   }
+  // Each pair is laid out in one reused row for the predicate; only a
+  // match is copied out.
   std::vector<Row> out;
+  Row pair;
   for (const Row& lrow : left) {
+    pair.assign(lrow.begin(), lrow.end());
     for (const Row& rrow : right) {
-      Row joined = lrow;
-      joined.insert(joined.end(), rrow.begin(), rrow.end());
-      if (predicate_ == nullptr || predicate_->EvalBool(joined)) {
-        out.push_back(std::move(joined));
+      pair.resize(lrow.size() + rrow.size());
+      std::copy(rrow.begin(), rrow.end(), pair.begin() + lrow.size());
+      if (predicate_ == nullptr || predicate_->EvalBool(pair)) {
+        out.push_back(pair);
       }
     }
   }

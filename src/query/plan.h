@@ -124,7 +124,7 @@ class ScanNode : public PlanNode {
   engine::Table* table_;
   ExprPtr predicate_;
   /// The table columns a plain scan emits, ascending; the predicate still
-  /// sees whole rows.
+  /// reads table-column positions.
   std::vector<int> columns_;
   bool has_agg_ = false;
   std::vector<int> group_cols_;
@@ -351,6 +351,14 @@ class GroupTable {
   std::vector<Row> keys_;         // by group id
   std::vector<AggState> states_;  // num_aggs_ per group, by group id
 };
+
+/// Flags, out of `arity` table columns, the ones a scan reads: its
+/// predicate's, its group columns, its aggregate arguments' and `kept`.
+/// Scans decode only these (engine::DecodeRowColumns).
+std::vector<bool> ScanColumns(size_t arity, const ExprPtr& predicate,
+                              const std::vector<int>& group_cols,
+                              const std::vector<AggSpec>& aggs,
+                              const std::vector<int>& kept = {});
 
 /// Groups rows and computes aggregates (AggregateNode).
 Result<std::vector<Row>> HashAggregate(const std::vector<Row>& rows,

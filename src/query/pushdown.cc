@@ -91,14 +91,19 @@ uint64_t PushdownRuntime::ExecutePages(const Fragment& fragment,
   std::string matched;  // stored bytes of the matching rows
   uint32_t matches = 0;
   uint64_t processed = 0;
-  Row row;
+  // The task does not know the table's arity, but no row on a page has
+  // more columns than the page has bytes.
+  const std::vector<bool> wanted =
+      ScanColumns(engine::Page::kPageSize, fragment.predicate,
+                  fragment.group_cols, fragment.aggs);
+  Row row;  // reused: unread columns stay NULL
   for (const Slice& image : images) {
     if (image.size() != engine::Page::kPageSize) continue;
     const engine::PageView page(image.data());
     for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
       Slice bytes;
       if (!page.GetRow(slot, &bytes).ok()) continue;
-      if (!engine::DecodeRow(bytes, &row)) continue;
+      if (!engine::DecodeRowColumns(bytes, wanted, &row)) continue;
       processed++;
       if (fragment.predicate != nullptr &&
           !fragment.predicate->EvalBool(row)) {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 
@@ -182,9 +181,8 @@ void* SeedStack(const void* bottom, size_t size) {
   const HeldMutexes& held = ThreadHeldMutexes();
   for (int i = 0; i < held.depth; ++i) {
     const HeldMutex& h = held.locks[i];
-    const char* slash = std::strrchr(h.file, '/');
     std::fprintf(stderr, "held across a clock wait: %s@%s:%d\n", h.name,
-                 slash != nullptr ? slash + 1 : h.file, h.line);
+                 SourceBasename(h.file), h.line);
   }
   std::fflush(stderr);
   std::_Exit(65);

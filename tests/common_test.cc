@@ -6,6 +6,7 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/histogram.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/slice.h"
@@ -278,6 +279,29 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   inc = Crc32c(inc, data.data() + 10, data.size() - 10);
   // Our Crc32c(crc, ...) continues a previous CRC.
   EXPECT_EQ(one, inc);
+}
+
+// Log and check lines name the source file without its directory, so a
+// program's output does not depend on where the tree was checked out.
+TEST(LoggingDeathTest, CheckNamesTheFileWithoutItsDirectory) {
+  EXPECT_DEATH(VEDB_CHECK(1 + 1 == 3, "arithmetic"),
+               "CHECK failed at common_test\\.cc:[0-9]+: 1 \\+ 1 == 3");
+}
+
+TEST(LoggingTest, LogNamesTheFileWithoutItsDirectory) {
+  ::testing::internal::CaptureStderr();
+  VEDB_LOG(kError, "disk %d is on fire", 3);
+  const std::string line = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(line.rfind("[kError] common_test.cc:", 0), 0u) << line;
+  EXPECT_NE(line.find(": disk 3 is on fire\n"), std::string::npos) << line;
+  EXPECT_EQ(line.find('/'), std::string::npos) << line;
+}
+
+TEST(LoggingTest, SourceBasenameDropsEveryDirectory) {
+  static_assert(SourceBasename("/a/b/c.cc")[0] == 'c');
+  EXPECT_STREQ(SourceBasename("/src/common/x.h"), "x.h");
+  EXPECT_STREQ(SourceBasename("x.h"), "x.h");
+  EXPECT_STREQ(SourceBasename("dir/"), "");
 }
 
 }  // namespace

@@ -292,6 +292,135 @@ TEST(ValueTest, RowCodecRoundTrip) {
   EXPECT_EQ(out[0].AsInt(), -12345);
 }
 
+// ---- The 16-byte tagged Value ----
+
+/// One value of each type; the string is longer than any small-string
+/// buffer, so it lives on the heap.
+std::vector<Value> OneOfEach() {
+  return {Value(), Value(-7), Value(2.5), Value(std::string(100, 's'))};
+}
+
+TEST(ValueTest, CopyMoveAndSelfAssignKeepEachType) {
+  for (const Value& original : OneOfEach()) {
+    SCOPED_TRACE(original.ToString());
+    Value copy(original);
+    EXPECT_EQ(copy.type(), original.type());
+    EXPECT_EQ(copy.Compare(original), 0);
+
+    Value assigned(123);
+    assigned = original;
+    EXPECT_EQ(assigned.type(), original.type());
+    EXPECT_EQ(assigned.Compare(original), 0);
+
+    Value& self = assigned;
+    assigned = self;  // self copy-assignment
+    EXPECT_EQ(assigned.type(), original.type());
+    EXPECT_EQ(assigned.Compare(original), 0);
+    assigned = std::move(self);  // self move-assignment keeps the value
+    EXPECT_EQ(assigned.type(), original.type());
+    EXPECT_EQ(assigned.Compare(original), 0);
+
+    Value moved(std::move(copy));
+    EXPECT_EQ(moved.type(), original.type());
+    EXPECT_EQ(moved.Compare(original), 0);
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+
+    Value target("old string that is long enough to be on the heap");
+    target = std::move(moved);
+    EXPECT_EQ(target.type(), original.type());
+    EXPECT_EQ(target.Compare(original), 0);
+    EXPECT_TRUE(moved.is_null());  // NOLINT(bugprone-use-after-move)
+  }
+}
+
+TEST(ValueTest, StringCopyOutlivesItsSource) {
+  Value copy;
+  {
+    Value source(std::string(1000, 'q'));
+    copy = source;
+    Value second(source);
+    // Copies share the bytes rather than duplicating them.
+    EXPECT_EQ(&second.AsString(), &source.AsString());
+  }
+  ASSERT_TRUE(copy.is_string());
+  EXPECT_EQ(copy.AsString(), std::string(1000, 'q'));
+  Row rows(8, copy);  // many sharers, released in turn
+  rows.clear();
+  EXPECT_EQ(copy.AsString().size(), 1000u);
+}
+
+TEST(ValueTest, EncodeDecodeSkipRoundTripStrings) {
+  for (const std::string& str : {std::string(), std::string(1024, 'k')}) {
+    std::string bytes;
+    Value(str).EncodeTo(&bytes);
+    Value(7).EncodeTo(&bytes);  // what follows must be left intact
+    Slice in(bytes);
+    Value decoded;
+    ASSERT_TRUE(Value::DecodeFrom(&in, &decoded));
+    ASSERT_TRUE(decoded.is_string());
+    EXPECT_EQ(decoded.AsString(), str);
+    Slice skip(bytes);
+    ASSERT_TRUE(Value::SkipFrom(&skip));
+    EXPECT_EQ(skip.size(), in.size());
+    ASSERT_TRUE(Value::DecodeFrom(&in, &decoded));
+    EXPECT_EQ(decoded.AsInt(), 7);
+    // A truncated string fails both ways.
+    Slice cut(bytes.data(), 1 + (str.empty() ? 0 : 2));
+    Slice cut2 = cut;
+    EXPECT_FALSE(Value::DecodeFrom(&cut, &decoded)) << str.size();
+    EXPECT_FALSE(Value::SkipFrom(&cut2)) << str.size();
+  }
+}
+
+TEST(ValueTest, IntsAndDoublesCompareNumerically) {
+  EXPECT_EQ(Value(3).Compare(Value(3.0)), 0);
+  EXPECT_LT(Value(2).Compare(Value(2.5)), 0);
+  EXPECT_GT(Value(-1.5).Compare(Value(-2)), 0);
+  EXPECT_TRUE(Value(4) == Value(4.0));
+  EXPECT_TRUE(Value(-3) < Value(-2.75));
+  EXPECT_LT(Value().Compare(Value(-100)), 0);  // NULL sorts first
+  EXPECT_EQ(Value().Compare(Value()), 0);
+  EXPECT_DOUBLE_EQ(Value(9).AsDouble(), 9.0);  // an int widens
+}
+
+TEST(ValueDeathTest, WrongTypeAccessIsACheckFailure) {
+  EXPECT_DEATH(Value(1.5).AsInt(), "CHECK failed at types\\.h:[0-9]+");
+  EXPECT_DEATH(Value(1).AsString(), "CHECK failed at types\\.h:[0-9]+");
+  EXPECT_DEATH(Value("x").AsDouble(), "CHECK failed at types\\.h:[0-9]+");
+}
+
+TEST(ValueTest, DecodeRowColumnsBuildsOnlyTheWantedColumns) {
+  const Row row = {Value(1), Value("skipped"), Value(2.5), Value(),
+                   Value("kept")};
+  std::string bytes;
+  EncodeRow(row, &bytes);
+  Row out;
+  ASSERT_TRUE(DecodeRowColumns(Slice(bytes), {true, false, true, false, true},
+                               &out));
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[0].AsInt(), 1);
+  EXPECT_TRUE(out[1].is_null());
+  EXPECT_DOUBLE_EQ(out[2].AsDouble(), 2.5);
+  EXPECT_EQ(out[4].AsString(), "kept");
+  // Flags shorter than the row leave the rest unbuilt.
+  ASSERT_TRUE(DecodeRowColumns(Slice(bytes), {true}, &out));
+  EXPECT_EQ(out[0].AsInt(), 1);
+  // It fails on exactly the cuts DecodeRow fails on, whatever it builds.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const Slice cut(bytes.data(), len);
+    EXPECT_FALSE(DecodeRow(cut, &out)) << len;
+    EXPECT_FALSE(DecodeRowColumns(cut, {}, &out)) << len;
+    EXPECT_FALSE(DecodeRowColumns(cut, {true, true, true, true, true}, &out))
+        << len;
+  }
+  // An arity beyond the bytes left fails without sizing the row.
+  std::string huge;
+  PutVarint32(&huge, 4000000000u);
+  huge.push_back(0);
+  EXPECT_FALSE(DecodeRow(Slice(huge), &out));
+  EXPECT_FALSE(DecodeRowColumns(Slice(huge), {}, &out));
+}
+
 TEST_F(EngineTest, InsertCommitGet) {
   Table* t = engine()->CreateTable("accounts", AccountSchema());
   auto txn = engine()->Begin();
