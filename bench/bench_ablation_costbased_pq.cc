@@ -46,7 +46,6 @@ Rig MakeRig() {
       query::PushdownRuntime::Options{});
   rig.pushdown->AttachEbp(rig.cluster->ebp());
   rig.cluster->StartBackground();
-  rig.cluster->env()->clock()->RegisterActor();
 
   workload::TpccScale scale;
   scale.warehouses = 4;
@@ -126,7 +125,6 @@ int main() {
   snapshots.push_back(bench::CollectRunSnapshot(env, "costbased/always"));
   const double cost = RunQuerySet(&rig, Policy::kCost, answers[2], &ok);
   snapshots.push_back(bench::CollectRunSnapshot(env, "costbased/cost"));
-  rig.cluster->env()->clock()->UnregisterActor();
   rig.cluster->Shutdown();
   if (!ok) {
     fprintf(stderr, "ablation: a query failed; no table reported\n");

@@ -54,13 +54,11 @@ struct EbpRig {
     client = std::make_unique<astore::AStoreClient>(
         &env, rpc.get(), fabric.get(), cm_node, env.AddNode("dbe", dbe_cfg),
         1, astore::AStoreClient::Options{});
-    env.clock()->RegisterActor();
     // discard-ok: the sim CM is always reachable during setup.
     (void)client->Connect();
     pool = std::make_unique<ebp::ExtendedBufferPool>(&env, client.get(),
                                                      opts);
   }
-  ~EbpRig() { env.clock()->UnregisterActor(); }
 };
 
 /// Simulates consecutive push-down queries over a hot table (pages 0..N)

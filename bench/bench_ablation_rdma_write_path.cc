@@ -53,7 +53,6 @@ PathResult RunWritePath(bool chained, bool ddio_enabled) {
   dbe_cfg.storage = sim::HardwareProfile::NvmeSsd(env.NextSeed());
   sim::SimNode* dbe = env.AddNode("dbe", dbe_cfg);
 
-  env.clock()->RegisterActor();
   astore::AStoreClient client(&env, &rpc, &fabric, cm_node, dbe, 1,
                               astore::AStoreClient::Options{});
   // discard-ok: the sim CM is always reachable during setup.
@@ -61,7 +60,6 @@ PathResult RunWritePath(bool chained, bool ddio_enabled) {
   auto seg = client.CreateSegment(8 * kMiB, 3);
   if (!seg.ok()) {
     fprintf(stderr, "create: %s\n", seg.status().ToString().c_str());
-    env.clock()->UnregisterActor();
     return {0, false};
   }
 
@@ -116,7 +114,6 @@ PathResult RunWritePath(bool chained, bool ddio_enabled) {
   if (client.Read(*seg, probe_off, sizeof(probe), probe).ok()) {
     durable = memcmp(probe, payload.data(), sizeof(probe)) == 0;
   }
-  env.clock()->UnregisterActor();
   return {latency.Average() / 1e3, durable};
 }
 

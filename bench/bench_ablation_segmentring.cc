@@ -25,7 +25,6 @@ double RunAppends(bool use_astore, size_t record_bytes, int ops) {
   opts.astore_log.ring.segment_size = 4 * kMiB;
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   const std::string payload(record_bytes, 'r');
   Histogram latency;
@@ -39,7 +38,6 @@ double RunAppends(bool use_astore, size_t record_bytes, int ops) {
     latency.Add(cluster.env()->clock()->Now() - t0);
   }
   const double avg_us = latency.Average() / 1e3;
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
   return avg_us;
 }
@@ -87,7 +85,6 @@ StormStats RunStorm(int clients, int total_appends) {
   astore::AStoreClient client(&env, rpc.get(), fabric.get(), cm_node, dbe,
                               /*client_id=*/1, copts);
 
-  env.clock()->RegisterActor();
   Status st = client.Connect();
   if (!st.ok()) fprintf(stderr, "connect: %s\n", st.ToString().c_str());
   astore::SegmentRing::Options ropts;
@@ -96,10 +93,8 @@ StormStats RunStorm(int clients, int total_appends) {
   auto ring = astore::SegmentRing::Create(&client, ropts);
   if (!ring.ok()) {
     fprintf(stderr, "ring: %s\n", ring.status().ToString().c_str());
-    env.clock()->UnregisterActor();
     return {};
   }
-  env.clock()->UnregisterActor();
 
   workload::AppendStormOptions sopts;
   sopts.clients = clients;

@@ -23,7 +23,6 @@ double RunMixedLoad(bool enable_ebp, int ap_clients) {
   opts.engine.buffer_pool.capacity_pages = 64;
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::TpccScale scale;
   scale.warehouses = 4;
@@ -64,7 +63,6 @@ double RunMixedLoad(bool enable_ebp, int ap_clients) {
   const double tps =
       static_cast<double>(result.operations - ap_ops.load()) /
       (static_cast<double>(result.elapsed) / kSecond);
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
   return tps;
 }

@@ -58,7 +58,6 @@ void RunConfig(size_t bp_pages, bool enable_ebp, const std::string& label,
   opts.engine.buffer_pool.capacity_pages = bp_pages;
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::TpccScale scale;
   scale.warehouses = 4;
@@ -75,7 +74,6 @@ void RunConfig(size_t bp_pages, bool enable_ebp, const std::string& label,
     idx++;
   }
   snapshots->push_back(bench::CollectRunSnapshot(cluster.env(), label));
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 

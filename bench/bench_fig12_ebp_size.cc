@@ -35,7 +35,6 @@ OpsResult RunOps(uint64_t ebp_capacity, const std::string& run_label,
   opts.engine.buffer_pool.capacity_pages = 96;
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::OperationsWorkload::Options wopts;
   wopts.rows = 50000;
@@ -52,7 +51,6 @@ OpsResult RunOps(uint64_t ebp_capacity, const std::string& run_label,
   std::vector<Random> rngs;
   for (int i = 0; i < kClients; ++i) rngs.emplace_back(300 + i);
 
-  cluster.env()->clock()->UnregisterActor();
   workload::LoadResult result = workload::RunClosedLoop(
       cluster.env(), kClients, 200 * kMillisecond, 800 * kMillisecond,
       [&](int c) { return workload.RunLookup(&rngs[c]); });

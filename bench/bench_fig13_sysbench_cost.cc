@@ -37,7 +37,6 @@ double RunSysbench(bool astore_with_ebp, const Deployment& dep,
       astore_with_ebp ? dep.astore_bp_pages : dep.stock_bp_pages;
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::SysbenchWorkload::Options wopts;
   wopts.rows = 30000;
@@ -49,7 +48,6 @@ double RunSysbench(bool astore_with_ebp, const Deployment& dep,
   for (int i = 0; i < clients; ++i) rngs.emplace_back(40 + i);
   std::atomic<uint64_t> queries{0};
 
-  cluster.env()->clock()->UnregisterActor();
   workload::LoadResult result = workload::RunClosedLoop(
       cluster.env(), clients, 100 * kMillisecond, 500 * kMillisecond,
       [&](int c) {

@@ -49,7 +49,6 @@ Setup MakeSetup(bool enable_ebp) {
       s.cluster->astore_servers(), query::PushdownRuntime::Options{});
   s.pushdown->AttachEbp(s.cluster->ebp());
   s.cluster->StartBackground();
-  s.cluster->env()->clock()->RegisterActor();
 
   workload::TpccScale scale;
   scale.warehouses = 4;
@@ -108,7 +107,6 @@ int main() {
   }
   snapshots.push_back(
       bench::CollectRunSnapshot(plain.cluster->env(), "fig14/local"));
-  plain.cluster->env()->clock()->UnregisterActor();
   plain.cluster->Shutdown();
 
   // PQ+EBP run.
@@ -120,7 +118,6 @@ int main() {
   }
   snapshots.push_back(
       bench::CollectRunSnapshot(pq.cluster->env(), "fig14/pq_ebp"));
-  pq.cluster->env()->clock()->UnregisterActor();
   pq.cluster->Shutdown();
   if (!ok) {
     fprintf(stderr, "fig14: a query failed; no figure reported\n");

@@ -33,9 +33,6 @@ std::vector<Point> RunSweep(bool use_astore,
     workload::ClusterOptions opts =
         bench::MakeClusterOptions(use_astore, 0, /*seed=*/2023);
     workload::VedbCluster cluster(opts);
-    // Main runs the setup as an actor, queued ahead of the background
-    // actors.
-    cluster.env()->clock()->RegisterActor();
     cluster.StartBackground();
 
     workload::TpccScale scale;
@@ -55,12 +52,10 @@ std::vector<Point> RunSweep(bool use_astore,
       drivers.push_back(
           std::make_unique<workload::TpccDriver>(&db, 1000 + i));
     }
-    cluster.env()->clock()->UnregisterActor();
     workload::LoadResult result = workload::RunClosedLoop(
         cluster.env(), clients, /*warmup=*/100 * kMillisecond,
         /*duration=*/600 * kMillisecond,
         [&](int c) { return drivers[c]->RunMixed(nullptr); });
-    cluster.env()->clock()->RegisterActor();
 
     // Report latency from the registry (RunClosedLoop mirrors its run into
     // workload.txn_latency_ns), and keep the whole per-config snapshot for
@@ -80,7 +75,6 @@ std::vector<Point> RunSweep(bool use_astore,
     if (snapshots != nullptr) snapshots->push_back(std::move(snap));
 
     cluster.Shutdown();
-    cluster.env()->clock()->UnregisterActor();
   }
   return points;
 }

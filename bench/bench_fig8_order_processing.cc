@@ -24,7 +24,6 @@ double RunOrders(bool use_astore, int clients, bool single_insert,
   workload::ClusterOptions opts = bench::MakeClusterOptions(use_astore, 0);
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::OrderProcessingWorkload::Options wopts;
   wopts.merchants = 8;  // hot rows: many clients per merchant
@@ -39,16 +38,13 @@ double RunOrders(bool use_astore, int clients, bool single_insert,
   std::vector<Random> rngs;
   for (int i = 0; i < clients; ++i) rngs.emplace_back(500 + i);
 
-  cluster.env()->clock()->UnregisterActor();
   workload::LoadResult result = workload::RunClosedLoop(
       cluster.env(), clients, 60 * kMillisecond, 300 * kMillisecond,
       [&](int c) {
         return single_insert ? workload.RunSingleInsert(&rngs[c])
                              : workload.RunOrderTransaction(&rngs[c]);
       });
-  cluster.env()->clock()->RegisterActor();
   const double tps = result.Throughput();
-  cluster.env()->clock()->UnregisterActor();
   snapshots->push_back(bench::CollectRunSnapshot(
       cluster.env(), std::string("fig8/") +
                          (single_insert ? "insert" : "order") + "/" +

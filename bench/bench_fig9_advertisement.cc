@@ -35,7 +35,6 @@ AdResult RunAds(bool use_astore, std::vector<obs::Snapshot>* snapshots) {
   workload::ClusterOptions opts = bench::MakeClusterOptions(use_astore, 0);
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::AdvertisementWorkload workload(
       cluster.engine(), workload::AdvertisementWorkload::Options{}, 31);
@@ -46,7 +45,6 @@ AdResult RunAds(bool use_astore, std::vector<obs::Snapshot>* snapshots) {
   std::vector<Random> rngs;
   for (int i = 0; i < kClients; ++i) rngs.emplace_back(900 + i);
 
-  cluster.env()->clock()->UnregisterActor();
   workload::LoadResult result = workload::RunClosedLoop(
       cluster.env(), kClients, 100 * kMillisecond, 800 * kMillisecond,
       [&](int c) { return workload.RunQuery(&rngs[c]); });

@@ -76,8 +76,6 @@ std::string BreakdownJson(const std::vector<obs::Span>& spans,
 MicroResult RunLogMicro(bool use_astore, int ops) {
   workload::ClusterOptions opts = bench::MakeClusterOptions(use_astore, 0);
   workload::VedbCluster cluster(opts);
-  // Main runs the setup as an actor, queued ahead of the background actors.
-  cluster.env()->clock()->RegisterActor();
   cluster.StartBackground();
 
   const std::string payload(4 * kKiB, 'L');
@@ -125,9 +123,7 @@ MicroResult RunLogMicro(bool use_astore, int ops) {
     obs::MetricsRegistry::Default().ResetValues();
   }
 
-  // Shut down while still registered, then end main's actor role.
   cluster.Shutdown();
-  cluster.env()->clock()->UnregisterActor();
   return result;
 }
 

@@ -36,7 +36,6 @@ int main() {
   pushdown.AttachEbp(cluster.ebp());
 
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::TpccScale scale;
   scale.warehouses = 4;
@@ -73,7 +72,6 @@ int main() {
     printf("    speedup: %.1fx\n\n", base / pushed);
   }
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
   return 0;
 }

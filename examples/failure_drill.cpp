@@ -35,7 +35,6 @@ int main() {
   options.astore_nodes = 4;  // a spare node for replica rebuild
   workload::VedbCluster cluster(options);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   DeclareCatalog(cluster.engine());
   Table* ledger = cluster.engine()->GetTable("ledger");
@@ -81,7 +80,6 @@ int main() {
   }
   printf("  rows after full drill: %d / 100\n", present);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
   return present == 100 ? 0 : 1;
 }

@@ -21,7 +21,6 @@ workload::LoadResult RunDeployment(bool use_astore, int clients) {
   options.use_astore_log = use_astore;
   workload::VedbCluster cluster(options);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   workload::OrderProcessingWorkload::Options wopts;
   wopts.merchants = 8;
@@ -33,7 +32,6 @@ workload::LoadResult RunDeployment(bool use_astore, int clients) {
 
   std::vector<Random> rngs;
   for (int i = 0; i < clients; ++i) rngs.emplace_back(100 + i);
-  cluster.env()->clock()->UnregisterActor();
   auto result = workload::RunClosedLoop(
       cluster.env(), clients, 100 * kMillisecond, 400 * kMillisecond,
       [&](int c) { return workload.RunOrderTransaction(&rngs[c]); });

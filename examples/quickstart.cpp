@@ -49,7 +49,6 @@ int main() {
   options.enable_ebp = true;
   workload::VedbCluster cluster(options);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
   printf("cluster up: %zu AStore servers, EBP %s\n",
          cluster.astore_servers().size(),
          cluster.ebp() != nullptr ? "enabled" : "disabled");
@@ -95,7 +94,6 @@ int main() {
   printf("after recovery, users[2] score = %.1f (expected 100.0)\n",
          (*row)[2].AsDouble());
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
   printf("done. virtual time elapsed: %.2f ms\n",
          ToMillis(cluster.env()->clock()->Now()));

@@ -126,8 +126,8 @@ class ClusterManager {
   std::string DebugEncodeRoutes() const;
 
   /// Runs one background tick (health sweep or standby monitor) right now.
-  /// Test hook: the caller must be a registered actor, since elections,
-  /// snapshot pulls, and rebuilds issue RPCs that advance virtual time.
+  /// Test hook: the caller blocks on the clock, since elections, snapshot
+  /// pulls, and rebuilds issue RPCs that advance virtual time.
   void TickForTest() { Tick(); }
 
   // ---- Direct (in-process) control API. The RPC services wrap these. ----

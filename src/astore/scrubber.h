@@ -61,8 +61,8 @@ class Scrubber {
   /// exited its loop.
   void Shutdown();
 
-  /// Runs one full pass over the local segments right now (test hook; the
-  /// caller must be a registered actor — scrub reads advance virtual time).
+  /// Runs one full pass over the local segments right now (test hook; scrub
+  /// reads advance virtual time, so the caller blocks on the clock).
   void ScrubPassForTest() { ScrubPass(); }
 
  private:

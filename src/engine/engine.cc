@@ -433,8 +433,7 @@ void DBEngine::Shutdown() {
   // exit is notification-driven; the wakeup must land while the shipper/
   // checkpoint loops still hold timers on the clock, otherwise the last
   // polling actor to exit can observe "everyone parked, no timers" and
-  // abort with a spurious virtual-time deadlock (a non-actor caller's
-  // pending NotifyAll is invisible to the clock).
+  // abort with a spurious virtual-time deadlock.
   {
     vedb::MutexLock lk(&ebp_flush_mu_);
     ebp_flusher_stop_ = true;

@@ -197,7 +197,7 @@ void AggState::Update(const AggSpec& spec, const Row& row) {
   Value scratch;
   const Value& v = spec.arg->Ref(row, &scratch);
   if (v.is_null()) return;
-  sum += v.AsDouble();
+  if (!v.is_string()) sum += v.AsDouble();  // MIN/MAX also take strings
   if (!any || v.Compare(min) < 0) min = v;
   if (!any || v.Compare(max) > 0) max = v;
   any = true;

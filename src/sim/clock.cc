@@ -106,12 +106,18 @@ struct Fiber {
   ActorGroup* group = nullptr;    // fibers only
   std::function<void()> fn;
   bool blocked = false;
-  uint64_t seq = 0;  // bumped per block, so stale timer entries are skipped
+  uint64_t seq = 0;  // the clock's number for its latest block
   std::vector<std::shared_ptr<void>> locals;  // FiberLocal storage
 
   void Run() { clock->RunFiber(this); }
   ~Fiber() {
-    if (mapping != nullptr) munmap(mapping, mapping_size);
+    if (mapping == nullptr) return;
+#ifdef VEDB_ASAN_FIBERS
+    // An exited fiber's frames never returned, so their redzones are still
+    // poisoned; a later mapping may reuse these addresses.
+    ASAN_UNPOISON_MEMORY_REGION(stack_bottom, stack_size);
+#endif
+    munmap(mapping, mapping_size);
   }
 };
 
@@ -221,14 +227,6 @@ void VirtualClock::RegisterActor() {
   Dispatch(self);
 }
 
-void VirtualClock::UnregisterActor() {
-  CheckThread();
-  // Rebuilding the sleeper heap reorders sleepers that share a wake time,
-  // so this call is part of the schedule: keep it even when main has no
-  // timer entry left.
-  PurgeTimers(Running());
-}
-
 void VirtualClock::SleepUntil(Timestamp t) {
   CheckThread();
   if (t <= now_) return;
@@ -242,7 +240,7 @@ void VirtualClock::SleepFor(Duration d) {
 }
 
 void VirtualClock::Suspend(Fiber* self, const Timestamp* deadline) {
-  self->seq++;
+  self->seq = ++suspends_;
   self->blocked = true;
   if (deadline != nullptr) {
     sleepers_.push(SleepEntry{*deadline, self, self->seq});
@@ -378,11 +376,6 @@ void ActorGroup::Spawn(std::function<void()> fn) {
              "fiber guard page mprotect failed");
   fiber->stack_bottom = static_cast<char*>(fiber->mapping) + page;
   fiber->stack_size = kFiberStackBytes;
-#ifdef VEDB_ASAN_FIBERS
-  // The mapping may reuse addresses of an exited fiber's stack, whose
-  // frames never returned and so left their redzones poisoned.
-  ASAN_UNPOISON_MEMORY_REGION(fiber->stack_bottom, fiber->stack_size);
-#endif
   fiber->sp = SeedStack(fiber->stack_bottom, fiber->stack_size);
   clock_->spawned_.push_back(fiber.get());
   live_++;

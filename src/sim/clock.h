@@ -7,10 +7,10 @@
 // virtual nanoseconds.
 //
 // Exactly one context runs at a time: an actor fiber, or the thread's own
-// stack ("root", which hosts main whether or not it registered). A context
-// runs until it blocks on the clock; the clock then switches to the next
-// ready context in a deterministic order (timer pop order, which among
-// sleepers sharing a wake time is heap order, not sleep order; condition
+// stack ("root", which hosts main and blocks on the clock like any actor).
+// A context runs until it blocks on the clock; the clock then switches to
+// the next ready context in a deterministic order (wake time, and among
+// sleepers sharing a wake time the order they went to sleep; condition
 // parking order; spawn order), so two identical seeded runs are
 // byte-identical. Every clock call must come from the clock's thread. A
 // switch is a register-only x86-64 stack switch (callee-saved registers
@@ -83,14 +83,12 @@ class VirtualClock {
   /// Current virtual time in nanoseconds.
   Timestamp Now() const;
 
-  /// Marks the start of main's actor role: main queues behind every ready
-  /// actor and returns when its turn comes. Any context may block on the
-  /// clock whether or not it registered.
+  /// perfbench only, until a benchmark change moves its call sites: queues
+  /// the caller behind every ready context and returns when its turn comes.
   void RegisterActor();
 
-  /// Marks the end of main's actor role: drops main's pending timer
-  /// entries. Ready actors run when main next blocks.
-  void UnregisterActor();
+  /// perfbench only, until a benchmark change moves its call: a no-op.
+  void UnregisterActor() {}
 
   /// Blocks the calling context until virtual time reaches `t`.
   void SleepUntil(Timestamp t);
@@ -114,7 +112,9 @@ class VirtualClock {
     Timestamp wake;
     Fiber* fiber;
     uint64_t seq;
-    bool operator>(const SleepEntry& o) const { return wake > o.wake; }
+    bool operator>(const SleepEntry& o) const {
+      return wake != o.wake ? wake > o.wake : seq > o.seq;
+    }
   };
 
   void CheckThread() const;
@@ -135,6 +135,7 @@ class VirtualClock {
   Timestamp now_ = 0;
   uint64_t switches_ = 0;
   uint64_t advances_ = 0;
+  uint64_t suspends_ = 0;  // numbers each block: a timer entry's seq
   std::deque<Fiber*> ready_;  // woken contexts awaiting the thread, FIFO
   // Actors spawned since the last dispatch, in spawn order; they join the
   // back of ready_ when the running context next blocks.
@@ -220,7 +221,7 @@ class ActorGroup {
   /// Creates a new actor fiber running `fn`.
   void Spawn(std::function<void()> fn);
 
-  /// Does nothing: spawned actors need no start signal.
+  /// perfbench only, until a benchmark change moves its call: a no-op.
   void Start() {}
 
   /// Blocks the caller until every spawned actor has exited. The caller

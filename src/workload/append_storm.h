@@ -41,8 +41,8 @@ struct AppendStormResult {
   std::vector<astore::SegmentRing::RecordLocation> locations;
 };
 
-/// Runs the storm to completion in virtual time. The caller must NOT be a
-/// registered actor of `env`'s clock (the storm spawns its own ActorGroup).
+/// Runs the storm to completion in virtual time (the storm spawns its own
+/// ActorGroup and blocks the caller until it joins).
 Result<AppendStormResult> RunAppendStorm(sim::SimEnvironment* env,
                                          astore::SegmentRing* ring,
                                          const AppendStormOptions& options);

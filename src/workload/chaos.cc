@@ -86,7 +86,6 @@ ChaosCampaignResult RunCmFailoverChaos(const ChaosCampaignOptions& options) {
       /*client_id=*/1, options.client);
   client->SetCmEndpoints(cm_nodes);
 
-  env.clock()->RegisterActor();
   VEDB_CHECK(client->Connect().ok(), "chaos campaign: connect failed");
   std::vector<astore::SegmentHandlePtr> segs;
   for (int i = 0; i < options.clients; ++i) {
@@ -164,7 +163,6 @@ ChaosCampaignResult RunCmFailoverChaos(const ChaosCampaignOptions& options) {
       obs::CollectSnapshot(obs::MetricsRegistry::Default(),
                            env.clock()->Now(), "cm_failover_chaos")
           .ToJson();
-  env.clock()->UnregisterActor();
   return out;
 }
 

@@ -77,8 +77,7 @@ struct ChaosCampaignResult {
 };
 
 /// Runs one full campaign in a fresh seeded world (the global metrics
-/// registry is reset first). The caller must NOT be a registered actor;
-/// the campaign registers the calling thread itself for the run.
+/// registry is reset first).
 ChaosCampaignResult RunCmFailoverChaos(const ChaosCampaignOptions& options);
 
 }  // namespace vedb::workload

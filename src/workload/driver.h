@@ -32,8 +32,8 @@ struct LoadResult {
 };
 
 /// Runs `clients` concurrent actors, each looping `op(client_id)` until
-/// `duration` of virtual time passes (after `warmup`). Caller must NOT be a
-/// registered actor busy elsewhere; this call blocks until the run ends.
+/// `duration` of virtual time passes (after `warmup`); this call blocks
+/// until the run ends.
 inline LoadResult RunClosedLoop(
     sim::SimEnvironment* env, int clients, Duration warmup, Duration duration,
     const std::function<Status(int client)>& op) {

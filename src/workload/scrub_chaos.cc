@@ -131,7 +131,6 @@ ScrubChaosResult RunScrubChaos(const ScrubChaosOptions& options) {
         /*probability=*/1.0, kind);
   }
 
-  env.clock()->RegisterActor();
   VEDB_CHECK(client->Connect().ok(), "scrub chaos: connect failed");
   std::vector<astore::SegmentHandlePtr> segs;
   for (int i = 0; i < options.writers; ++i) {
@@ -366,7 +365,6 @@ ScrubChaosResult RunScrubChaos(const ScrubChaosOptions& options) {
       obs::CollectSnapshot(obs::MetricsRegistry::Default(),
                            env.clock()->Now(), "scrub_chaos")
           .ToJson();
-  env.clock()->UnregisterActor();
   return out;
 }
 

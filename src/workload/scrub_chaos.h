@@ -100,8 +100,7 @@ struct ScrubChaosResult {
 };
 
 /// Runs one full campaign in a fresh seeded world (the global metrics
-/// registry is reset first). The caller must NOT be a registered actor;
-/// the campaign registers the calling thread itself for the run.
+/// registry is reset first).
 ScrubChaosResult RunScrubChaos(const ScrubChaosOptions& options);
 
 }  // namespace vedb::workload

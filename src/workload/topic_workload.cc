@@ -62,9 +62,6 @@ Result<TopicWorkloadResult> RunTopicWorkload(
       env.clock(), qos::AdmissionController::Options{
                        options.total_inflight_bytes});
 
-  // Setup runs as an actor, queued ahead of the tenants' actors; main
-  // steps out before they run.
-  env.clock()->RegisterActor();
   std::vector<std::unique_ptr<TenantRig>> rigs;
   for (size_t i = 0; i < options.tenants.size(); ++i) {
     const TopicTenantSpec& spec = options.tenants[i];
@@ -98,7 +95,6 @@ Result<TopicWorkloadResult> RunTopicWorkload(
   const Timestamp t0 = env.clock()->Now();
   const Timestamp measure_start = t0 + options.warmup;
   const Timestamp end = measure_start + options.duration;
-  env.clock()->UnregisterActor();
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   {
@@ -210,7 +206,6 @@ Result<TopicWorkloadResult> RunTopicWorkload(
     }
   }
 
-  env.clock()->RegisterActor();
   TopicWorkloadResult result;
   result.elapsed = options.duration;
   for (auto& rig : rigs) {
@@ -231,7 +226,6 @@ Result<TopicWorkloadResult> RunTopicWorkload(
         ->Add(rig->stats.consumed);
     result.tenants.push_back(rig->stats);
   }
-  env.clock()->UnregisterActor();
   return result;
 }
 

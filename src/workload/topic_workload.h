@@ -76,8 +76,8 @@ struct TopicWorkloadResult {
 
 /// Builds a seeded mini cluster (CM + AStore servers + one client node per
 /// tenant), runs all tenant actors for warmup+duration of virtual time, and
-/// returns per-tenant stats. The caller must NOT be a registered actor;
-/// identical options+seed produce byte-identical results.
+/// returns per-tenant stats. Identical options+seed produce byte-identical
+/// results.
 Result<TopicWorkloadResult> RunTopicWorkload(
     const TopicWorkloadOptions& options);
 

@@ -88,7 +88,6 @@ struct StormRun {
 StormRun RunSeededStorm(uint64_t seed) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(seed);
-  c.env.clock()->RegisterActor();
   EXPECT_TRUE(c.client->Connect().ok());
   SegmentRing::Options ropts;
   ropts.segment_size = 64 * kKiB;
@@ -96,7 +95,6 @@ StormRun RunSeededStorm(uint64_t seed) {
   ropts.replication = 3;
   auto ring = SegmentRing::Create(c.client.get(), ropts);
   EXPECT_TRUE(ring.ok()) << ring.status().ToString();
-  c.env.clock()->UnregisterActor();
 
   workload::AppendStormOptions sopts;
   sopts.clients = 64;
@@ -158,7 +156,6 @@ TEST(AppendRingTest, TornDoorbellRecoversExactlyTheCrcValidPrefix) {
   AStoreClient::Options copts;
   copts.retry.max_attempts = 1;  // surface the torn chain, don't repair it
   MiniCluster c(31, /*num_servers=*/4, copts);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
 
   SegmentRing::Options ropts;
@@ -212,7 +209,6 @@ TEST(AppendRingTest, TornDoorbellRecoversExactlyTheCrcValidPrefix) {
   EXPECT_EQ(recovered->records[3].lsn, 4u);
   EXPECT_EQ(recovered->records[3].payload, "torn-4");
   EXPECT_EQ(recovered->next_lsn, 5u);
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AppendRingTest, FullStampFailureAfterDurableRecordLosesNothing) {
@@ -220,7 +216,6 @@ TEST(AppendRingTest, FullStampFailureAfterDurableRecordLosesNothing) {
   AStoreClient::Options copts;
   copts.retry.max_attempts = 1;
   MiniCluster c(32, /*num_servers=*/4, copts);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
 
   // 8 KiB segments hold three 2 KiB records (2048+16 byte frames after the
@@ -269,7 +264,6 @@ TEST(AppendRingTest, FullStampFailureAfterDurableRecordLosesNothing) {
   ASSERT_EQ(recovered->records.size(), 4u);
   EXPECT_EQ(recovered->records[3].lsn, 4u);
   EXPECT_EQ(recovered->next_lsn, 5u);
-  c.env.clock()->UnregisterActor();
 }
 
 }  // namespace

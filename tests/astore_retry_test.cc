@@ -81,7 +81,6 @@ uint64_t SumCounter(const std::string& want) {
 TEST(AStoreRetryTest, InjectedWriteFaultIsRetriedAndUnfrozen) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(11);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto res = c.client->CreateSegment(1 * kMiB, 3);
   ASSERT_TRUE(res.ok());
@@ -101,13 +100,11 @@ TEST(AStoreRetryTest, InjectedWriteFaultIsRetriedAndUnfrozen) {
   char buf[6];
   ASSERT_TRUE(c.client->Read(seg, off, 6, buf).ok());
   EXPECT_EQ(std::string(buf, 6), "healed");
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, StaleRouteAfterRebuildIsRefreshedAndUnfrozen) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(12);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto res = c.client->CreateSegment(1 * kMiB, 3);
   ASSERT_TRUE(res.ok());
@@ -135,13 +132,11 @@ TEST(AStoreRetryTest, StaleRouteAfterRebuildIsRefreshedAndUnfrozen) {
   char buf[11];
   ASSERT_TRUE(c.client->Read(seg, 0, 11, buf).ok());
   EXPECT_EQ(std::string(buf, 11), "beforeafter");
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, CrashDuringAppendIsAbsorbedByHealthLoop) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(13);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto res = c.client->CreateSegment(2 * kMiB, 3);
   ASSERT_TRUE(res.ok());
@@ -176,13 +171,11 @@ TEST(AStoreRetryTest, CrashDuringAppendIsAbsorbedByHealthLoop) {
   for (const auto& loc : seg->route().replicas) {
     EXPECT_NE(loc.node, victim);
   }
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, CmUnreachableThenRecoveredOpenSucceeds) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(14);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto res = c.client->CreateSegment(1 * kMiB, 3);
   ASSERT_TRUE(res.ok());
@@ -202,13 +195,11 @@ TEST(AStoreRetryTest, CmUnreachableThenRecoveredOpenSucceeds) {
     EXPECT_EQ(reopened.value()->id(), id);
   }
   EXPECT_GT(SumCounter("astore.client.retries"), 0u);
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, CmCreateRetriesInjectedFaults) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(15);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   c.env.faults()->Arm("astore.client.cm", 1.0,
                       Status::Unavailable("injected cm fault"),
@@ -217,13 +208,11 @@ TEST(AStoreRetryTest, CmCreateRetriesInjectedFaults) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_GE(c.env.faults()->InjectedCount("astore.client.cm"), 2u);
   EXPECT_GT(SumCounter("astore.client.retries"), 0u);
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, ReadRetriesWhenEveryReplicaFails) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(16);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto res = c.client->CreateSegment(1 * kMiB, 3);
   ASSERT_TRUE(res.ok());
@@ -239,13 +228,11 @@ TEST(AStoreRetryTest, ReadRetriesWhenEveryReplicaFails) {
   ASSERT_TRUE(c.client->Read(seg, 0, 10, buf).ok());
   EXPECT_EQ(std::string(buf, 10), "persistent");
   EXPECT_GT(SumCounter("astore.client.retries"), 0u);
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, NonRetriableStatusesSurfaceImmediately) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(17);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto res = c.client->CreateSegment(256 * kKiB, 3);
   ASSERT_TRUE(res.ok());
@@ -260,13 +247,11 @@ TEST(AStoreRetryTest, NonRetriableStatusesSurfaceImmediately) {
   EXPECT_TRUE(c.client->Append(seg, Slice("x"), nullptr).IsStale());
   EXPECT_LT(c.env.clock()->Now() - before, 1 * kMillisecond);
   EXPECT_EQ(SumCounter("astore.client.retries"), 0u);
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, LeaseRenewFailureIsCountedWithCause) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(18);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
 
   // Partition the client away from its only CM: renewal retries through
@@ -281,13 +266,11 @@ TEST(AStoreRetryTest, LeaseRenewFailureIsCountedWithCause) {
   // Healed: the next renewal goes straight through.
   c.env.faults()->HealPartition();
   EXPECT_TRUE(c.client->RenewLease().ok());
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(AStoreRetryTest, WritesFailFastWithLeaseExpiredWhenNoCmReachable) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(19);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto res = c.client->CreateSegment(1 * kMiB, 3);
   ASSERT_TRUE(res.ok());
@@ -303,7 +286,6 @@ TEST(AStoreRetryTest, WritesFailFastWithLeaseExpiredWhenNoCmReachable) {
   EXPECT_TRUE(s.IsLeaseExpired()) << s.ToString();
   EXPECT_LT(c.env.clock()->Now() - before, 1 * kMillisecond);
   EXPECT_EQ(SumCounter("astore.client.retries"), 0u);
-  c.env.clock()->UnregisterActor();
 }
 
 // Acceptance scenario: a seeded closed-loop append workload with one
@@ -321,7 +303,6 @@ CrashRunResult RunCrashWorkload(uint64_t seed) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   CrashRunResult out;
   MiniCluster c(seed);
-  c.env.clock()->RegisterActor();
   EXPECT_TRUE(c.client->Connect().ok());
 
   // One segment per driver client: each writer owns repair of its own
@@ -367,7 +348,6 @@ CrashRunResult RunCrashWorkload(uint64_t seed) {
       obs::CollectSnapshot(obs::MetricsRegistry::Default(),
                            c.env.clock()->Now(), "crash_workload")
           .ToJson();
-  c.env.clock()->UnregisterActor();
   return out;
 }
 

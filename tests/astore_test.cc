@@ -52,11 +52,8 @@ class AStoreTest : public ::testing::Test {
                                              /*client_id=*/1,
                                              AStoreClient::Options{});
 
-    env_.clock()->RegisterActor();
     ASSERT_TRUE(client_->Connect().ok());
   }
-
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   std::unique_ptr<AStoreClient> MakeClient(ClientId id) {
     auto c = std::make_unique<AStoreClient>(&env_, rpc_.get(), fabric_.get(),
@@ -234,7 +231,6 @@ Duration OneWriteLatency(uint64_t seed, bool ring) {
                       env.AddNode("dbe", client_cfg), /*client_id=*/1,
                       AStoreClient::Options{});
 
-  env.clock()->RegisterActor();
   Status s = client.Connect();
   SegmentHandlePtr seg;
   if (s.ok()) {
@@ -252,7 +248,6 @@ Duration OneWriteLatency(uint64_t seed, bool ring) {
   }
   const Duration latency = s.ok() ? env.clock()->Now() - t0 : 0;
   EXPECT_TRUE(s.ok()) << s.ToString();
-  env.clock()->UnregisterActor();
   return latency;
 }
 

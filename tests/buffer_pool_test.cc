@@ -21,9 +21,7 @@ class BufferPoolTest : public ::testing::Test {
     cfg.cpu_cores = 8;
     cfg.storage = sim::HardwareProfile::NvmeSsd(1);
     node_ = env_.AddNode("dbe", cfg);
-    env_.clock()->RegisterActor();
   }
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   BufferPool::Callbacks ScriptedCallbacks() {
     BufferPool::Callbacks cb;
@@ -155,7 +153,6 @@ TEST_F(BufferPoolTest, ConcurrentPinsSingleFlightTheLoad) {
   pagestore_[5] = MakePage('s');
   BufferPool::Options opts;
   BufferPool bp(&env_, node_, opts, ScriptedCallbacks());
-  env_.clock()->UnregisterActor();
   {
     sim::ActorGroup group(env_.clock());
     for (int i = 0; i < 8; ++i) {
@@ -166,7 +163,6 @@ TEST_F(BufferPoolTest, ConcurrentPinsSingleFlightTheLoad) {
       });
     }
   }
-  env_.clock()->RegisterActor();
   // All eight pins were served by exactly one PageStore read.
   EXPECT_EQ(ps_reads_, 1);
 }

@@ -28,8 +28,8 @@ namespace {
 
 // Three-member CM replication group plus a small data plane and one SDK
 // client that knows every CM endpoint. Elections are driven from the test
-// thread (a registered actor) via TickForTest, so each scenario controls
-// exactly when detection and promotion happen.
+// thread via TickForTest, so each scenario controls exactly when detection
+// and promotion happen.
 struct CmGroup {
   explicit CmGroup(uint64_t seed, int cm_count = 3, int num_servers = 3)
       : env(seed) {
@@ -104,7 +104,6 @@ uint64_t SumCounter(const std::string& want) {
 TEST(CmFailoverTest, ReplicationKeepsRouteTablesByteIdentical) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   CmGroup g(21);
-  g.env.clock()->RegisterActor();
   ASSERT_TRUE(g.client->Connect().ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(g.client->CreateSegment(1 * kMiB, 3).ok());
@@ -117,13 +116,11 @@ TEST(CmFailoverTest, ReplicationKeepsRouteTablesByteIdentical) {
   EXPECT_FALSE(canonical.empty());
   EXPECT_EQ(g.cms[1]->DebugEncodeRoutes(), canonical);
   EXPECT_EQ(g.cms[2]->DebugEncodeRoutes(), canonical);
-  g.env.clock()->UnregisterActor();
 }
 
 TEST(CmFailoverTest, ElectionPromotesLowestLiveStandbyAndReplaysRoutes) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   CmGroup g(22);
-  g.env.clock()->RegisterActor();
   ASSERT_TRUE(g.client->Connect().ok());
   auto created = g.client->CreateSegment(2 * kMiB, 3);
   ASSERT_TRUE(created.ok());
@@ -157,13 +154,11 @@ TEST(CmFailoverTest, ElectionPromotesLowestLiveStandbyAndReplaysRoutes) {
   EXPECT_TRUE(g.client->RenewLease().ok());
   EXPECT_TRUE(g.client->OpenSegment(seg_id).ok());
   EXPECT_GT(SumCounter("astore.client.cm_failovers"), 0u);
-  g.env.clock()->UnregisterActor();
 }
 
 TEST(CmFailoverTest, HealedMinorityMemberIsFencedByTerm) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   CmGroup g(23);
-  g.env.clock()->RegisterActor();
   ASSERT_TRUE(g.client->Connect().ok());
 
   // Cut the primary off from the whole world; the lowest-id standby can
@@ -211,13 +206,11 @@ TEST(CmFailoverTest, HealedMinorityMemberIsFencedByTerm) {
           << "two members granted a lease in term " << term;
     }
   }
-  g.env.clock()->UnregisterActor();
 }
 
 TEST(CmFailoverTest, ShutdownIsIdempotentAndDrainsHealthActor) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   CmGroup g(24);
-  g.env.clock()->RegisterActor();
   // Shutdown before StartBackground: nothing to drain, returns at once.
   g.cms[0]->Shutdown();
 
@@ -235,7 +228,6 @@ TEST(CmFailoverTest, ShutdownIsIdempotentAndDrainsHealthActor) {
   }
   // And once more from the test thread after the group joined.
   for (auto& cm : g.cms) cm->Shutdown();
-  g.env.clock()->UnregisterActor();
 }
 
 }  // namespace

@@ -46,10 +46,8 @@ class EbpTest : public ::testing::Test {
     client_ = std::make_unique<astore::AStoreClient>(
         &env_, rpc_.get(), fabric_.get(), cm_node_, dbe_, /*client_id=*/77,
         astore::AStoreClient::Options{});
-    env_.clock()->RegisterActor();
     ASSERT_TRUE(client_->Connect().ok());
   }
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   ExtendedBufferPool::Options SmallOptions() {
     ExtendedBufferPool::Options o;

@@ -37,12 +37,8 @@ class EngineTest : public ::testing::Test {
     opts.astore_log.ring.ring_size = 4;
     cluster_ = std::make_unique<VedbCluster>(opts);
     cluster_->StartBackground();
-    env()->clock()->RegisterActor();
   }
-  void TearDown() override {
-    env()->clock()->UnregisterActor();
-    cluster_->Shutdown();
-  }
+  void TearDown() override { cluster_->Shutdown(); }
 
   sim::SimEnvironment* env() { return cluster_->env(); }
   DBEngine* engine() { return cluster_->engine(); }
@@ -698,7 +694,6 @@ TEST(EngineChurnTest, WorkingSetLargerThanBufferPoolStillCorrect) {
   opts.engine.buffer_pool.capacity_pages = 32;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   Table* t = cluster.engine()->CreateTable("accounts", AccountSchema());
   std::vector<Row> rows;
@@ -719,7 +714,6 @@ TEST(EngineChurnTest, WorkingSetLargerThanBufferPoolStillCorrect) {
   EXPECT_GT(cluster.engine()->buffer_pool()->stats().pagestore_reads, 0u);
   EXPECT_GT(cluster.engine()->buffer_pool()->stats().evictions, 0u);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
@@ -738,7 +732,6 @@ TEST_F(EngineCrashTest, CommittedDataSurvivesEngineCrash) {
   opts.astore_log.ring.ring_size = 4;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   DeclareCatalog(cluster.engine());
   Table* t = cluster.engine()->GetTable("accounts");
@@ -772,7 +765,6 @@ TEST_F(EngineCrashTest, CommittedDataSurvivesEngineCrash) {
                   })
                   .ok());
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
@@ -792,7 +784,6 @@ TEST(EbpWarmupTest, RecoveryWarmupPreloadsHotPages) {
   opts.astore_server.pmem_capacity = 128 * kMiB;
   workload::VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   auto declare = [](DBEngine* engine) {
     Schema s;
@@ -822,7 +813,6 @@ TEST(EbpWarmupTest, RecoveryWarmupPreloadsHotPages) {
   EXPECT_EQ(cluster.engine()->buffer_pool()->stats().ebp_hits, warmed);
   EXPECT_GE(cluster.engine()->buffer_pool()->ResidentPages(), warmed);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 

@@ -36,7 +36,6 @@ TEST(IntegrationTest, TpccSurvivesAStoreNodeFailureMidRun) {
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   TpccScale scale;
   scale.warehouses = 2;
@@ -67,7 +66,6 @@ TEST(IntegrationTest, TpccSurvivesAStoreNodeFailureMidRun) {
   EXPECT_GT(result.operations, 100u);
   EXPECT_LT(result.errors, result.operations / 4);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
@@ -76,7 +74,6 @@ TEST(IntegrationTest, TpccInvariantsHoldAcrossEngineCrash) {
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   TpccScale scale;
   scale.warehouses = 2;
@@ -142,7 +139,6 @@ TEST(IntegrationTest, TpccInvariantsHoldAcrossEngineCrash) {
                   })
                   .ok());
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
@@ -157,7 +153,6 @@ TEST(IntegrationTest, ShadowVerifiedRandomWorkloadThroughEbp) {
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   Table* table = cluster.engine()->CreateTable("kv", KvSchema());
   std::map<int64_t, int64_t> shadow;
@@ -213,7 +208,6 @@ TEST(IntegrationTest, ShadowVerifiedRandomWorkloadThroughEbp) {
   // flusher needs churn + time before hits can occur, both present here).
   EXPECT_GT(cluster.engine()->buffer_pool()->stats().ebp_hits, 0u);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
@@ -221,7 +215,6 @@ TEST(IntegrationTest, TransientShipFailuresAreRetried) {
   ClusterOptions opts;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   Table* table = cluster.engine()->CreateTable("kv", KvSchema());
   // 20% of PageStore ship batches fail transiently for a while.
@@ -248,7 +241,6 @@ TEST(IntegrationTest, TransientShipFailuresAreRetried) {
   Table* recovered = cluster.engine()->GetTable("kv");
   EXPECT_EQ(recovered->approximate_row_count(), 60u);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
@@ -289,7 +281,6 @@ TEST(StandbyTest, ServesReadsAndRejectsWrites) {
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   auto declare = [](engine::DBEngine* engine) {
     engine->CreateTable("kv", KvSchema());
@@ -344,7 +335,6 @@ TEST(StandbyTest, ServesReadsAndRejectsWrites) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ((*fresh)[1].AsInt(), 42);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 

@@ -194,9 +194,7 @@ class BlobIntegrityTest : public ::testing::Test {
     cfg.cpu_cores = 16;
     cfg.storage = sim::HardwareProfile::NvmeSsd(env_.NextSeed());
     client_ = env_.AddNode("dbe", cfg);
-    env_.clock()->RegisterActor();
   }
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   sim::SimEnvironment env_{2026};
   std::unique_ptr<net::RpcTransport> rpc_;
@@ -287,7 +285,6 @@ TEST(BlobIntegrityDeterminismTest, SeededCrashAndRepairRunsAreByteIdentical) {
     sim::NodeConfig cfg;
     cfg.storage = sim::HardwareProfile::NvmeSsd(env.NextSeed());
     sim::SimNode* client = env.AddNode("dbe", cfg);
-    env.clock()->RegisterActor();
 
     std::string log;
     auto id = cluster.CreateBlob(client);
@@ -312,7 +309,6 @@ TEST(BlobIntegrityDeterminismTest, SeededCrashAndRepairRunsAreByteIdentical) {
                               FramedRecord(i).size(), &raw);
       log += s.ToString() + "|" + raw + "\n";
     }
-    env.clock()->UnregisterActor();
     return log;
   };
   EXPECT_EQ(transcript(), transcript());
@@ -357,10 +353,8 @@ class ScrubberTest : public ::testing::Test {
     client_ = std::make_unique<AStoreClient>(&env_, rpc_.get(), fabric_.get(),
                                              cm_node_, client_node_, 1,
                                              AStoreClient::Options{});
-    env_.clock()->RegisterActor();
     ASSERT_TRUE(client_->Connect().ok());
   }
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   AStoreServer* ServerNamed(const std::string& name) {
     for (auto& s : servers_) {

@@ -58,10 +58,8 @@ class LogStoreTest : public ::testing::Test {
     aclient_ = std::make_unique<astore::AStoreClient>(
         &env_, rpc_.get(), fabric_.get(), cm_node_, dbe_, 1,
         astore::AStoreClient::Options{});
-    env_.clock()->RegisterActor();
     ASSERT_TRUE(aclient_->Connect().ok());
   }
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   std::unique_ptr<BlobLogStore> MakeBlobLog() {
     BlobLogStore::Options opts;

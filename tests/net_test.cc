@@ -22,10 +22,7 @@ class NetTest : public ::testing::Test {
     server_cfg.cpu_cores = 16;
     server_cfg.storage = sim::HardwareProfile::OptanePmem(env_.NextSeed());
     server_ = env_.AddNode("server", server_cfg);
-
-    env_.clock()->RegisterActor();
   }
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   sim::SimEnvironment env_;
   sim::SimNode* client_ = nullptr;

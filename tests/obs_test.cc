@@ -119,7 +119,6 @@ std::vector<Span> RunNestedSpans() {
   sim::VirtualClock clock;
   Tracer tracer(&clock);
   Tracer::SetGlobal(&tracer);
-  clock.RegisterActor();
   {
     SpanScope outer(Tracer::Global(), "outer");
     clock.SleepFor(100);
@@ -130,7 +129,6 @@ std::vector<Span> RunNestedSpans() {
     }
     clock.SleepFor(25);
   }
-  clock.UnregisterActor();
   Tracer::SetGlobal(nullptr);
   return tracer.FinishedSpans();
 }
@@ -208,7 +206,6 @@ TEST_F(ObsTest, SnapshotJsonRoundTrip) {
 TEST_F(ObsTest, AStoreLogWriteBreakdownTilesEndToEnd) {
   workload::ClusterOptions opts = AStoreClusterOptions();
   workload::VedbCluster cluster(opts);
-  cluster.env()->clock()->RegisterActor();
   cluster.StartBackground();
 
   Tracer tracer(cluster.env()->clock());
@@ -262,7 +259,6 @@ TEST_F(ObsTest, AStoreLogWriteBreakdownTilesEndToEnd) {
   for (const Span* c : children) EXPECT_GT(c->duration(), 0u) << c->name;
 
   cluster.Shutdown();
-  cluster.env()->clock()->UnregisterActor();
 }
 
 // Acceptance criterion: two identical seeded runs export byte-identical
@@ -275,7 +271,6 @@ std::string SeededRunSnapshotJson() {
   MetricsRegistry::Default().RemoveAllForTesting();
   workload::ClusterOptions opts = AStoreClusterOptions(/*seed=*/2023);
   workload::VedbCluster cluster(opts);
-  cluster.env()->clock()->RegisterActor();
   cluster.StartBackground();
   const std::string payload(1 * kKiB, 'S');
   for (int i = 0; i < 32; ++i) {
@@ -286,7 +281,6 @@ std::string SeededRunSnapshotJson() {
       CollectSnapshot(MetricsRegistry::Default(),
                       cluster.env()->clock()->Now(), "seeded");
   cluster.Shutdown();
-  cluster.env()->clock()->UnregisterActor();
   return snap.ToJson();
 }
 

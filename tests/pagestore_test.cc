@@ -38,9 +38,7 @@ class PageStoreTest : public ::testing::Test {
     opts.write_quorum = 2;
     store_ = std::make_unique<PageStoreCluster>(&env_, rpc_.get(), nodes_,
                                                 AppendApply, opts);
-    env_.clock()->RegisterActor();
   }
-  void TearDown() override { env_.clock()->UnregisterActor(); }
 
   RedoShipRecord Rec(PageKey key, uint64_t lsn, const std::string& payload) {
     return RedoShipRecord{key, lsn, payload};

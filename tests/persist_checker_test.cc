@@ -151,13 +151,7 @@ class AStoreAckPathTest : public ::testing::Test {
     client_ = std::make_unique<astore::AStoreClient>(
         &env_, rpc_.get(), fabric_.get(), cm_node_, dbe_, 1,
         astore::AStoreClient::Options{});
-    env_.clock()->RegisterActor();
-    registered_ = true;
     ASSERT_TRUE(client_->Connect().ok());
-  }
-
-  void TearDown() override {
-    if (registered_) env_.clock()->UnregisterActor();
   }
 
   sim::SimEnvironment env_;
@@ -168,7 +162,6 @@ class AStoreAckPathTest : public ::testing::Test {
   std::unique_ptr<astore::ClusterManager> cm_;
   std::vector<std::unique_ptr<astore::AStoreServer>> servers_;
   std::unique_ptr<astore::AStoreClient> client_;
-  bool registered_ = false;
 };
 
 TEST_F(AStoreAckPathTest, DdioOffAppendAcksClean) {

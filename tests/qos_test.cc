@@ -20,7 +20,6 @@ namespace {
 
 TEST(TokenBucketTest, FullBucketGrantsBurstInstantly) {
   sim::VirtualClock clock;
-  clock.RegisterActor();
   TokenBucket bucket(&clock, {/*rate=*/1 * kMiB, /*burst=*/64 * kKiB});
   EXPECT_EQ(bucket.TokensAvailable(), 64 * kKiB);
   // The whole burst conforms immediately...
@@ -28,12 +27,10 @@ TEST(TokenBucketTest, FullBucketGrantsBurstInstantly) {
   EXPECT_EQ(bucket.TokensAvailable(), 0u);
   // ...but the next byte must wait out the debt.
   EXPECT_GT(bucket.Acquire(1 * kKiB), clock.Now());
-  clock.UnregisterActor();
 }
 
 TEST(TokenBucketTest, IdleBucketRecoversAtConfiguredRate) {
   sim::VirtualClock clock;
-  clock.RegisterActor();
   TokenBucket bucket(&clock, {/*rate=*/1 * kMiB, /*burst=*/64 * kKiB});
   bucket.Acquire(64 * kKiB);
   EXPECT_EQ(bucket.TokensAvailable(), 0u);
@@ -43,35 +40,29 @@ TEST(TokenBucketTest, IdleBucketRecoversAtConfiguredRate) {
   // A long idle period refills to exactly the burst, never beyond.
   clock.SleepFor(10 * kSecond);
   EXPECT_EQ(bucket.TokensAvailable(), 64 * kKiB);
-  clock.UnregisterActor();
 }
 
 TEST(TokenBucketTest, OversizedRequestPaysWithDebtNotDeadlock) {
   sim::VirtualClock clock;
-  clock.RegisterActor();
   TokenBucket bucket(&clock, {/*rate=*/1 * kMiB, /*burst=*/16 * kKiB});
   // Four times the burst: legal, just amortized at the configured rate.
   const Timestamp ready = bucket.Acquire(64 * kKiB);
   EXPECT_GT(ready, clock.Now());
   // The wait equals the non-burst excess at 1 MiB/s (48 KiB worth).
   EXPECT_EQ(ready - clock.Now(), 48 * kKiB * kSecond / (1 * kMiB));
-  clock.UnregisterActor();
 }
 
 TEST(TokenBucketTest, UnlimitedBucketNeverDelays) {
   sim::VirtualClock clock;
-  clock.RegisterActor();
   TokenBucket bucket(&clock, {/*rate=*/0, /*burst=*/1});
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(bucket.Acquire(100 * kMiB), clock.Now());
   }
-  clock.UnregisterActor();
 }
 
 TEST(TokenBucketTest, GrantScheduleIsDeterministic) {
   auto run = [] {
     sim::VirtualClock clock;
-    clock.RegisterActor();
     TokenBucket bucket(&clock, {/*rate=*/2 * kMiB, /*burst=*/32 * kKiB});
     std::vector<Timestamp> grants;
     for (int i = 0; i < 32; ++i) {
@@ -79,7 +70,6 @@ TEST(TokenBucketTest, GrantScheduleIsDeterministic) {
       grants.push_back(ready);
       clock.SleepUntil(ready);
     }
-    clock.UnregisterActor();
     return grants;
   };
   EXPECT_EQ(run(), run());
@@ -87,7 +77,6 @@ TEST(TokenBucketTest, GrantScheduleIsDeterministic) {
 
 TEST(MemoryLimiterTest, UnknownGroupAndNeverFitRequestsFailFast) {
   sim::VirtualClock clock;
-  clock.RegisterActor();
   GroupedMemoryLimiter limiter(&clock, {/*total=*/1 * kMiB});
   limiter.RegisterGroup("a", 256 * kKiB);
   EXPECT_TRUE(limiter.Acquire("ghost", 1).IsInvalidArgument());
@@ -95,7 +84,6 @@ TEST(MemoryLimiterTest, UnknownGroupAndNeverFitRequestsFailFast) {
   EXPECT_TRUE(limiter.Acquire("a", 512 * kKiB).IsInvalidArgument());
   limiter.RegisterGroup("b", 0);  // bounded only by the total
   EXPECT_TRUE(limiter.Acquire("b", 2 * kMiB).IsInvalidArgument());
-  clock.UnregisterActor();
 }
 
 TEST(MemoryLimiterTest, AcquireBlocksUntilReleaseUnderGroupCap) {
@@ -197,7 +185,6 @@ TEST(MemoryLimiterTest, FifoWithinGroupLargeRequestIsNotStarved) {
 TEST(AdmissionTest, FloodedTenantThrottlesWhileNeighborStaysClean) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   sim::VirtualClock clock;
-  clock.RegisterActor();
   AdmissionController adm(&clock);
   TenantConfig flooded;
   flooded.rate_bytes_per_sec = 1 * kMiB;
@@ -220,13 +207,11 @@ TEST(AdmissionTest, FloodedTenantThrottlesWhileNeighborStaysClean) {
   EXPECT_EQ(adm.ThrottleCount("b"), 0u);
   EXPECT_EQ(adm.InflightBytes("a"), 0u);  // tickets all released
   EXPECT_EQ(adm.InflightBytes("b"), 0u);
-  clock.UnregisterActor();
 }
 
 TEST(AdmissionTest, TicketReleasesInflightBytesOnDestruction) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   sim::VirtualClock clock;
-  clock.RegisterActor();
   AdmissionController adm(&clock);
   ASSERT_TRUE(adm.RegisterTenant("t", TenantConfig{}).ok());
   {
@@ -245,14 +230,12 @@ TEST(AdmissionTest, TicketReleasesInflightBytesOnDestruction) {
   }
   EXPECT_EQ(adm.InflightBytes("t"), 0u);
   EXPECT_TRUE(adm.Admit("ghost", 1).status().IsInvalidArgument());
-  clock.UnregisterActor();
 }
 
 TEST(AdmissionTest, ThrottleDecisionsAreDeterministic) {
   auto run = [] {
     obs::MetricsRegistry::Default().RemoveAllForTesting();
     sim::VirtualClock clock;
-    clock.RegisterActor();
     AdmissionController adm(&clock);
     TenantConfig cfg;
     cfg.rate_bytes_per_sec = 2 * kMiB;
@@ -265,7 +248,6 @@ TEST(AdmissionTest, ThrottleDecisionsAreDeterministic) {
       admits.push_back(clock.Now());
     }
     const uint64_t throttles = adm.ThrottleCount("t");
-    clock.UnregisterActor();
     return std::make_pair(admits, throttles);
   };
   EXPECT_EQ(run(), run());

@@ -49,7 +49,6 @@ class QueryTest : public ::testing::Test {
         cluster_->astore_servers(), PushdownRuntime::Options{});
     pushdown_->AttachEbp(cluster_->ebp());
     cluster_->StartBackground();
-    cluster_->env()->clock()->RegisterActor();
 
     table_ = cluster_->engine()->CreateTable("sales", SalesSchema());
     std::vector<engine::Row> rows;
@@ -60,10 +59,7 @@ class QueryTest : public ::testing::Test {
     }
     ASSERT_TRUE(table_->BulkLoad(rows).ok());
   }
-  void TearDown() override {
-    cluster_->env()->clock()->UnregisterActor();
-    cluster_->Shutdown();
-  }
+  void TearDown() override { cluster_->Shutdown(); }
 
   ExecContext Ctx(bool pushdown) {
     ExecContext ctx;
@@ -517,6 +513,29 @@ TEST(HashAggregateSemantics, GroupsComeOutInEncodeSortableOrder) {
   // int 0 and double 0.0 share their bytes: 10 distinct keys x 2.
   EXPECT_EQ(want.size(), 20u);
   ExpectSameRows(*got, want);
+}
+
+TEST(HashAggregateSemantics, MinMaxTakeStringsSumAndAvgTakeNumbers) {
+  // A string argument feeds MIN/MAX but never the numeric running sum.
+  const std::vector<engine::Row> rows = {
+      {Value("pear"), Value(3), Value(0.5)},
+      {Value("apple"), Value(-4), Value(2.25)},
+      {Value(), Value(10), Value(1.0)},
+      {Value("zebra"), Value(1), Value(-0.75)}};
+  const std::vector<AggSpec> aggs = {
+      AggSpec::Min(Expr::Col(0)), AggSpec::Max(Expr::Col(0)),
+      AggSpec::Sum(Expr::Col(1)), AggSpec::Avg(Expr::Col(1)),
+      AggSpec::Sum(Expr::Col(2)), AggSpec::Avg(Expr::Col(2))};
+  auto got = HashAggregate(rows, {}, aggs);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), 1u);
+  const engine::Row& r = (*got)[0];
+  EXPECT_EQ(r[0].AsString(), "apple");
+  EXPECT_EQ(r[1].AsString(), "zebra");
+  EXPECT_EQ(r[2].AsDouble(), 10.0);
+  EXPECT_EQ(r[3].AsDouble(), 2.5);
+  EXPECT_EQ(r[4].AsDouble(), 3.0);
+  EXPECT_EQ(r[5].AsDouble(), 0.75);
 }
 
 // ---- Column pruning ----

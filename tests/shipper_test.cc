@@ -30,16 +30,12 @@ class ShipperTest : public ::testing::Test {
     opts.astore_log.ring.ring_size = 4;
     cluster_ = std::make_unique<VedbCluster>(opts);
     cluster_->StartBackground();
-    env()->clock()->RegisterActor();
     Schema s;
     s.columns = {{"id", ValueType::kInt}, {"v", ValueType::kString}};
     s.pk = {0};
     table_ = engine()->CreateTable("t", s);
   }
-  void TearDown() override {
-    env()->clock()->UnregisterActor();
-    cluster_->Shutdown();
-  }
+  void TearDown() override { cluster_->Shutdown(); }
 
   sim::SimEnvironment* env() { return cluster_->env(); }
   DBEngine* engine() { return cluster_->engine(); }

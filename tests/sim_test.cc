@@ -14,12 +14,16 @@
 #include "sim/env.h"
 #include "sim/fault.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace vedb::sim {
 namespace {
 
 TEST(VirtualClockTest, SingleActorSleepAdvances) {
+  // Main's own context blocks on the clock like any actor fiber.
   VirtualClock clock;
-  clock.RegisterActor();
   EXPECT_EQ(clock.Now(), 0u);
   clock.SleepFor(100);
   EXPECT_EQ(clock.Now(), 100u);
@@ -27,7 +31,6 @@ TEST(VirtualClockTest, SingleActorSleepAdvances) {
   EXPECT_EQ(clock.Now(), 250u);
   clock.SleepUntil(10);  // in the past: no-op
   EXPECT_EQ(clock.Now(), 250u);
-  clock.UnregisterActor();
 }
 
 TEST(VirtualClockTest, TwoActorsInterleaveDeterministically) {
@@ -104,7 +107,6 @@ TEST(VirtualConditionTest, NotifyWakesWaiter) {
 
 TEST(VirtualConditionTest, PredicateAlreadyTrueReturnsImmediately) {
   VirtualClock clock;
-  clock.RegisterActor();
   vedb::Mutex mu("test.cond");
   VirtualCondition cond(&clock);
   {
@@ -112,7 +114,6 @@ TEST(VirtualConditionTest, PredicateAlreadyTrueReturnsImmediately) {
     cond.Wait(&mu, [] { return true; });
     EXPECT_EQ(clock.Now(), 0u);
   }
-  clock.UnregisterActor();
 }
 
 TEST(VirtualConditionTest, ManyWaitersAllWake) {
@@ -144,7 +145,6 @@ TEST(VirtualConditionTest, ManyWaitersAllWake) {
 
 TEST(QueueingDeviceTest, SingleChannelSerializes) {
   VirtualClock clock;
-  clock.RegisterActor();
   DeviceParams p;
   p.channels = 1;
   p.base_latency = 100;
@@ -155,12 +155,10 @@ TEST(QueueingDeviceTest, SingleChannelSerializes) {
   EXPECT_EQ(t1, 100u);
   EXPECT_EQ(t2, 200u);
   EXPECT_EQ(t3, 300u);
-  clock.UnregisterActor();
 }
 
 TEST(QueueingDeviceTest, MultiChannelOverlaps) {
   VirtualClock clock;
-  clock.RegisterActor();
   DeviceParams p;
   p.channels = 2;
   p.base_latency = 100;
@@ -168,24 +166,20 @@ TEST(QueueingDeviceTest, MultiChannelOverlaps) {
   EXPECT_EQ(dev.Submit(0), 100u);
   EXPECT_EQ(dev.Submit(0), 100u);  // second channel
   EXPECT_EQ(dev.Submit(0), 200u);  // queues behind the first
-  clock.UnregisterActor();
 }
 
 TEST(QueueingDeviceTest, BandwidthScalesWithBytes) {
   VirtualClock clock;
-  clock.RegisterActor();
   DeviceParams p;
   p.channels = 1;
   p.base_latency = 10;
   p.ns_per_byte = 2.0;
   QueueingDevice dev(&clock, "disk", p);
   EXPECT_EQ(dev.Submit(100), 10u + 200u);
-  clock.UnregisterActor();
 }
 
 TEST(QueueingDeviceTest, AccessBlocksUntilCompletion) {
   VirtualClock clock;
-  clock.RegisterActor();
   DeviceParams p;
   p.channels = 1;
   p.base_latency = 500;
@@ -193,7 +187,6 @@ TEST(QueueingDeviceTest, AccessBlocksUntilCompletion) {
   Duration latency = dev.Access(0);
   EXPECT_EQ(latency, 500u);
   EXPECT_EQ(clock.Now(), 500u);
-  clock.UnregisterActor();
 }
 
 TEST(QueueingDeviceTest, SaturationGrowsLatency) {
@@ -222,13 +215,11 @@ TEST(QueueingDeviceTest, SaturationGrowsLatency) {
 
 TEST(QueueingDeviceTest, SubmitAtHonorsEarliestStart) {
   VirtualClock clock;
-  clock.RegisterActor();
   DeviceParams p;
   p.channels = 1;
   p.base_latency = 10;
   QueueingDevice dev(&clock, "disk", p);
   EXPECT_EQ(dev.SubmitAt(1000, 0), 1010u);
-  clock.UnregisterActor();
 }
 
 TEST(FaultInjectorTest, DisarmedSitePasses) {
@@ -368,20 +359,10 @@ TEST(VirtualConditionTest, StaleTimerEntryDoesNotWakeLaterSleep) {
   EXPECT_EQ(second_wake, 10100u);
 }
 
-TEST(VirtualClockTest, GuestMainCanSleepWithoutRegistering) {
-  // A main that never registered (e.g. a test constructing a cluster) may
-  // still block on the clock.
-  VirtualClock clock;
-  clock.SleepFor(1234);  // main is not a registered actor
-  EXPECT_EQ(clock.Now(), 1234u);
-}
-
 TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
-  // Regression for a teardown race: a non-actor stops a notification-driven
-  // waiter while timer-driven actors are also exiting. The supported
-  // protocol is "notify the parked waiter first, then release the pollers":
-  // done in the opposite order, the last poller to exit would see
-  // "everyone parked, no timers" and abort as a deadlock.
+  // Regression for a teardown race: main stops a notification-driven
+  // waiter while a timer-driven actor is also exiting ("notify the parked
+  // waiter first, then release the pollers"); both must exit.
   for (int round = 0; round < 50; ++round) {
     VirtualClock clock;
     vedb::Mutex mu("test.cond");
@@ -410,10 +391,9 @@ TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
 }
 
 TEST(VirtualClockTest, JoinAllResumesAheadOfActorsReadyAtTheSameInstant) {
-  // A registered actor's JoinAll resumes at the virtual instant its last
-  // member exits, before another actor that became ready at that instant.
+  // Main's JoinAll resumes at the virtual instant the group's last member
+  // exits, before another actor that became ready at that instant.
   VirtualClock clock;
-  clock.RegisterActor();
   std::vector<std::pair<std::string, Timestamp>> events;
   ActorGroup group(&clock);
   ActorGroup other(&clock);
@@ -428,10 +408,32 @@ TEST(VirtualClockTest, JoinAllResumesAheadOfActorsReadyAtTheSameInstant) {
   group.JoinAll();
   events.push_back({"joiner", clock.Now()});
   other.JoinAll();
-  clock.UnregisterActor();
   const std::vector<std::pair<std::string, Timestamp>> expected = {
       {"member", 5000}, {"joiner", 5000}, {"other", 5000}};
   EXPECT_EQ(events, expected);
+}
+
+TEST(VirtualClockTest, SleepersDueAtTheSameInstantWakeInSleepOrder) {
+  // The k-th sleeper falls asleep until 1000 at time 2k+1, in the reverse
+  // of spawn order, and an actor exits at 2k+2, between two of those
+  // sleeps; each exit rebuilds the timer heap. They must wake in the order
+  // they fell asleep.
+  constexpr int kSleepers = 8;
+  VirtualClock clock;
+  std::vector<int> order;
+  {
+    ActorGroup group(&clock);
+    for (int i = 0; i < kSleepers; ++i) {
+      const Timestamp asleep = 2 * (kSleepers - 1 - i) + 1;
+      group.Spawn([&clock, &order, i, asleep] {
+        clock.SleepUntil(asleep);
+        clock.SleepUntil(1000);
+        order.push_back(i);
+      });
+      group.Spawn([&clock, asleep] { clock.SleepUntil(asleep + 1); });
+    }
+  }
+  EXPECT_EQ(order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
 }
 
 TEST(VirtualClockTest, SpawnedActorsFirstRunInSpawnOrder) {
@@ -540,10 +542,37 @@ TEST(VirtualClockTest, FiberStacksAreReusedCleanly) {
   EXPECT_EQ(clock.Now(), 100u);
 }
 
-// A guest main (never registered) starts background actors and keeps
-// working between its own sleeps; returns every (actor, virtual time)
-// event in the order it happened.
-std::vector<std::pair<int, Timestamp>> RunGuestMainWithBackground() {
+TEST(VirtualClockTest, FreedFiberStackLeavesNoPoisonBehind) {
+#ifndef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  // An exited fiber's frames never return, so their redzones stay poisoned
+  // until the stack is freed; whatever maps those addresses next (a PMem
+  // device, say) must not inherit them.
+  VirtualClock clock;
+  uintptr_t lo = 0, hi = 0;
+  {
+    ActorGroup group(&clock);
+    group.Spawn([&] {
+      // A frame address, not a local's: a local may sit on a fake stack.
+      const auto frame =
+          reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+      // The frames still live at the exit lie between `frame` and the
+      // stack's 4 KiB-aligned top. A redzone poisoned deeper down stands in
+      // for theirs when detect_stack_use_after_return moves them off-stack.
+      hi = (frame + 4095) & ~uintptr_t{4095};
+      lo = hi - 64 * 1024;
+      ASAN_POISON_MEMORY_REGION(reinterpret_cast<void*>(lo), 64);
+    });
+  }
+  EXPECT_EQ(__asan_region_is_poisoned(reinterpret_cast<void*>(lo), hi - lo),
+            nullptr);
+#endif
+}
+
+// Main starts background actors and keeps working between its own sleeps;
+// returns every (actor, virtual time) event in the order it happened.
+std::vector<std::pair<int, Timestamp>> RunMainWithBackground() {
   VirtualClock clock;
   std::vector<std::pair<int, Timestamp>> events;
   bool stop = false;
@@ -565,9 +594,9 @@ std::vector<std::pair<int, Timestamp>> RunGuestMainWithBackground() {
   return events;
 }
 
-TEST(VirtualClockTest, GuestMainWithBackgroundActorsRunsDeterministically) {
-  const auto first = RunGuestMainWithBackground();
-  const auto second = RunGuestMainWithBackground();
+TEST(VirtualClockTest, MainWithBackgroundActorsRunsDeterministically) {
+  const auto first = RunMainWithBackground();
+  const auto second = RunMainWithBackground();
   EXPECT_GT(first.size(), 20u);
   EXPECT_EQ(first, second);
 }

@@ -81,7 +81,6 @@ TopicOptions SmallTopicOptions(int partitions = 1) {
 TEST(TopicTest, ProduceFetchRoundtripInLsnOrder) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(21);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   auto t = Topic::Create(c.client.get(), SmallTopicOptions(2));
   ASSERT_TRUE(t.ok()) << t.status().ToString();
@@ -109,13 +108,11 @@ TEST(TopicTest, ProduceFetchRoundtripInLsnOrder) {
   EXPECT_TRUE(topic->Produce(0, Slice("")).status().IsInvalidArgument());
   EXPECT_TRUE(
       topic->CommitOffset("g", 9, 1).IsInvalidArgument());
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(TopicTest, OffsetCommitIsDurableAcrossRecovery) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(22);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   const TopicOptions opts = SmallTopicOptions();
   auto t = Topic::Create(c.client.get(), opts);
@@ -145,7 +142,6 @@ TEST(TopicTest, OffsetCommitIsDurableAcrossRecovery) {
   auto lsn = rec.value()->Produce(0, Slice("after"));
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(lsn.value(), 9u);
-  c.env.clock()->UnregisterActor();
 }
 
 // Crash between the durable offset append and the ack: the caller sees a
@@ -155,7 +151,6 @@ TEST(TopicTest, OffsetCommitIsDurableAcrossRecovery) {
 std::string RunCrashDuringCommitScenario(uint64_t seed) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(seed);
-  c.env.clock()->RegisterActor();
   EXPECT_TRUE(c.client->Connect().ok());
   const TopicOptions opts = SmallTopicOptions();
   auto t = Topic::Create(c.client.get(), opts);
@@ -193,7 +188,6 @@ std::string RunCrashDuringCommitScenario(uint64_t seed) {
   digest += obs::CollectSnapshot(obs::MetricsRegistry::Default(),
                                  c.env.clock()->Now(), "crash")
                 .ToJson();
-  c.env.clock()->UnregisterActor();
   return digest;
 }
 
@@ -206,7 +200,6 @@ TEST(TopicTest, CrashDuringOffsetCommitIsExactlyOnceAndDeterministic) {
 TEST(TopicTest, RetentionTrimAdvancesWatermarkAndFreesSegments) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(24);
-  c.env.clock()->RegisterActor();
   ASSERT_TRUE(c.client->Connect().ok());
   TopicOptions opts = SmallTopicOptions();
   opts.data_ring = {8 * kKiB, 4, 3, true};
@@ -249,7 +242,6 @@ TEST(TopicTest, RetentionTrimAdvancesWatermarkAndFreesSegments) {
   // Trim is monotonic: a stale watermark is a no-op, not a regression.
   ASSERT_TRUE(topic->TrimTo(0, 2).ok());
   EXPECT_EQ(topic->TrimWatermark(0), trim_lsn);
-  c.env.clock()->UnregisterActor();
 }
 
 TEST(TopicTest, MetaRecordCodecRejectsCorruption) {

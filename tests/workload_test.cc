@@ -25,7 +25,6 @@ class TpccTest : public ::testing::Test {
     opts.engine.buffer_pool.capacity_pages = 2048;
     cluster_ = std::make_unique<VedbCluster>(opts);
     cluster_->StartBackground();
-    cluster_->env()->clock()->RegisterActor();
 
     TpccScale scale;
     scale.warehouses = 2;
@@ -36,10 +35,7 @@ class TpccTest : public ::testing::Test {
                                          /*with_ch_tables=*/true);
     ASSERT_TRUE(db_->Load().ok());
   }
-  void TearDown() override {
-    cluster_->env()->clock()->UnregisterActor();
-    cluster_->Shutdown();
-  }
+  void TearDown() override { cluster_->Shutdown(); }
 
   std::unique_ptr<VedbCluster> cluster_;
   std::unique_ptr<TpccDatabase> db_;
@@ -255,7 +251,6 @@ class ChPruningTest : public ::testing::Test {
         cluster_->astore_servers(), query::PushdownRuntime::Options{});
     pushdown_->AttachEbp(cluster_->ebp());
     cluster_->StartBackground();
-    cluster_->env()->clock()->RegisterActor();
 
     TpccScale scale;
     scale.warehouses = 2;
@@ -266,10 +261,7 @@ class ChPruningTest : public ::testing::Test {
                                          /*with_ch_tables=*/true);
     ASSERT_TRUE(db_->Load().ok());
   }
-  void TearDown() override {
-    cluster_->env()->clock()->UnregisterActor();
-    cluster_->Shutdown();
-  }
+  void TearDown() override { cluster_->Shutdown(); }
 
   query::ExecContext Ctx(bool pushdown) {
     query::ExecContext ctx;
@@ -321,7 +313,6 @@ TEST(InternalWorkloadTest, OrderProcessingMaintainsBalanceInvariant) {
   opts.astore_log.ring.segment_size = 512 * kKiB;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   OrderProcessingWorkload::Options wopts;
   wopts.merchants = 2;
@@ -348,7 +339,6 @@ TEST(InternalWorkloadTest, OrderProcessingMaintainsBalanceInvariant) {
   engine::Table* flow = cluster.engine()->GetTable("order_flow");
   EXPECT_EQ(flow->approximate_row_count(), 3u * 20 + 20);
 
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
@@ -357,7 +347,6 @@ TEST(InternalWorkloadTest, SysbenchMixPreservesRowCount) {
   opts.astore_log.ring.segment_size = 512 * kKiB;
   VedbCluster cluster(opts);
   cluster.StartBackground();
-  cluster.env()->clock()->RegisterActor();
 
   SysbenchWorkload::Options wopts;
   wopts.rows = 500;
@@ -375,7 +364,6 @@ TEST(InternalWorkloadTest, SysbenchMixPreservesRowCount) {
   // Delete+reinsert keeps cardinality stable.
   EXPECT_EQ(cluster.engine()->GetTable("sbtest1")->approximate_row_count(),
             500u);
-  cluster.env()->clock()->UnregisterActor();
   cluster.Shutdown();
 }
 
