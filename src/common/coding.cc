@@ -54,24 +54,8 @@ bool GetVarint32(Slice* input, uint32_t* value) {
   return true;
 }
 
-bool GetVarint64(Slice* input, uint64_t* value) {
+bool GetVarint64Slow(Slice* input, uint64_t* value) {
   return GetVarintCommon(input, value, 10);
-}
-
-bool GetLengthPrefixedSlice(Slice* input, Slice* result) {
-  uint64_t len = 0;
-  if (!GetVarint64(input, &len)) return false;
-  if (input->size() < len) return false;
-  *result = Slice(input->data(), len);
-  input->RemovePrefix(len);
-  return true;
-}
-
-bool GetFixedBytes(Slice* input, size_t n, Slice* result) {
-  if (input->size() < n) return false;
-  *result = Slice(input->data(), n);
-  input->RemovePrefix(n);
-  return true;
 }
 
 }  // namespace vedb

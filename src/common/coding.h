@@ -65,13 +65,31 @@ void PutLengthPrefixedSlice(std::string* dst, const Slice& value);
 /// Parses a varint from the front of `input`, advancing it. Returns false on
 /// malformed/truncated input.
 bool GetVarint32(Slice* input, uint32_t* value);
-bool GetVarint64(Slice* input, uint64_t* value);
-
-/// Parses a length-prefixed slice from the front of `input`, advancing it.
-bool GetLengthPrefixedSlice(Slice* input, Slice* result);
+/// GetVarint64's path for a varint of more than one byte.
+bool GetVarint64Slow(Slice* input, uint64_t* value);
+/// Reads a one-byte varint, the common case, inline.
+inline bool GetVarint64(Slice* input, uint64_t* value) {
+  if (!input->empty() && static_cast<unsigned char>((*input)[0]) < 0x80) {
+    *value = static_cast<unsigned char>((*input)[0]);
+    input->RemovePrefix(1);
+    return true;
+  }
+  return GetVarint64Slow(input, value);
+}
 
 /// Reads `n` raw bytes from the front of `input`, advancing it.
-bool GetFixedBytes(Slice* input, size_t n, Slice* result);
+inline bool GetFixedBytes(Slice* input, size_t n, Slice* result) {
+  if (input->size() < n) return false;
+  *result = Slice(input->data(), n);
+  input->RemovePrefix(n);
+  return true;
+}
+
+/// Parses a length-prefixed slice from the front of `input`, advancing it.
+inline bool GetLengthPrefixedSlice(Slice* input, Slice* result) {
+  uint64_t len = 0;
+  return GetVarint64(input, &len) && GetFixedBytes(input, len, result);
+}
 
 }  // namespace vedb
 

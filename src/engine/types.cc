@@ -65,25 +65,6 @@ bool Value::DecodeFrom(Slice* in, Value* out) {
   return false;
 }
 
-bool Value::SkipFrom(Slice* in) {
-  if (in->empty()) return false;
-  const ValueType type = static_cast<ValueType>((*in)[0]);
-  in->RemovePrefix(1);
-  Slice skipped;
-  uint64_t unused = 0;
-  switch (type) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt:
-      return GetVarint64(in, &unused);
-    case ValueType::kDouble:
-      return GetFixedBytes(in, 8, &skipped);
-    case ValueType::kString:
-      return GetLengthPrefixedSlice(in, &skipped);
-  }
-  return false;
-}
-
 void Value::EncodeSortable(std::string* out) const {
   switch (type()) {
     case ValueType::kNull:
@@ -139,7 +120,7 @@ std::string Value::ToString() const {
   return "?";
 }
 
-void EncodeRow(const Row& row, std::string* out) {
+void EncodeRow(RowView row, std::string* out) {
   PutVarint32(out, static_cast<uint32_t>(row.size()));
   for (const Value& v : row) v.EncodeTo(out);
 }

@@ -164,10 +164,49 @@ class Value {
 
 static_assert(sizeof(Value) == 16, "Value must stay a 16-byte tagged word");
 
+// Inline: scans step over most of the columns they meet.
+inline bool Value::SkipFrom(Slice* in) {
+  if (in->empty()) return false;
+  const ValueType type = static_cast<ValueType>((*in)[0]);
+  in->RemovePrefix(1);
+  Slice skipped;
+  uint64_t unused = 0;
+  switch (type) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return GetVarint64(in, &unused);
+    case ValueType::kDouble:
+      return GetFixedBytes(in, 8, &skipped);
+    case ValueType::kString:
+      return GetLengthPrefixedSlice(in, &skipped);
+  }
+  return false;
+}
+
 using Row = std::vector<Value>;
 
+/// A non-owning view of one row's values: `size()` Values at `data()`, such
+/// as a Row or one row of a query::RowBatch. Valid while they are.
+class RowView {
+ public:
+  RowView() = default;
+  RowView(const Value* data, size_t size) : data_(data), size_(size) {}
+  RowView(const Row& row) : data_(row.data()), size_(row.size()) {}  // NOLINT
+
+  const Value* data() const { return data_; }
+  size_t size() const { return size_; }
+  const Value& operator[](size_t i) const { return data_[i]; }
+  const Value* begin() const { return data_; }
+  const Value* end() const { return data_ + size_; }
+
+ private:
+  const Value* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 /// Serializes a row (values in order).
-void EncodeRow(const Row& row, std::string* out);
+void EncodeRow(RowView row, std::string* out);
 bool DecodeRow(Slice in, Row* out);
 /// Like DecodeRow, but builds only the columns flagged in `wanted` (a
 /// column past its end is not wanted) and steps over the others with

@@ -60,7 +60,7 @@ ExprPtr Expr::Arith(ArithOp op, ExprPtr a, ExprPtr b) {
   return e;
 }
 
-Value Expr::Eval(const Row& row) const {
+Value Expr::Eval(RowView row) const {
   switch (kind_) {
     case Kind::kConst:
     case Kind::kCol: {
@@ -94,7 +94,7 @@ Value Expr::Eval(const Row& row) const {
   return Value();
 }
 
-const Value& Expr::Ref(const Row& row, Value* scratch) const {
+const Value& Expr::Ref(RowView row, Value* scratch) const {
   switch (kind_) {
     case Kind::kConst:
       return const_value_;
@@ -108,7 +108,7 @@ const Value& Expr::Ref(const Row& row, Value* scratch) const {
   }
 }
 
-bool Expr::CmpHolds(const Row& row) const {
+bool Expr::CmpHolds(RowView row) const {
   Value sa, sb;
   const int c = a_->Ref(row, &sa).Compare(b_->Ref(row, &sb));
   switch (cmp_) {
@@ -122,7 +122,7 @@ bool Expr::CmpHolds(const Row& row) const {
   return false;
 }
 
-bool Expr::EvalBool(const Row& row) const {
+bool Expr::EvalBool(RowView row) const {
   switch (kind_) {
     case Kind::kCmp:
       return CmpHolds(row);

@@ -16,6 +16,7 @@
 namespace vedb::query {
 
 using engine::Row;
+using engine::RowView;
 using engine::Value;
 
 enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
@@ -59,12 +60,13 @@ class Expr {
                ColCmp(col, CmpOp::kLt, std::move(hi)));
   }
 
-  Value Eval(const Row& row) const;
+  Value Eval(RowView row) const;
   /// Like Eval, but returns column and constant operands by reference;
   /// any other result is stored in `*scratch` and returned from there. The
-  /// reference lives as long as `row`, this expression and `*scratch`.
-  const Value& Ref(const Row& row, Value* scratch) const;
-  bool EvalBool(const Row& row) const;
+  /// reference lives as long as the values `row` views, this expression and
+  /// `*scratch`.
+  const Value& Ref(RowView row, Value* scratch) const;
+  bool EvalBool(RowView row) const;
 
   /// Marks every column this expression reads in `*used`, which must
   /// have an entry for each of them.
@@ -82,7 +84,7 @@ class Expr {
   Expr() = default;
 
   /// The kCmp result, without building a Value.
-  bool CmpHolds(const Row& row) const;
+  bool CmpHolds(RowView row) const;
 
   Kind kind_ = Kind::kConst;
   Value const_value_;

@@ -48,15 +48,14 @@ bool ValuesKeyEqual(const Value& a, const Value& b) {
   return SortableWord(a) == SortableWord(b);
 }
 
-/// The key columns `cols` of `row`; null `cols` means every column.
+/// The key columns `cols` of `row`. A key of all of a row's columns is the
+/// row's RowView.
 struct KeyRef {
-  const Row* row;
+  RowView row;
   const std::vector<int>* cols;
 
-  size_t size() const { return cols ? cols->size() : row->size(); }
-  const Value& operator[](size_t i) const {
-    return (*row)[cols ? (*cols)[i] : i];
-  }
+  size_t size() const { return cols->size(); }
+  const Value& operator[](size_t i) const { return row[(*cols)[i]]; }
 };
 
 // Join and group key identity: two keys are equal exactly when their
@@ -64,8 +63,10 @@ struct KeyRef {
 // by bytes, numbers by their 8-byte sortable image: int 5 and double 5.0
 // differ, but int 0 and double 0.0 share 0x80 00..00 and are equal. (Strings
 // holding NUL, which keys must not, are the one place the byte rule and
-// this one could part.) Neither function builds the bytes.
-uint64_t HashKey(KeyRef key) {
+// this one could part.) Neither function builds the bytes. A key is a
+// KeyRef or a RowView.
+template <typename Key>
+uint64_t HashKey(const Key& key) {
   uint64_t h = key.size();
   for (size_t i = 0; i < key.size(); ++i) {
     const Value& v = key[i];
@@ -80,7 +81,8 @@ uint64_t HashKey(KeyRef key) {
   return h;
 }
 
-bool KeysEqual(KeyRef a, KeyRef b) {
+template <typename A, typename B>
+bool KeysEqual(const A& a, const B& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (!ValuesKeyEqual(a[i], b[i])) return false;
@@ -120,6 +122,11 @@ void PruneColumns(PlanNode* plan) {
   plan->Prune(std::vector<bool>(plan->Arity(), true));
 }
 
+Result<std::vector<Row>> PlanNode::Execute(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch rows, Run(ctx));
+  return std::move(rows).ToRows();
+}
+
 void KeyIndex::Grow() {
   slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
   const size_t mask = slots_.size() - 1;
@@ -130,32 +137,32 @@ void KeyIndex::Grow() {
   }
 }
 
-AggState* GroupTable::Find(const Row& row, const std::vector<int>& cols) {
-  const KeyRef probe{&row, &cols};
+AggState* GroupTable::Find(RowView row, const std::vector<int>& cols) {
+  VEDB_CHECK(cols.size() == key_arity_, "%zu group columns for %zu-value keys",
+             cols.size(), key_arity_);
+  const KeyRef probe{row, &cols};
   bool inserted = false;
   const uint32_t g = index_.FindOrInsert(
-      HashKey(probe),
-      [&](uint32_t id) { return KeysEqual(KeyRef{&keys_[id], nullptr}, probe); },
+      HashKey(probe), [&](uint32_t id) { return KeysEqual(key(id), probe); },
       &inserted);
   if (inserted) {
-    Row key;
-    key.reserve(cols.size());
-    for (int c : cols) key.push_back(row[c]);
-    keys_.push_back(std::move(key));
+    for (int c : cols) keys_.push_back(row[c]);
     states_.resize(states_.size() + num_aggs_);
   }
   return states_.data() + g * num_aggs_;
 }
 
-void GroupTable::Merge(const Row& key, const std::vector<AggState>& states) {
-  const KeyRef probe{&key, nullptr};
+void GroupTable::Merge(RowView key_values,
+                       const std::vector<AggState>& states) {
+  VEDB_CHECK(key_values.size() == key_arity_,
+             "%zu-value key for %zu-value keys", key_values.size(),
+             key_arity_);
   bool inserted = false;
   const uint32_t g = index_.FindOrInsert(
-      HashKey(probe),
-      [&](uint32_t id) { return KeysEqual(KeyRef{&keys_[id], nullptr}, probe); },
-      &inserted);
+      HashKey(key_values),
+      [&](uint32_t id) { return KeysEqual(key(id), key_values); }, &inserted);
   if (inserted) {
-    keys_.push_back(key);
+    keys_.insert(keys_.end(), key_values.begin(), key_values.end());
     states_.insert(states_.end(), states.begin(), states.end());
     return;
   }
@@ -165,10 +172,10 @@ void GroupTable::Merge(const Row& key, const std::vector<AggState>& states) {
 }
 
 std::vector<uint32_t> GroupTable::SortedGroups() const {
-  std::vector<std::string> sort_keys(keys_.size());
-  std::vector<uint32_t> order(keys_.size());
-  for (uint32_t g = 0; g < keys_.size(); ++g) {
-    for (const Value& v : keys_[g]) v.EncodeSortable(&sort_keys[g]);
+  std::vector<std::string> sort_keys(size());
+  std::vector<uint32_t> order(size());
+  for (uint32_t g = 0; g < size(); ++g) {
+    for (const Value& v : key(g)) v.EncodeSortable(&sort_keys[g]);
     order[g] = g;
   }
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
@@ -177,21 +184,20 @@ std::vector<uint32_t> GroupTable::SortedGroups() const {
   return order;
 }
 
-std::vector<Row> GroupTable::Finalize(const std::vector<AggSpec>& aggs) {
-  std::vector<Row> out;
-  out.reserve(keys_.size());
+RowBatch GroupTable::Finalize(const std::vector<AggSpec>& aggs) {
+  RowBatch out(key_arity_ + aggs.size());
   for (uint32_t g : SortedGroups()) {
-    Row row = std::move(keys_[g]);
-    row.reserve(row.size() + aggs.size());
+    Value* row = out.AppendRow();
+    Value* key_values = keys_.data() + g * key_arity_;
+    std::move(key_values, key_values + key_arity_, row);
     for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(states_[g * num_aggs_ + a].Finalize(aggs[a]));
+      row[key_arity_ + a] = states_[g * num_aggs_ + a].Finalize(aggs[a]);
     }
-    out.push_back(std::move(row));
   }
   return out;
 }
 
-void AggState::Update(const AggSpec& spec, const Row& row) {
+void AggState::Update(const AggSpec& spec, RowView row) {
   count++;
   if (spec.arg == nullptr) return;  // COUNT(*)
   Value scratch;
@@ -273,14 +279,15 @@ std::vector<bool> ScanColumns(size_t arity, const ExprPtr& predicate,
   return wanted;
 }
 
-Result<std::vector<Row>> HashAggregate(const std::vector<Row>& rows,
-                                       const std::vector<int>& group_cols,
-                                       const std::vector<AggSpec>& aggs) {
-  GroupTable groups(aggs.size());
-  for (const Row& row : rows) {
+RowBatch HashAggregate(RowBatch rows, const std::vector<int>& group_cols,
+                       const std::vector<AggSpec>& aggs) {
+  GroupTable groups(group_cols.size(), aggs.size());
+  const size_t arity = rows.arity();
+  rows.Drain([&](Value* values) {
+    const RowView row(values, arity);
     AggState* states = groups.Find(row, group_cols);
     for (size_t i = 0; i < aggs.size(); ++i) states[i].Update(aggs[i], row);
-  }
+  });
   return groups.Finalize(aggs);
 }
 
@@ -306,7 +313,7 @@ ColumnMap ScanNode::Prune(const std::vector<bool>& needed) {
   return map;
 }
 
-Result<std::vector<Row>> ScanNode::Execute(ExecContext* ctx) {
+Result<RowBatch> ScanNode::Run(ExecContext* ctx) {
   if (ctx->enable_pushdown && ctx->pushdown != nullptr) {
     bool push;
     if (ctx->cost_based_pushdown) {
@@ -326,7 +333,7 @@ Result<std::vector<Row>> ScanNode::Execute(ExecContext* ctx) {
           has_agg_ ? aggs_ : std::vector<AggSpec>{});
     }
   }
-  return ExecuteLocal(ctx);
+  return RunLocal(ctx);
 }
 
 bool ScanNode::CostModelPrefersPushdown(ExecContext* ctx) const {
@@ -363,12 +370,12 @@ bool ScanNode::CostModelPrefersPushdown(ExecContext* ctx) const {
   return pushed < local;
 }
 
-Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
+Result<RowBatch> ScanNode::RunLocal(ExecContext* ctx) {
   // Page-at-a-time sequential scan through the buffer pool (and thus
   // through EBP/PageStore on misses).
   engine::BufferPool* bp = ctx->engine->buffer_pool();
-  std::vector<Row> rows;
-  GroupTable groups(aggs_.size());
+  RowBatch rows(columns_.size());
+  GroupTable groups(group_cols_.size(), aggs_.size());
   uint64_t scanned = 0;
   const std::vector<bool> wanted =
       ScanColumns(table_->schema().columns.size(), predicate_, group_cols_,
@@ -399,10 +406,10 @@ Result<std::vector<Row>> ScanNode::ExecuteLocal(ExecContext* ctx) {
             states[i].Update(aggs_[i], row);
           }
         } else {
-          Row kept;
-          kept.reserve(columns_.size());
-          for (int c : columns_) kept.push_back(std::move(row[c]));
-          rows.push_back(std::move(kept));
+          Value* kept = rows.AppendRow();
+          for (size_t k = 0; k < columns_.size(); ++k) {
+            kept[k] = std::move(row[columns_[k]]);
+          }
         }
       }
     }
@@ -422,14 +429,11 @@ ColumnMap FilterNode::Prune(const std::vector<bool>& needed) {
   return map;
 }
 
-Result<std::vector<Row>> FilterNode::Execute(ExecContext* ctx) {
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> input, input_->Execute(ctx));
-  ChargeRows(ctx, input.size());
-  std::vector<Row> out;
-  for (Row& row : input) {
-    if (predicate_->EvalBool(row)) out.push_back(std::move(row));
-  }
-  return out;
+Result<RowBatch> FilterNode::Run(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch rows, RunInput(input_.get(), ctx));
+  ChargeRows(ctx, rows.size());
+  rows.Filter([&](RowView row) { return predicate_->EvalBool(row); });
+  return rows;
 }
 
 ColumnMap ProjectNode::Prune(const std::vector<bool>& /*needed*/) {
@@ -440,17 +444,18 @@ ColumnMap ProjectNode::Prune(const std::vector<bool>& /*needed*/) {
   return IdentityMap(exprs_.size());
 }
 
-Result<std::vector<Row>> ProjectNode::Execute(ExecContext* ctx) {
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> input, input_->Execute(ctx));
+Result<RowBatch> ProjectNode::Run(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch input, RunInput(input_.get(), ctx));
   ChargeRows(ctx, input.size());
-  std::vector<Row> out;
-  out.reserve(input.size());
-  for (const Row& row : input) {
-    Row projected;
-    projected.reserve(exprs_.size());
-    for (const ExprPtr& e : exprs_) projected.push_back(e->Eval(row));
-    out.push_back(std::move(projected));
-  }
+  RowBatch out(exprs_.size());
+  const size_t arity = input.arity();
+  input.Drain([&](Value* values) {
+    const RowView row(values, arity);
+    Value* projected = out.AppendRow();
+    for (size_t e = 0; e < exprs_.size(); ++e) {
+      projected[e] = exprs_[e]->Eval(row);
+    }
+  });
   return out;
 }
 
@@ -466,23 +471,28 @@ ColumnMap HashJoinNode::Prune(const std::vector<bool>& needed) {
   return map;
 }
 
-Result<std::vector<Row>> HashJoinNode::Execute(ExecContext* ctx) {
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> left, left_->Execute(ctx));
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> right, right_->Execute(ctx));
+Result<RowBatch> HashJoinNode::Run(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch left, RunInput(left_.get(), ctx));
+  VEDB_ASSIGN_OR_RETURN(RowBatch right, RunInput(right_.get(), ctx));
   ChargeRows(ctx, left.size() + right.size());
 
   // Build: each distinct right key chains its rows in input order.
   constexpr uint32_t kEnd = KeyIndex::kNone;
+  std::vector<const Value*> right_rows;
+  right_rows.reserve(right.size());
+  right.ForEachRow([&](RowView row) { right_rows.push_back(row.data()); });
+  const size_t right_arity = right.arity();
+  const auto right_key = [&](uint32_t r) {
+    return KeyRef{RowView(right_rows[r], right_arity), &right_keys_};
+  };
   KeyIndex index;
   std::vector<uint32_t> first, last, next(right.size(), kEnd);
   for (uint32_t r = 0; r < right.size(); ++r) {
-    const KeyRef key{&right[r], &right_keys_};
+    const KeyRef key = right_key(r);
     bool inserted = false;
     const uint32_t k = index.FindOrInsert(
         HashKey(key),
-        [&](uint32_t id) {
-          return KeysEqual(KeyRef{&right[first[id]], &right_keys_}, key);
-        },
+        [&](uint32_t id) { return KeysEqual(right_key(first[id]), key); },
         &inserted);
     if (inserted) {
       first.push_back(r);
@@ -492,28 +502,27 @@ Result<std::vector<Row>> HashJoinNode::Execute(ExecContext* ctx) {
       last[k] = r;
     }
   }
-  // Probe in left order; the last match takes the left row itself.
-  std::vector<Row> out;
-  for (Row& lrow : left) {
-    const KeyRef key{&lrow, &left_keys_};
+  // Probe in left order; the last match takes the left values themselves.
+  // Each left block is freed once probed, for the output to take.
+  const size_t left_arity = left.arity();
+  RowBatch out(left_arity + right_arity);
+  left.Drain([&](Value* lrow) {
+    const KeyRef key{RowView(lrow, left_arity), &left_keys_};
     const uint32_t k = index.Find(HashKey(key), [&](uint32_t id) {
-      return KeysEqual(KeyRef{&right[first[id]], &right_keys_}, key);
+      return KeysEqual(right_key(first[id]), key);
     });
-    if (k == kEnd) continue;
+    if (k == kEnd) return;
     for (uint32_t r = first[k]; r != kEnd; r = next[r]) {
-      const Row& rrow = right[r];
-      Row joined;
+      Value* joined = out.AppendRow();
       if (next[r] == kEnd) {
-        joined = std::move(lrow);
-        joined.reserve(joined.size() + rrow.size());
+        std::move(lrow, lrow + left_arity, joined);
       } else {
-        joined.reserve(lrow.size() + rrow.size());
-        joined.insert(joined.end(), lrow.begin(), lrow.end());
+        std::copy(lrow, lrow + left_arity, joined);
       }
-      joined.insert(joined.end(), rrow.begin(), rrow.end());
-      out.push_back(std::move(joined));
+      std::copy(right_rows[r], right_rows[r] + right_arity,
+                joined + left_arity);
     }
-  }
+  });
   return out;
 }
 
@@ -525,9 +534,9 @@ ColumnMap NestLoopJoinNode::Prune(const std::vector<bool>& needed) {
   return map;
 }
 
-Result<std::vector<Row>> NestLoopJoinNode::Execute(ExecContext* ctx) {
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> left, left_->Execute(ctx));
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> right, right_->Execute(ctx));
+Result<RowBatch> NestLoopJoinNode::Run(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch left, RunInput(left_.get(), ctx));
+  VEDB_ASSIGN_OR_RETURN(RowBatch right, RunInput(right_.get(), ctx));
   // The quadratic CPU bill is the point of this operator (Fig. 14's
   // plan-change baseline); charge it batched.
   const uint64_t comparisons =
@@ -540,18 +549,18 @@ Result<std::vector<Row>> NestLoopJoinNode::Execute(ExecContext* ctx) {
   }
   // Each pair is laid out in one reused row for the predicate; only a
   // match is copied out.
-  std::vector<Row> out;
-  Row pair;
-  for (const Row& lrow : left) {
-    pair.assign(lrow.begin(), lrow.end());
-    for (const Row& rrow : right) {
-      pair.resize(lrow.size() + rrow.size());
-      std::copy(rrow.begin(), rrow.end(), pair.begin() + lrow.size());
+  RowBatch out(left.arity() + right.arity());
+  Row pair(out.arity());
+  const size_t left_arity = left.arity();
+  left.Drain([&](Value* lrow) {
+    std::copy(lrow, lrow + left_arity, pair.begin());
+    right.ForEachRow([&](RowView rrow) {
+      std::copy(rrow.begin(), rrow.end(), pair.begin() + left_arity);
       if (predicate_ == nullptr || predicate_->EvalBool(pair)) {
-        out.push_back(pair);
+        out.Append(pair);
       }
-    }
-  }
+    });
+  });
   return out;
 }
 
@@ -569,10 +578,10 @@ ColumnMap AggregateNode::Prune(const std::vector<bool>& /*needed*/) {
   return IdentityMap(Arity());
 }
 
-Result<std::vector<Row>> AggregateNode::Execute(ExecContext* ctx) {
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> input, input_->Execute(ctx));
+Result<RowBatch> AggregateNode::Run(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch input, RunInput(input_.get(), ctx));
   ChargeRows(ctx, input.size());
-  return HashAggregate(input, group_cols_, aggs_);
+  return HashAggregate(std::move(input), group_cols_, aggs_);
 }
 
 ColumnMap SortNode::Prune(const std::vector<bool>& needed) {
@@ -583,10 +592,17 @@ ColumnMap SortNode::Prune(const std::vector<bool>& needed) {
   return map;
 }
 
-Result<std::vector<Row>> SortNode::Execute(ExecContext* ctx) {
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> input, input_->Execute(ctx));
+Result<RowBatch> SortNode::Run(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch input, RunInput(input_.get(), ctx));
   ChargeRows(ctx, input.size());
-  std::sort(input.begin(), input.end(), [&](const Row& a, const Row& b) {
+  // std::sort over pointers to the rows makes the comparisons and moves
+  // it would make over the rows themselves, so rows that tie end up in the
+  // same order either way; the rows then move once, into that order.
+  const size_t arity = input.arity();
+  std::vector<Value*> order;
+  order.reserve(input.size());
+  input.ForEachMutableRow([&](Value* row) { order.push_back(row); });
+  std::sort(order.begin(), order.end(), [&](const Value* a, const Value* b) {
     for (size_t i = 0; i < cols_.size(); ++i) {
       const int c = cols_[i];
       const bool desc = i < descending_.size() && descending_[i];
@@ -595,12 +611,14 @@ Result<std::vector<Row>> SortNode::Execute(ExecContext* ctx) {
     }
     return false;
   });
-  return input;
+  RowBatch out(arity);
+  for (Value* row : order) std::move(row, row + arity, out.AppendRow());
+  return out;
 }
 
-Result<std::vector<Row>> LimitNode::Execute(ExecContext* ctx) {
-  VEDB_ASSIGN_OR_RETURN(std::vector<Row> input, input_->Execute(ctx));
-  if (input.size() > limit_) input.resize(limit_);
+Result<RowBatch> LimitNode::Run(ExecContext* ctx) {
+  VEDB_ASSIGN_OR_RETURN(RowBatch input, RunInput(input_.get(), ctx));
+  if (input.size() > limit_) input.Truncate(limit_);
   return input;
 }
 

@@ -1,6 +1,8 @@
 // Physical query plans (materialized execution). veDB processes each query
 // on a single thread (Section VI); operators consume whole inputs and
-// produce whole outputs, charging the executing node's CPU per row.
+// produce whole outputs, charging the executing node's CPU per row. Inputs
+// and outputs are RowBatches; only the root's output becomes rows of their
+// own.
 //
 // ScanNode is the push-down unit: a scan with an optional filter and
 // optional partial aggregation over one table. When push-down is enabled
@@ -22,6 +24,7 @@
 #include "common/result.h"
 #include "engine/engine.h"
 #include "query/expr.h"
+#include "query/row_batch.h"
 
 namespace vedb::query {
 
@@ -78,7 +81,8 @@ struct ExecContext {
 class PlanNode {
  public:
   virtual ~PlanNode() = default;
-  virtual Result<std::vector<Row>> Execute(ExecContext* ctx) = 0;
+  /// Runs the plan rooted here and returns its output rows.
+  Result<std::vector<Row>> Execute(ExecContext* ctx);
   /// Columns in each output row.
   virtual size_t Arity() const = 0;
   /// Drops the output columns whose `needed` flag (one per column of
@@ -86,6 +90,14 @@ class PlanNode {
   /// it still reads. Kept columns keep their order. Returns the old-to-new
   /// column map; every needed column is kept.
   virtual ColumnMap Prune(const std::vector<bool>& needed) = 0;
+
+ protected:
+  /// This operator's output: a batch of Arity() columns.
+  virtual Result<RowBatch> Run(ExecContext* ctx) = 0;
+  /// Runs `input`, an operator this one reads from.
+  static Result<RowBatch> RunInput(PlanNode* input, ExecContext* ctx) {
+    return input->Run(ctx);
+  }
 };
 
 using PlanPtr = std::unique_ptr<PlanNode>;
@@ -109,7 +121,6 @@ class ScanNode : public PlanNode {
     has_agg_ = true;
   }
 
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override;
   /// A plain scan keeps the needed table columns; an aggregating one keeps
   /// its output.
@@ -117,8 +128,11 @@ class ScanNode : public PlanNode {
 
   engine::Table* table() { return table_; }
 
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
+
  private:
-  Result<std::vector<Row>> ExecuteLocal(ExecContext* ctx);
+  Result<RowBatch> RunLocal(ExecContext* ctx);
   bool CostModelPrefersPushdown(ExecContext* ctx) const;
 
   engine::Table* table_;
@@ -135,9 +149,11 @@ class FilterNode : public PlanNode {
  public:
   FilterNode(PlanPtr input, ExprPtr predicate)
       : input_(std::move(input)), predicate_(std::move(predicate)) {}
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override { return input_->Arity(); }
   ColumnMap Prune(const std::vector<bool>& needed) override;
+
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
 
  private:
   PlanPtr input_;
@@ -148,10 +164,12 @@ class ProjectNode : public PlanNode {
  public:
   ProjectNode(PlanPtr input, std::vector<ExprPtr> exprs)
       : input_(std::move(input)), exprs_(std::move(exprs)) {}
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override { return exprs_.size(); }
   /// Keeps every output column; narrows the input to what `exprs` read.
   ColumnMap Prune(const std::vector<bool>& needed) override;
+
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
 
  private:
   PlanPtr input_;
@@ -167,9 +185,11 @@ class HashJoinNode : public PlanNode {
         right_(std::move(right)),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)) {}
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override { return left_->Arity() + right_->Arity(); }
   ColumnMap Prune(const std::vector<bool>& needed) override;
+
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
 
  private:
   PlanPtr left_, right_;
@@ -186,9 +206,11 @@ class NestLoopJoinNode : public PlanNode {
       : left_(std::move(left)),
         right_(std::move(right)),
         predicate_(std::move(predicate)) {}
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override { return left_->Arity() + right_->Arity(); }
   ColumnMap Prune(const std::vector<bool>& needed) override;
+
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
 
  private:
   PlanPtr left_, right_;
@@ -203,11 +225,13 @@ class AggregateNode : public PlanNode {
       : input_(std::move(input)),
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)) {}
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override { return group_cols_.size() + aggs_.size(); }
   /// Keeps every output column; narrows the input to the group columns and
   /// aggregate arguments.
   ColumnMap Prune(const std::vector<bool>& needed) override;
+
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
 
  private:
   PlanPtr input_;
@@ -223,9 +247,11 @@ class SortNode : public PlanNode {
       : input_(std::move(input)),
         cols_(std::move(cols)),
         descending_(std::move(descending)) {}
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override { return input_->Arity(); }
   ColumnMap Prune(const std::vector<bool>& needed) override;
+
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
 
  private:
   PlanPtr input_;
@@ -237,11 +263,13 @@ class LimitNode : public PlanNode {
  public:
   LimitNode(PlanPtr input, size_t limit)
       : input_(std::move(input)), limit_(limit) {}
-  Result<std::vector<Row>> Execute(ExecContext* ctx) override;
   size_t Arity() const override { return input_->Arity(); }
   ColumnMap Prune(const std::vector<bool>& needed) override {
     return input_->Prune(needed);
   }
+
+ protected:
+  Result<RowBatch> Run(ExecContext* ctx) override;
 
  private:
   PlanPtr input_;
@@ -257,7 +285,7 @@ struct AggState {
   Value min, max;
   bool any = false;
 
-  void Update(const AggSpec& spec, const Row& row);
+  void Update(const AggSpec& spec, RowView row);
   /// Merges a partial state (push-down secondary aggregation).
   void Merge(const AggState& other);
   Value Finalize(const AggSpec& spec) const;
@@ -323,32 +351,37 @@ class KeyIndex {
 /// groups by them.
 class GroupTable {
  public:
-  explicit GroupTable(size_t num_aggs) : num_aggs_(num_aggs) {}
+  /// Groups keyed by `key_arity` values, with `num_aggs` states each.
+  GroupTable(size_t key_arity, size_t num_aggs)
+      : key_arity_(key_arity), num_aggs_(num_aggs) {}
 
-  /// The states (num_aggs of them) of the group keyed by columns `cols` of
-  /// `row`, creating it with a copy of those values as its key. Valid until
-  /// the next insertion.
-  AggState* Find(const Row& row, const std::vector<int>& cols);
+  /// The states (num_aggs of them) of the group keyed by columns `cols`
+  /// (key_arity of them) of `row`, creating it with a copy of those values
+  /// as its key. Valid until the next insertion.
+  AggState* Find(RowView row, const std::vector<int>& cols);
   /// Folds partial states into the group keyed by all of `key`; a new group
   /// starts as copies of `key` and `states`.
-  void Merge(const Row& key, const std::vector<AggState>& states);
+  void Merge(RowView key, const std::vector<AggState>& states);
 
-  size_t size() const { return keys_.size(); }
+  size_t size() const { return index_.size(); }
   /// Group ids in EncodeSortable order of their keys.
   std::vector<uint32_t> SortedGroups() const;
-  const Row& key(uint32_t group) const { return keys_[group]; }
+  RowView key(uint32_t group) const {
+    return RowView(keys_.data() + group * key_arity_, key_arity_);
+  }
   const AggState* states(uint32_t group) const {
     return states_.data() + group * num_aggs_;
   }
 
   /// Rows of key values ++ finalized aggregates, in SortedGroups order.
   /// Leaves the table's keys moved-from.
-  std::vector<Row> Finalize(const std::vector<AggSpec>& aggs);
+  RowBatch Finalize(const std::vector<AggSpec>& aggs);
 
  private:
+  size_t key_arity_;
   size_t num_aggs_;
   KeyIndex index_;
-  std::vector<Row> keys_;         // by group id
+  std::vector<Value> keys_;       // key_arity_ per group, by group id
   std::vector<AggState> states_;  // num_aggs_ per group, by group id
 };
 
@@ -360,10 +393,10 @@ std::vector<bool> ScanColumns(size_t arity, const ExprPtr& predicate,
                               const std::vector<AggSpec>& aggs,
                               const std::vector<int>& kept = {});
 
-/// Groups rows and computes aggregates (AggregateNode).
-Result<std::vector<Row>> HashAggregate(const std::vector<Row>& rows,
-                                       const std::vector<int>& group_cols,
-                                       const std::vector<AggSpec>& aggs);
+/// Groups `rows`, freeing them as it goes, and computes aggregates
+/// (AggregateNode).
+RowBatch HashAggregate(RowBatch rows, const std::vector<int>& group_cols,
+                       const std::vector<AggSpec>& aggs);
 
 }  // namespace vedb::query
 

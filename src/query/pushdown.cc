@@ -1,6 +1,7 @@
 #include "query/pushdown.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -87,8 +88,12 @@ uint64_t PushdownRuntime::ExecutePages(const Fragment& fragment,
                                        const std::vector<Slice>& images,
                                        std::string* response) {
   const bool aggregate = !fragment.aggs.empty();
-  GroupTable groups(fragment.aggs.size());
-  std::string matched;  // stored bytes of the matching rows
+  GroupTable groups(fragment.group_cols.size(), fragment.aggs.size());
+  // The stored bytes of the matching rows. The buffer outlives the call
+  // (tasks run one at a time on a thread): grown afresh for every task, it
+  // would be unmapped and its pages faulted in again each time.
+  thread_local std::string matched;
+  matched.clear();
   uint32_t matches = 0;
   uint64_t processed = 0;
   // The task does not know the table's arity, but no row on a page has
@@ -146,10 +151,13 @@ Status PushdownRuntime::HandleEbpExec(astore::AStoreServer* server,
   if (!GetVarint32(&request, &count)) {
     return Status::InvalidArgument("bad page list");
   }
-  // Read the requested page frames from local PMem.
-  std::vector<std::string> frames;
-  std::vector<Slice> images;
-  uint64_t read_bytes = 0;
+  // Where the requested page frames lie in local PMem.
+  struct FrameAt {
+    uint64_t offset;
+    uint64_t size;
+  };
+  std::vector<FrameAt> frames;
+  uint64_t frame_bytes = 0;
   for (uint32_t i = 0; i < count; ++i) {
     Slice raw;
     if (!GetFixedBytes(&request, 8, &raw)) {
@@ -169,19 +177,24 @@ Status PushdownRuntime::HandleEbpExec(astore::AStoreServer* server,
     if (!placement.ok()) continue;  // segment moved: skip (engine retries)
     const auto [base, size] = *placement;
     if (offset + ebp::PageFrame::kHeaderSize + len > size) continue;
-    std::string frame(ebp::PageFrame::kHeaderSize + len, '\0');
-    if (!server->pmem()
-             ->Read(base + offset, frame.size(), frame.data())
-             .ok()) {
-      continue;
-    }
-    read_bytes += frame.size();
-    frames.push_back(std::move(frame));
+    frames.push_back({base + offset, ebp::PageFrame::kHeaderSize + len});
+    frame_bytes += frames.back().size;
   }
-  // Slices into `frames`, taken once it stops growing.
-  for (const std::string& frame : frames) {
-    images.emplace_back(frame.data() + ebp::PageFrame::kHeaderSize,
-                        frame.size() - ebp::PageFrame::kHeaderSize);
+  // Read them, through the device's bounds check and bad regions, into the
+  // frame buffer. It is never zero-filled: every byte an image covers is
+  // read into it first.
+  if (frame_buffer_size_ < frame_bytes) {
+    frame_buffer_ = std::make_unique_for_overwrite<char[]>(frame_bytes);
+    frame_buffer_size_ = frame_bytes;
+  }
+  std::vector<Slice> images;
+  uint64_t read_bytes = 0;
+  for (const FrameAt& frame : frames) {
+    char* at = frame_buffer_.get() + read_bytes;
+    if (!server->pmem()->Read(frame.offset, frame.size, at).ok()) continue;
+    images.emplace_back(at + ebp::PageFrame::kHeaderSize,
+                        frame.size - ebp::PageFrame::kHeaderSize);
+    read_bytes += frame.size;
   }
 
   const uint64_t processed = ExecutePages(fragment, images, response);
@@ -232,7 +245,7 @@ Status PushdownRuntime::HandlePsExec(sim::SimNode* node, Slice request,
   return Status::OK();
 }
 
-Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
+Result<RowBatch> PushdownRuntime::ExecuteFragment(
     ExecContext* ctx, engine::Table* table, const ExprPtr& predicate,
     const std::vector<int>& columns, const std::vector<int>& group_cols,
     const std::vector<AggSpec>& aggs) {
@@ -294,34 +307,34 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
       rpc_->CallScatter(ctx->engine->node(), calls, &responses);
 
   // Merge partials.
-  std::vector<Row> rows;
-  GroupTable groups(aggs.size());
+  RowBatch rows(columns.size());
+  GroupTable groups(group_cols.size(), aggs.size());
   for (size_t i = 0; i < statuses.size(); ++i) {
     VEDB_RETURN_IF_ERROR(statuses[i]);
     Slice in(responses[i]);
     uint32_t n = 0;
     if (!GetVarint32(&in, &n)) return Status::Corruption("bad pq response");
     if (aggs.empty()) {
-      // Whole stored rows: build only the scanned columns' values.
+      // Whole stored rows: decode only the scanned columns, straight into
+      // the batch.
       for (uint32_t j = 0; j < n; ++j) {
         uint32_t arity = 0;
         if (!GetVarint32(&in, &arity) || arity > in.size()) {
           return Status::Corruption("bad row");
         }
-        Row row;
-        row.reserve(columns.size());
+        Value* row = rows.AppendRow();
+        size_t decoded = 0;
         for (uint32_t c = 0; c < arity; ++c) {
-          const bool scanned = row.size() < columns.size() &&
-                               columns[row.size()] == static_cast<int>(c);
-          if (scanned ? !Value::DecodeFrom(&in, &row.emplace_back())
+          const bool scanned = decoded < columns.size() &&
+                               columns[decoded] == static_cast<int>(c);
+          if (scanned ? !Value::DecodeFrom(&in, &row[decoded++])
                       : !Value::SkipFrom(&in)) {
             return Status::Corruption("bad value");
           }
         }
-        if (row.size() != columns.size()) {
+        if (decoded != columns.size()) {
           return Status::Corruption("row lacks a scanned column");
         }
-        rows.push_back(std::move(row));
       }
     } else {
       Row key;  // reused across partial groups; a new group copies it
@@ -331,13 +344,11 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
         if (!GetVarint32(&in, &arity) || arity > in.size()) {
           return Status::Corruption("bad group");
         }
-        key.clear();
-        for (uint32_t c = 0; c < arity; ++c) {
-          Value v;
+        key.resize(arity);
+        for (Value& v : key) {
           if (!Value::DecodeFrom(&in, &v)) {
             return Status::Corruption("bad group value");
           }
-          key.push_back(std::move(v));
         }
         for (AggState& state : states) {
           state = AggState();

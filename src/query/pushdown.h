@@ -10,6 +10,7 @@
 #define VEDB_QUERY_PUSHDOWN_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,12 +48,11 @@ class PushdownRuntime {
   /// secondary aggregation when `aggs` is non-empty). Without `aggs`, the
   /// servers ship whole rows and each returned row holds only the table
   /// columns listed in `columns` (ascending).
-  Result<std::vector<Row>> ExecuteFragment(ExecContext* ctx,
-                                           engine::Table* table,
-                                           const ExprPtr& predicate,
-                                           const std::vector<int>& columns,
-                                           const std::vector<int>& group_cols,
-                                           const std::vector<AggSpec>& aggs);
+  Result<RowBatch> ExecuteFragment(ExecContext* ctx, engine::Table* table,
+                                   const ExprPtr& predicate,
+                                   const std::vector<int>& columns,
+                                   const std::vector<int>& group_cols,
+                                   const std::vector<AggSpec>& aggs);
 
   /// What a storage-side task executes.
   struct Fragment {
@@ -86,6 +86,12 @@ class PushdownRuntime {
   pagestore::PageStoreCluster* pagestore_;
   ebp::ExtendedBufferPool* ebp_ = nullptr;
   Options options_;
+  /// The frames an EBP task reads, reused by the next task (a task runs to
+  /// its end without waiting, so tasks never share it). Handed back to
+  /// malloc after each task, a buffer this large would be unmapped, and the
+  /// next task would fault its pages in again.
+  std::unique_ptr<char[]> frame_buffer_;
+  uint64_t frame_buffer_size_ = 0;
 };
 
 }  // namespace vedb::query

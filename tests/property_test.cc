@@ -244,8 +244,9 @@ TEST_P(AggProperty, MergedPartialsEqualWholeAggregation) {
                                AggSpec::Max(query::Expr::Col(1)),
                                AggSpec::Avg(query::Expr::Col(1))};
 
-  auto whole = query::HashAggregate(rows, {0}, aggs);
-  ASSERT_TRUE(whole.ok());
+  const std::vector<engine::Row> whole =
+      query::HashAggregate(query::RowBatch::FromRows(2, rows), {0}, aggs)
+          .ToRows();
 
   // Random partitioning into 1..5 parts, aggregated separately by group,
   // then merged through AggState (with codec round-trip in the middle).
@@ -279,8 +280,8 @@ TEST_P(AggProperty, MergedPartialsEqualWholeAggregation) {
     }
   }
 
-  ASSERT_EQ(whole->size(), merged.size());
-  for (const engine::Row& row : *whole) {
+  ASSERT_EQ(whole.size(), merged.size());
+  for (const engine::Row& row : whole) {
     const int64_t group = row[0].AsInt();
     ASSERT_TRUE(merged.count(group));
     const auto& states = merged[group];

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/coding.h"
+#include "common/random.h"
 #include "engine/page.h"
 #include "query/plan.h"
 #include "query/pushdown.h"
@@ -318,8 +319,8 @@ class RowsNode : public PlanNode {
   explicit RowsNode(std::vector<engine::Row> rows) : rows_(std::move(rows)) {
     arity_ = rows_.empty() ? 0 : rows_[0].size();
   }
-  Result<std::vector<engine::Row>> Execute(ExecContext*) override {
-    return rows_;
+  Result<RowBatch> Run(ExecContext*) override {
+    return RowBatch::FromRows(arity_, rows_);
   }
   size_t Arity() const override { return arity_; }
   ColumnMap Prune(const std::vector<bool>& needed) override {
@@ -488,8 +489,8 @@ TEST(HashAggregateSemantics, GroupsComeOutInEncodeSortableOrder) {
   const std::vector<AggSpec> aggs = {AggSpec::Count(),
                                      AggSpec::Sum(Expr::Col(2)),
                                      AggSpec::Min(Expr::Col(2))};
-  auto got = HashAggregate(rows, group_cols, aggs);
-  ASSERT_TRUE(got.ok());
+  const std::vector<engine::Row> got =
+      HashAggregate(RowBatch::FromRows(3, rows), group_cols, aggs).ToRows();
 
   // Reference: groups keyed by their EncodeSortable bytes, first row's
   // values kept, emitted in byte order.
@@ -512,7 +513,7 @@ TEST(HashAggregateSemantics, GroupsComeOutInEncodeSortableOrder) {
   }
   // int 0 and double 0.0 share their bytes: 10 distinct keys x 2.
   EXPECT_EQ(want.size(), 20u);
-  ExpectSameRows(*got, want);
+  ExpectSameRows(got, want);
 }
 
 TEST(HashAggregateSemantics, MinMaxTakeStringsSumAndAvgTakeNumbers) {
@@ -526,10 +527,10 @@ TEST(HashAggregateSemantics, MinMaxTakeStringsSumAndAvgTakeNumbers) {
       AggSpec::Min(Expr::Col(0)), AggSpec::Max(Expr::Col(0)),
       AggSpec::Sum(Expr::Col(1)), AggSpec::Avg(Expr::Col(1)),
       AggSpec::Sum(Expr::Col(2)), AggSpec::Avg(Expr::Col(2))};
-  auto got = HashAggregate(rows, {}, aggs);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), 1u);
-  const engine::Row& r = (*got)[0];
+  const std::vector<engine::Row> got =
+      HashAggregate(RowBatch::FromRows(3, rows), {}, aggs).ToRows();
+  ASSERT_EQ(got.size(), 1u);
+  const engine::Row& r = got[0];
   EXPECT_EQ(r[0].AsString(), "apple");
   EXPECT_EQ(r[1].AsString(), "zebra");
   EXPECT_EQ(r[2].AsDouble(), 10.0);
@@ -752,6 +753,187 @@ TEST_F(QueryTest, GroupedPushdownSplitAcrossEbpAndPageStoreKeepsLocalOrder) {
   ExpectSameRows(*pushed, *local);
 }
 
+/// Same rows, value for value (SameValue).
+bool SameRows(const std::vector<engine::Row>& a,
+              const std::vector<engine::Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    for (size_t c = 0; c < a[i].size(); ++c) {
+      if (!SameValue(a[i][c], b[i][c])) return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(QueryTest, PushdownReadsEbpFramesThroughThePmemFaultModel) {
+  ExecContext warm_ctx = Ctx(false);
+  auto warm = std::make_unique<ScanNode>(table_, nullptr);
+  ASSERT_TRUE(warm->Execute(&warm_ctx).ok());
+  ASSERT_TRUE(warm->Execute(&warm_ctx).ok());
+  ExecContext local_ctx = Ctx(false);
+  auto local = ScanNode(table_, nullptr).Execute(&local_ctx);
+  ASSERT_TRUE(local.ok());
+  ASSERT_EQ(local->size(), static_cast<size_t>(kRows));
+  // Push-down returns rows grouped by server: compare them by id.
+  const auto by_id = [](std::vector<engine::Row> rows) {
+    std::sort(rows.begin(), rows.end(),
+              [](const engine::Row& a, const engine::Row& b) {
+                return a[0].AsInt() < b[0].AsInt();
+              });
+    return rows;
+  };
+  ExecContext clean_ctx = Ctx(true);
+  auto clean = ScanNode(table_, nullptr).Execute(&clean_ctx);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_GT(clean_ctx.pushdown_pages_from_ebp, 0u);
+  ExpectSameRows(by_id(*clean), *local);
+
+  // A latent bad region over the first row of one EBP-resident page's
+  // frame, on the AStore server that holds it.
+  ebp::ExtendedBufferPool::Placement placement;
+  bool found = false;
+  for (engine::PageNo page_no : table_->PageList()) {
+    if (cluster_->ebp()->LookupPlacement(
+            engine::PackPageKey(table_->space(), page_no), &placement)) {
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found);
+  astore::AStoreServer* server = nullptr;
+  for (astore::AStoreServer* s : cluster_->astore_servers()) {
+    if (s->node()->name() == placement.node) server = s;
+  }
+  ASSERT_NE(server, nullptr);
+  auto segment = server->GetLocalSegment(placement.segment);
+  ASSERT_TRUE(segment.ok());
+  const uint64_t image_at =
+      segment->first + placement.offset + ebp::PageFrame::kHeaderSize;
+  std::string image(placement.len, '\0');
+  ASSERT_TRUE(
+      server->pmem()->Read(image_at, image.size(), image.data()).ok());
+  Slice row;
+  ASSERT_TRUE(engine::PageView(image.data()).GetRow(0, &row).ok());
+  ASSERT_TRUE(server->pmem()
+                  ->MarkBadRegion(image_at + (row.data() - image.data()),
+                                  row.size(), /*sticky=*/true)
+                  .ok());
+
+  ExecContext pq_ctx = Ctx(true);
+  auto pushed = ScanNode(table_, nullptr).Execute(&pq_ctx);
+  EXPECT_GT(pq_ctx.pushdown_pages_from_ebp, 0u);
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  EXPECT_FALSE(SameRows(by_id(*pushed), *local));
+  // The damaged row's arity no longer parses: the storage-side executor
+  // skips it, and every other row still arrives.
+  EXPECT_EQ(pushed->size(), local->size() - 1);
+}
+
+// ---- Row batches: what the batch executor must reproduce ----
+
+TEST(RowBatchSemantics, RoundTripKeepsEveryValueAndItsType) {
+  const std::vector<engine::Row> rows = {
+      {Value(), Value(0), Value(0.0), Value("")},
+      {Value(-7), Value(-0.0), Value("x"), Value()},
+      {Value(std::string(300, 'w')), Value(INT64_MIN), Value(1e300),
+       Value(static_cast<int64_t>(1) << 53)}};
+  const std::vector<engine::Row> back =
+      RowBatch::FromRows(4, rows).ToRows();
+  ExpectSameRows(back, rows);
+  const RowBatch again = RowBatch::FromRows(4, back);
+  ASSERT_EQ(again.size(), rows.size());
+  ASSERT_EQ(again.arity(), 4u);
+  size_t r = 0;
+  again.ForEachRow([&](RowView row) {
+    ASSERT_EQ(row.size(), 4u);
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_TRUE(SameValue(row[c], rows[r][c])) << "row " << r << " col " << c;
+    }
+    r++;
+  });
+  EXPECT_EQ(r, rows.size());
+  // Rows of no columns still count.
+  const std::vector<engine::Row> empty_rows(5);
+  RowBatch none = RowBatch::FromRows(0, empty_rows);
+  EXPECT_EQ(none.size(), 5u);
+  EXPECT_EQ(std::move(none).ToRows().size(), 5u);
+}
+
+/// Rows of an int key, a string key, an int payload and a unique id;
+/// keys repeat often, and nothing is NULL.
+std::vector<engine::Row> RandomKeyedRows(Random* rng, int n) {
+  static const char* kNames[] = {"", "a", "ab", "b", "zz"};
+  std::vector<engine::Row> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back({Value(static_cast<int64_t>(rng->Uniform(4)) - 1),
+                    Value(kNames[rng->Uniform(5)]),
+                    Value(static_cast<int64_t>(rng->Uniform(1000))),
+                    Value(i)});
+  }
+  return rows;
+}
+
+TEST(RowBatchSemantics, HashJoinReturnsTheNestLoopJoinsRowsInItsOrder) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Random rng(seed);
+    const auto left = RandomKeyedRows(&rng, 20 + rng.Uniform(40));
+    const auto right = RandomKeyedRows(&rng, 20 + rng.Uniform(40));
+    // One-column int keys, one-column string keys, and both at once (the
+    // right side in the other column order).
+    const std::vector<std::pair<std::vector<int>, std::vector<int>>> keys = {
+        {{0}, {0}}, {{1}, {1}}, {{0, 1}, {0, 1}}, {{1, 0}, {1, 0}}};
+    for (const auto& [lk, rk] : keys) {
+      ExprPtr equal;
+      for (size_t i = 0; i < lk.size(); ++i) {
+        ExprPtr eq = Expr::Cmp(CmpOp::kEq, Expr::Col(lk[i]),
+                               Expr::Col(4 + rk[i]));
+        equal = equal == nullptr ? eq : Expr::And(equal, eq);
+      }
+      ExecContext ctx;
+      auto hash = HashJoinNode(std::make_unique<RowsNode>(left),
+                               std::make_unique<RowsNode>(right), lk, rk)
+                      .Execute(&ctx);
+      auto nl = NestLoopJoinNode(std::make_unique<RowsNode>(left),
+                                 std::make_unique<RowsNode>(right), equal)
+                    .Execute(&ctx);
+      ASSERT_TRUE(hash.ok() && nl.ok());
+      EXPECT_GT(nl->size(), 0u) << "seed " << seed;
+      ExpectSameRows(*hash, *nl);
+    }
+  }
+}
+
+TEST(RowBatchSemantics, SortThenLimitMatchesARowSortOnManyTies) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Random rng(seed);
+    // Few distinct sort keys, so most rows tie; the id column shows where
+    // each tied row ended up.
+    const auto rows = RandomKeyedRows(&rng, 50 + rng.Uniform(400));
+    const std::vector<int> cols = {0, 1};
+    const std::vector<bool> descending = {seed % 2 == 0, seed % 3 == 0};
+    const size_t limit = 1 + rng.Uniform(rows.size());
+    std::vector<engine::Row> want = rows;
+    std::sort(want.begin(), want.end(),
+              [&](const engine::Row& a, const engine::Row& b) {
+                for (size_t i = 0; i < cols.size(); ++i) {
+                  const int cmp = a[cols[i]].Compare(b[cols[i]]);
+                  if (cmp != 0) return descending[i] ? cmp > 0 : cmp < 0;
+                }
+                return false;
+              });
+    want.resize(limit);
+    ExecContext ctx;
+    auto got = LimitNode(std::make_unique<SortNode>(
+                             std::make_unique<RowsNode>(rows), cols,
+                             descending),
+                         limit)
+                   .Execute(&ctx);
+    ASSERT_TRUE(got.ok());
+    ExpectSameRows(*got, want);
+  }
+}
+
 // ---- Selective decode in the storage-side executor ----
 
 /// The storage-side executor with every column of every row decoded: what
@@ -759,7 +941,7 @@ TEST_F(QueryTest, GroupedPushdownSplitAcrossEbpAndPageStoreKeepsLocalOrder) {
 uint64_t WholeRowExecutePages(const PushdownRuntime::Fragment& fragment,
                               const std::vector<Slice>& images,
                               std::string* response) {
-  GroupTable groups(fragment.aggs.size());
+  GroupTable groups(fragment.group_cols.size(), fragment.aggs.size());
   std::string matched;
   uint32_t matches = 0;
   uint64_t processed = 0;
