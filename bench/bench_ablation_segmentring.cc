@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "astore/client.h"
@@ -46,6 +48,13 @@ struct StormStats {
   uint64_t appends = 0;
   uint64_t doorbells = 0;
   uint64_t coalesced = 0;
+  obs::Snapshot snapshot;
+
+  double DoorbellsPerAppend() const {
+    return appends == 0 ? 0.0
+                        : static_cast<double>(doorbells) /
+                              static_cast<double>(appends);
+  }
 };
 
 /// Fixed-size storm (same total appends regardless of client count) over a
@@ -107,13 +116,13 @@ StormStats RunStorm(int clients, int total_appends) {
     return stats;
   }
   stats.appends = storm->appended;
-  obs::Snapshot snap = bench::CollectRunSnapshot(
+  stats.snapshot = bench::CollectRunSnapshot(
       &env, "storm/" + std::to_string(clients));
-  if (const auto* db = snap.FindCounter("ring.doorbells")) {
+  if (const auto* db = stats.snapshot.FindCounter("ring.doorbells")) {
     stats.doorbells = db->value;
   }
-  if (const auto* co =
-          snap.FindCounter("astore.client.coalesced_appends")) {
+  if (const auto* co = stats.snapshot.FindCounter(
+          "astore.client.coalesced_appends")) {
     stats.coalesced = co->value;
   }
   return stats;
@@ -129,6 +138,8 @@ int main() {
   bench::PrintRow({"record size", "BlobGroup avg us", "SegmentRing avg us",
                    "speedup"},
                   20);
+  bool ring_wins = true;
+  std::string sizes = "\"record_sizes\":[";
   for (size_t bytes : {2 * kKiB, 8 * kKiB, 32 * kKiB, 128 * kKiB,
                        256 * kKiB}) {
     const int ops = bytes >= 128 * kKiB ? 100 : 300;
@@ -138,7 +149,13 @@ int main() {
                      bench::Fmt("%.1f", blob), bench::Fmt("%.1f", ring),
                      bench::Fmt("%.1fx", blob / ring)},
                     20);
+    ring_wins = ring_wins && ring < blob;
+    if (bytes != 2 * kKiB) sizes += ",";
+    sizes += "{\"record_kib\":" + std::to_string(bytes / kKiB) +
+             bench::Fmt(",\"blob_avg_us\":%.17g", blob) +
+             bench::Fmt(",\"ring_avg_us\":%.17g", ring) + "}";
   }
+  sizes += "]";
   printf("\npaper: a 256KB one-sided write completes in ~0.1ms — no need "
          "to split large log I/Os\n");
 
@@ -149,17 +166,44 @@ int main() {
   bench::PrintRow({"clients", "appends", "doorbells", "doorbells/append",
                    "coalesced"},
                   18);
+  bool doorbells_fall = true;
+  double prev_per_append = 0;
+  std::string storms = "\"storms\":[";
+  std::vector<obs::Snapshot> snapshots;
   for (int clients : {1, 8, 64}) {
-    const StormStats stats = RunStorm(clients, 128);
+    StormStats stats = RunStorm(clients, 128);
+    const double per_append = stats.DoorbellsPerAppend();
     bench::PrintRow(
         {std::to_string(clients), std::to_string(stats.appends),
-         std::to_string(stats.doorbells),
-         bench::Fmt("%.2f", stats.appends == 0
-                                ? 0.0
-                                : static_cast<double>(stats.doorbells) /
-                                      static_cast<double>(stats.appends)),
+         std::to_string(stats.doorbells), bench::Fmt("%.2f", per_append),
          std::to_string(stats.coalesced)},
         18);
+    if (clients != 1) {
+      storms += ",";
+      doorbells_fall = doorbells_fall && per_append < prev_per_append;
+    }
+    prev_per_append = per_append;
+    storms += "{\"clients\":" + std::to_string(clients) +
+              ",\"appends\":" + std::to_string(stats.appends) +
+              ",\"doorbells\":" + std::to_string(stats.doorbells) +
+              bench::Fmt(",\"doorbells_per_append\":%.17g", per_append) +
+              "}";
+    snapshots.push_back(std::move(stats.snapshot));
   }
-  return 0;
+  storms += "]";
+  const bool shape_pass = ring_wins && doorbells_fall;
+  printf("shape: %s (SegmentRing beats BlobGroup at every size; "
+         "doorbells/append fall as clients are added)\n",
+         shape_pass ? "PASS" : "FAIL");
+
+  Status wrote = bench::WriteBenchResults(
+      "bench_ablation_segmentring", "bench_ablation_segmentring.json",
+      snapshots,
+      {sizes, storms,
+       std::string("\"shape_pass\":") + (shape_pass ? "true" : "false")});
+  if (!wrote.ok()) {
+    fprintf(stderr, "results: %s\n", wrote.ToString().c_str());
+    return 1;
+  }
+  return shape_pass ? 0 : 1;
 }

@@ -4,9 +4,8 @@
 CI runs short deterministic benches (bench_table2_log_micro,
 bench_fig6_7_tpcc, bench_fig8_order_processing, bench_fig9_advertisement,
 bench_fig11_ebp_query_speedup, bench_fig12_ebp_size, bench_fig14_pushdown,
-bench_ablation_costbased_pq and the chaos benches) and feeds the files they
-wrote
-into this checker. The point is schema drift: if the C++
+bench_ablation_costbased_pq, bench_ablation_segmentring and the chaos
+benches) and feeds the files they wrote into this checker. The point is schema drift: if the C++
 exporter (src/obs/export.cc) changes shape without bumping
 Snapshot::kSchemaVersion and updating this script, the bench-smoke job
 fails. Pure stdlib; exits non-zero with a pointed message on violation.
@@ -427,6 +426,62 @@ def check_fig12(doc, filename):
            f"configs must be {want_labels}, got {labels}")
 
 
+SEGMENTRING_RECORD_KIB = [2, 8, 32, 128, 256]
+SEGMENTRING_CLIENTS = [1, 8, 64]
+
+
+def check_segmentring(doc, filename):
+    """Bench-specific contract for bench_ablation_segmentring: BlobGroup and
+    SegmentRing append latency per record size, doorbells per append per
+    client count with one registry snapshot per storm, and the ablation's
+    shape: the ring beats the blob at every size, and doorbells per append
+    fall as clients are added."""
+    sizes = doc.get("record_sizes")
+    expect(isinstance(sizes, list) and
+           [s.get("record_kib") if isinstance(s, dict) else None
+            for s in sizes] == SEGMENTRING_RECORD_KIB, filename,
+           f"'record_sizes' must list {SEGMENTRING_RECORD_KIB} KiB in order")
+    for s in sizes:
+        for field in ("blob_avg_us", "ring_avg_us"):
+            v = s.get(field)
+            expect(isinstance(v, (int, float)) and v > 0, filename,
+                   f"{s['record_kib']} KiB {field} must be a positive "
+                   f"number, got {v!r}")
+        expect(s["ring_avg_us"] < s["blob_avg_us"], filename,
+               f"{s['record_kib']} KiB: SegmentRing {s['ring_avg_us']} us "
+               f"does not beat BlobGroup {s['blob_avg_us']} us")
+    storms = doc.get("storms")
+    expect(isinstance(storms, list) and
+           [s.get("clients") if isinstance(s, dict) else None
+            for s in storms] == SEGMENTRING_CLIENTS, filename,
+           f"'storms' must list client counts {SEGMENTRING_CLIENTS} in order")
+    labels = [c.get("run_label") for c in doc["configs"]]
+    want_labels = [f"storm/{c}" for c in SEGMENTRING_CLIENTS]
+    expect(labels == want_labels, filename,
+           f"configs must be {want_labels}, got {labels}")
+    for s, snap in zip(storms, doc["configs"]):
+        for field in ("appends", "doorbells"):
+            expect(isinstance(s.get(field), int) and s[field] > 0, filename,
+                   f"{s['clients']} clients {field} must be a positive "
+                   f"integer, got {s.get(field)!r}")
+        doorbells = find_sample(snap, "counters", "ring.doorbells", {})
+        expect(doorbells is not None and
+               doorbells["value"] == s["doorbells"], filename,
+               f"{s['clients']} clients: doorbells disagree with the "
+               "snapshot's ring.doorbells counter")
+        want = s["doorbells"] / s["appends"]
+        expect(math.isclose(s.get("doorbells_per_append", -1), want,
+                            rel_tol=1e-9), filename,
+               f"{s['clients']} clients doorbells_per_append is "
+               f"{s.get('doorbells_per_append')!r} but the counts give {want}")
+    per_append = [s["doorbells_per_append"] for s in storms]
+    expect(all(b < a for a, b in zip(per_append, per_append[1:])), filename,
+           f"doorbells per append {per_append} do not fall as clients are "
+           "added")
+    expect(doc.get("shape_pass") is True, filename,
+           "shape_pass must be true when the shape holds")
+
+
 def check_breakdown(bd, path):
     if bd is None:
         return
@@ -476,6 +531,8 @@ def check_file(filename):
         check_fig14(doc, filename)
     if doc["bench"] == "bench_ablation_costbased_pq":
         check_costbased(doc, filename)
+    if doc["bench"] == "bench_ablation_segmentring":
+        check_segmentring(doc, filename)
     if "breakdown" in doc:
         check_breakdown(doc["breakdown"], f"{filename}.breakdown")
     if "trace_spans" in doc:

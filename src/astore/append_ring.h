@@ -11,8 +11,8 @@
 // replica.
 //
 // Leader/follower, no dedicated actor: the first Wait()er whose token is
-// unresolved becomes the flush leader (same shape as
-// logstore::GroupCommitter).
+// unresolved becomes the flush leader (the same shape as the log's group
+// commit in logstore::LogStore).
 //
 // Ordering: the queue drains strictly in submission (seq) order and the
 // leader resolves a whole drained run before any later submission, so

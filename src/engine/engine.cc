@@ -349,11 +349,9 @@ void DBEngine::ShipperLoop() {
 void DBEngine::CheckpointLoop() {
   while (!shutdown_.load()) {
     env_->clock()->SleepFor(options_.checkpoint_period);
-    // Checkpointing is offloaded to the storage layer: the log can drop
-    // everything PageStore has quorum-acked.
-    const uint64_t durable = pagestore_->DurableLsn();
-    log_->Truncate(durable);
-    pagestore_->TruncateBelow(durable);
+    // Checkpointing is offloaded to the storage layer: PageStore drops
+    // every record it has quorum-acked.
+    pagestore_->TruncateBelow(pagestore_->DurableLsn());
   }
 }
 
@@ -466,7 +464,7 @@ Status DBEngine::Recover(const std::vector<astore::LogRecord>& tail_records) {
   }
   // Read both watermarks BEFORE taking ship_mu_: NextLsn() takes the
   // logstore's LSN lock, and AppendBatch's on_assigned hook takes ship_mu_
-  // under that same lock, so logstore.astore is taken before engine.ship.
+  // under that same lock, so logstore.lsn is taken before engine.ship.
   uint64_t resume_through = pagestore_->DurableLsn();
   if (log_ != nullptr) {
     resume_through = std::max(resume_through, log_->NextLsn() - 1);

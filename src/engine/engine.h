@@ -295,7 +295,7 @@ class DBEngine {
   std::atomic<TxnId> next_txn_{1};
 
   // Redo shipper state.
-  // Lock order: logstore.astore (the LSN lock) is taken before engine.ship
+  // Lock order: logstore.lsn (the LSN lock) is taken before engine.ship
   // — AppendBatch runs the on_assigned hook (which enqueues ship records
   // under ship_mu_) while holding its LSN lock so the queue fills in LSN
   // order. Never call back into the logstore while holding ship_mu_.

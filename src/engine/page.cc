@@ -15,6 +15,11 @@ namespace {
 uint64_t SlotPos(uint16_t slot) {
   return Page::kPageSize - (slot + 1) * Page::kSlotEntrySize;
 }
+
+// Slots whose directory entry lies below the header: only a damaged slot
+// count reaches them.
+constexpr uint64_t kMaxSlots =
+    (Page::kPageSize - Page::kHeaderSize) / Page::kSlotEntrySize;
 }  // namespace
 
 uint64_t PageView::lsn() const { return DecodeFixed64(data_); }
@@ -23,15 +28,19 @@ uint16_t PageView::slot_count() const { return DecodeFixed16(data_ + 8); }
 
 Status PageView::GetRow(uint16_t slot, Slice* row) const {
   if (slot >= slot_count()) return Status::NotFound("no such slot");
+  if (slot >= kMaxSlots) return Status::Corruption("slot outside the page");
   const uint16_t off = DecodeFixed16(data_ + SlotPos(slot));
   const uint16_t len = DecodeFixed16(data_ + SlotPos(slot) + 2);
   if (off == 0) return Status::NotFound("tombstoned slot");
+  if (off + len > Page::kPageSize) {
+    return Status::Corruption("row outside the page");
+  }
   *row = Slice(data_ + off, len);
   return Status::OK();
 }
 
 bool PageView::SlotLive(uint16_t slot) const {
-  if (slot >= slot_count()) return false;
+  if (slot >= slot_count() || slot >= kMaxSlots) return false;
   return DecodeFixed16(data_ + SlotPos(slot)) != 0;
 }
 

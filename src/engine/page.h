@@ -30,9 +30,11 @@ class PageView {
 
   uint64_t lsn() const;
   uint16_t slot_count() const;
-  /// Reads the row in `slot`; NotFound for tombstones/out of range.
+  /// Reads the row in `slot`; NotFound for tombstones/out of range,
+  /// Corruption when a damaged directory puts the slot or its row outside
+  /// the page.
   Status GetRow(uint16_t slot, Slice* row) const;
-  /// True if `slot` holds a live row.
+  /// True if `slot` holds a live row whose directory entry is in the page.
   bool SlotLive(uint16_t slot) const;
 
  private:

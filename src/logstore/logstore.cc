@@ -9,95 +9,86 @@
 
 namespace vedb::logstore {
 
-namespace {
-void InitLogMetrics(const char* backend, obs::Counter** appends,
-                    obs::HistogramMetric** append_ns, obs::Counter** flushes,
-                    obs::Counter** flush_bytes) {
+LogStore::LogStore(sim::VirtualClock* clock, const char* backend,
+                   uint64_t next_lsn)
+    : clock_(clock),
+      backend_(backend),
+      next_lsn_(next_lsn),
+      cond_(clock, "group-commit"),
+      durable_(next_lsn - 1) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  *appends = reg.GetCounter("logstore.appends", {{"backend", backend}});
-  *append_ns = reg.GetHistogram("logstore.append_ns", {{"backend", backend}});
-  *flushes = reg.GetCounter("logstore.flushes", {{"backend", backend}});
-  *flush_bytes =
-      reg.GetCounter("logstore.flush_bytes", {{"backend", backend}});
-}
-}  // namespace
-
-void BlobLogStore::InitMetrics(const char* backend) {
-  InitLogMetrics(backend, &appends_, &append_ns_, &flushes_, &flush_bytes_);
+  appends_ = reg.GetCounter("logstore.appends", {{"backend", backend}});
+  append_ns_ = reg.GetHistogram("logstore.append_ns", {{"backend", backend}});
+  flushes_ = reg.GetCounter("logstore.flushes", {{"backend", backend}});
+  flush_bytes_ = reg.GetCounter("logstore.flush_bytes", {{"backend", backend}});
 }
 
-void AStoreLogStore::InitMetrics(const char* backend) {
-  InitLogMetrics(backend, &appends_, &append_ns_, &flushes_, &flush_bytes_);
-}
+Result<AppendResult> LogStore::AppendBatch(
+    const std::vector<std::string>& payloads, const AppendHooks* hooks) {
+  if (payloads.empty()) return Status::InvalidArgument("empty batch");
 
-void DurabilityWatermark::MarkDurable(uint64_t first, uint64_t last) {
-  bool advanced = false;
+  const Timestamp begin = clock_->Now();
+  obs::SpanScope span(obs::Tracer::Global(), "logstore.append");
+  span.AddTag("backend", backend_);
+
+  Item item;
+  item.payloads = &payloads;
+  item.hooks = hooks;
   {
-    vedb::MutexLock lk(&mu_);
-    completed_.insert({first, last});
-    // Fold any now-contiguous prefix into the watermark.
-    while (!completed_.empty()) {
-      auto it = completed_.begin();
-      if (it->first != durable_ + 1) break;
-      durable_ = it->second;
-      completed_.erase(it);
-      advanced = true;
+    vedb::MutexLock lk(&lsn_mu_);
+    item.first_lsn = next_lsn_;
+    next_lsn_ += payloads.size();
+    item.last_lsn = next_lsn_ - 1;
+    if (hooks != nullptr && hooks->on_assigned) {
+      hooks->on_assigned(item.first_lsn, item.last_lsn);
     }
   }
-  if (advanced) cond_.NotifyAll();
+  VEDB_RETURN_IF_ERROR(Submit(&item));
+  appends_->Add(1);
+  append_ns_->Observe(clock_->Now() - begin);
+  return AppendResult{item.first_lsn, item.last_lsn};
 }
 
-void DurabilityWatermark::WaitDurable(uint64_t lsn) {
+Status LogStore::Submit(Item* item) {
+  // Nothing between LSN assignment and this enqueue waits on the clock, so
+  // the queue, and with it every group, is in LSN order.
   vedb::MutexLock lk(&mu_);
-  cond_.Wait(&mu_, [&] { return durable_ >= lsn; });
-}
-
-
-Status GroupCommitter::Submit(Item item, Duration wait_timeout) {
-  const uint64_t first = item.first_lsn;
-  const uint64_t last = item.last_lsn;
-  const Timestamp deadline =
-      wait_timeout == 0 ? 0 : clock_->Now() + wait_timeout;
-  vedb::MutexLock lk(&mu_);
-  pending_.push_back(std::move(item));
-  while (true) {
-    auto failed = failed_.find(first);
-    if (failed != failed_.end()) {
-      Status s = failed->second.second;
-      failed_.erase(failed);
-      return s;
-    }
-    if (watermark_->durable_lsn() >= last) return Status::OK();
-    if (deadline != 0 && clock_->Now() >= deadline) {
-      // Giving up, not cancelling: the item stays queued and the next
-      // leader flushes it — outcome unknown to this caller. Item::pin is
-      // what keeps the abandoned payload bytes valid through that flush.
-      return Status::TimedOut("group commit wait timed out");
-    }
-    if (!flushing_ && !pending_.empty()) {
+  pending_.push_back(item);
+  while (durable_ < item->last_lsn) {
+    if (!flushing_) {
       // Become the leader: flush everything queued so far as one write.
       flushing_ = true;
-      std::vector<Item> group;
+      std::vector<Item*> group;
       group.swap(pending_);
       lk.Unlock();
 
-      Status s = flush_(group);
+      std::vector<Slice> flat;
+      for (const Item* g : group) {
+        for (const std::string& p : *g->payloads) flat.emplace_back(p);
+      }
+      const uint64_t first = group.front()->first_lsn;
+      const uint64_t last = group.back()->last_lsn;
+      Status s = Flush(first, flat);
       // Resolve the group: record failures (before the watermark makes the
-      // range look durable), fire downstream cancellations, then advance
-      // the watermark so committers and followers wake.
+      // range look resolved), fire downstream cancellations, then advance
+      // the watermark so the group's committers wake.
       if (!s.ok()) {
         lk.Lock();
-        for (const Item& g : group) {
-          failed_[g.first_lsn] = {g.last_lsn, s};
-        }
+        for (Item* g : group) g->status = s;
         lk.Unlock();
-        for (const Item& g : group) {
-          if (g.on_failed) g.on_failed(g.first_lsn, g.last_lsn);
+        for (const Item* g : group) {
+          if (g->hooks != nullptr && g->hooks->on_failed) {
+            g->hooks->on_failed(g->first_lsn, g->last_lsn);
+          }
         }
       }
-      watermark_->MarkDurable(group.front().first_lsn,
-                              group.back().last_lsn);
       lk.Lock();
+      VEDB_CHECK(first == durable_ + 1,
+                 "log group [%llu, %llu] resolved after lsn %llu",
+                 static_cast<unsigned long long>(first),
+                 static_cast<unsigned long long>(last),
+                 static_cast<unsigned long long>(durable_));
+      durable_ = last;
       flushing_ = false;
       lk.Unlock();
       cond_.NotifyAll();
@@ -105,12 +96,24 @@ Status GroupCommitter::Submit(Item item, Duration wait_timeout) {
       continue;
     }
     // Follower: wait for the in-flight flush to finish, then re-check.
-    if (deadline == 0) {
-      cond_.Wait(&mu_, [&] { return !flushing_; });
-    } else if (!cond_.WaitUntil(&mu_, deadline, [&] { return !flushing_; })) {
-      return Status::TimedOut("group commit wait timed out");
-    }
+    cond_.Wait(&mu_, [&] { return !flushing_; });
   }
+  return item->status;
+}
+
+uint64_t LogStore::DurableLsn() const {
+  vedb::MutexLock lk(&mu_);
+  return durable_;
+}
+
+uint64_t LogStore::NextLsn() const {
+  vedb::MutexLock lk(&lsn_mu_);
+  return next_lsn_;
+}
+
+void LogStore::CountFlush(uint64_t bytes) {
+  flushes_->Add(1);
+  flush_bytes_->Add(bytes);
 }
 
 std::string EncodeBatchPayload(const std::vector<Slice>& payloads) {
@@ -123,13 +126,6 @@ std::string EncodeBatchPayload(const std::vector<Slice>& payloads) {
     PutLengthPrefixedSlice(&out, p);
   }
   return out;
-}
-
-std::string EncodeBatchPayload(const std::vector<std::string>& payloads) {
-  std::vector<Slice> views;
-  views.reserve(payloads.size());
-  for (const std::string& p : payloads) views.emplace_back(p);
-  return EncodeBatchPayload(views);
 }
 
 bool DecodeBatchPayload(Slice in, uint64_t first_lsn,
@@ -156,67 +152,25 @@ Result<std::unique_ptr<BlobLogStore>> BlobLogStore::Create(
       new BlobLogStore(env, client, options, std::move(group)));
 }
 
-Result<AppendResult> BlobLogStore::AppendBatch(
-    const std::vector<std::string>& payloads, const AppendHooks* hooks) {
-  if (payloads.empty()) return Status::InvalidArgument("empty batch");
-
-  const Timestamp begin = env_->clock()->Now();
-  obs::SpanScope span(obs::Tracer::Global(), "logstore.append");
-  span.AddTag("backend", "ssd");
-
-  GroupCommitter::Item item;
-  {
-    vedb::MutexLock lk(&mu_);
-    item.first_lsn = next_lsn_;
-    next_lsn_ += payloads.size();
-    item.last_lsn = next_lsn_ - 1;
-    if (hooks != nullptr && hooks->on_assigned) {
-      hooks->on_assigned(item.first_lsn, item.last_lsn);
-    }
-  }
-  // One copy, into the pin: the committer and the flush path then work on
-  // Slices over these bytes, which outlive any timed-out waiter.
-  auto pinned = std::make_shared<const std::vector<std::string>>(payloads);
-  item.payloads.reserve(pinned->size());
-  for (const std::string& p : *pinned) item.payloads.emplace_back(p);
-  item.pin = std::move(pinned);
-  if (hooks != nullptr) item.on_failed = hooks->on_failed;
-  const AppendResult result{item.first_lsn, item.last_lsn};
-  VEDB_RETURN_IF_ERROR(committer_.Submit(std::move(item)));
-  appends_->Add(1);
-  append_ns_->Observe(env_->clock()->Now() - begin);
-  return result;
-}
-
-Status BlobLogStore::FlushGroup(const std::vector<GroupCommitter::Item>& items) {
+Status BlobLogStore::Flush(uint64_t first_lsn,
+                           const std::vector<Slice>& payloads) {
   // One pass through the async submission path per physical flush: the
   // dispatcher burns CPU for the submit and the request waits its turn in
   // the scheduling queue — "CPU resources are required to schedule every
   // I/O request..." (Section V).
-  Duration sched_delay;
-  {
-    vedb::MutexLock lk(&mu_);
-    sched_delay = static_cast<Duration>(
-        rng_.Exponential(static_cast<double>(options_.sched_delay_mean)));
-  }
+  const Duration sched_delay = static_cast<Duration>(
+      rng_.Exponential(static_cast<double>(options_.sched_delay_mean)));
   client_->cpu()->Access(0, options_.submit_overhead);
   env_->clock()->SleepFor(sched_delay);
 
-  // Frame the whole group as one record keyed by its first LSN. The items'
-  // payloads are borrowed views (pinned by Item::pin), never re-copied.
-  std::vector<Slice> flat;
-  for (const auto& item : items) {
-    for (const Slice& p : item.payloads) flat.push_back(p);
-  }
-  const uint64_t first = items.front().first_lsn;
-  const std::string body = EncodeBatchPayload(flat);
+  // Frame the whole group as one record keyed by its first LSN.
+  const std::string body = EncodeBatchPayload(payloads);
   std::string frame;
   PutFixed32(&frame, static_cast<uint32_t>(body.size()));
-  PutFixed64(&frame, first);
+  PutFixed64(&frame, first_lsn);
   frame += body;
   PutFixed32(&frame, MaskCrc(Crc32c(0, frame.data() + 4, 8 + body.size())));
-  flushes_->Add(1);
-  flush_bytes_->Add(frame.size());
+  CountFlush(frame.size());
   return group_->Append(Slice(frame), nullptr);
 }
 
@@ -254,11 +208,6 @@ Result<std::vector<astore::LogRecord>> BlobLogStore::ReadFrom(
               return a.lsn < b.lsn;
             });
   return records;
-}
-
-uint64_t BlobLogStore::NextLsn() const {
-  vedb::MutexLock lk(&mu_);
-  return next_lsn_;
 }
 
 // ---------------- AStoreLogStore ----------------
@@ -305,55 +254,17 @@ Result<std::unique_ptr<AStoreLogStore>> AStoreLogStore::Recover(
       new AStoreLogStore(env, client, options, std::move(ring), next_lsn));
 }
 
-Result<AppendResult> AStoreLogStore::AppendBatch(
-    const std::vector<std::string>& payloads, const AppendHooks* hooks) {
-  if (payloads.empty()) return Status::InvalidArgument("empty batch");
-
-  const Timestamp begin = env_->clock()->Now();
-  obs::SpanScope span(obs::Tracer::Global(), "logstore.append");
-  span.AddTag("backend", "pmem");
-
-  GroupCommitter::Item item;
-  {
-    vedb::MutexLock lk(&mu_);
-    item.first_lsn = next_lsn_;
-    next_lsn_ += payloads.size();
-    item.last_lsn = next_lsn_ - 1;
-    if (hooks != nullptr && hooks->on_assigned) {
-      hooks->on_assigned(item.first_lsn, item.last_lsn);
-    }
-  }
-  // One copy, into the pin: the committer and the flush path then work on
-  // Slices over these bytes, which outlive any timed-out waiter.
-  auto pinned = std::make_shared<const std::vector<std::string>>(payloads);
-  item.payloads.reserve(pinned->size());
-  for (const std::string& p : *pinned) item.payloads.emplace_back(p);
-  item.pin = std::move(pinned);
-  if (hooks != nullptr) item.on_failed = hooks->on_failed;
-  const AppendResult result{item.first_lsn, item.last_lsn};
-  VEDB_RETURN_IF_ERROR(committer_.Submit(std::move(item)));
-  appends_->Add(1);
-  append_ns_->Observe(env_->clock()->Now() - begin);
-  return result;
-}
-
-Status AStoreLogStore::FlushGroup(
-    const std::vector<GroupCommitter::Item>& items) {
-  std::vector<Slice> flat;
-  for (const auto& item : items) {
-    for (const Slice& p : item.payloads) flat.push_back(p);
-  }
-  const uint64_t first = items.front().first_lsn;
-  const std::string body = EncodeBatchPayload(flat);
-  flushes_->Add(1);
-  flush_bytes_->Add(body.size());
+Status AStoreLogStore::Flush(uint64_t first_lsn,
+                             const std::vector<Slice>& payloads) {
+  const std::string body = EncodeBatchPayload(payloads);
+  CountFlush(body.size());
   // Flushes are serialized by the single group-commit leader, so ring
   // placement naturally follows LSN order. AppendRecord owns the whole
   // reserve/commit/replaced-segment dance — which now rides the client's
   // doorbell coalescer (SubmitReserved/WaitCommit): while this leader
   // parks on its completion token, independent producers on the same
   // client (topics, other rings) join the same doorbell.
-  return ring_->AppendRecord(first, Slice(body));
+  return ring_->AppendRecord(first_lsn, Slice(body));
 }
 
 Result<std::vector<astore::LogRecord>> AStoreLogStore::ReadFrom(
@@ -373,11 +284,6 @@ Result<std::vector<astore::LogRecord>> AStoreLogStore::ReadFrom(
     }
   }
   return records;
-}
-
-uint64_t AStoreLogStore::NextLsn() const {
-  vedb::MutexLock lk(&mu_);
-  return next_lsn_;
 }
 
 }  // namespace vedb::logstore

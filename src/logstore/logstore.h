@@ -14,8 +14,8 @@
 #define VEDB_LOGSTORE_LOGSTORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -43,118 +43,94 @@ struct AppendHooks {
   std::function<void(uint64_t first, uint64_t last)> on_assigned;
   /// Invoked when the batch's log write failed, before its LSN range is
   /// resolved in the durability watermark (so the caller can cancel any
-  /// downstream work keyed on those LSNs).
+  /// downstream work keyed on those LSNs). May run on another committer's
+  /// fiber: the group's leader calls it for every item of the group.
   std::function<void(uint64_t first, uint64_t last)> on_failed;
 };
 
+/// The REDO log front end, shared by both backends: LSN assignment,
+/// leader/follower group commit and the durability watermark. Concurrent
+/// AppendBatch calls coalesce into one physical log write (veDB's global log
+/// buffer behaviour). At most one flush is in flight; the first committer to
+/// find the pipeline idle becomes the leader and flushes everything queued,
+/// so log-device stragglers never convoy independent commits and throughput
+/// scales with batch size rather than 1/latency.
+///
+/// A backend supplies only what differs: how one group is framed and
+/// written (Flush) and how records are read back (ReadFrom).
 class LogStore {
  public:
   virtual ~LogStore() = default;
 
-  /// Appends `payloads` as one physical log write. Returns when every
-  /// record with lsn <= result.last_lsn is durable. Thread safe; concurrent
-  /// batches overlap their I/O and are fenced by the durability watermark.
-  virtual Result<AppendResult> AppendBatch(
-      const std::vector<std::string>& payloads,
-      const AppendHooks* hooks = nullptr) = 0;
+  /// Appends `payloads` as part of one physical log write. Returns when
+  /// every record with lsn <= result.last_lsn has resolved and this batch's
+  /// records are durable, or the write's error if its group failed. The
+  /// flush reads `payloads` in place, never a copy. Thread safe.
+  Result<AppendResult> AppendBatch(const std::vector<std::string>& payloads,
+                                   const AppendHooks* hooks = nullptr);
 
   /// Every record with lsn <= this value has resolved (durable or failed).
-  virtual uint64_t DurableLsn() const = 0;
+  uint64_t DurableLsn() const;
+
+  /// The LSN the next record will receive.
+  uint64_t NextLsn() const;
 
   /// All durable records with lsn >= `from_lsn`, in order (recovery path).
   virtual Result<std::vector<astore::LogRecord>> ReadFrom(
       uint64_t from_lsn) = 0;
 
-  /// The LSN the next record will receive.
-  virtual uint64_t NextLsn() const = 0;
+ protected:
+  /// `backend` labels the metrics and the append span ("ssd", "pmem").
+  /// `next_lsn` is the first LSN to assign: a recovered log resumes after
+  /// its last record, and everything before it counts as resolved.
+  LogStore(sim::VirtualClock* clock, const char* backend, uint64_t next_lsn);
 
-  /// Records with lsn < `lsn` may be garbage collected (they are applied in
-  /// PageStore). Advisory for ring/blob space reuse.
-  virtual void Truncate(uint64_t lsn) = 0;
-};
+  /// Writes one group as one physical record. `payloads` hold the records
+  /// with LSNs first_lsn, first_lsn + 1, ...; they are views into the
+  /// committers' own `payloads` vectors, valid until Flush returns. Runs on
+  /// the leader's fiber outside every LogStore lock, one call at a time.
+  virtual Status Flush(uint64_t first_lsn,
+                       const std::vector<Slice>& payloads) = 0;
 
-class DurabilityWatermark;
+  /// Counts one physical log write of `bytes` (backend framing included).
+  void CountFlush(uint64_t bytes);
 
-/// Leader/follower group commit: concurrent AppendBatch calls coalesce into
-/// one physical log write (veDB's global log buffer behaviour). At most one
-/// flush is in flight; the first committer to find the pipeline idle
-/// becomes the leader and flushes everything queued, so log-device
-/// stragglers never convoy independent commits and throughput scales with
-/// batch size rather than 1/latency.
-class GroupCommitter {
- public:
+ private:
+  /// One AppendBatch call's place in the group-commit queue. Lives on the
+  /// committer's stack: the call returns only once the item's group has
+  /// resolved, so the leader may read it until then.
   struct Item {
     uint64_t first_lsn = 0;
     uint64_t last_lsn = 0;
-    /// Views of the batch payloads. The committer never copies payload
-    /// bytes: the flush reads straight through these Slices.
-    std::vector<Slice> payloads;
-    /// Keeps `payloads`' backing bytes alive until the item's group
-    /// resolves — including after a submitting waiter times out and frees
-    /// its own copy (the item may still be queued for a later leader).
-    std::shared_ptr<const std::vector<std::string>> pin;
-    std::function<void(uint64_t, uint64_t)> on_failed;
+    const std::vector<std::string>* payloads = nullptr;
+    const AppendHooks* hooks = nullptr;
+    Status status;  // set by the leader when the item's group fails
   };
-  /// Writes one physical record containing `items` (lsn-contiguous,
-  /// ascending). Runs on the leader's thread, outside the committer lock.
-  using FlushFn = std::function<Status(const std::vector<Item>& items)>;
 
-  GroupCommitter(sim::VirtualClock* clock, DurabilityWatermark* watermark,
-                 FlushFn flush)
-      : clock_(clock),
-        cond_(clock, "group-commit"),
-        watermark_(watermark),
-        flush_(std::move(flush)) {}
+  /// Enqueues `item` and blocks until its group has resolved, leading a
+  /// flush if the pipeline is idle. Returns the flush error if the group
+  /// failed.
+  Status Submit(Item* item);
 
-  /// Enqueues the item and blocks until its range is durable (leading a
-  /// flush if the pipeline is idle). Returns the flush error if this item's
-  /// group failed. With a non-zero `wait_timeout`, gives up after that much
-  /// virtual time with TimedOut — the item STAYS queued (outcome unknown)
-  /// and is flushed by the next leader; its payload bytes survive via
-  /// Item::pin regardless of what the caller frees.
-  Status Submit(Item item, Duration wait_timeout = 0);
-
- private:
   sim::VirtualClock* clock_;
-  vedb::Mutex mu_{"logstore.committer"};
+  const char* backend_;
+
+  mutable vedb::Mutex lsn_mu_{"logstore.lsn"};
+  uint64_t next_lsn_ GUARDED_BY(lsn_mu_);
+
+  mutable vedb::Mutex mu_{"logstore.committer"};
   sim::VirtualCondition cond_;
-  DurabilityWatermark* watermark_;
-  FlushFn flush_;
   bool flushing_ GUARDED_BY(mu_) = false;
-  std::vector<Item> pending_ GUARDED_BY(mu_);
-  // first_lsn -> (last_lsn, error) for failed groups awaiting pickup.
-  std::map<uint64_t, std::pair<uint64_t, Status>> failed_ GUARDED_BY(mu_);
-};
+  std::vector<Item*> pending_ GUARDED_BY(mu_);  // in LSN order
+  // Every lsn <= durable_ has resolved. Groups resolve in LSN order, so
+  // this one number is the whole watermark.
+  uint64_t durable_ GUARDED_BY(mu_);
 
-/// Tracks the contiguous durability watermark across overlapping appends.
-/// Append flows: Reserve() -> do I/O -> MarkDurable() -> WaitDurable().
-class DurabilityWatermark {
- public:
-  /// `initial` is the already-durable prefix (recovered logs start at their
-  /// last recovered LSN, fresh logs at 0).
-  explicit DurabilityWatermark(sim::VirtualClock* clock, uint64_t initial = 0)
-      : cond_(clock, "log-watermark"), durable_(initial) {}
-
-  /// Marks [first, last] complete and advances the watermark over any
-  /// now-contiguous prefix. `next_unassigned` is the current end of the
-  /// assigned LSN space.
-  void MarkDurable(uint64_t first, uint64_t last);
-
-  /// Blocks until every lsn <= `lsn` is durable.
-  void WaitDurable(uint64_t lsn);
-
-  uint64_t durable_lsn() const {
-    vedb::MutexLock lk(&mu_);
-    return durable_;
-  }
-
- private:
-  mutable vedb::Mutex mu_{"logstore.watermark"};
-  sim::VirtualCondition cond_;
-  // all lsns <= durable_ are durable
-  uint64_t durable_ GUARDED_BY(mu_) = 0;
-  // disjoint ranges
-  std::set<std::pair<uint64_t, uint64_t>> completed_ GUARDED_BY(mu_);
+  // Observability (resolved once at construction; see obs/metrics.h).
+  obs::Counter* appends_;
+  obs::HistogramMetric* append_ns_;
+  obs::Counter* flushes_;
+  obs::Counter* flush_bytes_;
 };
 
 /// SSD/BlobGroup-backed baseline.
@@ -174,49 +150,28 @@ class BlobLogStore : public LogStore {
       sim::SimEnvironment* env, blob::BlobStoreCluster* cluster,
       sim::SimNode* client, const Options& options);
 
-  Result<AppendResult> AppendBatch(const std::vector<std::string>& payloads,
-                                   const AppendHooks* hooks = nullptr) override;
   Result<std::vector<astore::LogRecord>> ReadFrom(uint64_t from_lsn) override;
-  uint64_t NextLsn() const override;
-  uint64_t DurableLsn() const override { return watermark_.durable_lsn(); }
-  void Truncate(uint64_t /*lsn*/) override {}
+
+ protected:
+  Status Flush(uint64_t first_lsn, const std::vector<Slice>& payloads) override;
 
  private:
   BlobLogStore(sim::SimEnvironment* env, sim::SimNode* client,
                Options options, std::unique_ptr<blob::BlobGroup> group)
-      : env_(env),
+      : LogStore(env->clock(), "ssd", /*next_lsn=*/1),
+        env_(env),
         client_(client),
         options_(options),
         group_(std::move(group)),
-        watermark_(env->clock()),
-        committer_(env->clock(), &watermark_,
-                   [this](const std::vector<GroupCommitter::Item>& items) {
-                     return FlushGroup(items);
-                   }),
-        rng_(env->NextSeed()) {
-    InitMetrics("ssd");
-  }
-
-  void InitMetrics(const char* backend);
-
-  Status FlushGroup(const std::vector<GroupCommitter::Item>& items);
+        rng_(env->NextSeed()) {}
 
   sim::SimEnvironment* env_;
   sim::SimNode* client_;
   Options options_;
   std::unique_ptr<blob::BlobGroup> group_;
-  DurabilityWatermark watermark_;
-  GroupCommitter committer_;
-
-  mutable vedb::Mutex mu_{"logstore.blob"};
-  uint64_t next_lsn_ GUARDED_BY(mu_) = 1;
-  Random rng_ GUARDED_BY(mu_);
-
-  // Observability (resolved once at construction; see obs/metrics.h).
-  obs::Counter* appends_ = nullptr;
-  obs::HistogramMetric* append_ns_ = nullptr;
-  obs::Counter* flushes_ = nullptr;
-  obs::Counter* flush_bytes_ = nullptr;
+  // Waiver(thread-annotations): only Flush draws from it, and the group
+  // commit runs one Flush at a time.
+  Random rng_;
 };
 
 /// AStore/SegmentRing-backed store (the paper's design).
@@ -240,57 +195,30 @@ class AStoreLogStore : public LogStore {
       const Options& options,
       std::vector<astore::LogRecord>* recovered_out);
 
-  Result<AppendResult> AppendBatch(const std::vector<std::string>& payloads,
-                                   const AppendHooks* hooks = nullptr) override;
   Result<std::vector<astore::LogRecord>> ReadFrom(uint64_t from_lsn) override;
-  uint64_t NextLsn() const override;
-  uint64_t DurableLsn() const override { return watermark_.durable_lsn(); }
-  void Truncate(uint64_t /*lsn*/) override {}
 
   astore::SegmentRing* ring() { return ring_.get(); }
+
+ protected:
+  Status Flush(uint64_t first_lsn, const std::vector<Slice>& payloads) override;
 
  private:
   AStoreLogStore(sim::SimEnvironment* env, astore::AStoreClient* client,
                  Options options, std::unique_ptr<astore::SegmentRing> ring,
                  uint64_t next_lsn)
-      : env_(env),
+      : LogStore(env->clock(), "pmem", next_lsn),
         client_(client),
         options_(options),
-        ring_(std::move(ring)),
-        watermark_(env->clock(), next_lsn - 1),
-        committer_(env->clock(), &watermark_,
-                   [this](const std::vector<GroupCommitter::Item>& items) {
-                     return FlushGroup(items);
-                   }),
-        next_lsn_(next_lsn) {
-    InitMetrics("pmem");
-  }
+        ring_(std::move(ring)) {}
 
-  void InitMetrics(const char* backend);
-
-  Status FlushGroup(const std::vector<GroupCommitter::Item>& items);
-
-  sim::SimEnvironment* env_;
   astore::AStoreClient* client_;
   Options options_;
   std::unique_ptr<astore::SegmentRing> ring_;
-  DurabilityWatermark watermark_;
-  GroupCommitter committer_;
-
-  mutable vedb::Mutex mu_{"logstore.astore"};
-  uint64_t next_lsn_ GUARDED_BY(mu_) = 1;
-
-  // Observability (resolved once at construction; see obs/metrics.h).
-  obs::Counter* appends_ = nullptr;
-  obs::HistogramMetric* append_ns_ = nullptr;
-  obs::Counter* flushes_ = nullptr;
-  obs::Counter* flush_bytes_ = nullptr;
 };
 
 /// Shared batch framing: several REDO payloads packed into one physical log
 /// record. Exposed for the recovery paths of both backends.
 std::string EncodeBatchPayload(const std::vector<Slice>& payloads);
-std::string EncodeBatchPayload(const std::vector<std::string>& payloads);
 bool DecodeBatchPayload(Slice in, uint64_t first_lsn,
                         std::vector<astore::LogRecord>* out);
 

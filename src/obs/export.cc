@@ -2,9 +2,7 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace vedb::obs {
@@ -52,222 +50,6 @@ void AppendU64Field(std::string* out, const char* key, uint64_t v,
   snprintf(buf, sizeof(buf), "\"%s\":%llu%s", key,
            static_cast<unsigned long long>(v), trailing_comma ? "," : "");
   *out += buf;
-}
-
-/// Flattens labels into a stable `k=v;k=v` cell for CSV.
-std::string LabelsCell(const LabelSet& labels) {
-  std::string out;
-  for (const auto& [k, v] : labels) {
-    if (!out.empty()) out += ";";
-    out += k + "=" + v;
-  }
-  return out;
-}
-
-// ---- minimal JSON reader (just enough for the snapshot schema) ----
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  uint64_t magnitude = 0;  // absolute value of an integer number
-  bool negative = false;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Get(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  uint64_t AsU64() const { return negative ? 0 : magnitude; }
-  int64_t AsI64() const {
-    return negative ? -static_cast<int64_t>(magnitude)
-                    : static_cast<int64_t>(magnitude);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& in)
-      : p_(in.data()), end_(in.data() + in.size()) {}
-
-  bool Parse(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return p_ == end_;
-  }
-
- private:
-  void SkipWs() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                          *p_ == '\r')) {
-      ++p_;
-    }
-  }
-  bool Consume(char c) {
-    SkipWs();
-    if (p_ == end_ || *p_ != c) return false;
-    ++p_;
-    return true;
-  }
-  bool ConsumeLiteral(const char* lit) {
-    const size_t n = strlen(lit);
-    if (static_cast<size_t>(end_ - p_) < n || strncmp(p_, lit, n) != 0) {
-      return false;
-    }
-    p_ += n;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (p_ == end_) return false;
-      char esc = *p_++;
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'n': *out += '\n'; break;
-        case 't': *out += '\t'; break;
-        case 'r': *out += '\r'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'u': {
-          if (end_ - p_ < 4) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = *p_++;
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= h - '0';
-            else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-            else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-            else return false;
-          }
-          // Snapshot strings only escape control characters this way.
-          *out += static_cast<char>(code < 0x80 ? code : '?');
-          break;
-        }
-        default: return false;
-      }
-    }
-    return Consume('"');
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    out->kind = JsonValue::kNumber;
-    out->negative = false;
-    if (p_ != end_ && *p_ == '-') {
-      out->negative = true;
-      ++p_;
-    }
-    if (p_ == end_ || *p_ < '0' || *p_ > '9') return false;
-    uint64_t v = 0;
-    while (p_ != end_ && *p_ >= '0' && *p_ <= '9') {
-      v = v * 10 + static_cast<uint64_t>(*p_ - '0');
-      ++p_;
-    }
-    // The snapshot schema is integer-only; reject fractions/exponents.
-    if (p_ != end_ && (*p_ == '.' || *p_ == 'e' || *p_ == 'E')) return false;
-    out->magnitude = v;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (p_ == end_) return false;
-    switch (*p_) {
-      case '{': {
-        out->kind = JsonValue::kObject;
-        ++p_;
-        SkipWs();
-        if (Consume('}')) return true;
-        while (true) {
-          std::string key;
-          if (!ParseString(&key)) return false;
-          if (!Consume(':')) return false;
-          JsonValue v;
-          if (!ParseValue(&v)) return false;
-          out->object.emplace_back(std::move(key), std::move(v));
-          if (Consume(',')) continue;
-          return Consume('}');
-        }
-      }
-      case '[': {
-        out->kind = JsonValue::kArray;
-        ++p_;
-        SkipWs();
-        if (Consume(']')) return true;
-        while (true) {
-          JsonValue v;
-          if (!ParseValue(&v)) return false;
-          out->array.push_back(std::move(v));
-          if (Consume(',')) continue;
-          return Consume(']');
-        }
-      }
-      case '"':
-        out->kind = JsonValue::kString;
-        return ParseString(&out->str);
-      case 't':
-        out->kind = JsonValue::kBool;
-        out->boolean = true;
-        return ConsumeLiteral("true");
-      case 'f':
-        out->kind = JsonValue::kBool;
-        out->boolean = false;
-        return ConsumeLiteral("false");
-      case 'n':
-        out->kind = JsonValue::kNull;
-        return ConsumeLiteral("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-bool ReadLabels(const JsonValue& v, LabelSet* out) {
-  if (v.kind != JsonValue::kObject) return false;
-  out->clear();
-  for (const auto& [k, val] : v.object) {
-    if (val.kind != JsonValue::kString) return false;
-    out->emplace_back(k, val.str);
-  }
-  *out = CanonicalLabels(std::move(*out));
-  return true;
-}
-
-bool ReadU64Field(const JsonValue& obj, const char* key, uint64_t* out) {
-  const JsonValue* v = obj.Get(key);
-  if (v == nullptr || v->kind != JsonValue::kNumber || v->negative) {
-    return false;
-  }
-  *out = v->magnitude;
-  return true;
-}
-
-Status WriteWholeFile(const std::string& path, const std::string& contents) {
-  FILE* f = fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  const size_t written = fwrite(contents.data(), 1, contents.size(), f);
-  const int close_rc = fclose(f);
-  if (written != contents.size() || close_rc != 0) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -358,107 +140,6 @@ std::string Snapshot::ToJson() const {
   return out;
 }
 
-std::string Snapshot::ToCsv() const {
-  std::string out = "kind,name,labels,value,count,sum,min,max,p50,p95,p99\n";
-  char buf[256];
-  for (const auto& c : counters) {
-    snprintf(buf, sizeof(buf), "counter,%s,%s,%llu,,,,,,,\n", c.name.c_str(),
-             LabelsCell(c.labels).c_str(),
-             static_cast<unsigned long long>(c.value));
-    out += buf;
-  }
-  for (const auto& g : gauges) {
-    snprintf(buf, sizeof(buf), "gauge,%s,%s,%lld,,,,,,,\n", g.name.c_str(),
-             LabelsCell(g.labels).c_str(), static_cast<long long>(g.value));
-    out += buf;
-  }
-  for (const auto& h : histograms) {
-    snprintf(buf, sizeof(buf), "histogram,%s,%s,,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
-             h.name.c_str(), LabelsCell(h.labels).c_str(),
-             static_cast<unsigned long long>(h.count),
-             static_cast<unsigned long long>(h.sum),
-             static_cast<unsigned long long>(h.min),
-             static_cast<unsigned long long>(h.max),
-             static_cast<unsigned long long>(h.p50),
-             static_cast<unsigned long long>(h.p95),
-             static_cast<unsigned long long>(h.p99));
-    out += buf;
-  }
-  return out;
-}
-
-Result<Snapshot> Snapshot::FromJson(const std::string& json) {
-  JsonValue root;
-  if (!JsonParser(json).Parse(&root) || root.kind != JsonValue::kObject) {
-    return Status::Corruption("snapshot: malformed JSON");
-  }
-  uint64_t version = 0;
-  if (!ReadU64Field(root, "schema_version", &version) ||
-      version != static_cast<uint64_t>(kSchemaVersion)) {
-    return Status::Corruption("snapshot: bad or missing schema_version");
-  }
-  Snapshot snap;
-  if (!ReadU64Field(root, "virtual_time_ns", &snap.virtual_time_ns)) {
-    return Status::Corruption("snapshot: missing virtual_time_ns");
-  }
-  const JsonValue* label = root.Get("run_label");
-  if (label == nullptr || label->kind != JsonValue::kString) {
-    return Status::Corruption("snapshot: missing run_label");
-  }
-  snap.run_label = label->str;
-
-  const JsonValue* counters = root.Get("counters");
-  const JsonValue* gauges = root.Get("gauges");
-  const JsonValue* histograms = root.Get("histograms");
-  if (counters == nullptr || counters->kind != JsonValue::kArray ||
-      gauges == nullptr || gauges->kind != JsonValue::kArray ||
-      histograms == nullptr || histograms->kind != JsonValue::kArray) {
-    return Status::Corruption("snapshot: missing sample arrays");
-  }
-  for (const JsonValue& v : counters->array) {
-    CounterSample s;
-    const JsonValue* name = v.Get("name");
-    const JsonValue* labels = v.Get("labels");
-    if (name == nullptr || name->kind != JsonValue::kString ||
-        labels == nullptr || !ReadLabels(*labels, &s.labels) ||
-        !ReadU64Field(v, "value", &s.value)) {
-      return Status::Corruption("snapshot: malformed counter sample");
-    }
-    s.name = name->str;
-    snap.counters.push_back(std::move(s));
-  }
-  for (const JsonValue& v : gauges->array) {
-    GaugeSample s;
-    const JsonValue* name = v.Get("name");
-    const JsonValue* labels = v.Get("labels");
-    const JsonValue* value = v.Get("value");
-    if (name == nullptr || name->kind != JsonValue::kString ||
-        labels == nullptr || !ReadLabels(*labels, &s.labels) ||
-        value == nullptr || value->kind != JsonValue::kNumber) {
-      return Status::Corruption("snapshot: malformed gauge sample");
-    }
-    s.name = name->str;
-    s.value = value->AsI64();
-    snap.gauges.push_back(std::move(s));
-  }
-  for (const JsonValue& v : histograms->array) {
-    HistogramSample s;
-    const JsonValue* name = v.Get("name");
-    const JsonValue* labels = v.Get("labels");
-    if (name == nullptr || name->kind != JsonValue::kString ||
-        labels == nullptr || !ReadLabels(*labels, &s.labels) ||
-        !ReadU64Field(v, "count", &s.count) ||
-        !ReadU64Field(v, "sum", &s.sum) || !ReadU64Field(v, "min", &s.min) ||
-        !ReadU64Field(v, "max", &s.max) || !ReadU64Field(v, "p50", &s.p50) ||
-        !ReadU64Field(v, "p95", &s.p95) || !ReadU64Field(v, "p99", &s.p99)) {
-      return Status::Corruption("snapshot: malformed histogram sample");
-    }
-    s.name = name->str;
-    snap.histograms.push_back(std::move(s));
-  }
-  return snap;
-}
-
 const Snapshot::CounterSample* Snapshot::FindCounter(
     const std::string& name, const LabelSet& labels) const {
   for (const auto& c : counters) {
@@ -483,14 +164,6 @@ const Snapshot::HistogramSample* Snapshot::FindHistogram(
   return nullptr;
 }
 
-Status Snapshot::WriteJsonFile(const std::string& path) const {
-  return WriteWholeFile(path, ToJson());
-}
-
-Status Snapshot::WriteCsvFile(const std::string& path) const {
-  return WriteWholeFile(path, ToCsv());
-}
-
 Status WriteResultsFile(const std::string& dir, const std::string& filename,
                         const std::string& contents) {
   struct stat st;
@@ -501,7 +174,15 @@ Status WriteResultsFile(const std::string& dir, const std::string& filename,
   } else if (!S_ISDIR(st.st_mode)) {
     return Status::IOError(dir + " exists and is not a directory");
   }
-  return WriteWholeFile(dir + "/" + filename, contents);
+  const std::string path = dir + "/" + filename;
+  FILE* f = fopen(path.c_str(), "w");
+  if (f == nullptr) return Status::IOError("cannot open " + path);
+  const size_t written = fwrite(contents.data(), 1, contents.size(), f);
+  const int close_rc = fclose(f);
+  if (written != contents.size() || close_rc != 0) {
+    return Status::IOError("short write to " + path);
+  }
+  return Status::OK();
 }
 
 }  // namespace vedb::obs

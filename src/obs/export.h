@@ -1,7 +1,7 @@
 // obs::Snapshot — a point-in-time, deterministic export of a
 // MetricsRegistry. Samples are sorted by (name, labels) and numbers are
 // formatted with fixed printf specifiers, so two identical seeded runs
-// serialize to byte-identical JSON/CSV. Benches dump snapshots into
+// serialize to byte-identical JSON. Benches dump snapshots into
 // results/ and CI validates the schema (scripts/check_bench_schema.py).
 
 #ifndef VEDB_OBS_EXPORT_H_
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "obs/metrics.h"
@@ -56,11 +55,6 @@ struct Snapshot {
   std::vector<HistogramSample> histograms;
 
   std::string ToJson() const;
-  std::string ToCsv() const;
-
-  /// Parses a snapshot serialized by ToJson (round-trip; also used by tests
-  /// to validate exported files).
-  static Result<Snapshot> FromJson(const std::string& json);
 
   /// Convenience lookups (nullptr when absent). Labels must already be
   /// canonical (sorted by key).
@@ -70,10 +64,6 @@ struct Snapshot {
                                const LabelSet& labels = {}) const;
   const HistogramSample* FindHistogram(const std::string& name,
                                        const LabelSet& labels = {}) const;
-
-  /// Writes ToJson()/ToCsv() to `path` (parent directory must exist).
-  Status WriteJsonFile(const std::string& path) const;
-  Status WriteCsvFile(const std::string& path) const;
 };
 
 /// Collects every metric in `registry` at virtual time `now`.

@@ -103,8 +103,8 @@ class PageStoreCluster {
   /// with lsn <= L (safe checkpoint bound for log truncation).
   uint64_t DurableLsn() const;
 
-  /// Drops applied REDO records with lsn < `lsn` on all replicas (GC once
-  /// the log has been truncated).
+  /// Drops applied REDO records with lsn < `lsn` on all replicas (the
+  /// engine's checkpoint GC).
   void TruncateBelow(uint64_t lsn);
 
   /// Starts per-node background apply/gossip actors.

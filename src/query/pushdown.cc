@@ -192,6 +192,15 @@ Status PushdownRuntime::HandleEbpExec(astore::AStoreServer* server,
   for (const FrameAt& frame : frames) {
     char* at = frame_buffer_.get() + read_bytes;
     if (!server->pmem()->Read(frame.offset, frame.size, at).ok()) continue;
+    // A frame whose header no longer parses, or disagrees with the engine's
+    // placement, is damaged: skip it like an unreadable one.
+    ebp::PageKey key;
+    uint64_t lsn;
+    uint32_t len;
+    if (!ebp::PageFrame::Parse(Slice(at, frame.size), &key, &lsn, &len) ||
+        ebp::PageFrame::kHeaderSize + len != frame.size) {
+      continue;
+    }
     images.emplace_back(at + ebp::PageFrame::kHeaderSize,
                         frame.size - ebp::PageFrame::kHeaderSize);
     read_bytes += frame.size;

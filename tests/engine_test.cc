@@ -86,6 +86,31 @@ TEST(PageTest, FillsUpThenRejects) {
   EXPECT_TRUE(page.PutRow(slot, Slice(row)).IsNoSpace());
 }
 
+// A damaged image (e.g. an EBP frame read through a PMem bad region) may
+// claim any slot count and any slot entry: the view must not read outside
+// the page for either.
+TEST(PageTest, ViewRejectsSlotsOutsideTheImage) {
+  std::string buf;
+  Page::Format(&buf);
+  ASSERT_TRUE(Page(&buf).PutRow(0, Slice("row-zero")).ok());
+  EncodeFixed16(buf.data() + 8, 0xFFFF);  // slot count
+  const PageView view(buf.data());
+  Slice row;
+  ASSERT_TRUE(view.GetRow(0, &row).ok());
+  EXPECT_EQ(row.ToString(), "row-zero");
+  for (uint32_t slot = 4092; slot <= 0xFFFE; slot += 1021) {
+    EXPECT_FALSE(view.GetRow(static_cast<uint16_t>(slot), &row).ok()) << slot;
+    EXPECT_FALSE(view.SlotLive(static_cast<uint16_t>(slot))) << slot;
+  }
+  // Slot 0's entry: a row that starts inside the page but runs past it.
+  EncodeFixed16(buf.data() + Page::kPageSize - 4, Page::kPageSize - 10);
+  EncodeFixed16(buf.data() + Page::kPageSize - 2, 11);
+  EXPECT_TRUE(view.GetRow(0, &row).IsCorruption());
+  EncodeFixed16(buf.data() + Page::kPageSize - 2, 10);
+  ASSERT_TRUE(view.GetRow(0, &row).ok());
+  EXPECT_EQ(row.size(), 10u);
+}
+
 // Pins the page layout: a seeded mix of puts and deletes that compacts the
 // page many times must leave exactly the image the original compaction
 // code left (CRC recorded before compaction reused a scratch buffer).

@@ -378,79 +378,77 @@ TEST_F(LogStoreTest, AStoreBackendCrashWithLossKeepsAckedPrefix) {
   }
 }
 
-TEST_F(LogStoreTest, TimedOutWaiterPayloadStaysPinnedThroughLaterFlush) {
-  // A waiter that times out mid-flight abandons its item in the queue; a
-  // LATER leader flushes it. The flush reads the item's payload Slices, so
-  // Item::pin must keep the bytes alive after the waiter freed every copy
-  // it owned — under ASan (the fault CI job) a missing pin is a hard
-  // use-after-free here, not a flaky read.
-  DurabilityWatermark wm(env_.clock());
-  std::vector<std::string> flushed;
-  vedb::Mutex mu{"test.flushed"};
-  GroupCommitter gc(
-      env_.clock(), &wm,
-      [&](const std::vector<GroupCommitter::Item>& items) {
-        // Slow device: long enough for the follower to give up mid-flush.
-        env_.clock()->SleepFor(10 * kMillisecond);
-        vedb::MutexLock lk(&mu);
-        for (const auto& item : items) {
-          for (const Slice& p : item.payloads) flushed.push_back(p.ToString());
-        }
-        return Status::OK();
-      });
+// A backend that writes nothing: each Flush takes 10 us of virtual time
+// and records where its payload slices point.
+class RecordingLogStore : public LogStore {
+ public:
+  explicit RecordingLogStore(sim::VirtualClock* clock)
+      : LogStore(clock, "test", /*next_lsn=*/1), clock_(clock) {}
 
-  const std::string b_payload(2048, 'b');
-  {
-    sim::ActorGroup group(env_.clock());
-    group.Spawn([&] {
-      // Leader: starts the 10ms flush immediately.
-      GroupCommitter::Item item;
-      item.first_lsn = 1;
-      item.last_lsn = 1;
-      auto pin = std::make_shared<const std::vector<std::string>>(
-          std::vector<std::string>{"a-record"});
-      item.payloads.emplace_back((*pin)[0]);
-      item.pin = std::move(pin);
-      EXPECT_TRUE(gc.Submit(std::move(item)).ok());
-    });
-    group.Spawn([&] {
-      // Impatient follower: queues behind the in-flight flush, gives up
-      // after 2ms, and drops its only reference to the payload bytes.
-      env_.clock()->SleepFor(1 * kMillisecond);
-      GroupCommitter::Item item;
-      item.first_lsn = 2;
-      item.last_lsn = 2;
-      {
-        auto pin = std::make_shared<const std::vector<std::string>>(
-            std::vector<std::string>{b_payload});
-        item.payloads.emplace_back((*pin)[0]);
-        item.pin = std::move(pin);
-      }
-      Status s = gc.Submit(std::move(item), /*wait_timeout=*/2 * kMillisecond);
-      EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
-    });
-    group.Spawn([&] {
-      // Patient committer: wakes when the first flush resolves, leads the
-      // second, and drags the abandoned item through with it.
-      env_.clock()->SleepFor(5 * kMillisecond);
-      GroupCommitter::Item item;
-      item.first_lsn = 3;
-      item.last_lsn = 3;
-      auto pin = std::make_shared<const std::vector<std::string>>(
-          std::vector<std::string>{"c-record"});
-      item.payloads.emplace_back((*pin)[0]);
-      item.pin = std::move(pin);
-      EXPECT_TRUE(gc.Submit(std::move(item)).ok());
-    });
+  Result<std::vector<astore::LogRecord>> ReadFrom(uint64_t) override {
+    return Status::NotSupported("test backend keeps no records");
   }
 
-  // The abandoned item was flushed intact, bytes unchanged.
-  vedb::MutexLock lk(&mu);
-  ASSERT_EQ(flushed.size(), 3u);
-  EXPECT_EQ(flushed[0], "a-record");
-  EXPECT_EQ(flushed[1], b_payload);
-  EXPECT_EQ(flushed[2], "c-record");
-  EXPECT_EQ(wm.durable_lsn(), 3u);
+  struct FlushCall {
+    uint64_t first_lsn;
+    std::vector<const char*> data;
+    std::vector<std::string> bytes;
+  };
+  std::vector<FlushCall> calls;
+
+ protected:
+  Status Flush(uint64_t first_lsn,
+               const std::vector<Slice>& payloads) override {
+    FlushCall call{first_lsn, {}, {}};
+    for (const Slice& p : payloads) {
+      call.data.push_back(p.data());
+      call.bytes.push_back(p.ToString());
+    }
+    calls.push_back(std::move(call));
+    clock_->SleepFor(10 * kMicrosecond);
+    return Status::OK();
+  }
+
+ private:
+  sim::VirtualClock* clock_;
+};
+
+TEST(LogStoreFrontEnd, FlushReadsTheCallersPayloadsInPlace) {
+  sim::VirtualClock clock;
+  RecordingLogStore log(&clock);
+  constexpr int kCommitters = 4;
+  // Each committer's own payloads; the flush must point into these.
+  std::vector<std::vector<std::string>> payloads(kCommitters);
+  for (int i = 0; i < kCommitters; ++i) {
+    payloads[i] = {"c" + std::to_string(i) + "-a",
+                   "c" + std::to_string(i) + "-b"};
+  }
+  {
+    sim::ActorGroup group(&clock);
+    // The first append leads a flush alone; the committers queue behind it
+    // and coalesce into the next one.
+    group.Spawn([&] { EXPECT_TRUE(log.AppendBatch({"lead"}).ok()); });
+    for (int i = 0; i < kCommitters; ++i) {
+      group.Spawn([&, i] {
+        auto r = log.AppendBatch(payloads[i]);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r->first_lsn, 2u + 2 * i);
+      });
+    }
+  }
+  ASSERT_EQ(log.calls.size(), 2u);
+  EXPECT_EQ(log.calls[0].first_lsn, 1u);
+  const auto& coalesced = log.calls[1];
+  EXPECT_EQ(coalesced.first_lsn, 2u);
+  ASSERT_EQ(coalesced.data.size(), 2u * kCommitters);
+  for (int i = 0; i < kCommitters; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      EXPECT_EQ(coalesced.data[2 * i + j], payloads[i][j].data());
+      EXPECT_EQ(coalesced.bytes[2 * i + j], payloads[i][j]);
+    }
+  }
+  EXPECT_EQ(log.DurableLsn(), 1u + 2 * kCommitters);
+  EXPECT_EQ(log.NextLsn(), 2u + 2 * kCommitters);
 }
 
 }  // namespace

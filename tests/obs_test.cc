@@ -158,7 +158,7 @@ TEST_F(ObsTest, SpanParentChildOrderingDeterministic) {
   }
 }
 
-TEST_F(ObsTest, SnapshotJsonRoundTrip) {
+TEST_F(ObsTest, SnapshotJsonBytesArePinned) {
   MetricsRegistry reg;
   reg.GetCounter("a.ops", {{"verb", "read"}})->Add(41);
   reg.GetCounter("a.ops", {{"verb", "write"}})->Add(1);
@@ -168,34 +168,29 @@ TEST_F(ObsTest, SnapshotJsonRoundTrip) {
   h->Observe(2000);
   h->Observe(4000);
 
-  Snapshot snap = CollectSnapshot(reg, /*now=*/123456789, "test/run");
-  const std::string json = snap.ToJson();
+  // Sorted by (name, labels), fixed number formats: the exact bytes every
+  // bench export and scripts/check_bench_schema.py rely on.
+  const Snapshot snap = CollectSnapshot(reg, /*now=*/123456789, "test/run");
+  EXPECT_EQ(snap.ToJson(),
+            "{\"schema_version\":1,\"virtual_time_ns\":123456789,"
+            "\"run_label\":\"test/run\",\"counters\":["
+            "{\"name\":\"a.ops\",\"labels\":{\"verb\":\"read\"},\"value\":41},"
+            "{\"name\":\"a.ops\",\"labels\":{\"verb\":\"write\"},\"value\":1}"
+            "],\"gauges\":["
+            "{\"name\":\"a.depth\",\"labels\":{},\"value\":-17}"
+            "],\"histograms\":["
+            "{\"name\":\"a.lat_ns\",\"labels\":{\"backend\":\"pmem\"},"
+            "\"count\":3,\"sum\":7000,\"min\":1000,\"max\":4000,"
+            "\"p50\":2065,\"p95\":4000,\"p99\":4000}"
+            "]}");
 
-  Result<Snapshot> parsed = Snapshot::FromJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  // Round-trip is lossless: re-serialization is byte-identical.
-  EXPECT_EQ(parsed->ToJson(), json);
-  EXPECT_EQ(parsed->virtual_time_ns, 123456789u);
-  EXPECT_EQ(parsed->run_label, "test/run");
-
-  const auto* c = parsed->FindCounter("a.ops", {{"verb", "read"}});
+  const auto* c = snap.FindCounter("a.ops", {{"verb", "read"}});
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value, 41u);
-  const auto* hs = parsed->FindHistogram("a.lat_ns", {{"backend", "pmem"}});
+  EXPECT_EQ(snap.FindCounter("a.ops", {{"verb", "delete"}}), nullptr);
+  const auto* hs = snap.FindHistogram("a.lat_ns", {{"backend", "pmem"}});
   ASSERT_NE(hs, nullptr);
   EXPECT_EQ(hs->count, 3u);
-  EXPECT_EQ(hs->min, 1000u);
-  EXPECT_EQ(hs->max, 4000u);
-
-  // Garbage and schema drift are rejected, not mis-parsed.
-  EXPECT_FALSE(Snapshot::FromJson("{").ok());
-  EXPECT_FALSE(Snapshot::FromJson("{\"schema_version\":999}").ok());
-
-  // CSV covers every sample: header + 3 counters/gauges + 1 histogram.
-  const std::string csv = snap.ToCsv();
-  size_t lines = 0;
-  for (char ch : csv) lines += ch == '\n';
-  EXPECT_EQ(lines, 1u + 3u + 1u);
 }
 
 // Acceptance criterion: one traced AStore log write produces an

@@ -830,6 +830,63 @@ TEST_F(QueryTest, PushdownReadsEbpFramesThroughThePmemFaultModel) {
   EXPECT_EQ(pushed->size(), local->size() - 1);
 }
 
+TEST_F(QueryTest, PushdownSkipsADamagedEbpFrame) {
+  ExecContext warm_ctx = Ctx(false);
+  auto warm = std::make_unique<ScanNode>(table_, nullptr);
+  ASSERT_TRUE(warm->Execute(&warm_ctx).ok());
+  ASSERT_TRUE(warm->Execute(&warm_ctx).ok());
+  ExecContext local_ctx = Ctx(false);
+  auto local = ScanNode(table_, nullptr).Execute(&local_ctx);
+  ASSERT_TRUE(local.ok());
+  ASSERT_EQ(local->size(), static_cast<size_t>(kRows));
+
+  // One EBP-resident page's frame, on the AStore server that holds it.
+  ebp::ExtendedBufferPool::Placement placement;
+  bool found = false;
+  for (engine::PageNo page_no : table_->PageList()) {
+    if (cluster_->ebp()->LookupPlacement(
+            engine::PackPageKey(table_->space(), page_no), &placement)) {
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found);
+  astore::AStoreServer* server = nullptr;
+  for (astore::AStoreServer* s : cluster_->astore_servers()) {
+    if (s->node()->name() == placement.node) server = s;
+  }
+  ASSERT_NE(server, nullptr);
+  auto segment = server->GetLocalSegment(placement.segment);
+  ASSERT_TRUE(segment.ok());
+  const uint64_t frame_at = segment->first + placement.offset;
+  std::map<int64_t, const engine::Row*> local_by_id;
+  for (const engine::Row& row : *local) local_by_id[row[0].AsInt()] = &row;
+
+  // A latent bad region over the frame's header alone, then over the whole
+  // frame, slot directory included: the task skips the frame both times.
+  for (const uint64_t bad_len :
+       {ebp::PageFrame::kHeaderSize,
+        ebp::PageFrame::kHeaderSize + placement.len}) {
+    ASSERT_TRUE(
+        server->pmem()->MarkBadRegion(frame_at, bad_len, /*sticky=*/true).ok());
+    ExecContext pq_ctx = Ctx(true);
+    auto pushed = ScanNode(table_, nullptr).Execute(&pq_ctx);
+    ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+    EXPECT_GT(pq_ctx.pushdown_pages_from_ebp, 0u);
+    // The damaged page's rows are lost; nothing else is, and nothing that
+    // was never stored comes back.
+    EXPECT_LT(pushed->size(), local->size()) << bad_len;
+    EXPECT_GT(pushed->size(), 0u);
+    for (const engine::Row& row : *pushed) {
+      auto want = row[0].is_int() ? local_by_id.find(row[0].AsInt())
+                                  : local_by_id.end();
+      EXPECT_TRUE(want != local_by_id.end() &&
+                  SameRows({row}, {*want->second}))
+          << "row with id " << row[0].ToString();
+    }
+  }
+}
+
 // ---- Row batches: what the batch executor must reproduce ----
 
 TEST(RowBatchSemantics, RoundTripKeepsEveryValueAndItsType) {
