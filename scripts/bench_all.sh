@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs every bench binary of a build tree, one at a time, each under a
-# 600 s timeout, and prints one line per bench: its exit code and the host
-# wall, user and sys seconds it cost. Each bench's output goes to
-# results/<bench>.txt (benches that export JSON also write results/*.json).
+# 600 s timeout, and prints one line per bench: its exit code, the host
+# wall, user and sys seconds it cost and its peak resident set (MiB). Each
+# bench's output goes to results/<bench>.txt (benches that export JSON also
+# write results/*.json).
 #
 # Usage: scripts/bench_all.sh [-b BUILD_DIR]
 #   -b BUILD_DIR build tree holding bench/bench_* (default: build)
@@ -16,7 +17,7 @@ build=build
 while getopts "b:h" opt; do
   case $opt in
     b) build=$OPTARG ;;
-    *) sed -n '2,11p' "$0"; exit 2 ;;
+    *) sed -n '2,12p' "$0"; exit 2 ;;
   esac
 done
 
@@ -25,19 +26,34 @@ if ! compgen -G "$build/bench/bench_*" > /dev/null; then
   exit 2
 fi
 
+# Runs "$2" with its output in file "$1" under a 600 s timeout; prints its
+# exit code, wall, user and sys seconds, and peak RSS in MiB (the largest
+# resident set of any process it waited for: the bench). Linux carries a
+# process's peak across exec, so the launching python's own resident set
+# (~14 MiB) is the floor: a bench smaller than that reads as the floor.
+run_timed() {
+  python3 -c '
+import resource, subprocess, sys, time
+start = time.monotonic()
+with open(sys.argv[1], "wb") as out:
+    rc = subprocess.call(["timeout", "600", sys.argv[2]], stdin=subprocess.DEVNULL,
+                         stdout=out, stderr=subprocess.STDOUT)
+wall = time.monotonic() - start
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(rc, "%.3f" % wall, "%.3f" % ru.ru_utime, "%.3f" % ru.ru_stime,
+      "%.1f" % (ru.ru_maxrss / 1024.0))
+' "$1" "$2"
+}
+
 mkdir -p results
-timing=$(mktemp)
-trap 'rm -f "$timing"' EXIT
-TIMEFORMAT='%R %U %S'
 failed=0
-printf '%-32s %5s %9s %9s %9s\n' bench exit wall_s user_s sys_s
+printf '%-32s %5s %9s %9s %9s %9s\n' bench exit wall_s user_s sys_s rss_mib
 for bin in "$build"/bench/bench_*; do
   [ -x "$bin" ] || continue
   name=$(basename "$bin")
-  { time timeout 600 "$bin" > "results/$name.txt" 2>&1; } 2> "$timing"
-  rc=$?
-  read -r wall user sys < "$timing"
-  printf '%-32s %5d %9s %9s %9s\n' "$name" "$rc" "$wall" "$user" "$sys"
-  [ $rc -eq 0 ] || failed=1
+  read -r rc wall user sys rss < <(run_timed "results/$name.txt" "$bin")
+  printf '%-32s %5d %9s %9s %9s %9s\n' "$name" "$rc" "$wall" "$user" "$sys" \
+    "$rss"
+  [ "$rc" -eq 0 ] || failed=1
 done
 exit $failed

@@ -7,18 +7,23 @@ Run it before the profiled binary is rebuilt: addresses are looked up in
 the files the process had mapped.
 
 Symbolizes every sampled address with addr2line (inlined frames included)
-and prints three tables, each as a share of all samples:
+and prints four tables, each as a share of all samples:
 
   leaf       the innermost function of the interrupted instruction;
   inclusive  samples with the function anywhere on the stack;
   operator   the innermost query operator on the stack (the executing
              method of a vedb::query plan node, the push-down merge or a
-             storage-side task), or "(no operator)".
+             storage-side task), or "(no operator)";
+  library    samples whose leaf is in a shared library, charged to the
+             first function of the program's own code on the stack (the
+             standard library's inlined wrappers skipped): the caller that
+             asked the library for the work.
 
 A name from a shared library carries the library's name in brackets. A
 library without debugging symbols (libc, usually) resolves to its nearest
-exported symbol, so read its names as "somewhere in that library": memcpy,
-memset and malloc's internals in libc's case.
+exported symbol, so read its names as "somewhere in that library": memcpy
+can show up as __nss_database_lookup and malloc's internals as
+__default_morecore or timer_settime. The library table says who called.
 
 Exits 1 when no frame resolves to a vedb:: function: the build lacked
 symbols, or the sampler never reached the program's code.
@@ -54,8 +59,10 @@ def load(path):
     return maps, samples
 
 
-def addr2line(module, addresses):
-    """Maps each address in `module` to its inline chain, innermost first."""
+def addr2line(module, addresses, system):
+    """Maps each address in `module` to its inline chain, innermost first.
+    Adds to `system` the names whose code comes from a system header (the
+    C++ standard library's, inlined into the program)."""
     proc = subprocess.run(
         ["addr2line", "-a", "-f", "-C", "-i", "-e", module],
         input="".join("%x\n" % a for a in addresses),
@@ -72,13 +79,17 @@ def addr2line(module, addresses):
         # Function name, then its file:line.
         if current is not None and line != "??":
             current.append(line)
+            if i + 1 < len(lines) and lines[i + 1].startswith("/usr/"):
+                system.add(line)
         i += 2
     return chains
 
 
 def symbolize(maps, samples):
     """Maps each looked-up address (a leaf, or a return address less one)
-    to its inline chain, innermost first."""
+    to its inline chain, innermost first, and to whether the address is in
+    the program rather than in a shared library; also returns the names
+    from system headers."""
     starts = [m[0] for m in maps]
     program = maps[0][3] if maps else None
     wanted = collections.defaultdict(set)  # module -> file-relative addrs
@@ -97,21 +108,22 @@ def symbolize(maps, samples):
             rel = at - start + offset
             where[at] = (module, rel)
             wanted[module].add(rel)
-    resolved = {}
+    resolved, system = {}, set()
     for module, addrs in wanted.items():
-        chains = addr2line(module, sorted(addrs))
+        chains = addr2line(module, sorted(addrs), system)
         for rel, chain in chains.items():
             resolved[(module, rel)] = chain
-    names = {}
+    names, in_program = {}, {}
     for at, loc in where.items():
         chain = resolved.get(loc) if loc else None
         module = loc[0].rsplit("/", 1)[-1] if loc else "?"
         if not chain:
             chain = ["??"]
-        if not loc or loc[0] != program:
+        in_program[at] = bool(loc) and loc[0] == program
+        if not in_program[at]:
             chain = ["%s [%s]" % (name, module) for name in chain]
         names[at] = chain
-    return names
+    return names, in_program, system
 
 
 def table(title, counts, total, top):
@@ -131,15 +143,21 @@ def main():
     if not samples:
         print("no samples in %s" % args.profile)
         return 1
-    names = symbolize(maps, samples)
+    names, in_program, system = symbolize(maps, samples)
     leaf = collections.Counter()
     inclusive = collections.Counter()
     operator = collections.Counter()
+    library = collections.Counter()
     resolved_vedb = False
     for sample in samples:
-        chains = [names[pc if d == 0 else pc - 1]
-                  for d, pc in enumerate(sample)]
+        at = [pc if d == 0 else pc - 1 for d, pc in enumerate(sample)]
+        chains = [names[a] for a in at]
         leaf[chains[0][0]] += 1
+        if not in_program[at[0]]:
+            own = [name for a in at if in_program[a] for name in names[a]]
+            caller = next((n for n in own if n not in system),
+                          own[0] if own else "(no program frame)")
+            library[caller] += 1
         seen = set()
         op = None
         for chain in chains:
@@ -161,6 +179,8 @@ def main():
     table("leaf", leaf, total, args.top)
     table("inclusive", inclusive, total, args.top)
     table("innermost query operator", operator, total, args.top)
+    table("library leaves by calling program function (%.1f%% of samples)" %
+          (100.0 * sum(library.values()) / total), library, total, args.top)
     if not resolved_vedb:
         print("no frame resolved to a vedb:: function")
         return 1

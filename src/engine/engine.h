@@ -33,6 +33,7 @@
 #include "ebp/ebp.h"
 #include "engine/buffer_pool.h"
 #include "engine/lock_manager.h"
+#include "engine/ordered_index.h"
 #include "engine/page.h"
 #include "engine/redo.h"
 #include "engine/types.h"
@@ -84,7 +85,8 @@ class Txn {
 using TxnPtr = std::unique_ptr<Txn>;
 
 /// A heap table with an in-memory primary-key index and optional secondary
-/// indexes. Row data lives in 16KB slotted pages served by the buffer pool.
+/// indexes, each an OrderedIndex. Row data lives in 16KB slotted pages
+/// served by the buffer pool.
 class Table {
  public:
   Table(DBEngine* engine, std::string name, SpaceId space, Schema schema);
@@ -123,7 +125,8 @@ class Table {
   /// Full scan in PK order.
   Status ScanAll(const std::function<bool(const Row&)>& fn);
 
-  /// Exact-match secondary index lookup.
+  /// Exact-match secondary index lookup: `values` gives every index
+  /// column, and the matching rows come back in PK order.
   Result<std::vector<Row>> IndexLookup(const std::string& index_name,
                                        const std::vector<Value>& values);
 
@@ -169,7 +172,10 @@ class Table {
   void ApplyIndexUpdate(const std::string& pk, const Row& old_row,
                         const Row& new_row);
 
-  std::string SecKeyOf(const std::vector<int>& cols, const Row& row) const;
+  /// A secondary index entry's key: the row's `cols` encoded sortably,
+  /// then its PK.
+  std::string SecEntryKey(const std::vector<int>& cols, const Row& row,
+                          const std::string& pk) const;
 
   DBEngine* engine_;
   std::string name_;
@@ -178,11 +184,11 @@ class Table {
 
   struct SecIndex {
     std::vector<int> columns;
-    std::map<std::string, std::set<std::string>> entries;  // seckey -> pks
+    OrderedIndex entries;  // SecEntryKey(columns, row, pk) per row
   };
 
   mutable vedb::Mutex mu_{"engine.table"};
-  std::map<std::string, Rid> pk_index_ GUARDED_BY(mu_);
+  OrderedIndex pk_index_ GUARDED_BY(mu_);
   std::map<std::string, SecIndex> sec_indexes_ GUARDED_BY(mu_);
   std::vector<PageMeta> pages_ GUARDED_BY(mu_);
   uint64_t row_count_ GUARDED_BY(mu_) = 0;

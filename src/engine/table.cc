@@ -19,15 +19,16 @@ void Table::CreateIndex(const std::string& index_name,
   vedb::MutexLock lk(&mu_);
   SecIndex& idx = sec_indexes_[index_name];
   idx.columns = std::move(columns);
-  idx.entries.clear();
+  idx.entries.Clear();
   // Backfill from existing committed rows is the caller's job (CreateIndex
   // before load, or RebuildIndexes after recovery).
 }
 
-std::string Table::SecKeyOf(const std::vector<int>& cols,
-                            const Row& row) const {
+std::string Table::SecEntryKey(const std::vector<int>& cols, const Row& row,
+                               const std::string& pk) const {
   std::string key;
   for (int c : cols) row[c].EncodeSortable(&key);
+  key.append(pk);
   return key;
 }
 
@@ -55,10 +56,7 @@ Rid Table::ReservePlacement(size_t row_bytes) {
 
 bool Table::LookupRid(const std::string& pk, Rid* rid) const {
   vedb::MutexLock lk(&mu_);
-  auto it = pk_index_.find(pk);
-  if (it == pk_index_.end()) return false;
-  *rid = it->second;
-  return true;
+  return pk_index_.Find(pk, rid);
 }
 
 Status Table::EnsureEntry(Txn* txn, std::string&& pk,
@@ -75,9 +73,7 @@ Status Table::EnsureEntry(Txn* txn, std::string&& pk,
   bool indexed;
   {
     vedb::MutexLock lk(&mu_);
-    auto pit = pk_index_.find(pk);
-    found = pit != pk_index_.end();
-    if (found) rid = pit->second;
+    found = pk_index_.Find(pk, &rid);
     indexed = !sec_indexes_.empty();
   }
   if (found) {
@@ -159,9 +155,11 @@ Status Table::ScanPkRange(const std::string& lo, const std::string& hi,
   std::vector<Rid> rids;
   {
     vedb::MutexLock lk(&mu_);
-    auto it = pk_index_.lower_bound(lo);
-    auto end = hi.empty() ? pk_index_.end() : pk_index_.lower_bound(hi);
-    for (; it != end; ++it) rids.push_back(it->second);
+    pk_index_.ScanFrom(lo, [&](std::string_view key, Rid rid) {
+      if (!hi.empty() && key >= hi) return false;
+      rids.push_back(rid);
+      return true;
+    });
   }
   for (const Rid& rid : rids) {
     auto row = engine_->ReadRowAt(space_, rid);
@@ -188,10 +186,16 @@ Result<std::vector<Row>> Table::IndexLookup(const std::string& index_name,
     if (idx == sec_indexes_.end()) {
       return Status::NotFound("no index " + index_name + " on " + name_);
     }
-    const std::string key = MakeKey(values);
-    auto it = idx->second.entries.find(key);
-    if (it != idx->second.entries.end()) {
-      pks.assign(it->second.begin(), it->second.end());
+    // A value's sortable encoding is self-delimiting, so with every index
+    // column given, the entries that start with `key` are exactly its
+    // rows, each entry's key ending in the row's PK.
+    if (values.size() == idx->second.columns.size()) {
+      const std::string key = MakeKey(values);
+      idx->second.entries.ScanFrom(key, [&](std::string_view entry, Rid) {
+        if (entry.substr(0, key.size()) != key) return false;
+        pks.emplace_back(entry.substr(key.size()));
+        return true;
+      });
     }
   }
   std::vector<Row> rows;
@@ -207,23 +211,19 @@ Result<std::vector<Row>> Table::IndexLookup(const std::string& index_name,
 void Table::ApplyIndexInsert(const std::string& pk, const Rid& rid,
                              const Row& row) {
   vedb::MutexLock lk(&mu_);
-  pk_index_[pk] = rid;
+  pk_index_.Put(pk, rid);
   row_count_++;
   for (auto& [name, idx] : sec_indexes_) {
-    idx.entries[SecKeyOf(idx.columns, row)].insert(pk);
+    idx.entries.Put(SecEntryKey(idx.columns, row, pk), Rid{});
   }
 }
 
 void Table::ApplyIndexDelete(const std::string& pk, const Row& old_row) {
   vedb::MutexLock lk(&mu_);
-  pk_index_.erase(pk);
+  pk_index_.Erase(pk);
   if (row_count_ > 0) row_count_--;
   for (auto& [name, idx] : sec_indexes_) {
-    auto it = idx.entries.find(SecKeyOf(idx.columns, old_row));
-    if (it != idx.entries.end()) {
-      it->second.erase(pk);
-      if (it->second.empty()) idx.entries.erase(it);
-    }
+    idx.entries.Erase(SecEntryKey(idx.columns, old_row, pk));
   }
 }
 
@@ -231,15 +231,11 @@ void Table::ApplyIndexUpdate(const std::string& pk, const Row& old_row,
                              const Row& new_row) {
   vedb::MutexLock lk(&mu_);
   for (auto& [name, idx] : sec_indexes_) {
-    const std::string old_key = SecKeyOf(idx.columns, old_row);
-    const std::string new_key = SecKeyOf(idx.columns, new_row);
+    const std::string old_key = SecEntryKey(idx.columns, old_row, pk);
+    const std::string new_key = SecEntryKey(idx.columns, new_row, pk);
     if (old_key == new_key) continue;
-    auto it = idx.entries.find(old_key);
-    if (it != idx.entries.end()) {
-      it->second.erase(pk);
-      if (it->second.empty()) idx.entries.erase(it);
-    }
-    idx.entries[new_key].insert(pk);
+    idx.entries.Erase(old_key);
+    idx.entries.Put(new_key, Rid{});
   }
 }
 
@@ -293,10 +289,10 @@ Status Table::BulkLoad(const std::vector<Row>& rows) {
     const std::string pk = PkOf(schema_, row);
     {
       vedb::MutexLock lk(&mu_);
-      pk_index_[pk] = Rid{page_no, slot};
+      pk_index_.Put(pk, Rid{page_no, slot});
       row_count_++;
       for (auto& [name, idx] : sec_indexes_) {
-        idx.entries[SecKeyOf(idx.columns, row)].insert(pk);
+        idx.entries.Put(SecEntryKey(idx.columns, row, pk), Rid{});
       }
     }
     slot++;
@@ -307,7 +303,7 @@ Status Table::BulkLoad(const std::vector<Row>& rows) {
 Status Table::RebuildIndexes() {
   // Page reads block on the clock, and no lock is held across a clock
   // wait: build the indexes unlocked, then publish them under the lock.
-  std::map<std::string, Rid> pk_index;
+  OrderedIndex pk_index;
   std::map<std::string, SecIndex> sec_indexes;
   {
     vedb::MutexLock lk(&mu_);
@@ -339,10 +335,10 @@ Status Table::RebuildIndexes() {
         return Status::Corruption("bad row during index rebuild");
       }
       const std::string pk = PkOf(schema_, row);
-      pk_index[pk] = Rid{page_no, slot};
+      pk_index.Put(pk, Rid{page_no, slot});
       row_count++;
       for (auto& [name, idx] : sec_indexes) {
-        idx.entries[SecKeyOf(idx.columns, row)].insert(pk);
+        idx.entries.Put(SecEntryKey(idx.columns, row, pk), Rid{});
       }
     }
     pages.push_back(meta);

@@ -119,9 +119,8 @@ class Value {
       return static_cast<int>(!is_null()) - static_cast<int>(!o.is_null());
     }
     if (is_string() && o.is_string()) {
-      const std::string& a = AsString();
-      const std::string& b = o.AsString();
-      return a < b ? -1 : (a > b ? 1 : 0);
+      const int c = AsString().compare(o.AsString());
+      return (c > 0) - (c < 0);
     }
     const double a = AsDouble(), b = o.AsDouble();
     return a < b ? -1 : (a > b ? 1 : 0);

@@ -89,12 +89,13 @@ uint64_t PushdownRuntime::ExecutePages(const Fragment& fragment,
                                        std::string* response) {
   const bool aggregate = !fragment.aggs.empty();
   GroupTable groups(fragment.group_cols.size(), fragment.aggs.size());
-  // The stored bytes of the matching rows. The buffer outlives the call
-  // (tasks run one at a time on a thread): grown afresh for every task, it
-  // would be unmapped and its pages faulted in again each time.
-  thread_local std::string matched;
+  // The stored bytes of the matching rows, still in their page images, so
+  // the response is sized once and each row copied once. The list outlives
+  // the call (tasks run one at a time on a thread), so it is not grown
+  // afresh for every task.
+  thread_local std::vector<Slice> matched;
   matched.clear();
-  uint32_t matches = 0;
+  size_t matched_bytes = 0;
   uint64_t processed = 0;
   // The task does not know the table's arity, but no row on a page has
   // more columns than the page has bytes.
@@ -115,8 +116,8 @@ uint64_t PushdownRuntime::ExecutePages(const Fragment& fragment,
         continue;
       }
       if (!aggregate) {
-        matched.append(bytes.data(), bytes.size());
-        matches++;
+        matched.push_back(bytes);
+        matched_bytes += bytes.size();
         continue;
       }
       AggState* states = groups.Find(row, fragment.group_cols);
@@ -126,8 +127,11 @@ uint64_t PushdownRuntime::ExecutePages(const Fragment& fragment,
     }
   }
   if (!aggregate) {
-    PutVarint32(response, matches);
-    response->append(matched);
+    PutVarint32(response, static_cast<uint32_t>(matched.size()));
+    response->reserve(response->size() + matched_bytes);
+    for (const Slice& bytes : matched) {
+      response->append(bytes.data(), bytes.size());
+    }
     return processed;
   }
   PutVarint32(response, static_cast<uint32_t>(groups.size()));

@@ -281,6 +281,26 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(one, inc);
 }
 
+// The SSE4.2 path (on CPUs that have it) agrees with the table loop on
+// every length and alignment, including tails shorter than a word and
+// continued checksums.
+TEST(Crc32Test, MatchesTheTableLoop) {
+  Random rng(42);
+  std::string data(20000, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  for (size_t start = 0; start < 9; ++start) {
+    for (size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 1000, 16384}) {
+      const char* p = data.data() + start;
+      EXPECT_EQ(Crc32c(0, p, len), Crc32cPortable(0, p, len))
+          << start << "+" << len;
+      EXPECT_EQ(Crc32c(0xdeadbeefu, p, len),
+                Crc32cPortable(0xdeadbeefu, p, len))
+          << start << "+" << len;
+    }
+  }
+  EXPECT_EQ(Crc32cPortable(0, "123456789", 9), 0xE3069283u);
+}
+
 // Log and check lines name the source file without its directory, so a
 // program's output does not depend on where the tree was checked out.
 TEST(LoggingDeathTest, CheckNamesTheFileWithoutItsDirectory) {

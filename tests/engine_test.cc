@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/random.h"
 #include "engine/engine.h"
 #include "engine/lock_manager.h"
+#include "engine/ordered_index.h"
 #include "engine/page.h"
 #include "workload/cluster.h"
 
@@ -442,6 +447,187 @@ TEST(ValueTest, DecodeRowColumnsBuildsOnlyTheWantedColumns) {
   EXPECT_FALSE(DecodeRowColumns(Slice(huge), {}, &out));
 }
 
+// ---- OrderedIndex ----
+
+// Every entry with lo <= key < hi (empty hi = unbounded; lo <= hi).
+std::vector<std::pair<std::string, Rid>> IndexRange(const OrderedIndex& index,
+                                                    const std::string& lo,
+                                                    const std::string& hi) {
+  std::vector<std::pair<std::string, Rid>> out;
+  index.ScanFrom(lo, [&](std::string_view key, Rid rid) {
+    if (!hi.empty() && key >= hi) return false;
+    out.emplace_back(std::string(key), rid);
+    return true;
+  });
+  return out;
+}
+
+std::vector<std::pair<std::string, Rid>> MapRange(
+    const std::map<std::string, Rid>& ref, const std::string& lo,
+    const std::string& hi) {
+  std::vector<std::pair<std::string, Rid>> out;
+  auto end = hi.empty() ? ref.end() : ref.lower_bound(hi);
+  for (auto it = ref.lower_bound(lo); it != end; ++it) {
+    out.emplace_back(it->first, it->second);
+  }
+  return out;
+}
+
+// Keys over a few bytes that sort at the edges (\x00, \xff) and in the
+// middle, so keys are often prefixes of one another; now and then a long
+// key, and a key longer than a whole run.
+std::string RandomIndexKey(Random* rng,
+                           const std::vector<std::string>& known) {
+  static const char kBytes[] = {'\x00', '\x01', '\x7f', '\x80',
+                                '\xfe', '\xff', 'a',    'b'};
+  const uint64_t kind = rng->Uniform(100);
+  if (kind < 25 && !known.empty()) {
+    // A known key cut short or extended: a prefix of, or prefixed by, it.
+    std::string key = known[rng->Uniform(known.size())];
+    if (rng->Bernoulli(0.5)) {
+      key.resize(rng->Uniform(key.size() + 1));
+    } else {
+      key.push_back(kBytes[rng->Uniform(sizeof(kBytes))]);
+    }
+    return key;
+  }
+  size_t len = rng->Uniform(24);
+  if (kind == 99) len = 300 + rng->Uniform(3000);
+  if (kind == 98 && rng->Bernoulli(0.1)) {
+    len = OrderedIndex::kRunBytes + rng->Uniform(2000);
+  }
+  std::string key;
+  for (size_t i = 0; i < len; ++i) {
+    key.push_back(kBytes[rng->Uniform(sizeof(kBytes))]);
+  }
+  return key;
+}
+
+// Seeded random inserts, overwrites, erases, point finds and [lo, hi)
+// scans, checked against a std::map reference: the index keeps
+// std::string's order (unsigned bytes, then length) while runs split,
+// shrink their prefixes and empty.
+TEST(OrderedIndexTest, MatchesAStdMapReference) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Random rng(seed);
+    OrderedIndex index;
+    std::map<std::string, Rid> ref;
+    std::vector<std::string> known = {""};
+    size_t max_runs = 0;
+    auto check_all = [&] {
+      ASSERT_EQ(index.size(), ref.size());
+      ASSERT_EQ(IndexRange(index, "", ""), MapRange(ref, "", ""))
+          << "seed " << seed;
+    };
+    constexpr int kOps = 40000;
+    for (int op = 0; op < kOps; ++op) {
+      // The first half mostly inserts; the second mostly erases, so runs
+      // split in the first and empty in the second.
+      const bool growing = op < kOps / 2;
+      const uint64_t dice = rng.Uniform(100);
+      std::string key = RandomIndexKey(&rng, known);
+      if (dice < (growing ? 60u : 15u)) {
+        const Rid rid{static_cast<PageNo>(rng.Next()),
+                      static_cast<uint16_t>(rng.Next())};
+        index.Put(key, rid);
+        ref[key] = rid;
+        known.push_back(key);
+      } else if (dice < (growing ? 75u : 85u)) {
+        if (!ref.empty() && rng.Bernoulli(0.8)) {
+          // Erase a present key (the reference's nearest one).
+          auto it = ref.lower_bound(key);
+          if (it == ref.end()) it = ref.begin();
+          key = it->first;
+        }
+        EXPECT_EQ(index.Erase(key), ref.erase(key) == 1) << "seed " << seed;
+      } else if (dice < 97) {
+        Rid got;
+        auto it = ref.find(key);
+        ASSERT_EQ(index.Find(key, &got), it != ref.end()) << "seed " << seed;
+        if (it != ref.end()) {
+          EXPECT_EQ(got, it->second);
+        }
+      } else {
+        std::string hi = RandomIndexKey(&rng, known);
+        if (hi < key) std::swap(key, hi);
+        if (rng.Bernoulli(0.1)) hi.clear();
+        ASSERT_EQ(IndexRange(index, key, hi), MapRange(ref, key, hi))
+            << "seed " << seed;
+      }
+      max_runs = std::max(max_runs, index.run_count());
+      if (op % 5000 == 0) check_all();
+    }
+    check_all();
+    EXPECT_GT(max_runs, 50u) << "seed " << seed;
+    // Emptying the index drops every run; it then serves again.
+    for (const auto& [key, rid] : std::map<std::string, Rid>(ref)) {
+      ASSERT_TRUE(index.Erase(key));
+      ref.erase(key);
+    }
+    EXPECT_EQ(index.run_count(), 0u);
+    EXPECT_TRUE(index.empty());
+    index.Put("\xff", Rid{7, 7});
+    index.Put("", Rid{1, 1});
+    ref = {{"", Rid{1, 1}}, {"\xff", Rid{7, 7}}};
+    check_all();
+  }
+}
+
+// 186k TPC-C order-line PKs (w, d, o, ol: 36 bytes each), loaded in PK
+// order and then appended district by district in NewOrder order, cost at
+// most 48 bytes of heap per entry; a std::map<std::string, Rid> entry costs
+// about 128.
+TEST(OrderedIndexTest, TpccOrderLineKeysStayCompact) {
+  constexpr int kWarehouses = 24, kDistricts = 10, kInitialOrders = 10;
+  constexpr size_t kEntries = 186000;
+  Random rng(7);
+  std::vector<std::string> keys;
+  keys.reserve(kEntries);
+  auto add_order = [&](int w, int d, int o) {
+    const int lines = static_cast<int>(rng.UniformRange(5, 15));
+    for (int ol = 1; ol <= lines && keys.size() < kEntries; ++ol) {
+      keys.push_back(MakeKey({Value(w), Value(d), Value(o), Value(ol)}));
+    }
+  };
+  std::vector<int> next_order;
+  for (int w = 1; w <= kWarehouses; ++w) {
+    for (int d = 1; d <= kDistricts; ++d) {
+      for (int o = 1; o <= kInitialOrders; ++o) add_order(w, d, o);
+      next_order.push_back(kInitialOrders + 1);
+    }
+  }
+  while (keys.size() < kEntries) {
+    const size_t district = rng.Uniform(next_order.size());
+    add_order(static_cast<int>(district / kDistricts) + 1,
+              static_cast<int>(district % kDistricts) + 1,
+              next_order[district]++);
+  }
+  ASSERT_EQ(keys[0].size(), 36u);
+
+  [[maybe_unused]] const size_t heap_before = mallinfo2().uordblks;
+  OrderedIndex index;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    index.Put(keys[i], Rid{static_cast<PageNo>(i / 100),
+                           static_cast<uint16_t>(i % 100)});
+  }
+  [[maybe_unused]] const size_t heap_after = mallinfo2().uordblks;
+  ASSERT_EQ(index.size(), kEntries);
+  const double per_entry = static_cast<double>(index.ByteSize()) / kEntries;
+  std::printf("OrderedIndex: %.1f B per entry over %zu runs\n", per_entry,
+              index.run_count());
+  EXPECT_LE(per_entry, 48.0);
+#ifndef __SANITIZE_ADDRESS__
+  // ByteSize counts what malloc charged (ASan's allocator keeps its own
+  // books, so only plain builds can compare).
+  const double measured = static_cast<double>(heap_after - heap_before);
+  EXPECT_NEAR(static_cast<double>(index.ByteSize()), measured,
+              0.05 * measured);
+#endif
+  Rid rid;
+  ASSERT_TRUE(index.Find(keys[12345], &rid));
+  EXPECT_EQ(rid, (Rid{123, 45}));
+}
+
 TEST_F(EngineTest, InsertCommitGet) {
   Table* t = engine()->CreateTable("accounts", AccountSchema());
   auto txn = engine()->Begin();
@@ -790,6 +976,114 @@ TEST_F(EngineCrashTest, CommittedDataSurvivesEngineCrash) {
                   })
                   .ok());
 
+  cluster.Shutdown();
+}
+
+// PK range scans and secondary lookups over 12k rows, spread across many
+// index runs by bulk load, transactional inserts in random order, deletes
+// and secondary-key updates, return a std::map model's rows in PK order,
+// before and after crash recovery rebuilds both indexes from the pages.
+TEST_F(EngineCrashTest, ScansAndLookupsAcrossManyRunsSurviveRebuild) {
+  ClusterOptions opts;
+  opts.use_astore_log = true;
+  opts.astore_log.ring.segment_size = 1 * kMiB;
+  opts.astore_log.ring.ring_size = 4;
+  VedbCluster cluster(opts);
+  cluster.StartBackground();
+  DeclareCatalog(cluster.engine());
+  Table* t = cluster.engine()->GetTable("accounts");
+
+  constexpr int kBulk = 6000, kInserted = 6000, kGroups = 37;
+  auto name_of = [](int64_t id, int version) {
+    return "g" + std::to_string((id * 7 + version) % kGroups);
+  };
+  std::map<int64_t, std::string> model;  // id -> name
+  std::vector<Row> rows;
+  for (int i = 0; i < kBulk; ++i) {
+    const int64_t id = 2 * i;  // odd ids come later, between these
+    rows.push_back({Value(id), Value(name_of(id, 0)), Value(1.0)});
+    model[id] = name_of(id, 0);
+  }
+  ASSERT_TRUE(t->BulkLoad(rows).ok());
+
+  Random rng(11);
+  std::vector<int64_t> odd;
+  for (int i = 0; i < kInserted; ++i) odd.push_back(2 * i + 1);
+  for (size_t i = odd.size(); i > 1; --i) {
+    std::swap(odd[i - 1], odd[rng.Uniform(i)]);
+  }
+  for (size_t start = 0; start < odd.size(); start += 200) {
+    ASSERT_TRUE(cluster.engine()
+                    ->RunTransaction([&](Txn* txn) -> Status {
+                      for (size_t i = start; i < start + 200; ++i) {
+                        VEDB_RETURN_IF_ERROR(t->Insert(
+                            txn, {Value(odd[i]), Value(name_of(odd[i], 0)),
+                                  Value(2.0)}));
+                      }
+                      return Status::OK();
+                    })
+                    .ok());
+  }
+  for (const int64_t id : odd) model[id] = name_of(id, 0);
+  // Delete every 5th id and move every 3rd to another group.
+  ASSERT_TRUE(cluster.engine()
+                  ->RunTransaction([&](Txn* txn) -> Status {
+                    for (int64_t id = 0; id < 2 * kBulk; id += 5) {
+                      VEDB_RETURN_IF_ERROR(t->Delete(txn, {Value(id)}));
+                    }
+                    for (int64_t id = 1; id < 2 * kBulk; id += 3) {
+                      if (id % 5 == 0) continue;
+                      VEDB_RETURN_IF_ERROR(
+                          t->Update(txn, {Value(id)}, [&](Row* row) {
+                            (*row)[1] = Value(name_of(id, 1));
+                          }));
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  for (int64_t id = 0; id < 2 * kBulk; id += 5) model.erase(id);
+  for (int64_t id = 1; id < 2 * kBulk; id += 3) {
+    if (id % 5 != 0) model[id] = name_of(id, 1);
+  }
+
+  auto check = [&](Table* table) {
+    EXPECT_EQ(table->approximate_row_count(), model.size());
+    for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+             {-5, 100000}, {0, 1}, {999, 5001}, {7000, 7003}, {11990, 12500}}) {
+      std::vector<int64_t> got, want;
+      ASSERT_TRUE(table
+                      ->ScanPkRange(MakeKey({Value(lo)}), MakeKey({Value(hi)}),
+                                    [&](const Row& row) {
+                                      got.push_back(row[0].AsInt());
+                                      return true;
+                                    })
+                      .ok());
+      for (auto it = model.lower_bound(lo);
+           it != model.end() && it->first < hi; ++it) {
+        want.push_back(it->first);
+      }
+      EXPECT_EQ(got, want) << "[" << lo << ", " << hi << ")";
+    }
+    for (int g = 0; g < kGroups; ++g) {
+      const std::string name = "g" + std::to_string(g);
+      auto found = table->IndexLookup("by_name", {Value(name)});
+      ASSERT_TRUE(found.ok());
+      std::vector<int64_t> got, want;
+      for (const Row& row : *found) got.push_back(row[0].AsInt());
+      for (const auto& [id, n] : model) {
+        if (n == name) want.push_back(id);
+      }
+      EXPECT_EQ(got, want) << name;
+    }
+    // Lookups that name fewer or more columns than the index match nothing.
+    auto none = table->IndexLookup("by_name", {});
+    ASSERT_TRUE(none.ok());
+    EXPECT_TRUE(none->empty());
+  };
+  check(t);
+  const Status recovered = cluster.CrashAndRecoverEngine(DeclareCatalog);
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  check(cluster.engine()->GetTable("accounts"));
   cluster.Shutdown();
 }
 
