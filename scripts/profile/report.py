@@ -3,8 +3,10 @@
 
     python3 scripts/profile/report.py prof.<pid>.txt [--top N]
 
-Run it before the profiled binary is rebuilt: addresses are looked up in
-the files the process had mapped.
+Addresses are looked up in the files the process had mapped, so those
+files must be unchanged: a mapped file whose size or modification time
+differs from the sampler's record (rebuilt or deleted since) makes the
+report exit 2 naming it, instead of misnaming every frame in it.
 
 Symbolizes every sampled address with addr2line (inlined frames included)
 and prints four tables, each as a share of all samples:
@@ -32,6 +34,7 @@ symbols, or the sampler never reached the program's code.
 import argparse
 import bisect
 import collections
+import os
 import re
 import subprocess
 import sys
@@ -52,11 +55,26 @@ def load(path):
                 continue
             if fields[0] == "map":
                 start, end, offset = (int(x, 16) for x in fields[1:4])
-                maps.append((start, end, offset, " ".join(fields[4:])))
+                stamp = (int(fields[4]), int(fields[5]))
+                maps.append((start, end, offset, " ".join(fields[6:]), stamp))
             elif fields[0] == "s" and len(fields) > 1:
                 samples.append([int(x, 16) for x in fields[1:]])
     maps.sort()
     return maps, samples
+
+
+def changed_files(maps):
+    """The mapped files whose size or mtime differs from the sampler's."""
+    changed = []
+    for path, stamp in sorted({(m[3], m[4]) for m in maps}):
+        try:
+            st = os.stat(path)
+            now = (st.st_size, st.st_mtime_ns)
+        except OSError:
+            now = None
+        if now != stamp:
+            changed.append(path)
+    return changed
 
 
 def addr2line(module, addresses, system):
@@ -104,7 +122,7 @@ def symbolize(maps, samples):
             if m < 0 or at >= maps[m][1]:
                 where[at] = None
                 continue
-            start, _, offset, module = maps[m]
+            start, _, offset, module, _ = maps[m]
             rel = at - start + offset
             where[at] = (module, rel)
             wanted[module].add(rel)
@@ -140,6 +158,12 @@ def main():
     args = parser.parse_args()
 
     maps, samples = load(args.profile)
+    changed = changed_files(maps)
+    if changed:
+        for path in changed:
+            print("%s changed since it was sampled; profile again" % path,
+                  file=sys.stderr)
+        return 2
     if not samples:
         print("no samples in %s" % args.profile)
         return 1

@@ -3,8 +3,10 @@
 // time (ITIMER_PROF; the kernel may round the period up to its tick),
 // SIGPROF records the interrupted instruction and the return addresses
 // above it (glibc backtrace()). When the process exits it writes
-// prof.<pid>.txt to its working directory: its executable mappings, then
-// one sample per line. report.py symbolizes that file.
+// prof.<pid>.txt to its working directory: its executable mappings, each
+// with the mapped file's size and modification time (so report.py can
+// refuse a file rebuilt since), then one sample per line. report.py
+// symbolizes that file.
 //
 //   cc -O2 -shared -fPIC -o sampler.so scripts/profile/sampler.c
 //   LD_PRELOAD=$PWD/sampler.so ./build/bench/bench_fig14_pushdown
@@ -22,6 +24,7 @@
 #include <stdio.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -101,7 +104,8 @@ __attribute__((destructor)) static void Finish(void) {
     perror("sampler: fopen");
     return;
   }
-  fprintf(out, "# map START END FILE_OFFSET PATH, then s PC PC...\n");
+  fprintf(out,
+          "# map START END FILE_OFFSET SIZE MTIME_NS PATH, then s PC PC...\n");
   FILE* maps = fopen("/proc/self/maps", "r");
   char line[4096];
   while (maps != NULL && fgets(line, sizeof line, maps) != NULL) {
@@ -114,7 +118,17 @@ __attribute__((destructor)) static void Finish(void) {
       continue;
     }
     line[strcspn(line, "\n")] = '\0';
-    fprintf(out, "map %lx %lx %lx %s\n", lo, hi, offset, line + path_at);
+    // A file that cannot be stat'ed (deleted since it was mapped) is
+    // stamped -1, which matches no file report.py can find.
+    struct stat st;
+    long long size = -1, mtime_ns = -1;
+    if (stat(line + path_at, &st) == 0) {
+      size = (long long)st.st_size;
+      mtime_ns = (long long)st.st_mtim.tv_sec * 1000000000LL +
+                 st.st_mtim.tv_nsec;
+    }
+    fprintf(out, "map %lx %lx %lx %lld %lld %s\n", lo, hi, offset, size,
+            mtime_ns, line + path_at);
   }
   if (maps != NULL) fclose(maps);
   int n = atomic_load(&taken);

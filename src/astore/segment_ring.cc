@@ -1,6 +1,7 @@
 #include "astore/segment_ring.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/coding.h"
 #include "common/crc32.h"
@@ -440,6 +441,41 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
 Result<SegmentRing::Recovered> SegmentRing::Recover(
     AStoreClient* client, const std::vector<SegmentId>& segment_ids,
     uint64_t from_lsn, const Options& options) {
+  Recovered result;
+  VEDB_ASSIGN_OR_RETURN(
+      result.next_lsn,
+      RecoverEach(client, segment_ids, from_lsn, options,
+                  [&result](std::vector<LogRecord>* records,
+                            std::vector<RecordLocation>* locations) {
+                    std::move(records->begin(), records->end(),
+                              std::back_inserter(result.records));
+                    result.locations.insert(result.locations.end(),
+                                            locations->begin(),
+                                            locations->end());
+                    return Status::OK();
+                  }));
+  // Keep records and their locations parallel while ordering by LSN.
+  std::vector<size_t> order(result.records.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return result.records[a].lsn < result.records[b].lsn;
+  });
+  std::vector<LogRecord> records;
+  std::vector<RecordLocation> locations;
+  records.reserve(order.size());
+  locations.reserve(order.size());
+  for (size_t i : order) {
+    records.push_back(std::move(result.records[i]));
+    locations.push_back(result.locations[i]);
+  }
+  result.records = std::move(records);
+  result.locations = std::move(locations);
+  return result;
+}
+
+Result<uint64_t> SegmentRing::RecoverEach(
+    AStoreClient* client, const std::vector<SegmentId>& segment_ids,
+    uint64_t from_lsn, const Options& options, const SegmentVisitor& visit) {
   (void)options;
   struct Opened {
     SegmentHandlePtr seg;
@@ -540,8 +576,7 @@ Result<SegmentRing::Recovered> SegmentRing::Recover(
     }
   }
 
-  Recovered result;
-  if (latest < 0) return result;  // empty log
+  if (latest < 0) return uint64_t{0};  // empty log
 
   // Collect records from every used segment whose records can be >= from_lsn,
   // in LSN order: sort used segments by start LSN.
@@ -556,30 +591,17 @@ Result<SegmentRing::Recovered> SegmentRing::Recover(
   // Drop stale generations: segments whose start LSN is greater than a
   // later ring position's are from an older lap. With ascending LSNs this
   // reduces to: scan in LSN order, keep all (older laps were overwritten).
+  uint64_t next_lsn = 0;
   for (const Opened* o : ordered) {
-    VEDB_ASSIGN_OR_RETURN(
-        uint64_t seg_next,
-        ScanSegment(client, o->seg, from_lsn, o->start_lsn,
-                    &result.records, &result.locations));
-    result.next_lsn = std::max(result.next_lsn, seg_next);
+    std::vector<LogRecord> records;
+    std::vector<RecordLocation> locations;
+    VEDB_ASSIGN_OR_RETURN(uint64_t seg_next,
+                          ScanSegment(client, o->seg, from_lsn, o->start_lsn,
+                                      &records, &locations));
+    next_lsn = std::max(next_lsn, seg_next);
+    VEDB_RETURN_IF_ERROR(visit(&records, &locations));
   }
-  // Keep records and their locations parallel while ordering by LSN.
-  std::vector<size_t> order(result.records.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return result.records[a].lsn < result.records[b].lsn;
-  });
-  std::vector<LogRecord> records;
-  std::vector<RecordLocation> locations;
-  records.reserve(order.size());
-  locations.reserve(order.size());
-  for (size_t i : order) {
-    records.push_back(std::move(result.records[i]));
-    locations.push_back(result.locations[i]);
-  }
-  result.records = std::move(records);
-  result.locations = std::move(locations);
-  return result;
+  return next_lsn;
 }
 
 }  // namespace vedb::astore

@@ -12,6 +12,7 @@
 #define VEDB_ASTORE_SEGMENT_RING_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -162,6 +163,18 @@ class SegmentRing {
   static Result<Recovered> Recover(AStoreClient* client,
                                    const std::vector<SegmentId>& segment_ids,
                                    uint64_t from_lsn, const Options& options);
+
+  /// Recover, one segment at a time, for callers that need not hold the
+  /// whole log: calls `visit` once per used segment, in start-LSN order,
+  /// with that segment's records at or after `from_lsn` (ascending) and
+  /// their locations, and releases them after the call. Returns the LSN to
+  /// resume from (0 if the log is empty). Reads exactly what Recover reads.
+  using SegmentVisitor =
+      std::function<Status(std::vector<LogRecord>* records,
+                           std::vector<RecordLocation>* locations)>;
+  static Result<uint64_t> RecoverEach(
+      AStoreClient* client, const std::vector<SegmentId>& segment_ids,
+      uint64_t from_lsn, const Options& options, const SegmentVisitor& visit);
 
   /// Segment ids currently in the ring, ring order.
   std::vector<SegmentId> segment_ids() const;

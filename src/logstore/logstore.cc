@@ -221,29 +221,53 @@ Result<std::unique_ptr<AStoreLogStore>> AStoreLogStore::Create(
       env, client, options, std::move(ring), /*next_lsn=*/1));
 }
 
+namespace {
+
+// Unpacks the batch frames of the ring on `segments` one segment at a
+// time, releasing each frame once unpacked, so only one segment's frames
+// and the records kept are held at once. Appends every record with lsn >=
+// `from_lsn` to `out`, in log order, and returns one past the largest LSN
+// of any record (1 for an empty log).
+Result<uint64_t> UnpackRing(astore::AStoreClient* client,
+                            const std::vector<astore::SegmentId>& segments,
+                            const astore::SegmentRing::Options& options,
+                            uint64_t from_lsn,
+                            std::vector<astore::LogRecord>* out) {
+  // Ring records are batch frames keyed by their first LSN, so a frame
+  // below `from_lsn` may still hold records at or above it.
+  uint64_t next_lsn = 1;
+  auto unpack = [&](std::vector<astore::LogRecord>* frames,
+                    std::vector<astore::SegmentRing::RecordLocation>*) {
+    for (astore::LogRecord& frame : *frames) {
+      std::vector<astore::LogRecord> batch;
+      if (!DecodeBatchPayload(Slice(frame.payload), frame.lsn, &batch)) {
+        return Status::Corruption("bad batch frame");
+      }
+      std::string().swap(frame.payload);
+      for (auto& r : batch) {
+        next_lsn = std::max(next_lsn, r.lsn + 1);
+        if (r.lsn >= from_lsn) out->push_back(std::move(r));
+      }
+    }
+    return Status::OK();
+  };
+  VEDB_RETURN_IF_ERROR(
+      astore::SegmentRing::RecoverEach(client, segments, 0, options, unpack)
+          .status());
+  return next_lsn;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<AStoreLogStore>> AStoreLogStore::Recover(
     sim::SimEnvironment* env, astore::AStoreClient* client,
     const std::vector<astore::SegmentId>& segments, uint64_t from_lsn,
     const Options& options, std::vector<astore::LogRecord>* recovered_out) {
+  std::vector<astore::LogRecord> discarded;
   VEDB_ASSIGN_OR_RETURN(
-      astore::SegmentRing::Recovered rec,
-      astore::SegmentRing::Recover(client, segments, 0, options.ring));
-
-  // Ring records are batch frames keyed by their first LSN; unpack them and
-  // determine the true next LSN.
-  uint64_t next_lsn = 1;
-  for (const auto& ring_rec : rec.records) {
-    std::vector<astore::LogRecord> batch;
-    if (!DecodeBatchPayload(Slice(ring_rec.payload), ring_rec.lsn, &batch)) {
-      return Status::Corruption("bad batch frame in recovered log");
-    }
-    for (auto& r : batch) {
-      next_lsn = std::max(next_lsn, r.lsn + 1);
-      if (r.lsn >= from_lsn && recovered_out != nullptr) {
-        recovered_out->push_back(std::move(r));
-      }
-    }
-  }
+      uint64_t next_lsn,
+      UnpackRing(client, segments, options.ring, from_lsn,
+                 recovered_out != nullptr ? recovered_out : &discarded));
 
   // Resume on a fresh ring (the old segments stay readable until deleted;
   // production would re-attach in place — a fresh ring keeps the recovered
@@ -269,20 +293,10 @@ Status AStoreLogStore::Flush(uint64_t first_lsn,
 
 Result<std::vector<astore::LogRecord>> AStoreLogStore::ReadFrom(
     uint64_t from_lsn) {
-  VEDB_ASSIGN_OR_RETURN(
-      astore::SegmentRing::Recovered rec,
-      astore::SegmentRing::Recover(client_, ring_->segment_ids(), 0,
-                                   options_.ring));
   std::vector<astore::LogRecord> records;
-  for (const auto& ring_rec : rec.records) {
-    std::vector<astore::LogRecord> batch;
-    if (!DecodeBatchPayload(Slice(ring_rec.payload), ring_rec.lsn, &batch)) {
-      return Status::Corruption("bad batch frame");
-    }
-    for (auto& r : batch) {
-      if (r.lsn >= from_lsn) records.push_back(std::move(r));
-    }
-  }
+  VEDB_RETURN_IF_ERROR(UnpackRing(client_, ring_->segment_ids(),
+                                  options_.ring, from_lsn, &records)
+                           .status());
   return records;
 }
 

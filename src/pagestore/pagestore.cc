@@ -1,11 +1,34 @@
 #include "pagestore/pagestore.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/coding.h"
 #include "common/logging.h"
 
 namespace vedb::pagestore {
+
+namespace {
+
+// Tracks the bytes of every live page buffer in the process, each counted
+// once however many replicas and versions share it, in the
+// pagestore.image_bytes gauge.
+void AddImageBytes(int64_t delta) {
+  static std::atomic<int64_t> resident{0};
+  static obs::Gauge* const gauge =
+      obs::MetricsRegistry::Default().GetGauge("pagestore.image_bytes");
+  gauge->Set(resident.fetch_add(delta) + delta);
+}
+
+}  // namespace
+
+PageStoreCluster::ImageRef PageStoreCluster::NewImage(PageImage image) {
+  AddImageBytes(static_cast<int64_t>(image.bytes.size()));
+  return ImageRef(new PageImage(std::move(image)), [](PageImage* img) {
+    AddImageBytes(-static_cast<int64_t>(img->bytes.size()));
+    delete img;
+  });
+}
 
 PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
                                    net::RpcTransport* rpc,
@@ -23,6 +46,8 @@ PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
   gossip_metric_ = reg.GetCounter("pagestore.gossip_fills");
   page_reads_ = reg.GetCounter("pagestore.page_reads");
   read_ns_ = reg.GetHistogram("pagestore.read_ns");
+  versions_built_ = reg.GetCounter("pagestore.versions_built");
+  versions_adopted_ = reg.GetCounter("pagestore.versions_adopted");
   VEDB_CHECK(static_cast<int>(nodes_.size()) >= options_.replication,
              "need at least replication-many PageStore nodes");
   VEDB_CHECK(options_.write_quorum <= options_.replication, "quorum too big");
@@ -33,9 +58,12 @@ PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
       sim::SimNode* node = nodes_[(s + r) % nodes_.size()];
       auto rep = std::make_unique<ShardReplica>();
       rep->node = node;
+      rep->index = r;
       shard->nodes.push_back(node);
       shard->replicas.push_back(std::move(rep));
     }
+    vedb::MutexLock lk(&shard->versions_mu);
+    shard->applied.assign(options_.replication, 0);
     shards_.push_back(std::move(shard));
   }
 
@@ -131,26 +159,105 @@ void PageStoreCluster::InsertRecordsLocked(ShardReplica* rep,
   }
 }
 
-uint64_t PageStoreCluster::ApplyContiguousLocked(ShardReplica* rep) {
+uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
+                                                 ShardReplica* rep) {
   // NOTE: must not block on the clock (caller holds rep->mu); the CPU cost
   // of the applied records is charged by the caller after unlocking.
-  uint64_t applied = 0;
-  while (rep->applied_seq < rep->contiguous_seq) {
-    const StoredRecord* rec = FindLocked(rep, rep->applied_seq + 1);
-    if (rec == nullptr) {
-      // Truncated below: the record was already applied and GCed.
-      rep->applied_seq++;
-      continue;
+  if (rep->applied_seq == rep->contiguous_seq) return 0;
+  const uint64_t first = rep->applied_seq + 1;
+  const uint64_t last = rep->contiguous_seq;
+
+  // Group the run by page. Every seq in (applied_seq, contiguous_seq] is
+  // present: contiguous_seq only passes present records, TruncateBelow
+  // drops only seqs <= applied_seq, and a late arrival only fills a slot.
+  // So no record of the run can have been skipped.
+  std::vector<ShardReplica::RunPage>& run = rep->run_pages;
+  std::vector<uint32_t>& run_of = rep->run_of;
+  run.clear();
+  run_of.clear();
+  uint64_t max_lsn = rep->applied_lsn;
+  for (uint64_t seq = first; seq <= last; ++seq) {
+    const StoredRecord* rec = FindLocked(rep, seq);
+    VEDB_CHECK(rec != nullptr, "pagestore: seq %llu missing below the "
+               "contiguity watermark", (unsigned long long)seq);
+    ShardReplica::Page& page = rep->pages[rec->page_key];
+    if (page.run == kNotInRun) {
+      page.run = static_cast<uint32_t>(run.size());
+      run.push_back({&page, seq, 0, nullptr, 0});
     }
-    PageImage& img = rep->pages[rec->page_key];
-    apply_(rec->page_key, Slice(rec->payload), rec->lsn, &img.bytes);
-    if (rec->lsn > img.lsn) img.lsn = rec->lsn;
-    rep->applied_lsn = std::max(rep->applied_lsn, rec->lsn);
-    rep->applied_seq++;
-    applied++;
+    run[page.run].target = seq;
+    run_of.push_back(page.run);
+    max_lsn = std::max(max_lsn, rec->lsn);
   }
+
+  // Adopt each page's target version if the shard holds it and this
+  // replica's image is an earlier version of the same chain; otherwise
+  // make the image writable, copying it only if it is shared.
+  uint64_t adopted = 0;
+  {
+    vedb::MutexLock lk(&shard->versions_mu);
+    for (ShardReplica::RunPage& p : run) {
+      p.page->run = kNotInRun;
+      ImageRef& mine = p.page->image;
+      const bool on_chain = mine == nullptr || mine->seq < p.first;
+      auto version = shard->versions.find(p.target);
+      if (on_chain && version != shard->versions.end()) {
+        mine = version->second;
+        adopted++;
+        continue;
+      }
+      if (mine == nullptr) {
+        mine = NewImage(PageImage());
+      } else if (mine.use_count() > 1) {
+        mine = NewImage(*mine);
+      }
+      p.build = mine.get();
+      p.size_before = mine->bytes.size();
+    }
+  }
+
+  // Apply the run's records to the pages being built, in chain order.
+  for (uint64_t seq = first; seq <= last; ++seq) {
+    PageImage* img = run[run_of[seq - first]].build;
+    if (img == nullptr) continue;
+    const StoredRecord* rec = FindLocked(rep, seq);
+    apply_(rec->page_key, Slice(rec->payload), rec->lsn, &img->bytes);
+    if (rec->lsn > img->lsn) img->lsn = rec->lsn;
+    // A record at or below the image's seq (one shipped before an install)
+    // takes the image off the chain for good.
+    img->seq = img->seq < seq ? seq : kOffChain;
+  }
+
+  // Publish the built versions, then drop those no replica within the lag
+  // cap still needs: every such replica has applied past them.
+  int64_t grown = 0;
+  {
+    vedb::MutexLock lk(&shard->versions_mu);
+    shard->applied[rep->index] = last;
+    const auto [lo, hi] =
+        std::minmax_element(shard->applied.begin(), shard->applied.end());
+    const uint64_t floor =
+        std::max(*lo, *hi > kMaxVersionLag ? *hi - kMaxVersionLag : 0);
+    for (const ShardReplica::RunPage& p : run) {
+      if (p.build == nullptr) continue;
+      grown += static_cast<int64_t>(p.build->bytes.size()) -
+               static_cast<int64_t>(p.size_before);
+      if (p.build->seq == kOffChain || p.target <= floor) continue;
+      shard->versions.emplace(p.target, p.page->image);
+    }
+    shard->versions.erase(shard->versions.begin(),
+                          shard->versions.upper_bound(floor));
+  }
+  if (grown != 0) AddImageBytes(grown);
+
+  const uint64_t applied = last - first + 1;
+  const uint64_t built = run.size() - adopted;
+  rep->applied_seq = last;
+  rep->applied_lsn = max_lsn;
   applied_records_.fetch_add(applied);
   applied_metric_->Add(applied);
+  versions_built_->Add(built);
+  versions_adopted_->Add(adopted);
   return applied;
 }
 
@@ -253,7 +360,8 @@ Status PageStoreCluster::ShipRecords(
 
 Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
                                         Slice request, std::string* response) {
-  ShardReplica* rep = shards_[shard]->replicas[replica_idx].get();
+  Shard* sh = shards_[shard].get();
+  ShardReplica* rep = sh->replicas[replica_idx].get();
   Slice raw;
   if (!GetFixedBytes(&request, 8, &raw)) {
     return Status::InvalidArgument("read_page");
@@ -288,7 +396,7 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
   Status result;
   {
     vedb::MutexLock lk(&rep->mu);
-    applied = ApplyContiguousLocked(rep);
+    applied = ApplyContiguousLocked(sh, rep);
     if (rep->applied_lsn < min_lsn) {
       result = Status::Stale("replica behind requested LSN");
     } else {
@@ -296,8 +404,8 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
       if (it == rep->pages.end()) {
         result = Status::NotFound("no such page");
       } else {
-        PutFixed64(response, it->second.lsn);
-        response->append(it->second.bytes);
+        PutFixed64(response, it->second.image->lsn);
+        response->append(it->second.image->bytes);
         result = Status::OK();
       }
     }
@@ -426,12 +534,12 @@ Status PageStoreCluster::ReadLocalPage(sim::SimNode* node, PageKey key,
     Status result;
     {
       vedb::MutexLock lk(&rep->mu);
-      applied = ApplyContiguousLocked(rep);
+      applied = ApplyContiguousLocked(shards_[s].get(), rep);
       auto it = rep->pages.find(key);
       if (it == rep->pages.end()) {
         result = Status::NotFound("no such page on this replica");
       } else {
-        *image = it->second.bytes;
+        *image = it->second.image->bytes;
         result = Status::OK();
       }
     }
@@ -452,12 +560,12 @@ Status PageStoreCluster::PeekLocalPage(sim::SimNode* node, PageKey key,
     ShardReplica* rep = shards_[s]->replicas[r].get();
     if (rep->node != node) continue;
     vedb::MutexLock lk(&rep->mu);
-    *applied = ApplyContiguousLocked(rep);
+    *applied = ApplyContiguousLocked(shards_[s].get(), rep);
     auto it = rep->pages.find(key);
     if (it == rep->pages.end()) {
       return Status::NotFound("no such page on this replica");
     }
-    *image = it->second.bytes;
+    *image = it->second.image->bytes;
     return Status::OK();
   }
   return Status::NotFound("no replica of this shard on " + node->name());
@@ -473,12 +581,27 @@ sim::SimNode* PageStoreCluster::LocalNodeFor(PageKey key) const {
 
 Status PageStoreCluster::InstallPageDirect(PageKey key, uint64_t lsn,
                                            Slice image) {
-  const int s = ShardOf(key);
-  for (auto& rep : shards_[s]->replicas) {
+  Shard* shard = shards_[ShardOf(key)].get();
+  // The image stands at the chain's head: a record stamped or received
+  // before the install that a replica has yet to apply takes its copy off
+  // the chain.
+  uint64_t head;
+  {
+    vedb::MutexLock lk(&shard->ship_mu);
+    head = shard->next_seq - 1;
+  }
+  for (auto& rep : shard->replicas) {
     vedb::MutexLock lk(&rep->mu);
-    PageImage& img = rep->pages[key];
-    img.lsn = lsn;
-    img.bytes = image.ToString();
+    head = std::max(head, rep->max_seen_seq);
+  }
+  PageImage fresh;
+  fresh.lsn = lsn;
+  fresh.seq = head;
+  fresh.bytes = image.ToString();
+  const ImageRef shared = NewImage(std::move(fresh));
+  for (auto& rep : shard->replicas) {
+    vedb::MutexLock lk(&rep->mu);
+    rep->pages[key].image = shared;
   }
   return Status::OK();
 }
@@ -534,6 +657,21 @@ std::vector<uint64_t> PageStoreCluster::RetainedRecords(int shard,
   return seqs;
 }
 
+size_t PageStoreCluster::VersionCount(int shard) const {
+  const Shard* sh = shards_[shard].get();
+  vedb::MutexLock lk(&sh->versions_mu);
+  return sh->versions.size();
+}
+
+size_t PageStoreCluster::DistinctImages(int shard) const {
+  std::unordered_set<const PageImage*> seen;
+  for (const auto& rep : shards_[shard]->replicas) {
+    vedb::MutexLock lk(&rep->mu);
+    for (const auto& [key, page] : rep->pages) seen.insert(page.image.get());
+  }
+  return seen.size();
+}
+
 uint64_t PageStoreCluster::ContiguousSeq(int shard, int replica) const {
   ShardReplica* rep = shards_[shard]->replicas[replica].get();
   vedb::MutexLock lk(&rep->mu);
@@ -554,7 +692,7 @@ void PageStoreCluster::BackgroundLoop(sim::SimNode* node) {
         uint64_t applied;
         {
           vedb::MutexLock lk(&rep->mu);
-          applied = ApplyContiguousLocked(rep);
+          applied = ApplyContiguousLocked(shards_[s].get(), rep);
           hole = rep->contiguous_seq < rep->max_seen_seq;
         }
         if (applied > 0) {

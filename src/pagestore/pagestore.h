@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -51,6 +52,13 @@ struct RedoShipRecord {
 /// means the page does not exist yet; the function must initialize it. The
 /// function must be idempotent against re-application (check the image's
 /// own LSN).
+///
+/// It must also be deterministic: the resulting bytes may depend only on
+/// (key, payload, lsn, *image), never on which replica applies the record,
+/// on time or on any other state. A page's bytes are then a function of its
+/// install image and the shard's chain up to a sequence number, which is
+/// what lets replicas share one copy of each page version (see
+/// PageStoreCluster's version table).
 using ApplyFn = std::function<void(PageKey key, Slice payload, uint64_t lsn,
                                    std::string* image)>;
 
@@ -75,6 +83,12 @@ class PageStoreCluster {
     /// give-up-and-drop-response semantics of RpcCallOptions are safe.
     Duration read_attempt_deadline = 0;
   };
+
+  /// A shard's version table keeps a version only while a replica within
+  /// this many sequence numbers of the most advanced one may still adopt
+  /// it, so a dead or lagging replica bounds the table at this many
+  /// versions; a replica further behind builds its versions itself.
+  static constexpr uint64_t kMaxVersionLag = 1024;
 
   PageStoreCluster(sim::SimEnvironment* env, net::RpcTransport* rpc,
                    std::vector<sim::SimNode*> nodes, ApplyFn apply,
@@ -134,6 +148,11 @@ class PageStoreCluster {
   /// Test/metrics hooks.
   uint64_t GossipFillCount() const { return gossip_fills_.load(); }
   uint64_t AppliedRecordCount() const { return applied_records_.load(); }
+  /// Page versions `shard`'s version table currently holds.
+  size_t VersionCount(int shard) const;
+  /// Distinct page buffers the replicas of `shard` hold (a buffer several
+  /// replicas share counts once).
+  size_t DistinctImages(int shard) const;
   /// Chain sequence numbers of the records replica `replica` of `shard`
   /// still holds, ascending.
   std::vector<uint64_t> RetainedRecords(int shard, int replica) const;
@@ -142,10 +161,24 @@ class PageStoreCluster {
   uint64_t ContiguousSeq(int shard, int replica) const;
 
  private:
+  /// One page version. A buffer is written only while a single replica
+  /// holds it; once published to the version table or shared by an
+  /// install it is immutable, and a replica that applies to it copies it
+  /// first.
   struct PageImage {
     uint64_t lsn = 0;
+    /// Chain seq of the last record applied (an install's chain head), or
+    /// kOffChain once a record the chain had already passed was applied
+    /// here: such an image is no version of the chain and is never shared.
+    uint64_t seq = 0;
     std::string bytes;
   };
+  using ImageRef = std::shared_ptr<PageImage>;
+  static constexpr uint64_t kOffChain = UINT64_MAX;
+  static constexpr uint32_t kNotInRun = UINT32_MAX;
+  /// A fresh unshared buffer; the pagestore.image_bytes gauge counts it
+  /// until its last reference drops.
+  static ImageRef NewImage(PageImage image);
 
   struct StoredRecord {
     /// False for a hole (not yet received) or a truncated record.
@@ -163,6 +196,7 @@ class PageStoreCluster {
   struct ShardReplica {
     vedb::Mutex mu{"pagestore.replica"};
     sim::SimNode* node = nullptr;
+    int index = 0;  // position in its shard's replica list
     std::deque<StoredRecord> records GUARDED_BY(mu);
     // chain seq (1-based) of records.front()
     uint64_t first_seq GUARDED_BY(mu) = 1;
@@ -174,7 +208,22 @@ class PageStoreCluster {
     uint64_t applied_seq GUARDED_BY(mu) = 0;
     // lsn of the last applied record
     uint64_t applied_lsn GUARDED_BY(mu) = 0;
-    std::unordered_map<PageKey, PageImage> pages GUARDED_BY(mu);
+    struct Page {
+      ImageRef image;
+      // Index in run_pages while an apply run touches this page.
+      uint32_t run = kNotInRun;
+    };
+    std::unordered_map<PageKey, Page> pages GUARDED_BY(mu);
+    // ApplyContiguousLocked's per-run scratch, kept to reuse its memory.
+    struct RunPage {
+      Page* page;
+      uint64_t first;    // seq of the run's first record on this page
+      uint64_t target;   // seq of the run's last record on this page
+      PageImage* build;  // image the run's records apply to; null: adopted
+      size_t size_before;
+    };
+    std::vector<RunPage> run_pages GUARDED_BY(mu);
+    std::vector<uint32_t> run_of GUARDED_BY(mu);  // record -> run_pages
   };
 
   struct Shard {
@@ -190,6 +239,14 @@ class PageStoreCluster {
     uint64_t next_seq GUARDED_BY(ship_mu) = 1;
     uint64_t last_shipped_lsn GUARDED_BY(ship_mu) = 0;
     std::atomic<uint64_t> acked_lsn{0};
+    // Version table: every replica applies the same chain, so a page as of
+    // a record has one image, built by the first replica to get there and
+    // adopted by the others. Keyed by the record's seq (the record names
+    // the page). Lock order: a replica's mu, then versions_mu.
+    mutable vedb::Mutex versions_mu{"pagestore.versions"};
+    std::map<uint64_t, ImageRef> versions GUARDED_BY(versions_mu);
+    // Each replica's applied_seq, mirrored for the drop rule.
+    std::vector<uint64_t> applied GUARDED_BY(versions_mu);
   };
 
   Status HandleShip(int shard, int replica_idx, Slice request,
@@ -213,9 +270,12 @@ class PageStoreCluster {
       REQUIRES(rep->mu);
 
   /// Applies contiguous unapplied records; returns how many were applied.
-  /// The caller must charge the CPU cost (applied * apply_cpu_per_record)
-  /// after unlocking — never block under the lock.
-  uint64_t ApplyContiguousLocked(ShardReplica* rep) REQUIRES(rep->mu);
+  /// Each page the run touches ends at the version of the run's last record
+  /// on it: adopted from the shard's version table when present, else
+  /// built and published. The caller must charge the CPU cost (applied *
+  /// apply_cpu_per_record) after unlocking — never block under the lock.
+  uint64_t ApplyContiguousLocked(Shard* shard, ShardReplica* rep)
+      REQUIRES(rep->mu);
 
   /// Pulls missing records from peer replicas. Must be called WITHOUT the
   /// replica lock (does RPC). Returns true if progress was made.
@@ -241,6 +301,8 @@ class PageStoreCluster {
   obs::Counter* gossip_metric_ = nullptr;
   obs::Counter* page_reads_ = nullptr;
   obs::HistogramMetric* read_ns_ = nullptr;
+  obs::Counter* versions_built_ = nullptr;
+  obs::Counter* versions_adopted_ = nullptr;
 };
 
 }  // namespace vedb::pagestore

@@ -3,9 +3,11 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 
 #include "common/logging.h"
 
@@ -106,7 +108,8 @@ struct Fiber {
   ActorGroup* group = nullptr;    // fibers only
   std::function<void()> fn;
   bool blocked = false;
-  uint64_t seq = 0;  // the clock's number for its latest block
+  uint64_t seq = 0;   // the clock's number for its latest block
+  uint32_t slot = 0;  // its timer slot (0: a root context)
   std::vector<std::shared_ptr<void>> locals;  // FiberLocal storage
 
   void Run() { clock->RunFiber(this); }
@@ -207,7 +210,7 @@ std::shared_ptr<void>& FiberLocalSlot(int key) {
   return locals[key];
 }
 
-VirtualClock::VirtualClock() : root_(&tls_root) {}
+VirtualClock::VirtualClock() : root_(&tls_root), slot_owner_{root_} {}
 
 void VirtualClock::CheckThread() const {
   VEDB_CHECK(&tls_root == root_,
@@ -243,9 +246,39 @@ void VirtualClock::Suspend(Fiber* self, const Timestamp* deadline) {
   self->seq = ++suspends_;
   self->blocked = true;
   if (deadline != nullptr) {
-    sleepers_.push(SleepEntry{*deadline, self, self->seq});
+    PushTimer(SleepEntry{*deadline, self->seq, self->slot});
   }
   Dispatch(self);
+}
+
+bool VirtualClock::Stale(const SleepEntry& entry) const {
+  const Fiber* owner = slot_owner_[entry.slot];
+  return owner == nullptr || !owner->blocked || owner->seq != entry.seq;
+}
+
+void VirtualClock::PushTimer(const SleepEntry& entry) {
+  sleepers_.push_back(entry);
+  std::push_heap(sleepers_.begin(), sleepers_.end(),
+                 std::greater<SleepEntry>());
+  // Each context has at most one live entry, so past twice the context
+  // count stale entries outnumber live ones: drop them and re-heap. Cost is
+  // linear in the survivors, which halve the heap, so amortized O(1) a push.
+  const size_t contexts = slot_owner_.size() - free_slots_.size();
+  if (sleepers_.size() > 2 * contexts) {
+    sleepers_.erase(std::remove_if(sleepers_.begin(), sleepers_.end(),
+                                   [this](const SleepEntry& e) {
+                                     return Stale(e);
+                                   }),
+                    sleepers_.end());
+    std::make_heap(sleepers_.begin(), sleepers_.end(),
+                   std::greater<SleepEntry>());
+  }
+}
+
+void VirtualClock::PopTimer() {
+  std::pop_heap(sleepers_.begin(), sleepers_.end(),
+                std::greater<SleepEntry>());
+  sleepers_.pop_back();
 }
 
 void VirtualClock::Dispatch(Fiber* self) {
@@ -260,15 +293,12 @@ Fiber* VirtualClock::PickNext() {
   // Every switch passes here, an exiting actor's last one included, so the
   // running context's held locks are checked at every switch.
   if (ThreadHeldMutexes().depth != 0) ExitHeldAcrossWait();
-  auto stale = [](const SleepEntry& e) {
-    return !e.fiber->blocked || e.fiber->seq != e.seq;
-  };
   ready_.insert(ready_.end(), spawned_.begin(), spawned_.end());
   spawned_.clear();
   while (ready_.empty()) {
     // Drop stale timer entries (owner already woken, or from an earlier
     // block of the same context).
-    while (!sleepers_.empty() && stale(sleepers_.top())) sleepers_.pop();
+    while (!sleepers_.empty() && Stale(sleepers_.front())) PopTimer();
     if (sleepers_.empty()) {
       for (VirtualCondition* cond : parked_conditions_) {
         fprintf(stderr, "deadlock diagnostic: condition '%s' has %zu parked "
@@ -280,19 +310,20 @@ Fiber* VirtualClock::PickNext() {
                  "VirtualCondition/SleepFor",
                  static_cast<void*>(this), (unsigned long long)now_);
     }
-    const Timestamp next = sleepers_.top().wake;
+    const Timestamp next = sleepers_.front().wake;
     if (next > now_) {
       now_ = next;
       advances_++;
     }
     // Ready every sleeper whose time has arrived; they run one at a time in
     // timer pop order. Everything due may have been stale: loop again.
-    while (!sleepers_.empty() && sleepers_.top().wake <= now_) {
-      SleepEntry entry = sleepers_.top();
-      sleepers_.pop();
-      if (stale(entry)) continue;
-      entry.fiber->blocked = false;
-      ready_.push_back(entry.fiber);
+    while (!sleepers_.empty() && sleepers_.front().wake <= now_) {
+      const SleepEntry entry = sleepers_.front();
+      PopTimer();
+      if (Stale(entry)) continue;
+      Fiber* fiber = slot_owner_[entry.slot];
+      fiber->blocked = false;
+      ready_.push_back(fiber);
     }
   }
   Fiber* next = ready_.front();
@@ -300,21 +331,13 @@ Fiber* VirtualClock::PickNext() {
   return next;
 }
 
-void VirtualClock::PurgeTimers(Fiber* fiber) {
-  std::vector<SleepEntry> keep;
-  keep.reserve(sleepers_.size());
-  while (!sleepers_.empty()) {
-    if (sleepers_.top().fiber != fiber) keep.push_back(sleepers_.top());
-    sleepers_.pop();
-  }
-  for (auto& entry : keep) sleepers_.push(entry);
-}
-
 void VirtualClock::RunFiber(Fiber* self) {
   self->fn();
   self->fn = nullptr;
-  // The fiber is freed by JoinAll; drop the timer entries that point at it.
-  PurgeTimers(self);
+  // The fiber is freed by JoinAll; its timer entries, left in the heap,
+  // go stale with the slot.
+  slot_owner_[self->slot] = nullptr;
+  free_slots_.push_back(self->slot);
   ActorGroup* group = self->group;
   if (--group->live_ == 0 && group->joiner_ != nullptr) {
     group->joiner_->blocked = false;
@@ -377,6 +400,14 @@ void ActorGroup::Spawn(std::function<void()> fn) {
   fiber->stack_bottom = static_cast<char*>(fiber->mapping) + page;
   fiber->stack_size = kFiberStackBytes;
   fiber->sp = SeedStack(fiber->stack_bottom, fiber->stack_size);
+  if (clock_->free_slots_.empty()) {
+    fiber->slot = static_cast<uint32_t>(clock_->slot_owner_.size());
+    clock_->slot_owner_.push_back(fiber.get());
+  } else {
+    fiber->slot = clock_->free_slots_.back();
+    clock_->free_slots_.pop_back();
+    clock_->slot_owner_[fiber->slot] = fiber.get();
+  }
   clock_->spawned_.push_back(fiber.get());
   live_++;
   fibers_.push_back(std::move(fiber));

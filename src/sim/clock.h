@@ -37,7 +37,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <set>
 #include <vector>
 
@@ -103,15 +102,22 @@ class VirtualClock {
   /// Times virtual time has jumped forward to a pending wake time.
   uint64_t advances() const { return advances_; }
 
+  /// Timer entries held, live and stale (an entry outlives a wait that
+  /// ended another way until it pops or the heap is compacted).
+  size_t timer_entries() const { return sleepers_.size(); }
+
  private:
   friend class VirtualCondition;
   friend class ActorGroup;
   friend struct Fiber;
 
+  // A timer entry names its context by slot, not pointer, so it may outlive
+  // the context: a slot's owner is cleared when its fiber exits and reused
+  // by a later one, and `seq` (unique per clock) tells the blocks apart.
   struct SleepEntry {
     Timestamp wake;
-    Fiber* fiber;
     uint64_t seq;
+    uint32_t slot;
     bool operator>(const SleepEntry& o) const {
       return wake != o.wake ? wake > o.wake : seq > o.seq;
     }
@@ -126,8 +132,11 @@ class VirtualClock {
   /// Pops the next ready context, advancing virtual time and readying due
   /// sleepers while none is ready.
   Fiber* PickNext();
-  /// Drops every timer entry of an exiting context.
-  void PurgeTimers(Fiber* fiber);
+  /// True once `entry` can no longer wake anything: its context exited,
+  /// woke another way, or blocked again since. Once stale, always stale.
+  bool Stale(const SleepEntry& entry) const;
+  void PushTimer(const SleepEntry& entry);
+  void PopTimer();
   /// Body of an actor fiber; switches away for good when `fn` returns.
   [[noreturn]] void RunFiber(Fiber* self);
 
@@ -140,9 +149,12 @@ class VirtualClock {
   // Actors spawned since the last dispatch, in spawn order; they join the
   // back of ready_ when the running context next blocks.
   std::vector<Fiber*> spawned_;
-  std::priority_queue<SleepEntry, std::vector<SleepEntry>,
-                      std::greater<SleepEntry>>
-      sleepers_;
+  // Min-heap of timer entries by (wake, seq), a total order, so rebuilding
+  // the heap never changes which entry pops next.
+  std::vector<SleepEntry> sleepers_;
+  // Timer slot owners: slot 0 is the root context, a null slot is free.
+  std::vector<Fiber*> slot_owner_;
+  std::vector<uint32_t> free_slots_;
   // Conditions with parked waiters (diagnostics for deadlock reports).
   std::set<VirtualCondition*> parked_conditions_;
 };

@@ -214,10 +214,12 @@ Status VedbCluster::CrashAndRecoverEngine(
   if (cm_nodes_.size() > 1) astore_client_->SetCmEndpoints(cm_nodes_);
   VEDB_RETURN_IF_ERROR(astore_client_->Connect());
 
+  // Only records PageStore has not quorum-acked are re-shipped (see
+  // DBEngine::Recover), so the tail starts above its durable LSN.
   std::vector<astore::LogRecord> tail;
   auto log = logstore::AStoreLogStore::Recover(
-      &env_, astore_client_.get(), log_segments, /*from_lsn=*/1,
-      options_.astore_log, &tail);
+      &env_, astore_client_.get(), log_segments,
+      /*from_lsn=*/pagestore_->DurableLsn() + 1, options_.astore_log, &tail);
   VEDB_RETURN_IF_ERROR(log.status());
   owned_log_ = std::move(*log);
   log_ = owned_log_.get();

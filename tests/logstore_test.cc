@@ -155,6 +155,38 @@ TEST_F(LogStoreTest, AStoreBackendRecoversAfterCrash) {
   EXPECT_EQ(r->first_lsn, 41u);
 }
 
+// Recovery keeps only the records at or above its lower bound, even when
+// the bound falls inside a batch frame and the log spans several ring
+// segments, and still resumes after the last record.
+TEST_F(LogStoreTest, AStoreRecoveryFromABoundKeepsOnlyTheTail) {
+  std::vector<astore::SegmentId> segments;
+  {
+    auto log = MakeAStoreLog();
+    for (int i = 0; i < 30; ++i) {
+      const std::string big(8 * kKiB, static_cast<char>('a' + i % 26));
+      ASSERT_TRUE(log->AppendBatch({big, "small-" + std::to_string(i)}).ok());
+    }
+    segments = log->ring()->segment_ids();
+  }
+  AStoreLogStore::Options opts;
+  opts.ring.segment_size = 128 * kKiB;
+  opts.ring.ring_size = 4;
+  std::vector<astore::LogRecord> all, tail;
+  auto full = AStoreLogStore::Recover(&env_, aclient_.get(), segments, 1,
+                                      opts, &all);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(all.size(), 60u);  // 30 batches x 2 records; 240 KiB > a segment
+  auto from = AStoreLogStore::Recover(&env_, aclient_.get(), segments,
+                                      /*from_lsn=*/36, opts, &tail);
+  ASSERT_TRUE(from.ok()) << from.status().ToString();
+  EXPECT_EQ((*from)->NextLsn(), 61u);
+  ASSERT_EQ(tail.size(), 25u);  // lsn 36 is the second record of a frame
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].lsn, 36 + i);
+    EXPECT_EQ(tail[i].payload, all[35 + i].payload);
+  }
+}
+
 TEST_F(LogStoreTest, AStoreAppendLatencyBeatsBlobBackend) {
   // Table II's core claim, end to end through the two SDK paths.
   auto blob_log = MakeBlobLog();

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/coding.h"
+#include "common/random.h"
+#include "obs/metrics.h"
 #include "net/rpc.h"
 #include "pagestore/pagestore.h"
 #include "sim/env.h"
@@ -51,6 +55,14 @@ class PageStoreTest : public ::testing::Test {
     return key;
   }
 
+  /// A chain record with its page.
+  struct Chained {
+    uint64_t seq;
+    uint64_t lsn;
+    PageKey key;
+    std::string payload;
+  };
+
   /// One record of a hand-built ship request: {seq, lsn, payload}.
   struct Wire {
     uint64_t seq;
@@ -77,6 +89,42 @@ class PageStoreTest : public ::testing::Test {
     ASSERT_TRUE(statuses[0].ok());
   }
 
+  /// Sends `records` ({seq, lsn, key, payload}) to one replica's ship
+  /// service; false if the call failed (its node is down).
+  bool ShipTo(int shard, int replica, const std::vector<Chained>& records) {
+    std::string req;
+    PutFixed32(&req, static_cast<uint32_t>(records.size()));
+    for (const Chained& c : records) {
+      PutFixed64(&req, c.seq);
+      PutFixed64(&req, c.lsn);
+      PutFixed64(&req, c.key);
+      PutLengthPrefixedSlice(&req, Slice(c.payload));
+    }
+    return rpc_
+        ->CallParallel(client_, {store_->ReplicaNodes(shard)[replica]},
+                       "ps.ship." + std::to_string(shard) + "." +
+                           std::to_string(replica),
+                       Slice(req), nullptr)[0]
+        .ok();
+  }
+
+  /// Reads `key` from one replica's read service, which first applies what
+  /// the replica can (and gossips when it cannot reach `min_lsn`).
+  Status ReadFrom(int shard, int replica, PageKey key, uint64_t min_lsn,
+                  std::string* image, uint64_t* lsn) {
+    std::string req, resp;
+    PutFixed64(&req, key);
+    PutFixed64(&req, min_lsn);
+    Status s = rpc_->Call(client_, store_->ReplicaNodes(shard)[replica],
+                          "ps.read_page." + std::to_string(shard) + "." +
+                              std::to_string(replica),
+                          Slice(req), &resp);
+    if (!s.ok()) return s;
+    *lsn = DecodeFixed64(resp.data());
+    image->assign(resp.data() + 8, resp.size() - 8);
+    return Status::OK();
+  }
+
   /// Applies what replica `replica` of `shard` can and returns its image.
   std::string LocalImage(int shard, int replica, PageKey key) {
     std::string image;
@@ -92,6 +140,9 @@ class PageStoreTest : public ::testing::Test {
     env_.clock()->SleepFor(d);
     store_->Shutdown();
   }
+
+  /// The seeded version-table property run (below).
+  void CheckVersionsAgainstChainPrefixes(uint64_t seed);
 
   sim::SimEnvironment env_;
   std::unique_ptr<net::RpcTransport> rpc_;
@@ -281,6 +332,264 @@ TEST_F(PageStoreTest, ApplySkipsTruncatedSequenceNumbers) {
   EXPECT_TRUE(store_->RetainedRecords(0, 0).empty());
   ShipRaw(0, 0, key, {{5, 5, "e"}});
   EXPECT_EQ(LocalImage(0, 0, key), "abcde");
+}
+
+// Replicas share page versions. A seeded run of raw ships with per-replica
+// drops, gossip catch-up, truncation and a replica down for a stretch;
+// every read, from every replica, must return exactly the install image
+// with that replica's applied chain prefix applied through the ApplyFn.
+void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
+  constexpr int kShards = 4;
+  constexpr size_t kPagesPerShard = 6;
+  {
+    Random rng(seed);
+    auto one_in = [&rng](uint64_t n) { return rng.Uniform(n) == 0; };
+    struct Base {
+      std::string image;
+      uint64_t lsn = 0;
+      bool exists = false;
+    };
+    std::vector<std::vector<PageKey>> keys(kShards);
+    std::map<PageKey, Base> base;
+    for (PageKey k = 0; keys[0].size() < kPagesPerShard ||
+                        keys[1].size() < kPagesPerShard ||
+                        keys[2].size() < kPagesPerShard ||
+                        keys[3].size() < kPagesPerShard;
+         ++k) {
+      const int s = store_->ShardOf(k);
+      if (keys[s].size() >= kPagesPerShard) continue;
+      keys[s].push_back(k);
+      if (one_in(2)) {  // installed; the rest start from nothing
+        Base& b = base[k];
+        b.image = "i" + std::to_string(k) + ":";
+        b.lsn = rng.Uniform(3);
+        b.exists = true;
+        ASSERT_TRUE(store_->InstallPageDirect(k, b.lsn, Slice(b.image)).ok());
+      }
+    }
+    std::vector<std::vector<Chained>> chain(kShards);  // chain[s][seq - 1]
+    uint64_t lsn = 10;
+    int down = -1;  // node down for a stretch
+    int down_until = 0;
+    int reads = 0;
+    for (int step = 0; step < 600; ++step) {
+      if (down >= 0 && step >= down_until) {
+        nodes_[down]->SetAlive(true);
+        down = -1;
+      } else if (down < 0 && one_in(60)) {
+        down = static_cast<int>(rng.Uniform(3));
+        down_until = step + 20 + static_cast<int>(rng.Uniform(60));
+        nodes_[down]->SetAlive(false);
+      }
+      const int s = static_cast<int>(rng.Uniform(kShards));
+      const uint32_t action = rng.Uniform(100);
+      if (action < 50) {
+        // Ship a batch; each replica misses it with probability 1/4, but
+        // at least one copy lands so gossip can fill every hole.
+        std::vector<Chained> batch;
+        const int n = 1 + static_cast<int>(rng.Uniform(6));
+        for (int i = 0; i < n; ++i) {
+          const PageKey key = keys[s][rng.Uniform(kPagesPerShard)];
+          batch.push_back({chain[s].size() + 1, lsn++, key,
+                           std::string(1, static_cast<char>('a' + rng.Uniform(26)))});
+          chain[s].push_back(batch.back());
+        }
+        bool landed = false;
+        for (int r = 0; r < 3; ++r) {
+          if (one_in(4) && (landed || r < 2)) continue;
+          landed |= ShipTo(s, r, batch);
+        }
+        if (!landed) {
+          for (int r = 0; r < 3 && !landed; ++r) landed = ShipTo(s, r, batch);
+        }
+        ASSERT_TRUE(landed);
+      } else if (action < 95) {
+        // Read one page from one replica, sometimes demanding the shard's
+        // newest LSN so a lagging replica gossips first.
+        const int r = static_cast<int>(rng.Uniform(3));
+        const PageKey key = keys[s][rng.Uniform(kPagesPerShard)];
+        const uint64_t min_lsn =
+            one_in(3) && !chain[s].empty() ? chain[s].back().lsn : 0;
+        std::string image;
+        uint64_t got_lsn = 0;
+        Status st = ReadFrom(s, r, key, min_lsn, &image, &got_lsn);
+        if (!store_->ReplicaNodes(s)[r]->alive()) {
+          EXPECT_FALSE(st.ok());
+          continue;
+        }
+        // Nothing else runs, so the replica's prefix is where the read's
+        // apply left it.
+        const uint64_t prefix = store_->ContiguousSeq(s, r);
+        auto reference = [&](PageKey k, std::string* want, uint64_t* lsn) {
+          const Base& b = base[k];
+          *want = b.image;
+          *lsn = b.lsn;
+          bool exists = b.exists;
+          for (uint64_t seq = 1; seq <= prefix; ++seq) {
+            const Chained& c = chain[s][seq - 1];
+            if (c.key != k) continue;
+            AppendApply(k, Slice(c.payload), c.lsn, want);
+            *lsn = std::max(*lsn, c.lsn);
+            exists = true;
+          }
+          return exists;
+        };
+        std::string want;
+        uint64_t want_lsn;
+        const bool exists = reference(key, &want, &want_lsn);
+        if (st.IsStale()) continue;  // behind min_lsn even after gossip
+        reads++;
+        if (!exists) {
+          EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+        } else {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          EXPECT_EQ(image, want) << "seed " << seed << " step " << step
+                                 << " shard " << s << " replica " << r;
+          EXPECT_EQ(got_lsn, want_lsn) << "seed " << seed << " step " << step;
+        }
+        // Every other page of the replica stands at the same prefix.
+        for (PageKey k : keys[s]) {
+          uint64_t applied = 0;
+          Status peek = store_->PeekLocalPage(store_->ReplicaNodes(s)[r], k,
+                                              &image, &applied);
+          EXPECT_EQ(applied, 0u);
+          if (!reference(k, &want, &want_lsn)) {
+            EXPECT_TRUE(peek.IsNotFound()) << peek.ToString();
+            continue;
+          }
+          ASSERT_TRUE(peek.ok()) << peek.ToString();
+          EXPECT_EQ(image, want) << "seed " << seed << " step " << step
+                                 << " shard " << s << " replica " << r
+                                 << " page " << k;
+        }
+      } else {
+        // Truncate below what every replica of every shard has received,
+        // so a replica that is behind can still catch up from its peers.
+        uint64_t bound = UINT64_MAX;
+        for (int t = 0; t < kShards; ++t) {
+          uint64_t low = UINT64_MAX;
+          for (int r = 0; r < 3; ++r) {
+            low = std::min(low, store_->ContiguousSeq(t, r));
+          }
+          if (low < chain[t].size()) bound = std::min(bound, chain[t][low].lsn);
+        }
+        store_->TruncateBelow(bound);
+      }
+    }
+    if (down >= 0) nodes_[down]->SetAlive(true);
+    EXPECT_GT(reads, 200);
+    EXPECT_LE(store_->VersionCount(0), PageStoreCluster::kMaxVersionLag);
+  }
+}
+
+TEST_F(PageStoreTest, SharedVersionsMatchEachReplicasChainPrefixSeed1) {
+  CheckVersionsAgainstChainPrefixes(1);
+}
+TEST_F(PageStoreTest, SharedVersionsMatchEachReplicasChainPrefixSeed2) {
+  CheckVersionsAgainstChainPrefixes(2);
+}
+TEST_F(PageStoreTest, SharedVersionsMatchEachReplicasChainPrefixSeed3) {
+  CheckVersionsAgainstChainPrefixes(3);
+}
+
+// Three replicas that apply the same records hold one buffer per page.
+TEST_F(PageStoreTest, LockstepReplicasShareOneBufferPerPage) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const obs::Counter* built = reg.GetCounter("pagestore.versions_built");
+  const obs::Counter* adopted = reg.GetCounter("pagestore.versions_adopted");
+  const obs::Gauge* bytes = reg.GetGauge("pagestore.image_bytes");
+  const uint64_t built0 = built->value();
+  const uint64_t adopted0 = adopted->value();
+  const int64_t bytes0 = bytes->value();
+
+  const int shard = 1;
+  const PageKey a = KeyInShard(shard);
+  PageKey b = a + 1;
+  while (store_->ShardOf(b) != shard) b++;
+  ASSERT_TRUE(store_->InstallPageDirect(a, 1, Slice("A:")).ok());
+  EXPECT_EQ(store_->DistinctImages(shard), 1u);  // one install, shared
+  for (int round = 0; round < 5; ++round) {
+    const uint64_t lsn = 10 + 3 * round;
+    ASSERT_TRUE(store_->ShipRecords(client_, {Rec(a, lsn, "x"),
+                                              Rec(b, lsn + 1, "y"),
+                                              Rec(a, lsn + 2, "z")})
+                    .ok());
+    for (int r = 0; r < 3; ++r) LocalImage(shard, r, a);
+    EXPECT_EQ(store_->DistinctImages(shard), 2u) << "round " << round;
+    EXPECT_EQ(store_->VersionCount(shard), 0u);  // every replica passed
+  }
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(LocalImage(shard, r, a), "A:xzxzxzxzxz");
+    EXPECT_EQ(LocalImage(shard, r, b), "yyyyy");
+  }
+  // Per round replica 0 builds both pages and the other two adopt them.
+  EXPECT_EQ(built->value() - built0, 10u);
+  EXPECT_EQ(adopted->value() - adopted0, 20u);
+  EXPECT_EQ(bytes->value() - bytes0,
+            static_cast<int64_t>(std::string("A:xzxzxzxzxz").size() + 5));
+}
+
+// A replica that applies a record shipped before an install ends up with
+// its own copy (the install image plus that record, as it always has), and
+// must neither publish nor adopt versions of that page afterwards.
+TEST_F(PageStoreTest, ReplicaThatAppliedAcrossAnInstallKeepsItsOwnCopy) {
+  const int shard = 2;
+  const PageKey key = KeyInShard(shard);
+  ShipRaw(shard, 0, key, {{1, 1, "a"}});
+  ShipRaw(shard, 1, key, {{1, 1, "a"}});
+  EXPECT_EQ(LocalImage(shard, 1, key), "a");  // replica 1 applies first
+  ASSERT_TRUE(store_->InstallPageDirect(key, 5, Slice("I")).ok());
+  EXPECT_EQ(LocalImage(shard, 0, key), "Ia");  // applied on the install
+  ShipRaw(shard, 0, key, {{2, 6, "b"}});
+  ShipRaw(shard, 1, key, {{2, 6, "b"}});
+  EXPECT_EQ(LocalImage(shard, 1, key), "Ib");  // publishes seq 2
+  EXPECT_EQ(LocalImage(shard, 0, key), "Iab");  // must not adopt it
+  ShipRaw(shard, 0, key, {{3, 7, "c"}});
+  ShipRaw(shard, 1, key, {{3, 7, "c"}});
+  EXPECT_EQ(LocalImage(shard, 0, key), "Iabc");  // off the chain: no publish
+  EXPECT_EQ(LocalImage(shard, 1, key), "Ibc");   // must not adopt it either
+}
+
+// A dead replica never passes any version: the table stays within the lag
+// cap, and once back the replica rebuilds what it missed and converges.
+TEST_F(PageStoreTest, DeadReplicaLeavesTheVersionTableBounded) {
+  const int shard = 0;
+  std::vector<PageKey> keys;
+  for (PageKey k = 0; keys.size() < 50; ++k) {
+    if (store_->ShardOf(k) == shard) keys.push_back(k);
+  }
+  const int dead = 1;
+  sim::SimNode* dead_node = store_->ReplicaNodes(shard)[dead];
+  dead_node->SetAlive(false);
+  const uint64_t records = 3100;  // three times the lag cap, and more
+  ASSERT_GT(records, 3 * PageStoreCluster::kMaxVersionLag);
+  uint64_t lsn = 1;
+  std::vector<std::string> want(keys.size());
+  for (uint64_t i = 0; i < records; i += 10) {
+    std::vector<RedoShipRecord> batch;
+    for (int j = 0; j < 10; ++j, ++lsn) {
+      const size_t page = (lsn * 7) % keys.size();
+      const std::string payload(1, static_cast<char>('a' + lsn % 26));
+      batch.push_back(Rec(keys[page], lsn, payload));
+      want[page] += payload;
+    }
+    ASSERT_TRUE(store_->ShipRecords(client_, batch).ok());
+    for (int r = 0; r < 3; ++r) {
+      if (r != dead) LocalImage(shard, r, keys[0]);
+    }
+    EXPECT_LE(store_->VersionCount(shard), PageStoreCluster::kMaxVersionLag);
+  }
+  EXPECT_EQ(store_->ContiguousSeq(shard, dead), 0u);
+  dead_node->SetAlive(true);
+  RunBackground(100 * kMillisecond);  // gossip brings the replica back
+  EXPECT_EQ(store_->ContiguousSeq(shard, dead), records);
+  for (size_t p = 0; p < keys.size(); ++p) {
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(LocalImage(shard, r, keys[p]), want[p]) << p << " " << r;
+    }
+  }
+  EXPECT_EQ(store_->VersionCount(shard), 0u);
+  EXPECT_EQ(store_->DistinctImages(shard), keys.size());
 }
 
 TEST_F(PageStoreTest, ShardingSpreadsPages) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cfenv>
 #include <cstdio>
@@ -359,6 +360,117 @@ TEST(VirtualConditionTest, StaleTimerEntryDoesNotWakeLaterSleep) {
   EXPECT_EQ(second_wake, 10100u);
 }
 
+TEST(VirtualConditionTest, FiberExitsWithAPendingLockWaitTimer) {
+  // A lock wait with a timeout is notified early and its fiber exits; the
+  // group frees the fiber while its timer entry (due at 1000) is still in
+  // the heap. Popping that entry must not touch the freed fiber (ASan), and
+  // a later fiber that reuses the timer slot must not be woken by it.
+  VirtualClock clock;
+  vedb::Mutex mu("test.cond");
+  VirtualCondition cond(&clock);
+  bool granted = false;
+  {
+    ActorGroup group(&clock);
+    group.Spawn([&] {
+      vedb::MutexLock lk(&mu);
+      EXPECT_TRUE(cond.WaitUntil(&mu, 1000, [&] { return granted; }));
+    });
+    group.Spawn([&] {
+      clock.SleepFor(100);
+      {
+        vedb::MutexLock lk(&mu);
+        granted = true;
+      }
+      cond.NotifyAll();
+    });
+  }
+  EXPECT_EQ(clock.Now(), 100u);
+  EXPECT_GE(clock.timer_entries(), 1u);  // the waiter's entry outlived it
+  Timestamp woke = 0;
+  {
+    ActorGroup group(&clock);
+    group.Spawn([&] {
+      clock.SleepUntil(1500);
+      woke = clock.Now();
+    });
+  }
+  EXPECT_EQ(woke, 1500u);
+  clock.SleepUntil(2000);
+  EXPECT_EQ(clock.timer_entries(), 0u);
+}
+
+TEST(VirtualConditionTest, StaleTimerEntriesAreCompactedInWakeOrder) {
+  // Waiters time out far ahead but are all notified early, round after
+  // round, so stale entries pile up faster than they pop. The heap must
+  // stay within twice the live contexts, every live entry must still pop
+  // on time (bystanders asleep across many compactions), and sleepers
+  // sharing a wake time must still wake in sleep order.
+  constexpr int kWaiters = 16;
+  constexpr int kBystanders = 24;
+  constexpr int kRounds = 200;
+  VirtualClock clock;
+  vedb::Mutex mu("test.cond");
+  VirtualCondition cond(&clock);
+  int round = 0;
+  int timeouts = 0;
+  Timestamp last_round_at = 0;
+  size_t most_entries = 0;
+  std::vector<int> order;
+  std::vector<Timestamp> bystander_woke(kBystanders);
+  // Scattered wake times (and waiter deadlines below), so dropping entries
+  // leaves an array that is no longer a heap.
+  auto bystander_wake = [](int k) -> Timestamp {
+    return 100 + (k * 7919) % 1800;
+  };
+  {
+    ActorGroup group(&clock);
+    for (int k = 0; k < kBystanders; ++k) {
+      group.Spawn([&, k] {
+        clock.SleepUntil(bystander_wake(k));
+        bystander_woke[k] = clock.Now();
+      });
+    }
+    for (int i = 0; i < kWaiters; ++i) {
+      group.Spawn([&, i] {
+        for (int r = 1; r <= kRounds; ++r) {
+          vedb::MutexLock lk(&mu);
+          const Timestamp deadline = 1 * kSecond + (r * 104729 + i * 7) % 9973;
+          if (!cond.WaitUntil(&mu, deadline, [&] { return round >= r; })) {
+            timeouts++;
+          }
+        }
+        clock.SleepUntil(2 * kSecond - i);
+        clock.SleepUntil(3 * kSecond);
+        order.push_back(i);
+      });
+    }
+    group.Spawn([&] {
+      for (int r = 1; r <= kRounds; ++r) {
+        clock.SleepFor(10);
+        {
+          vedb::MutexLock lk(&mu);
+          round = r;
+        }
+        cond.NotifyAll();
+        most_entries = std::max(most_entries, clock.timer_entries());
+      }
+      last_round_at = clock.Now();
+    });
+  }
+  // Every wait was notified in time: the notifier's short sleeps always
+  // popped ahead of the waiters' far deadlines.
+  EXPECT_EQ(timeouts, 0);
+  EXPECT_EQ(last_round_at, 10u * kRounds);
+  for (int k = 0; k < kBystanders; ++k) {
+    EXPECT_EQ(bystander_woke[k], bystander_wake(k)) << k;
+  }
+  // Contexts: root, the bystanders, the waiters and the notifier.
+  EXPECT_LE(most_entries, 2u * (kBystanders + kWaiters + 2));
+  std::vector<int> expected;
+  for (int i = kWaiters - 1; i >= 0; --i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
 TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
   // Regression for a teardown race: main stops a notification-driven
   // waiter while a timer-driven actor is also exiting ("notify the parked
@@ -416,7 +528,7 @@ TEST(VirtualClockTest, JoinAllResumesAheadOfActorsReadyAtTheSameInstant) {
 TEST(VirtualClockTest, SleepersDueAtTheSameInstantWakeInSleepOrder) {
   // The k-th sleeper falls asleep until 1000 at time 2k+1, in the reverse
   // of spawn order, and an actor exits at 2k+2, between two of those
-  // sleeps; each exit rebuilds the timer heap. They must wake in the order
+  // sleeps, leaving its slot to a later fiber. They must wake in the order
   // they fell asleep.
   constexpr int kSleepers = 8;
   VirtualClock clock;
