@@ -4,8 +4,14 @@
 // reserves high-priority space for the push-down tables. Also sweeps the
 // LRU shard count, whose lock the paper blames for high-concurrency
 // degradation.
+//
+// Writes results/bench_ablation_ebp_policy.json (one registry snapshot per
+// run, the flat and priority hot-table hit rates) and exits 1 unless the
+// priority policy's hit rate beats the flat one's.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "astore/client.h"
 #include "astore/cluster_manager.h"
@@ -63,8 +69,11 @@ struct EbpRig {
 
 /// Simulates consecutive push-down queries over a hot table (pages 0..N)
 /// while an OLTP churn keeps evicting pages of other tables into the EBP.
-/// Returns the hit rate the "queries" see on the hot table.
-double RunPolicy(ebp::ExtendedBufferPool::Policy policy, int lru_shards) {
+/// Returns the hit rate the "queries" see on the hot table, and appends the
+/// run's registry snapshot, labelled `run_label`, to `snapshots`.
+double RunPolicy(ebp::ExtendedBufferPool::Policy policy, int lru_shards,
+                 const std::string& run_label,
+                 std::vector<obs::Snapshot>* snapshots) {
   ebp::ExtendedBufferPool::Options opts;
   opts.capacity = 4 * kMiB;  // ~250 pages
   opts.policy = policy;
@@ -96,6 +105,7 @@ double RunPolicy(ebp::ExtendedBufferPool::Policy policy, int lru_shards) {
       if (rig.pool->GetPage(1000000 + p, &image, nullptr).ok()) hits++;
     }
   }
+  snapshots->push_back(bench::CollectRunSnapshot(&rig.env, run_label));
   return 100.0 * hits / probes;
 }
 
@@ -108,9 +118,11 @@ int main() {
       "Ablation: EBP policy under OLTP churn + consecutive push-down "
       "queries");
   bench::PrintRow({"policy", "hot-table hit rate"}, 24);
-  const double flat = RunPolicy(ebp::ExtendedBufferPool::Policy::kFlat, 8);
-  const double prio =
-      RunPolicy(ebp::ExtendedBufferPool::Policy::kPriority, 8);
+  std::vector<obs::Snapshot> snapshots;
+  const double flat = RunPolicy(ebp::ExtendedBufferPool::Policy::kFlat, 8,
+                                "ebp_policy/flat", &snapshots);
+  const double prio = RunPolicy(ebp::ExtendedBufferPool::Policy::kPriority,
+                                8, "ebp_policy/priority", &snapshots);
   bench::PrintRow({"flat", bench::Fmt("%.1f%%", flat)}, 24);
   bench::PrintRow({"priority", bench::Fmt("%.1f%%", prio)}, 24);
   printf("\npaper: \"the priority strategy is better for supporting "
@@ -123,8 +135,26 @@ int main() {
         {std::to_string(shards),
          bench::Fmt("%.1f%%",
                     RunPolicy(ebp::ExtendedBufferPool::Policy::kPriority,
-                              shards))},
+                              shards, "ebp_shards/" + std::to_string(shards),
+                              &snapshots))},
         24);
+  }
+
+  const bool shape_pass = prio > flat;
+  Status wrote = bench::WriteBenchResults(
+      "bench_ablation_ebp_policy", "bench_ablation_ebp_policy.json",
+      snapshots,
+      {bench::Fmt("\"flat_hit_pct\":%.17g", flat),
+       bench::Fmt("\"priority_hit_pct\":%.17g", prio),
+       std::string("\"shape_pass\":") + (shape_pass ? "true" : "false")});
+  if (!wrote.ok()) {
+    fprintf(stderr, "results: %s\n", wrote.ToString().c_str());
+    return 1;
+  }
+  if (!shape_pass) {
+    fprintf(stderr, "ebp policy: priority %.1f%% does not beat flat %.1f%%\n",
+            prio, flat);
+    return 1;
   }
   return 0;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs every bench binary of a build tree, one at a time, each under a
-# 600 s timeout, and prints one line per bench: its exit code, the host
+# Runs every bench that bench/CMakeLists.txt declares (its vedb_bench(...)
+# and add_executable(bench_...) lines) from a build tree, one at a time,
+# each under a 600 s timeout, and prints one line per bench: its exit code, the host
 # wall, user and sys seconds it cost and its peak resident set (MiB). Each
 # bench's output goes to results/<bench>.txt (benches that export JSON also
 # write results/*.json).
@@ -8,8 +9,10 @@
 # Usage: scripts/bench_all.sh [-b BUILD_DIR]
 #   -b BUILD_DIR build tree holding bench/bench_* (default: build)
 #
-# Exit code 124 on a bench line means it timed out. The script exits 1 if
-# any bench exited nonzero, 2 on bad usage.
+# Exit code 124 on a bench line means it timed out. A bench_* binary that
+# the CMake file no longer declares (left over in an old build tree) is not
+# run. The script exits 1 if any bench exited nonzero, 2 on bad usage or
+# when a declared bench has no binary in the build tree.
 set -u
 cd "$(dirname "$0")/.." || exit 2
 
@@ -17,14 +20,25 @@ build=build
 while getopts "b:h" opt; do
   case $opt in
     b) build=$OPTARG ;;
-    *) sed -n '2,12p' "$0"; exit 2 ;;
+    *) sed -n '2,15p' "$0"; exit 2 ;;
   esac
 done
 
-if ! compgen -G "$build/bench/bench_*" > /dev/null; then
-  echo "no $build/bench/bench_* binaries; build the tree first" >&2
+benches=$(sed -n -e 's/^vedb_bench(\(bench_[a-z0-9_]*\)).*/\1/p' \
+                 -e 's/^add_executable(\(bench_[a-z0-9_]*\) .*/\1/p' \
+                 bench/CMakeLists.txt | LC_ALL=C sort)
+if [ -z "$benches" ]; then
+  echo "no benches declared in bench/CMakeLists.txt" >&2
   exit 2
 fi
+missing=0
+for name in $benches; do
+  if [ ! -x "$build/bench/$name" ]; then
+    echo "missing $build/bench/$name; build the tree first" >&2
+    missing=1
+  fi
+done
+[ "$missing" -eq 0 ] || exit 2
 
 # Runs "$2" with its output in file "$1" under a 600 s timeout; prints its
 # exit code, wall, user and sys seconds, and peak RSS in MiB (the largest
@@ -48,10 +62,9 @@ print(rc, "%.3f" % wall, "%.3f" % ru.ru_utime, "%.3f" % ru.ru_stime,
 mkdir -p results
 failed=0
 printf '%-32s %5s %9s %9s %9s %9s\n' bench exit wall_s user_s sys_s rss_mib
-for bin in "$build"/bench/bench_*; do
-  [ -x "$bin" ] || continue
-  name=$(basename "$bin")
-  read -r rc wall user sys rss < <(run_timed "results/$name.txt" "$bin")
+for name in $benches; do
+  read -r rc wall user sys rss < <(run_timed "results/$name.txt" \
+                                              "$build/bench/$name")
   printf '%-32s %5d %9s %9s %9s %9s\n' "$name" "$rc" "$wall" "$user" "$sys" \
     "$rss"
   [ "$rc" -eq 0 ] || failed=1

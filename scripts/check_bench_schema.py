@@ -71,42 +71,11 @@ def check_snapshot(snap, path):
                "samples must be sorted by (name, labels) — determinism drift")
 
 
-def check_qos_labels(snap, path):
-    """Every qos.* sample must carry a tenant label: an unlabeled qos metric
-    cannot be attributed, which silently breaks the per-tenant accounting
-    the admission controller exists to provide."""
-    for kind in ("counters", "gauges", "histograms"):
-        for i, sample in enumerate(snap.get(kind, [])):
-            if sample["name"].startswith("qos."):
-                expect("tenant" in sample["labels"],
-                       f"{path}.{kind}[{i}]",
-                       f"qos metric '{sample['name']}' lacks a 'tenant' label")
-
-
 def find_sample(snap, kind, name, labels):
     for sample in snap.get(kind, []):
         if sample["name"] == name and sample["labels"] == labels:
             return sample
     return None
-
-
-def check_noisy_neighbor(doc, filename):
-    """Bench-specific contract for bench_topic_noisy_neighbor."""
-    expect(isinstance(doc.get("isolation_pass"), bool), filename,
-           "missing boolean 'isolation_pass'")
-    for key in ("tenant_a_throttles", "tenant_b_throttles"):
-        expect(isinstance(doc.get(key), int), filename,
-               f"missing integer '{key}'")
-    by_label = {s.get("run_label"): s for s in doc["configs"]}
-    expect("topic_noisy/noisy_qos" in by_label, filename,
-           "missing 'topic_noisy/noisy_qos' config")
-    noisy = by_label["topic_noisy/noisy_qos"]
-    throttle = find_sample(noisy, "counters", "qos.throttle",
-                           {"tenant": "tenant-a"})
-    expect(throttle is not None, filename,
-           "noisy_qos config lacks qos.throttle{tenant=tenant-a}")
-    expect(throttle["value"] == doc["tenant_a_throttles"], filename,
-           "tenant_a_throttles extra disagrees with the snapshot counter")
 
 
 def check_cm_failover_chaos(doc, filename):
@@ -426,6 +395,38 @@ def check_fig12(doc, filename):
            f"configs must be {want_labels}, got {labels}")
 
 
+EBP_POLICY_LABELS = ["ebp_policy/flat", "ebp_policy/priority"] + [
+    f"ebp_shards/{n}" for n in (1, 2, 8, 32)]
+
+
+def check_ebp_policy(doc, filename):
+    """Bench-specific contract for bench_ablation_ebp_policy: one registry
+    snapshot per run, the flat and priority hot-table hit rates agreeing
+    with their snapshots' ebp.hits/ebp.misses counters, and a shape verdict
+    (priority beats flat) that follows from the two rates."""
+    labels = [c.get("run_label") for c in doc["configs"]]
+    expect(labels == EBP_POLICY_LABELS, filename,
+           f"configs must be {EBP_POLICY_LABELS}, got {labels}")
+    for key, snap in (("flat_hit_pct", doc["configs"][0]),
+                      ("priority_hit_pct", doc["configs"][1])):
+        v = doc.get(key)
+        expect(isinstance(v, (int, float)) and 0 <= v <= 100, filename,
+               f"'{key}' must be a percentage, got {v!r}")
+        hits = find_sample(snap, "counters", "ebp.hits", {})
+        misses = find_sample(snap, "counters", "ebp.misses", {})
+        expect(hits is not None and misses is not None and
+               hits["value"] + misses["value"] > 0, filename,
+               f"{snap['run_label']} lacks ebp.hits/ebp.misses probes")
+        want = 100.0 * hits["value"] / (hits["value"] + misses["value"])
+        expect(math.isclose(v, want, rel_tol=1e-9), filename,
+               f"'{key}' is {v} but the snapshot's counters give {want}")
+    expect(isinstance(doc.get("shape_pass"), bool), filename,
+           "missing boolean 'shape_pass'")
+    want = doc["priority_hit_pct"] > doc["flat_hit_pct"]
+    expect(doc["shape_pass"] == want, filename,
+           f"shape_pass is {doc['shape_pass']} but the hit rates give {want}")
+
+
 SEGMENTRING_RECORD_KIB = [2, 8, 32, 128, 256]
 SEGMENTRING_CLIENTS = [1, 8, 64]
 
@@ -510,9 +511,6 @@ def check_file(filename):
            "missing non-empty array 'configs'")
     for i, snap in enumerate(configs):
         check_snapshot(snap, f"{filename}.configs[{i}]")
-        check_qos_labels(snap, f"{filename}.configs[{i}]")
-    if doc["bench"] == "topic_noisy_neighbor":
-        check_noisy_neighbor(doc, filename)
     if doc["bench"] == "cm_failover_chaos":
         check_cm_failover_chaos(doc, filename)
     if doc["bench"] == "scrub_chaos":
@@ -533,6 +531,8 @@ def check_file(filename):
         check_costbased(doc, filename)
     if doc["bench"] == "bench_ablation_segmentring":
         check_segmentring(doc, filename)
+    if doc["bench"] == "bench_ablation_ebp_policy":
+        check_ebp_policy(doc, filename)
     if "breakdown" in doc:
         check_breakdown(doc["breakdown"], f"{filename}.breakdown")
     if "trace_spans" in doc:

@@ -242,8 +242,7 @@ if [[ "${1:-}" == "--self-test" ]]; then
   exit $?
 fi
 
-check_pmem_raw_write src/astore src/net src/logstore src/ebp src/topic \
-                     src/qos
+check_pmem_raw_write src/astore src/net src/logstore src/ebp
 check_pmem_api_bypass src
 check_status_discard src tests bench examples
 check_naked_threads src tests bench examples

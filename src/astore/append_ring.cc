@@ -12,8 +12,7 @@ AppendRing::AppendRing(AStoreClient* client, const AppendRingOptions& options)
       cond_(client->env()->clock(), "astore.append_ring") {}
 
 Result<AppendRing::Token> AppendRing::Submit(SegmentHandlePtr handle,
-                                             std::vector<RecordPiece> pieces,
-                                             qos::Ticket ticket) {
+                                             std::vector<RecordPiece> pieces) {
   if (handle == nullptr || pieces.empty()) {
     return Status::InvalidArgument("empty record submission");
   }
@@ -29,7 +28,6 @@ Result<AppendRing::Token> AppendRing::Submit(SegmentHandlePtr handle,
   e.handle = std::move(handle);
   e.pieces = std::move(pieces);
   e.bytes = bytes;
-  e.ticket = std::move(ticket);
   vedb::MutexLock lk(&mu_);
   e.seq = next_seq_++;
   const Token token = e.seq;
@@ -79,8 +77,6 @@ Status AppendRing::Wait(Token token) {
     // completions resolve in LSN order for in-order producers.
     std::vector<std::pair<Token, Status>> results;
     results.reserve(batch.size());
-    std::vector<qos::Ticket> tickets;
-    tickets.reserve(batch.size());
     size_t i = 0;
     while (i < batch.size()) {
       size_t j = i;
@@ -96,16 +92,9 @@ Status AppendRing::Wait(Token token) {
       records.reserve(j - i);
       for (size_t k = i; k < j; ++k) records.push_back(&batch[k].pieces);
       const Status s = client_->WriteRecordGroup(batch[i].handle, records);
-      for (size_t k = i; k < j; ++k) {
-        results.emplace_back(batch[k].seq, s);
-        tickets.push_back(std::move(batch[k].ticket));
-      }
+      for (size_t k = i; k < j; ++k) results.emplace_back(batch[k].seq, s);
       i = j;
     }
-    // QoS tickets release outside mu_: their release path takes qos.*
-    // locks, which the declared contracts order strictly before astore.*.
-    tickets.clear();
-
     lk.Lock();
     for (auto& [seq, s] : results) done_.emplace(seq, std::move(s));
     flushing_ = false;

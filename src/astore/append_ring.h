@@ -40,7 +40,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/units.h"
-#include "qos/admission.h"
 #include "sim/clock.h"
 
 namespace vedb::astore {
@@ -87,14 +86,10 @@ class AppendRing {
   AppendRing(AStoreClient* client, const AppendRingOptions& options);
 
   /// Enqueues one record (as pieces) against `handle` and returns its
-  /// completion token. `ticket` rides along and is released when the
-  /// record's doorbell resolves — QoS in-flight accounting brackets the
-  /// whole async lifetime, not just submission. Validates every piece
-  /// against the segment bounds; the pieces' bytes must stay alive until
-  /// Wait(token) returns.
+  /// completion token. Validates every piece against the segment bounds;
+  /// the pieces' bytes must stay alive until Wait(token) returns.
   Result<Token> Submit(SegmentHandlePtr handle,
-                       std::vector<RecordPiece> pieces,
-                       qos::Ticket ticket = {});
+                       std::vector<RecordPiece> pieces);
 
   /// Blocks until `token`'s doorbell resolves and returns the record's
   /// status. Each token resolves exactly once; waiting twice on the same
@@ -114,7 +109,6 @@ class AppendRing {
     SegmentHandlePtr handle;
     std::vector<RecordPiece> pieces;
     uint64_t bytes = 0;
-    qos::Ticket ticket;
   };
 
   AStoreClient* client_;

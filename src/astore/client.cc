@@ -222,15 +222,7 @@ Result<SegmentHandlePtr> AStoreClient::OpenSegment(SegmentId id) {
 }
 
 Status AStoreClient::BeginWrite(const SegmentHandlePtr& handle, Slice data,
-                                bool reserve, uint64_t* offset,
-                                qos::Ticket* ticket) {
-  // QoS admission happens strictly before any handle lock (see the
-  // qos.* -> astore.handle order contracts): both limiter waits park
-  // through the virtual clock.
-  if (options_.admission != nullptr) {
-    VEDB_ASSIGN_OR_RETURN(
-        *ticket, options_.admission->Admit(options_.tenant, data.size()));
-  }
+                                bool reserve, uint64_t* offset) {
   vedb::MutexLock lk(&handle->mu_);
   if (handle->stale_) return Status::Stale("segment route is stale");
   if (handle->frozen_) return Status::Unavailable("segment frozen");
@@ -261,10 +253,8 @@ Status AStoreClient::BeginWrite(const SegmentHandlePtr& handle, Slice data,
 
 Status AStoreClient::Append(const SegmentHandlePtr& handle, Slice data,
                             uint64_t* offset_out) {
-  qos::Ticket ticket;
   uint64_t offset = 0;
-  VEDB_RETURN_IF_ERROR(
-      BeginWrite(handle, data, /*reserve=*/true, &offset, &ticket));
+  VEDB_RETURN_IF_ERROR(BeginWrite(handle, data, /*reserve=*/true, &offset));
   VEDB_RETURN_IF_ERROR(WriteSingle(handle, offset, data, "append"));
   if (offset_out != nullptr) *offset_out = offset;
   return Status::OK();
@@ -272,15 +262,10 @@ Status AStoreClient::Append(const SegmentHandlePtr& handle, Slice data,
 
 Result<AStoreClient::AppendToken> AStoreClient::AppendAsync(
     const SegmentHandlePtr& handle, Slice data, uint64_t* offset_out) {
-  // The ticket rides inside the ring entry so the tenant's in-flight
-  // accounting spans the async lifetime.
-  qos::Ticket ticket;
   uint64_t offset = 0;
-  VEDB_RETURN_IF_ERROR(
-      BeginWrite(handle, data, /*reserve=*/true, &offset, &ticket));
+  VEDB_RETURN_IF_ERROR(BeginWrite(handle, data, /*reserve=*/true, &offset));
   if (offset_out != nullptr) *offset_out = offset;
-  return append_ring_->Submit(handle, {RecordPiece{offset, data}},
-                              std::move(ticket));
+  return append_ring_->Submit(handle, {RecordPiece{offset, data}});
 }
 
 Status AStoreClient::WaitAppend(AppendToken token) {
@@ -289,9 +274,7 @@ Status AStoreClient::WaitAppend(AppendToken token) {
 
 Status AStoreClient::WriteAt(const SegmentHandlePtr& handle, uint64_t offset,
                              Slice data) {
-  qos::Ticket ticket;
-  VEDB_RETURN_IF_ERROR(
-      BeginWrite(handle, data, /*reserve=*/false, &offset, &ticket));
+  VEDB_RETURN_IF_ERROR(BeginWrite(handle, data, /*reserve=*/false, &offset));
   return WriteSingle(handle, offset, data, "write_at");
 }
 
@@ -517,11 +500,6 @@ Status AStoreClient::ReadVerified(const SegmentHandlePtr& handle,
 Status AStoreClient::ReadWithRecovery(const SegmentHandlePtr& handle,
                                       uint64_t offset, uint64_t len, char* out,
                                       const ReadOptions& read_opts) {
-  qos::Ticket ticket;
-  if (options_.admission != nullptr) {
-    VEDB_ASSIGN_OR_RETURN(
-        ticket, options_.admission->Admit(options_.tenant, len));
-  }
   {
     vedb::MutexLock lk(&handle->mu_);
     if (handle->stale_) return Status::Stale("segment route is stale");

@@ -27,7 +27,6 @@
 #include "net/rdma.h"
 #include "net/rpc.h"
 #include "obs/metrics.h"
-#include "qos/admission.h"
 #include "sim/env.h"
 
 namespace vedb::astore {
@@ -150,17 +149,6 @@ class AStoreClient {
     bool enforce_lease = true;
     /// Transparent retry/backoff/deadline behaviour (see RetryPolicy).
     RetryPolicy retry;
-    /// Per-tenant QoS admission (nullptr = unmetered, the default). When
-    /// set, Append/WriteAt/Read charge `tenant` for the data bytes before
-    /// doing any work: the token bucket paces the tenant to its configured
-    /// rate and the grouped memory limiter bounds its in-flight bytes, so
-    /// one flooding tenant queues behind its own budget instead of the
-    /// shared PMem servers. CM control traffic (routes, leases) is
-    /// deliberately NOT admitted — throttling lease renewal would let a
-    /// rate-limited tenant lose its own lease.
-    qos::AdmissionController* admission = nullptr;
-    /// Tenant name charged by `admission`; must be registered there.
-    std::string tenant;
     /// Doorbell coalescing + batched-post costs for the async append path
     /// (see astore/append_ring.h).
     AppendRingOptions append_ring;
@@ -310,13 +298,12 @@ class AStoreClient {
   sim::SimEnvironment* env() { return env_; }
 
  private:
-  /// Shared preamble of Append, AppendAsync and WriteAt: QoS admission
-  /// into `*ticket`, then, under the handle lock, the stale/frozen gate and
-  /// the bounds check. With `reserve` it takes `data.size()` bytes at the
+  /// Shared preamble of Append, AppendAsync and WriteAt: under the handle
+  /// lock, the stale/frozen gate and the bounds check. With `reserve` it takes `data.size()` bytes at the
   /// write cursor and returns their offset in `*offset`; otherwise it
   /// checks the caller's `*offset`.
   Status BeginWrite(const SegmentHandlePtr& handle, Slice data, bool reserve,
-                    uint64_t* offset, qos::Ticket* ticket);
+                    uint64_t* offset);
   /// Append/WriteAt's post: a one-record group at `offset`, with recovery.
   Status WriteSingle(const SegmentHandlePtr& handle, uint64_t offset,
                      Slice data, const char* op);

@@ -16,8 +16,8 @@ Scrubber::Scrubber(sim::SimEnvironment* env, AStoreClient* client,
       server_(server),
       options_(options),
       bucket_(env->clock(),
-              qos::TokenBucket::Options{options.rate_bytes_per_sec,
-                                        options.burst_bytes}),
+              TokenBucket::Options{options.rate_bytes_per_sec,
+                                   options.burst_bytes}),
       background_(env->clock()) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const std::string node = server_->node()->name();

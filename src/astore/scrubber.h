@@ -1,6 +1,6 @@
 // Background integrity scrubber — one per AStore server. Walks the
 // server's live segments on the virtual clock at a bounded byte rate (a
-// qos::TokenBucket meters every byte read), cross-checks each chunk against
+// TokenBucket meters every byte read), cross-checks each chunk against
 // the other replicas, repairs a locally divergent copy in place from the
 // replica majority, and escalates copies that stay bad after a rewrite
 // (latent sticky bad regions) to the cluster manager, which quarantines the
@@ -21,10 +21,10 @@
 
 #include "astore/client.h"
 #include "astore/server.h"
+#include "astore/token_bucket.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
-#include "qos/token_bucket.h"
 #include "sim/env.h"
 
 namespace vedb::astore {
@@ -37,8 +37,8 @@ class Scrubber {
     /// Bytes compared per vote; also the repair write granularity.
     uint64_t chunk_bytes = 4 * kKiB;
     /// Sustained scrub read rate across ALL replicas' bytes (0 = unpaced).
-    /// Rides the qos token bucket, so the scrubber's background reads are
-    /// throttled exactly like any metered tenant.
+    /// A token bucket (astore/token_bucket.h) paces the reads to this rate,
+    /// so a pass cannot crowd out foreground traffic.
     uint64_t rate_bytes_per_sec = 8 * kMiB;
     uint64_t burst_bytes = 64 * kKiB;
     /// Gap between the two settledness reads of one chunk.
@@ -87,7 +87,7 @@ class Scrubber {
   AStoreClient* client_;
   AStoreServer* server_;
   Options options_;
-  qos::TokenBucket bucket_;
+  TokenBucket bucket_;
 
   // Lock order contracts (declared in the constructor): astore.scrub is
   // held only around the scrubber's own bookkeeping and always before

@@ -14,14 +14,11 @@ SegmentRing::SegmentRing(AStoreClient* client, Options options,
     : client_(client),
       options_(options),
       segments_(std::move(segments)),
-      slot_start_lsn_(segments_.size(), 0),
-      slot_last_lsn_(segments_.size(), 0),
-      slot_used_(segments_.size(), false) {
+      slot_start_lsn_(segments_.size(), 0) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   appends_ = reg.GetCounter("astore.ring.appends");
   append_ns_ = reg.GetHistogram("astore.ring.append_ns");
   replacements_ = reg.GetCounter("astore.ring.replacements");
-  trims_ = reg.GetCounter("astore.ring.trims");
 }
 
 std::string SegmentRing::EncodeHeader(SegmentStatus status,
@@ -84,8 +81,6 @@ Status SegmentRing::ReplaceSegmentSlot(size_t idx,
   if (segments_[idx] == broken) {
     segments_[idx] = std::move(fresh);
     slot_start_lsn_[idx] = 0;
-    slot_last_lsn_[idx] = 0;
-    slot_used_[idx] = false;
     replaced_++;
     replacements_->Add(1);
     if (idx == cur_idx_) {
@@ -107,9 +102,8 @@ Result<SegmentRing::Reservation> SegmentRing::Reserve(uint64_t lsn,
   }
   const size_t frame_size = payload_size + PackedFrame::kHeaderSize;
   // `>=`, not `>`: a frame that exactly fills the data area would wrap the
-  // ring on EVERY append — one segment per record defeats both coalescing
-  // and retention, and TrimBefore's replacement path re-stamps fresh
-  // headers without re-validating record sizes, so this boundary is the
+  // ring on EVERY append — one segment per record defeats coalescing and
+  // recycles the whole ring every few records — so this boundary is the
   // only gate.
   if (frame_size >= options_.segment_size - kHeaderSize) {
     return Status::InvalidArgument("record larger than a segment");
@@ -121,16 +115,10 @@ Result<SegmentRing::Reservation> SegmentRing::Reserve(uint64_t lsn,
   // shared state of the log write path; an unsynchronized reservation
   // would hand two records the same bytes.
   if (cur_offset_ + frame_size > options_.segment_size) {
-    // Advance the ring: freeze the current slot, recycle the next. Checked
-    // before any cursor mutation so a refused reservation leaves the ring
-    // exactly as it was.
-    const size_t next_idx = (cur_idx_ + 1) % segments_.size();
-    if (options_.forbid_overwrite && slot_used_[next_idx]) {
-      return Status::NoSpace("ring full; trim before appending");
-    }
+    // Advance the ring: freeze the current slot, recycle the next.
     r.to_mark_full = segments_[cur_idx_];
     r.full_start_lsn = slot_start_lsn_[cur_idx_];
-    cur_idx_ = next_idx;
+    cur_idx_ = (cur_idx_ + 1) % segments_.size();
     cur_offset_ = kHeaderSize;
     cur_initialized_ = false;
   }
@@ -138,8 +126,6 @@ Result<SegmentRing::Reservation> SegmentRing::Reserve(uint64_t lsn,
   r.seg = segments_[cur_idx_];
   r.offset = cur_offset_;
   cur_offset_ += frame_size;
-  slot_used_[cur_idx_] = true;
-  slot_last_lsn_[cur_idx_] = lsn;
   if (!cur_initialized_) {
     // "Sets its header to the start LSN of the current REDO log."
     r.init_header = true;
@@ -149,72 +135,11 @@ Result<SegmentRing::Reservation> SegmentRing::Reserve(uint64_t lsn,
   return r;
 }
 
-Result<int> SegmentRing::TrimBefore(uint64_t trim_lsn) {
-  // Snapshot the freeable slots under the lock, do the I/O outside it.
-  struct Victim {
-    size_t idx;
-    SegmentHandlePtr seg;
-  };
-  std::vector<Victim> victims;
-  {
-    vedb::MutexLock lk(&mu_);
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      if (i == cur_idx_) continue;  // the open slot is never trimmed
-      if (slot_used_[i] && slot_last_lsn_[i] < trim_lsn) {
-        victims.push_back(Victim{i, segments_[i]});
-      }
-    }
-  }
-  int freed = 0;
-  for (const Victim& v : victims) {
-    // Pre-create the replacement so the ring never shrinks, then free the
-    // old segment cluster-wide through the CM delete protocol.
-    VEDB_ASSIGN_OR_RETURN(
-        SegmentHandlePtr fresh,
-        client_->CreateSegment(options_.segment_size, options_.replication));
-    VEDB_RETURN_IF_ERROR(
-        client_->WriteAt(fresh, 0, EncodeHeader(SegmentStatus::kEmpty, 0)));
-    VEDB_RETURN_IF_ERROR(client_->Delete(v.seg));
-    bool swapped = false;
-    {
-      vedb::MutexLock lk(&mu_);
-      if (segments_[v.idx] == v.seg) {  // not concurrently replaced
-        segments_[v.idx] = fresh;
-        slot_start_lsn_[v.idx] = 0;
-        slot_last_lsn_[v.idx] = 0;
-        slot_used_[v.idx] = false;
-        trimmed_++;
-        trims_->Add(1);
-        freed++;
-        swapped = true;
-      }
-    }
-    if (!swapped) {
-      // discard-ok: the slot was concurrently replaced; drop the spare
-      // segment rather than leak it, tolerating a failed delete.
-      (void)client_->Delete(fresh);
-    }
-  }
-  return freed;
-}
-
 Result<SegmentRing::PendingCommitPtr> SegmentRing::SubmitReserved(
     const Reservation& reservation, uint64_t lsn, Slice payload) {
   VEDB_CHECK(
       reservation.frame_size == payload.size() + PackedFrame::kHeaderSize,
       "reservation size mismatch");
-  // QoS admission for the framed bytes, strictly before any astore lock
-  // (this is what the old WriteAt-based path charged per record; the
-  // batched path must not silently unmeter topic producers). The ticket
-  // rides inside the ring entry so in-flight accounting spans the async
-  // lifetime.
-  qos::Ticket ticket;
-  if (client_->options().admission != nullptr) {
-    VEDB_ASSIGN_OR_RETURN(
-        ticket, client_->options().admission->Admit(
-                    client_->options().tenant, reservation.frame_size));
-  }
-
   auto pending = std::make_unique<PendingCommit>();
   pending->reservation = reservation;
   pending->lsn = lsn;
@@ -238,8 +163,7 @@ Result<SegmentRing::PendingCommitPtr> SegmentRing::SubmitReserved(
       RecordPiece{reservation.offset + PackedFrame::kPayloadOffset, payload});
   VEDB_ASSIGN_OR_RETURN(
       pending->token,
-      client_->append_ring()->Submit(reservation.seg, std::move(pieces),
-                                     std::move(ticket)));
+      client_->append_ring()->Submit(reservation.seg, std::move(pieces)));
   return pending;
 }
 
@@ -320,8 +244,7 @@ struct ParsedFrames {
 };
 
 ParsedFrames ParseFrames(Slice buf, uint64_t from_lsn, uint64_t start_lsn,
-                         SegmentId seg_id, std::vector<LogRecord>* out,
-                         std::vector<SegmentRing::RecordLocation>* locs) {
+                         std::vector<LogRecord>* out) {
   ParsedFrames p;
   uint64_t prev_lsn = 0;
   uint64_t offset = SegmentRing::kHeaderSize;  // frame offset in the segment
@@ -341,10 +264,6 @@ ParsedFrames ParseFrames(Slice buf, uint64_t from_lsn, uint64_t start_lsn,
     if (lsn >= from_lsn && out != nullptr) {
       out->push_back(LogRecord{
           lsn, std::string(in.data() + PackedFrame::kPayloadOffset, len)});
-      if (locs != nullptr) {
-        locs->push_back(
-            SegmentRing::RecordLocation{lsn, seg_id, offset, len});
-      }
     }
     prev_lsn = lsn;
     p.next_lsn = lsn + 1;
@@ -361,8 +280,7 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
                                           const SegmentHandlePtr& seg,
                                           uint64_t from_lsn,
                                           uint64_t start_lsn,
-                                          std::vector<LogRecord>* out,
-                                          std::vector<RecordLocation>* locs) {
+                                          std::vector<LogRecord>* out) {
   const uint64_t data_size = seg->size() - kHeaderSize;
   const SegmentRoute route = seg->route();
   const size_t replicas = route.replicas.size();
@@ -372,8 +290,7 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
     std::string buf(data_size, '\0');
     VEDB_RETURN_IF_ERROR(
         client->Read(seg, kHeaderSize, data_size, buf.data()));
-    return ParseFrames(Slice(buf), from_lsn, start_lsn, seg->id(), out, locs)
-        .next_lsn;
+    return ParseFrames(Slice(buf), from_lsn, start_lsn, out).next_lsn;
   }
 
   // Cross-replica scan. Looking at ONE copy, a CRC mismatch mid-log is
@@ -394,8 +311,7 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
     if (!s.ok()) continue;  // dead node: recover from the copies we have
     have[i] = true;
     ok_count++;
-    parsed[i] = ParseFrames(Slice(bufs[i]), from_lsn, start_lsn, seg->id(),
-                            nullptr, nullptr);
+    parsed[i] = ParseFrames(Slice(bufs[i]), from_lsn, start_lsn, nullptr);
   }
   if (ok_count == 0) {
     // Every direct replica read failed (nodes down, route mid-rebuild):
@@ -403,8 +319,7 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
     std::string buf(data_size, '\0');
     VEDB_RETURN_IF_ERROR(
         client->Read(seg, kHeaderSize, data_size, buf.data()));
-    return ParseFrames(Slice(buf), from_lsn, start_lsn, seg->id(), out, locs)
-        .next_lsn;
+    return ParseFrames(Slice(buf), from_lsn, start_lsn, out).next_lsn;
   }
   size_t winner = 0;
   bool first = true;
@@ -414,8 +329,8 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
       first = false;
     }
   }
-  const ParsedFrames best = ParseFrames(Slice(bufs[winner]), from_lsn,
-                                        start_lsn, seg->id(), out, locs);
+  const ParsedFrames best =
+      ParseFrames(Slice(bufs[winner]), from_lsn, start_lsn, out);
   // Scan-repair: rewrite the winner's valid prefix over every copy whose
   // own prefix ended earlier (mid-log bit rot or a lost tail). Divergent
   // garbage beyond the winner's prefix is left alone — it is outside the
@@ -440,43 +355,26 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
 
 Result<SegmentRing::Recovered> SegmentRing::Recover(
     AStoreClient* client, const std::vector<SegmentId>& segment_ids,
-    uint64_t from_lsn, const Options& options) {
+    uint64_t from_lsn) {
   Recovered result;
   VEDB_ASSIGN_OR_RETURN(
       result.next_lsn,
-      RecoverEach(client, segment_ids, from_lsn, options,
-                  [&result](std::vector<LogRecord>* records,
-                            std::vector<RecordLocation>* locations) {
+      RecoverEach(client, segment_ids, from_lsn,
+                  [&result](std::vector<LogRecord>* records) {
                     std::move(records->begin(), records->end(),
                               std::back_inserter(result.records));
-                    result.locations.insert(result.locations.end(),
-                                            locations->begin(),
-                                            locations->end());
                     return Status::OK();
                   }));
-  // Keep records and their locations parallel while ordering by LSN.
-  std::vector<size_t> order(result.records.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return result.records[a].lsn < result.records[b].lsn;
-  });
-  std::vector<LogRecord> records;
-  std::vector<RecordLocation> locations;
-  records.reserve(order.size());
-  locations.reserve(order.size());
-  for (size_t i : order) {
-    records.push_back(std::move(result.records[i]));
-    locations.push_back(result.locations[i]);
-  }
-  result.records = std::move(records);
-  result.locations = std::move(locations);
+  std::sort(result.records.begin(), result.records.end(),
+            [](const LogRecord& a, const LogRecord& b) {
+              return a.lsn < b.lsn;
+            });
   return result;
 }
 
 Result<uint64_t> SegmentRing::RecoverEach(
     AStoreClient* client, const std::vector<SegmentId>& segment_ids,
-    uint64_t from_lsn, const Options& options, const SegmentVisitor& visit) {
-  (void)options;
+    uint64_t from_lsn, const SegmentVisitor& visit) {
   struct Opened {
     SegmentHandlePtr seg;
     SegmentStatus status = SegmentStatus::kEmpty;
@@ -594,12 +492,11 @@ Result<uint64_t> SegmentRing::RecoverEach(
   uint64_t next_lsn = 0;
   for (const Opened* o : ordered) {
     std::vector<LogRecord> records;
-    std::vector<RecordLocation> locations;
-    VEDB_ASSIGN_OR_RETURN(uint64_t seg_next,
-                          ScanSegment(client, o->seg, from_lsn, o->start_lsn,
-                                      &records, &locations));
+    VEDB_ASSIGN_OR_RETURN(
+        uint64_t seg_next,
+        ScanSegment(client, o->seg, from_lsn, o->start_lsn, &records));
     next_lsn = std::max(next_lsn, seg_next);
-    VEDB_RETURN_IF_ERROR(visit(&records, &locations));
+    VEDB_RETURN_IF_ERROR(visit(&records));
   }
   return next_lsn;
 }

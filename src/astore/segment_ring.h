@@ -48,12 +48,6 @@ class SegmentRing {
     int ring_size = 8;
     /// Replication factor for log segments (paper default: 3).
     int replication = 3;
-    /// When set, Reserve() refuses to recycle a slot that still holds
-    /// records (NoSpace) instead of silently overwriting the oldest lap.
-    /// Retention-managed logs (pub/sub topics) set this and free space
-    /// explicitly with TrimBefore(); the REDO log keeps the default
-    /// wrap-around behaviour (checkpointing makes old laps dead weight).
-    bool forbid_overwrite = false;
   };
 
   /// Header layout within each segment.
@@ -83,8 +77,7 @@ class SegmentRing {
   /// ring order matches LSN order. Zero-length and larger-than-a-segment
   /// payloads are rejected with InvalidArgument at this boundary (a
   /// zero-length frame is indistinguishable from the end-of-log sentinel
-  /// during the recovery scan); with `forbid_overwrite`, a wrap onto a
-  /// still-occupied slot returns NoSpace and leaves the cursor untouched.
+  /// during the recovery scan). A wrap recycles the oldest slot.
   Result<Reservation> Reserve(uint64_t lsn, size_t payload_size);
 
   /// In-flight state of one submitted record between SubmitReserved and
@@ -105,9 +98,8 @@ class SegmentRing {
   /// the pending object, payload never copied) and submits it to the
   /// client's doorbell coalescer: the segment's kInUse header (when this is
   /// the slot's first record), the frame header, and the payload become
-  /// chained WRs, in that crash-safe order. QoS admission for the frame
-  /// bytes happens here (before any astore lock). `payload` must stay
-  /// alive until WaitCommit returns.
+  /// chained WRs, in that crash-safe order. `payload` must stay alive
+  /// until WaitCommit returns.
   Result<PendingCommitPtr> SubmitReserved(const Reservation& reservation,
                                           uint64_t lsn, Slice payload);
 
@@ -128,31 +120,12 @@ class SegmentRing {
   /// Reserve + CommitReserved in one call (single-writer convenience).
   Status AppendRecord(uint64_t lsn, Slice payload);
 
-  /// Retention: frees every non-current slot whose records are ALL below
-  /// `trim_lsn` — the old segment is deleted cluster-wide through the CM
-  /// protocol (client Delete), and a fresh pre-created empty segment takes
-  /// its slot so the ring keeps its size. Returns the number of segments
-  /// freed. Callers persist their trim watermark BEFORE trimming so a
-  /// crash between the two only leaks retention, never records.
-  Result<int> TrimBefore(uint64_t trim_lsn);
-
-  /// Where one recovered record physically lives (for consumers that read
-  /// records in place instead of replaying them, e.g. topic partitions).
-  struct RecordLocation {
-    uint64_t lsn = 0;
-    SegmentId segment = 0;
-    uint64_t offset = 0;        // of the frame, not the payload
-    uint32_t payload_size = 0;
-  };
-
   /// Result of crash recovery over a ring.
   struct Recovered {
     /// LSN to resume from (one past the last durable record); 0 if empty.
     uint64_t next_lsn = 0;
     /// All durable records at or after the requested LSN, in order.
     std::vector<LogRecord> records;
-    /// Physical location of each record, parallel to `records`.
-    std::vector<RecordLocation> locations;
   };
 
   /// Recovers ring state from the segments owned by `client_id` in the CM:
@@ -162,19 +135,18 @@ class SegmentRing {
   /// Attach.
   static Result<Recovered> Recover(AStoreClient* client,
                                    const std::vector<SegmentId>& segment_ids,
-                                   uint64_t from_lsn, const Options& options);
+                                   uint64_t from_lsn);
 
   /// Recover, one segment at a time, for callers that need not hold the
   /// whole log: calls `visit` once per used segment, in start-LSN order,
-  /// with that segment's records at or after `from_lsn` (ascending) and
-  /// their locations, and releases them after the call. Returns the LSN to
-  /// resume from (0 if the log is empty). Reads exactly what Recover reads.
-  using SegmentVisitor =
-      std::function<Status(std::vector<LogRecord>* records,
-                           std::vector<RecordLocation>* locations)>;
-  static Result<uint64_t> RecoverEach(
-      AStoreClient* client, const std::vector<SegmentId>& segment_ids,
-      uint64_t from_lsn, const Options& options, const SegmentVisitor& visit);
+  /// with that segment's records at or after `from_lsn` (ascending), and
+  /// releases them after the call. Returns the LSN to resume from (0 if the
+  /// log is empty). Reads exactly what Recover reads.
+  using SegmentVisitor = std::function<Status(std::vector<LogRecord>* records)>;
+  static Result<uint64_t> RecoverEach(AStoreClient* client,
+                                      const std::vector<SegmentId>& segment_ids,
+                                      uint64_t from_lsn,
+                                      const SegmentVisitor& visit);
 
   /// Segment ids currently in the ring, ring order.
   std::vector<SegmentId> segment_ids() const;
@@ -185,12 +157,6 @@ class SegmentRing {
     return replaced_;
   }
 
-  /// Number of segments freed by TrimBefore() so far.
-  uint64_t trimmed_count() const {
-    vedb::MutexLock lk(&mu_);
-    return trimmed_;
-  }
-
  private:
   SegmentRing(AStoreClient* client, Options options,
               std::vector<SegmentHandlePtr> segments);
@@ -199,14 +165,12 @@ class SegmentRing {
   static bool DecodeHeader(Slice in, SegmentStatus* status,
                            uint64_t* start_lsn);
 
-  /// Scans one segment's records, appending those with lsn >= from_lsn
-  /// (and their physical locations when `locs` is non-null).
+  /// Scans one segment's records, appending those with lsn >= from_lsn.
   /// Returns the LSN one past the last valid record (0 if none).
   static Result<uint64_t> ScanSegment(AStoreClient* client,
                                       const SegmentHandlePtr& seg,
                                       uint64_t from_lsn, uint64_t start_lsn,
-                                      std::vector<LogRecord>* out,
-                                      std::vector<RecordLocation>* locs);
+                                      std::vector<LogRecord>* out);
 
   Status ReplaceSegmentSlot(size_t idx, const SegmentHandlePtr& broken);
 
@@ -216,22 +180,16 @@ class SegmentRing {
   mutable vedb::Mutex mu_{"astore.ring"};
   std::vector<SegmentHandlePtr> segments_ GUARDED_BY(mu_);
   std::vector<uint64_t> slot_start_lsn_ GUARDED_BY(mu_);
-  // Highest LSN reserved into each slot; with slot_used_ this is what
-  // TrimBefore and the forbid_overwrite check reason about.
-  std::vector<uint64_t> slot_last_lsn_ GUARDED_BY(mu_);
-  std::vector<bool> slot_used_ GUARDED_BY(mu_);
   size_t cur_idx_ GUARDED_BY(mu_) = 0;
   uint64_t cur_offset_ GUARDED_BY(mu_) = kHeaderSize;
   // Header written for current segment.
   bool cur_initialized_ GUARDED_BY(mu_) = false;
   uint64_t replaced_ GUARDED_BY(mu_) = 0;
-  uint64_t trimmed_ GUARDED_BY(mu_) = 0;
 
   // Observability (resolved once at construction; see obs/metrics.h).
   obs::Counter* appends_ = nullptr;
   obs::HistogramMetric* append_ns_ = nullptr;
   obs::Counter* replacements_ = nullptr;
-  obs::Counter* trims_ = nullptr;
 };
 
 }  // namespace vedb::astore

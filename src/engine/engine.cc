@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/crc32.h"
 #include "common/logging.h"
 
 namespace vedb::engine {
@@ -443,6 +444,25 @@ void DBEngine::Shutdown() {
 DBEngine::Stats DBEngine::stats() const {
   vedb::MutexLock lk(&stats_mu_);
   return stats_;
+}
+
+Result<uint32_t> DBEngine::StateDigest() {
+  std::vector<Table*> tables;
+  {
+    vedb::MutexLock lk(&catalog_mu_);
+    for (const auto& [name, table] : tables_) tables.push_back(table.get());
+  }
+  uint32_t crc = 0;
+  std::string bytes;
+  for (Table* table : tables) {
+    VEDB_RETURN_IF_ERROR(table->ScanAll([&](const Row& row) {
+      bytes.clear();
+      EncodeRow(row, &bytes);
+      crc = Crc32c(crc, bytes.data(), bytes.size());
+      return true;
+    }));
+  }
+  return crc;
 }
 
 Status DBEngine::Recover(const std::vector<astore::LogRecord>& tail_records) {

@@ -266,6 +266,11 @@ class DBEngine {
   };
   Stats stats() const;
 
+  /// CRC32C over every committed row's EncodeRow bytes, tables in name
+  /// order and each table's rows in PK order: two engines with the same
+  /// committed contents have the same digest, whatever path they took.
+  Result<uint32_t> StateDigest();
+
   /// Point-read of a committed row by rid (used by Table and query exec).
   Result<Row> ReadRowAt(SpaceId space, const Rid& rid);
 

@@ -230,14 +230,12 @@ namespace {
 // of any record (1 for an empty log).
 Result<uint64_t> UnpackRing(astore::AStoreClient* client,
                             const std::vector<astore::SegmentId>& segments,
-                            const astore::SegmentRing::Options& options,
                             uint64_t from_lsn,
                             std::vector<astore::LogRecord>* out) {
   // Ring records are batch frames keyed by their first LSN, so a frame
   // below `from_lsn` may still hold records at or above it.
   uint64_t next_lsn = 1;
-  auto unpack = [&](std::vector<astore::LogRecord>* frames,
-                    std::vector<astore::SegmentRing::RecordLocation>*) {
+  auto unpack = [&](std::vector<astore::LogRecord>* frames) {
     for (astore::LogRecord& frame : *frames) {
       std::vector<astore::LogRecord> batch;
       if (!DecodeBatchPayload(Slice(frame.payload), frame.lsn, &batch)) {
@@ -252,8 +250,7 @@ Result<uint64_t> UnpackRing(astore::AStoreClient* client,
     return Status::OK();
   };
   VEDB_RETURN_IF_ERROR(
-      astore::SegmentRing::RecoverEach(client, segments, 0, options, unpack)
-          .status());
+      astore::SegmentRing::RecoverEach(client, segments, 0, unpack).status());
   return next_lsn;
 }
 
@@ -266,7 +263,7 @@ Result<std::unique_ptr<AStoreLogStore>> AStoreLogStore::Recover(
   std::vector<astore::LogRecord> discarded;
   VEDB_ASSIGN_OR_RETURN(
       uint64_t next_lsn,
-      UnpackRing(client, segments, options.ring, from_lsn,
+      UnpackRing(client, segments, from_lsn,
                  recovered_out != nullptr ? recovered_out : &discarded));
 
   // Resume on a fresh ring (the old segments stay readable until deleted;
@@ -287,16 +284,15 @@ Status AStoreLogStore::Flush(uint64_t first_lsn,
   // reserve/commit/replaced-segment dance — which now rides the client's
   // doorbell coalescer (SubmitReserved/WaitCommit): while this leader
   // parks on its completion token, independent producers on the same
-  // client (topics, other rings) join the same doorbell.
+  // client (other rings, AppendAsync callers) join the same doorbell.
   return ring_->AppendRecord(first_lsn, Slice(body));
 }
 
 Result<std::vector<astore::LogRecord>> AStoreLogStore::ReadFrom(
     uint64_t from_lsn) {
   std::vector<astore::LogRecord> records;
-  VEDB_RETURN_IF_ERROR(UnpackRing(client_, ring_->segment_ids(),
-                                  options_.ring, from_lsn, &records)
-                           .status());
+  VEDB_RETURN_IF_ERROR(
+      UnpackRing(client_, ring_->segment_ids(), from_lsn, &records).status());
   return records;
 }
 

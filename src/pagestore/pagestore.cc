@@ -190,22 +190,25 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
     max_lsn = std::max(max_lsn, rec->lsn);
   }
 
-  // Adopt each page's target version if the shard holds it and this
-  // replica's image is an earlier version of the same chain; otherwise
-  // make the image writable, copying it only if it is shared.
+  // A page whose image already stands at or past the run's last record on
+  // it (an install stamped after those records) keeps its image. Otherwise
+  // adopt the page's target version if the shard holds it, or make the
+  // image writable, copying it only if it is shared.
   uint64_t adopted = 0;
+  uint64_t built = 0;
   {
     vedb::MutexLock lk(&shard->versions_mu);
     for (ShardReplica::RunPage& p : run) {
       p.page->run = kNotInRun;
       ImageRef& mine = p.page->image;
-      const bool on_chain = mine == nullptr || mine->seq < p.first;
+      if (mine != nullptr && mine->seq >= p.target) continue;
       auto version = shard->versions.find(p.target);
-      if (on_chain && version != shard->versions.end()) {
+      if (version != shard->versions.end()) {
         mine = version->second;
         adopted++;
         continue;
       }
+      built++;
       if (mine == nullptr) {
         mine = NewImage(PageImage());
       } else if (mine.use_count() > 1) {
@@ -216,16 +219,17 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
     }
   }
 
-  // Apply the run's records to the pages being built, in chain order.
+  // Apply the run's records to the pages being built, in chain order. An
+  // install replaces its page as of its stamped seq, so a record at or
+  // below the image's seq (one shipped before the install) is skipped on
+  // every replica alike.
   for (uint64_t seq = first; seq <= last; ++seq) {
     PageImage* img = run[run_of[seq - first]].build;
-    if (img == nullptr) continue;
+    if (img == nullptr || seq <= img->seq) continue;
     const StoredRecord* rec = FindLocked(rep, seq);
     apply_(rec->page_key, Slice(rec->payload), rec->lsn, &img->bytes);
     if (rec->lsn > img->lsn) img->lsn = rec->lsn;
-    // A record at or below the image's seq (one shipped before an install)
-    // takes the image off the chain for good.
-    img->seq = img->seq < seq ? seq : kOffChain;
+    img->seq = seq;
   }
 
   // Publish the built versions, then drop those no replica within the lag
@@ -242,7 +246,7 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
       if (p.build == nullptr) continue;
       grown += static_cast<int64_t>(p.build->bytes.size()) -
                static_cast<int64_t>(p.size_before);
-      if (p.build->seq == kOffChain || p.target <= floor) continue;
+      if (p.target <= floor) continue;
       shard->versions.emplace(p.target, p.page->image);
     }
     shard->versions.erase(shard->versions.begin(),
@@ -251,7 +255,6 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
   if (grown != 0) AddImageBytes(grown);
 
   const uint64_t applied = last - first + 1;
-  const uint64_t built = run.size() - adopted;
   rep->applied_seq = last;
   rep->applied_lsn = max_lsn;
   applied_records_.fetch_add(applied);
@@ -582,9 +585,9 @@ sim::SimNode* PageStoreCluster::LocalNodeFor(PageKey key) const {
 Status PageStoreCluster::InstallPageDirect(PageKey key, uint64_t lsn,
                                            Slice image) {
   Shard* shard = shards_[ShardOf(key)].get();
-  // The image stands at the chain's head: a record stamped or received
-  // before the install that a replica has yet to apply takes its copy off
-  // the chain.
+  // The image replaces the page as of the chain's head: every replica
+  // skips a record stamped or received before the install, whether it
+  // applied the record before the install or applies it after.
   uint64_t head;
   {
     vedb::MutexLock lk(&shard->ship_mu);

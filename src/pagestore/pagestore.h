@@ -110,7 +110,9 @@ class PageStoreCluster {
                   uint64_t* image_lsn);
 
   /// Directly installs a page image on every replica (bulk load path, e.g.
-  /// physical import of benchmark datasets). Bypasses REDO.
+  /// physical import of benchmark datasets). Bypasses REDO. The image
+  /// replaces the page as of the shard's chain head, so no replica applies
+  /// a record shipped before the install to it.
   Status InstallPageDirect(PageKey key, uint64_t lsn, Slice image);
 
   /// Largest LSN L such that every shard has quorum-acked all its records
@@ -167,14 +169,13 @@ class PageStoreCluster {
   /// first.
   struct PageImage {
     uint64_t lsn = 0;
-    /// Chain seq of the last record applied (an install's chain head), or
-    /// kOffChain once a record the chain had already passed was applied
-    /// here: such an image is no version of the chain and is never shared.
+    /// Chain seq of the last record applied, or an install's chain head:
+    /// the image is the page as of that seq, and records at or below it
+    /// are never applied to it.
     uint64_t seq = 0;
     std::string bytes;
   };
   using ImageRef = std::shared_ptr<PageImage>;
-  static constexpr uint64_t kOffChain = UINT64_MAX;
   static constexpr uint32_t kNotInRun = UINT32_MAX;
   /// A fresh unshared buffer; the pagestore.image_bytes gauge counts it
   /// until its last reference drops.

@@ -73,7 +73,7 @@ Result<AppendStormResult> RunAppendStorm(sim::SimEnvironment* env,
             vedb::MutexLock lk(&mu);
             if (s.ok()) {
               ++result.appended;
-              result.locations.push_back(astore::SegmentRing::RecordLocation{
+              result.locations.push_back(RecordLocation{
                   lsn, reservation.seg->id(), reservation.offset,
                   static_cast<uint32_t>(options.payload_bytes)});
               done = true;
@@ -91,8 +91,7 @@ Result<AppendStormResult> RunAppendStorm(sim::SimEnvironment* env,
   }
 
   std::sort(result.locations.begin(), result.locations.end(),
-            [](const astore::SegmentRing::RecordLocation& a,
-               const astore::SegmentRing::RecordLocation& b) {
+            [](const RecordLocation& a, const RecordLocation& b) {
               return a.lsn < b.lsn;
             });
   return result;

@@ -32,13 +32,21 @@ struct AppendStormOptions {
   Duration think_time = 0;
 };
 
+/// Where one appended record physically lives.
+struct RecordLocation {
+  uint64_t lsn = 0;
+  astore::SegmentId segment = 0;
+  uint64_t offset = 0;  // of the frame, not the payload
+  uint32_t payload_size = 0;
+};
+
 struct AppendStormResult {
   uint64_t appended = 0;
   uint64_t errors = 0;
   /// Appends that had to re-reserve after a segment replacement.
   uint64_t busy_retries = 0;
   /// Where every successful record landed, sorted by LSN.
-  std::vector<astore::SegmentRing::RecordLocation> locations;
+  std::vector<RecordLocation> locations;
 };
 
 /// Runs the storm to completion in virtual time (the storm spawns its own

@@ -75,7 +75,7 @@ struct MiniCluster {
 
 struct StormRun {
   std::string metrics_json;
-  std::vector<SegmentRing::RecordLocation> locations;
+  std::vector<workload::RecordLocation> locations;
   uint64_t appended = 0;
   uint64_t errors = 0;
   uint64_t doorbells = 0;
@@ -203,7 +203,7 @@ TEST(AppendRingTest, TornDoorbellRecoversExactlyTheCrcValidPrefix) {
   // header AND payload applied before the crash, so it is CRC-valid and
   // recovered; record 5's header never hit PMem, ending the scan there.
   auto recovered = SegmentRing::Recover(c.client.get(), c.cm->ListSegments(1),
-                                        /*from_lsn=*/1, ropts);
+                                        /*from_lsn=*/1);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ASSERT_EQ(recovered->records.size(), 4u);
   EXPECT_EQ(recovered->records[3].lsn, 4u);
@@ -259,7 +259,7 @@ TEST(AppendRingTest, FullStampFailureAfterDurableRecordLosesNothing) {
   // Recovery treats kInUse and kFull identically, so all four records
   // survive the lingering stamp.
   auto recovered = SegmentRing::Recover(c.client.get(), c.cm->ListSegments(1),
-                                        /*from_lsn=*/1, ropts);
+                                        /*from_lsn=*/1);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ASSERT_EQ(recovered->records.size(), 4u);
   EXPECT_EQ(recovered->records[3].lsn, 4u);

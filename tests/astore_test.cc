@@ -642,7 +642,7 @@ TEST_F(SegmentRingTest, AppendAndRecoverRecords) {
 
   // Crash the DBEngine: recover from the CM's segment list alone.
   auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
-                                        /*from_lsn=*/1, RingOptions());
+                                        /*from_lsn=*/1);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->next_lsn, 51u);
   ASSERT_EQ(recovered->records.size(), 50u);
@@ -657,7 +657,7 @@ TEST_F(SegmentRingTest, RecoverFromLsnSkipsOlderRecords) {
     ASSERT_TRUE(ring.value()->AppendRecord(lsn, Slice("p")).ok());
   }
   auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
-                                        /*from_lsn=*/21, RingOptions());
+                                        /*from_lsn=*/21);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->records.size(), 10u);
   EXPECT_EQ(recovered->records.front().lsn, 21u);
@@ -671,7 +671,7 @@ TEST_F(SegmentRingTest, RecordsSurvivePowerFailure) {
   }
   for (auto& server : servers_) server->pmem()->Crash();
   auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
-                                        1, RingOptions());
+                                        1);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->records.size(), 10u);
 }
@@ -688,7 +688,7 @@ TEST_F(SegmentRingTest, RingWrapsAndRecoversLatestLap) {
     ASSERT_TRUE(ring.value()->AppendRecord(lsn, Slice(payload)).ok());
   }
   auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
-                                        /*from_lsn=*/395, opts);
+                                        /*from_lsn=*/395);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->next_lsn, 401u);
   ASSERT_FALSE(recovered->records.empty());
@@ -730,7 +730,7 @@ TEST_F(SegmentRingTest, ZeroLengthAndOversizedAppendsAreRejected) {
   // Neither rejection consumed ring state: LSN 1 still lands normally.
   ASSERT_TRUE(ring.value()->AppendRecord(1, Slice("ok")).ok());
   auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
-                                        1, RingOptions());
+                                        1);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->next_lsn, 2u);
   ASSERT_EQ(recovered->records.size(), 1u);
@@ -754,48 +754,17 @@ TEST_F(SegmentRingTest, ExactFitReserveIsRejectedAtTheBoundary) {
   const std::string payload(exact_fit - 1, 'm');
   ASSERT_TRUE(ring.value()->CommitReserved(r.value(), 1, Slice(payload)).ok());
   auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
-                                        1, RingOptions());
+                                        1);
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(recovered->records.size(), 1u);
   EXPECT_EQ(recovered->records[0].payload.size(), exact_fit - 1);
-}
-
-TEST_F(SegmentRingTest, ForbidOverwriteReturnsNoSpaceUntilTrimmed) {
-  SegmentRing::Options opts = RingOptions();
-  opts.segment_size = 8 * kKiB;
-  opts.forbid_overwrite = true;
-  auto ring = SegmentRing::Create(client_.get(), opts);
-  ASSERT_TRUE(ring.ok());
-
-  // ~3 records of 2 KiB per 8 KiB segment, 4 segments: the 13th append
-  // would wrap onto slot 0, which still holds records.
-  const std::string payload(2 * kKiB, 'p');
-  uint64_t lsn = 1;
-  Status s = Status::OK();
-  while (s.ok()) {
-    s = ring.value()->AppendRecord(lsn, Slice(payload));
-    if (s.ok()) lsn++;
-  }
-  ASSERT_TRUE(s.IsNoSpace()) << s.ToString();
-  const uint64_t stalled_at = lsn;
-
-  // A refused append leaves the cursor untouched: the same LSN succeeds
-  // after TrimBefore frees the oldest segment through the CM protocol.
-  auto freed = ring.value()->TrimBefore(4);  // slot 0 held LSNs 1..3
-  ASSERT_TRUE(freed.ok()) << freed.status().ToString();
-  EXPECT_EQ(freed.value(), 1);
-  EXPECT_EQ(ring.value()->trimmed_count(), 1u);
-  ASSERT_TRUE(ring.value()->AppendRecord(stalled_at, Slice(payload)).ok());
-
-  // The replacement segment keeps the ring at full size.
-  EXPECT_EQ(ring.value()->segment_ids().size(), 4u);
 }
 
 TEST_F(SegmentRingTest, EmptyRingRecoversToZero) {
   auto ring = SegmentRing::Create(client_.get(), RingOptions());
   ASSERT_TRUE(ring.ok());
   auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
-                                        1, RingOptions());
+                                        1);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->next_lsn, 0u);
   EXPECT_TRUE(recovered->records.empty());

@@ -335,9 +335,10 @@ TEST_F(PageStoreTest, ApplySkipsTruncatedSequenceNumbers) {
 }
 
 // Replicas share page versions. A seeded run of raw ships with per-replica
-// drops, gossip catch-up, truncation and a replica down for a stretch;
-// every read, from every replica, must return exactly the install image
-// with that replica's applied chain prefix applied through the ApplyFn.
+// drops, gossip catch-up, truncation, installs placed mid-run and a replica
+// down for a stretch; every read, from every replica, must return exactly
+// the page's last install image with the records of that replica's applied
+// chain prefix stamped after the install applied through the ApplyFn.
 void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
   constexpr int kShards = 4;
   constexpr size_t kPagesPerShard = 6;
@@ -348,6 +349,7 @@ void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
       std::string image;
       uint64_t lsn = 0;
       bool exists = false;
+      uint64_t seq = 0;  // the chain head the install replaced the page at
     };
     std::vector<std::vector<PageKey>> keys(kShards);
     std::map<PageKey, Base> base;
@@ -372,6 +374,7 @@ void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
     int down = -1;  // node down for a stretch
     int down_until = 0;
     int reads = 0;
+    int installs = 0;
     for (int step = 0; step < 600; ++step) {
       if (down >= 0 && step >= down_until) {
         nodes_[down]->SetAlive(true);
@@ -403,7 +406,7 @@ void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
           for (int r = 0; r < 3 && !landed; ++r) landed = ShipTo(s, r, batch);
         }
         ASSERT_TRUE(landed);
-      } else if (action < 95) {
+      } else if (action < 93) {
         // Read one page from one replica, sometimes demanding the shard's
         // newest LSN so a lagging replica gossips first.
         const int r = static_cast<int>(rng.Uniform(3));
@@ -425,7 +428,7 @@ void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
           *want = b.image;
           *lsn = b.lsn;
           bool exists = b.exists;
-          for (uint64_t seq = 1; seq <= prefix; ++seq) {
+          for (uint64_t seq = b.seq + 1; seq <= prefix; ++seq) {
             const Chained& c = chain[s][seq - 1];
             if (c.key != k) continue;
             AppendApply(k, Slice(c.payload), c.lsn, want);
@@ -462,6 +465,17 @@ void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
                                  << " shard " << s << " replica " << r
                                  << " page " << k;
         }
+      } else if (action < 96) {
+        // Install a page mid-run: it replaces the page as of the shard's
+        // chain head, which some replicas have applied and others not.
+        const PageKey key = keys[s][rng.Uniform(kPagesPerShard)];
+        Base& b = base[key];
+        b.image = "j" + std::to_string(step) + ":";
+        b.lsn = lsn++;
+        b.exists = true;
+        b.seq = chain[s].size();
+        ASSERT_TRUE(store_->InstallPageDirect(key, b.lsn, Slice(b.image)).ok());
+        installs++;
       } else {
         // Truncate below what every replica of every shard has received,
         // so a replica that is behind can still catch up from its peers.
@@ -478,6 +492,7 @@ void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
     }
     if (down >= 0) nodes_[down]->SetAlive(true);
     EXPECT_GT(reads, 200);
+    EXPECT_GT(installs, 5);
     EXPECT_LE(store_->VersionCount(0), PageStoreCluster::kMaxVersionLag);
   }
 }
@@ -529,25 +544,30 @@ TEST_F(PageStoreTest, LockstepReplicasShareOneBufferPerPage) {
             static_cast<int64_t>(std::string("A:xzxzxzxzxz").size() + 5));
 }
 
-// A replica that applies a record shipped before an install ends up with
-// its own copy (the install image plus that record, as it always has), and
-// must neither publish nor adopt versions of that page afterwards.
-TEST_F(PageStoreTest, ReplicaThatAppliedAcrossAnInstallKeepsItsOwnCopy) {
+// An install replaces its page as of the chain head it is stamped with. A
+// record shipped before the install is skipped by every replica, both the
+// one that applied it before the install and the one that applies it
+// after, so the replicas serve the same bytes and share one buffer.
+TEST_F(PageStoreTest, ReplicasConvergeAndShareAcrossAMidRunInstall) {
   const int shard = 2;
   const PageKey key = KeyInShard(shard);
-  ShipRaw(shard, 0, key, {{1, 1, "a"}});
-  ShipRaw(shard, 1, key, {{1, 1, "a"}});
+  auto ship_all = [&](uint64_t seq, uint64_t lsn, const std::string& p) {
+    for (int r = 0; r < 3; ++r) ShipRaw(shard, r, key, {{seq, lsn, p}});
+  };
+  auto expect_all = [&](const std::string& want) {
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(LocalImage(shard, r, key), want) << "replica " << r;
+    }
+    EXPECT_EQ(store_->DistinctImages(shard), 1u) << want;
+  };
+  ship_all(1, 1, "a");
   EXPECT_EQ(LocalImage(shard, 1, key), "a");  // replica 1 applies first
   ASSERT_TRUE(store_->InstallPageDirect(key, 5, Slice("I")).ok());
-  EXPECT_EQ(LocalImage(shard, 0, key), "Ia");  // applied on the install
-  ShipRaw(shard, 0, key, {{2, 6, "b"}});
-  ShipRaw(shard, 1, key, {{2, 6, "b"}});
-  EXPECT_EQ(LocalImage(shard, 1, key), "Ib");  // publishes seq 2
-  EXPECT_EQ(LocalImage(shard, 0, key), "Iab");  // must not adopt it
-  ShipRaw(shard, 0, key, {{3, 7, "c"}});
-  ShipRaw(shard, 1, key, {{3, 7, "c"}});
-  EXPECT_EQ(LocalImage(shard, 0, key), "Iabc");  // off the chain: no publish
-  EXPECT_EQ(LocalImage(shard, 1, key), "Ibc");   // must not adopt it either
+  expect_all("I");  // replicas 0 and 2 apply "a" after the install
+  ship_all(2, 6, "b");
+  expect_all("Ib");  // replica 0 publishes seq 2, the others adopt it
+  ship_all(3, 7, "c");
+  expect_all("Ibc");
 }
 
 // A dead replica never passes any version: the table stays within the lag
