@@ -299,49 +299,47 @@ Result<uint64_t> SegmentRing::ScanSegment(AStoreClient* client,
   // disambiguates — the longest valid frame prefix wins (a frame durable
   // on any replica was flushed there before its ack, so adopting it can
   // only extend the log with genuinely persisted records) — and copies
-  // whose prefix ends earlier are repaired from the winner.
-  std::vector<std::string> bufs(replicas);
+  // whose prefix ends earlier are repaired from the winner. Each copy is
+  // parsed as it lands and only the best so far is kept, so at most two
+  // copies are in memory at once.
+  std::string best_buf;
+  std::string buf;
   std::vector<bool> have(replicas, false);
-  std::vector<ParsedFrames> parsed(replicas);
-  size_t ok_count = 0;
+  std::vector<uint64_t> valid_end(replicas, kHeaderSize);
+  size_t winner = 0;
+  bool found = false;
   for (size_t i = 0; i < replicas; ++i) {
-    bufs[i].assign(data_size, '\0');
-    Status s =
-        client->ReadReplica(seg, i, kHeaderSize, data_size, bufs[i].data());
+    buf.assign(data_size, '\0');
+    Status s = client->ReadReplica(seg, i, kHeaderSize, data_size, buf.data());
     if (!s.ok()) continue;  // dead node: recover from the copies we have
     have[i] = true;
-    ok_count++;
-    parsed[i] = ParseFrames(Slice(bufs[i]), from_lsn, start_lsn, nullptr);
+    valid_end[i] =
+        ParseFrames(Slice(buf), from_lsn, start_lsn, nullptr).valid_end;
+    // The first longest valid prefix wins.
+    if (!found || valid_end[i] > valid_end[winner]) {
+      winner = i;
+      found = true;
+      best_buf.swap(buf);
+    }
   }
-  if (ok_count == 0) {
+  if (!found) {
     // Every direct replica read failed (nodes down, route mid-rebuild):
     // fall back to the failover+retry read path.
-    std::string buf(data_size, '\0');
+    buf.assign(data_size, '\0');
     VEDB_RETURN_IF_ERROR(
         client->Read(seg, kHeaderSize, data_size, buf.data()));
     return ParseFrames(Slice(buf), from_lsn, start_lsn, out).next_lsn;
   }
-  size_t winner = 0;
-  bool first = true;
-  for (size_t i = 0; i < replicas; ++i) {
-    if (have[i] && (first || parsed[i].valid_end > parsed[winner].valid_end)) {
-      winner = i;
-      first = false;
-    }
-  }
   const ParsedFrames best =
-      ParseFrames(Slice(bufs[winner]), from_lsn, start_lsn, out);
+      ParseFrames(Slice(best_buf), from_lsn, start_lsn, out);
   // Scan-repair: rewrite the winner's valid prefix over every copy whose
   // own prefix ended earlier (mid-log bit rot or a lost tail). Divergent
   // garbage beyond the winner's prefix is left alone — it is outside the
   // durable log on every copy.
   for (size_t i = 0; i < replicas; ++i) {
-    if (!have[i] || i == winner || parsed[i].valid_end >= best.valid_end) {
-      continue;
-    }
-    const uint64_t lo = parsed[i].valid_end;
-    Slice patch(bufs[winner].data() + (lo - kHeaderSize),
-                best.valid_end - lo);
+    if (!have[i] || i == winner || valid_end[i] >= best.valid_end) continue;
+    const uint64_t lo = valid_end[i];
+    Slice patch(best_buf.data() + (lo - kHeaderSize), best.valid_end - lo);
     Status rs = client->WriteReplica(seg, i, lo, patch, route.epoch);
     if (rs.ok()) {
       obs::MetricsRegistry::Default()

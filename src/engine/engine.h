@@ -96,7 +96,8 @@ class Table {
   const Schema& schema() const { return schema_; }
 
   /// Adds a secondary index over `columns` (by position). Call before any
-  /// data is loaded.
+  /// data is loaded. Declaring an existing index again with the same
+  /// columns keeps it and its entries; with other columns it aborts.
   void CreateIndex(const std::string& index_name, std::vector<int> columns);
 
   // ---- DML (page effects deferred to commit) ----

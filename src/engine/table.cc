@@ -17,9 +17,16 @@ Table::Table(DBEngine* engine, std::string name, SpaceId space, Schema schema)
 void Table::CreateIndex(const std::string& index_name,
                         std::vector<int> columns) {
   vedb::MutexLock lk(&mu_);
-  SecIndex& idx = sec_indexes_[index_name];
-  idx.columns = std::move(columns);
-  idx.entries.Clear();
+  auto [it, created] = sec_indexes_.try_emplace(index_name);
+  if (!created) {
+    // Re-declaring the catalog (a second TpccDatabase on a loaded engine)
+    // keeps the index and its entries.
+    VEDB_CHECK(it->second.columns == columns,
+               "table %s: index %s re-declared with different columns",
+               name_.c_str(), index_name.c_str());
+    return;
+  }
+  it->second.columns = std::move(columns);
   // Backfill from existing committed rows is the caller's job (CreateIndex
   // before load, or RebuildIndexes after recovery).
 }

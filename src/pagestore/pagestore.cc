@@ -10,24 +10,42 @@ namespace vedb::pagestore {
 
 namespace {
 
-// Tracks the bytes of every live page buffer in the process, each counted
-// once however many replicas and versions share it, in the
-// pagestore.image_bytes gauge.
-void AddImageBytes(int64_t delta) {
-  static std::atomic<int64_t> resident{0};
-  static obs::Gauge* const gauge =
-      obs::MetricsRegistry::Default().GetGauge("pagestore.image_bytes");
-  gauge->Set(resident.fetch_add(delta) + delta);
+// The bytes of every live page buffer in the process, each counted once
+// however many replicas and versions share it (pagestore.image_bytes), and
+// of every shard's REDO chain, each record counted once however many
+// replicas hold it (pagestore.chain_bytes).
+std::atomic<int64_t> resident_image_bytes{0};
+std::atomic<int64_t> resident_chain_bytes{0};
+
+void AddResident(std::atomic<int64_t>* resident, obs::Gauge* gauge,
+                 int64_t delta) {
+  gauge->Set(resident->fetch_add(delta) + delta);
 }
 
 }  // namespace
 
+void PageStoreCluster::AddImageBytes(int64_t delta) {
+  // Registered with the first image, so a run that builds no page does not
+  // report the gauge.
+  if (image_bytes_ == nullptr) {
+    image_bytes_ =
+        obs::MetricsRegistry::Default().GetGauge("pagestore.image_bytes");
+  }
+  AddResident(&resident_image_bytes, image_bytes_, delta);
+}
+
+void PageStoreCluster::AddChainBytes(int64_t delta) {
+  AddResident(&resident_chain_bytes, chain_bytes_, delta);
+}
+
 PageStoreCluster::ImageRef PageStoreCluster::NewImage(PageImage image) {
   AddImageBytes(static_cast<int64_t>(image.bytes.size()));
-  return ImageRef(new PageImage(std::move(image)), [](PageImage* img) {
-    AddImageBytes(-static_cast<int64_t>(img->bytes.size()));
-    delete img;
-  });
+  return ImageRef(new PageImage(std::move(image)),
+                  [gauge = image_bytes_](PageImage* img) {
+                    AddResident(&resident_image_bytes, gauge,
+                                -static_cast<int64_t>(img->bytes.size()));
+                    delete img;
+                  });
 }
 
 PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
@@ -48,6 +66,7 @@ PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
   read_ns_ = reg.GetHistogram("pagestore.read_ns");
   versions_built_ = reg.GetCounter("pagestore.versions_built");
   versions_adopted_ = reg.GetCounter("pagestore.versions_adopted");
+  chain_bytes_ = reg.GetGauge("pagestore.chain_bytes");
   VEDB_CHECK(static_cast<int>(nodes_.size()) >= options_.replication,
              "need at least replication-many PageStore nodes");
   VEDB_CHECK(options_.write_quorum <= options_.replication, "quorum too big");
@@ -96,6 +115,19 @@ PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
   }
 }
 
+PageStoreCluster::~PageStoreCluster() {
+  int64_t bytes = 0;
+  for (const auto& shard : shards_) {
+    vedb::MutexLock lk(&shard->chain_mu);
+    for (const auto& [index, chunk] : shard->chain) {
+      for (const ChainRecord& rec : chunk->records) {
+        if (rec.holders > 0) bytes += static_cast<int64_t>(rec.payload.size());
+      }
+    }
+  }
+  if (bytes != 0) AddChainBytes(-bytes);
+}
+
 int PageStoreCluster::ShardOf(PageKey key) const {
   // Fibonacci hash spreads sequential page numbers evenly.
   return static_cast<int>(((key * 0x9E3779B97F4A7C15ULL) >> 32) & 0x7FFFFFFF) %
@@ -107,56 +139,79 @@ const std::vector<sim::SimNode*>& PageStoreCluster::ReplicaNodes(
   return shards_[shard]->nodes;
 }
 
-bool PageStoreCluster::DecodeRecords(Slice in, std::vector<SeqRecord>* out) {
+bool PageStoreCluster::DecodeRecords(Slice in, std::vector<WireRecord>* out) {
   Slice raw;
   if (!GetFixedBytes(&in, 4, &raw)) return false;
   const uint32_t count = DecodeFixed32(raw.data());
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
+    WireRecord rec;
     if (!GetFixedBytes(&in, 8, &raw)) return false;
-    const uint64_t seq = DecodeFixed64(raw.data());
-    StoredRecord rec;
-    rec.present = true;
+    rec.seq = DecodeFixed64(raw.data());
     if (!GetFixedBytes(&in, 8, &raw)) return false;
     rec.lsn = DecodeFixed64(raw.data());
     if (!GetFixedBytes(&in, 8, &raw)) return false;
     rec.page_key = DecodeFixed64(raw.data());
-    Slice payload;
-    if (!GetLengthPrefixedSlice(&in, &payload)) return false;
-    rec.payload.assign(payload.data(), payload.size());
-    out->emplace_back(seq, std::move(rec));
+    if (!GetLengthPrefixedSlice(&in, &rec.payload)) return false;
+    out->push_back(rec);
   }
   return true;
 }
 
-const PageStoreCluster::StoredRecord* PageStoreCluster::FindLocked(
-    const ShardReplica* rep, uint64_t seq) {
-  if (seq < rep->first_seq) return nullptr;
+bool PageStoreCluster::HeldLocked(const ShardReplica* rep, uint64_t seq) {
+  if (seq < rep->first_seq) return false;
   const uint64_t idx = seq - rep->first_seq;
-  if (idx >= rep->records.size() || !rep->records[idx].present) {
-    return nullptr;
-  }
-  return &rep->records[idx];
+  return idx < rep->held.size() && rep->held[idx];
 }
 
-void PageStoreCluster::InsertRecordsLocked(ShardReplica* rep,
-                                           std::vector<SeqRecord>&& records) {
-  for (auto& [seq, rec] : records) {
-    // A late duplicate of a record already dropped from the front is kept
-    // like any other arrival: grow the deque backwards to reach its slot.
-    while (seq < rep->first_seq) {
-      rep->records.emplace_front();
-      rep->first_seq--;
+const PageStoreCluster::ChainRecord* PageStoreCluster::ChainAtLocked(
+    const Shard* shard, uint64_t seq) {
+  auto it = shard->chain.find(seq >> kChainChunkBits);
+  if (it == shard->chain.end()) return nullptr;
+  const ChainRecord& rec = it->second->records[seq & kChainChunkMask];
+  return rec.holders > 0 ? &rec : nullptr;
+}
+
+void PageStoreCluster::InsertRecordsLocked(
+    Shard* shard, ShardReplica* rep, const std::vector<WireRecord>& records) {
+  int64_t published = 0;
+  {
+    vedb::MutexLock lk(&shard->chain_mu);
+    for (const WireRecord& in : records) {
+      // A late duplicate of a record already dropped from the front is kept
+      // like any other arrival: grow the flags backwards to reach its slot.
+      while (in.seq < rep->first_seq) {
+        rep->held.push_front(false);
+        rep->first_seq--;
+      }
+      const uint64_t idx = in.seq - rep->first_seq;
+      if (idx >= rep->held.size()) rep->held.resize(idx + 1, false);
+      rep->max_seen_seq = std::max(rep->max_seen_seq, in.seq);
+      if (rep->held[idx]) continue;
+      rep->held[idx] = true;
+      // A sequence number names one record, so a copy another replica
+      // published is this one; otherwise this replica publishes its own.
+      std::unique_ptr<ChainChunk>& chunk =
+          shard->chain[in.seq >> kChainChunkBits];
+      if (chunk == nullptr) chunk = std::make_unique<ChainChunk>();
+      ChainRecord& rec = chunk->records[in.seq & kChainChunkMask];
+      if (rec.holders++ > 0) {
+        VEDB_CHECK(rec.lsn == in.lsn && rec.page_key == in.page_key &&
+                       Slice(rec.payload) == in.payload,
+                   "pagestore: two records with seq %llu",
+                   (unsigned long long)in.seq);
+        continue;
+      }
+      chunk->live++;
+      rec.lsn = in.lsn;
+      rec.page_key = in.page_key;
+      rec.payload.assign(in.payload.data(), in.payload.size());
+      published += static_cast<int64_t>(rec.payload.size());
     }
-    const uint64_t idx = seq - rep->first_seq;
-    if (idx >= rep->records.size()) rep->records.resize(idx + 1);
-    rep->records[idx] = std::move(rec);
-    rep->max_seen_seq = std::max(rep->max_seen_seq, seq);
   }
-  // Dense chain: advance over every present successor.
-  while (FindLocked(rep, rep->contiguous_seq + 1) != nullptr) {
-    rep->contiguous_seq++;
-  }
+  if (published != 0) AddChainBytes(published);
+  // Dense chain: advance over every held successor.
+  while (HeldLocked(rep, rep->contiguous_seq + 1)) rep->contiguous_seq++;
 }
 
 uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
@@ -168,26 +223,30 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
   const uint64_t last = rep->contiguous_seq;
 
   // Group the run by page. Every seq in (applied_seq, contiguous_seq] is
-  // present: contiguous_seq only passes present records, TruncateBelow
-  // drops only seqs <= applied_seq, and a late arrival only fills a slot.
-  // So no record of the run can have been skipped.
+  // held: contiguous_seq only passes held records, TruncateBelow drops
+  // only seqs <= applied_seq, and a late arrival only fills a slot. So no
+  // record of the run can have been skipped. This replica's hold keeps
+  // each record, and the chunk it sits in, in place until it is dropped.
   std::vector<ShardReplica::RunPage>& run = rep->run_pages;
-  std::vector<uint32_t>& run_of = rep->run_of;
+  std::vector<ShardReplica::RunRecord>& run_records = rep->run_records;
   run.clear();
-  run_of.clear();
+  run_records.clear();
   uint64_t max_lsn = rep->applied_lsn;
-  for (uint64_t seq = first; seq <= last; ++seq) {
-    const StoredRecord* rec = FindLocked(rep, seq);
-    VEDB_CHECK(rec != nullptr, "pagestore: seq %llu missing below the "
-               "contiguity watermark", (unsigned long long)seq);
-    ShardReplica::Page& page = rep->pages[rec->page_key];
-    if (page.run == kNotInRun) {
-      page.run = static_cast<uint32_t>(run.size());
-      run.push_back({&page, seq, 0, nullptr, 0});
+  {
+    vedb::MutexLock lk(&shard->chain_mu);
+    for (uint64_t seq = first; seq <= last; ++seq) {
+      const ChainRecord* rec = ChainAtLocked(shard, seq);
+      VEDB_CHECK(rec != nullptr, "pagestore: seq %llu missing below the "
+                 "contiguity watermark", (unsigned long long)seq);
+      ShardReplica::Page& page = rep->pages[rec->page_key];
+      if (page.run == kNotInRun) {
+        page.run = static_cast<uint32_t>(run.size());
+        run.push_back({&page, seq, 0, nullptr, 0});
+      }
+      run[page.run].target = seq;
+      run_records.push_back({rec, page.run});
+      max_lsn = std::max(max_lsn, rec->lsn);
     }
-    run[page.run].target = seq;
-    run_of.push_back(page.run);
-    max_lsn = std::max(max_lsn, rec->lsn);
   }
 
   // A page whose image already stands at or past the run's last record on
@@ -223,13 +282,16 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
   // install replaces its page as of its stamped seq, so a record at or
   // below the image's seq (one shipped before the install) is skipped on
   // every replica alike.
-  for (uint64_t seq = first; seq <= last; ++seq) {
-    PageImage* img = run[run_of[seq - first]].build;
-    if (img == nullptr || seq <= img->seq) continue;
-    const StoredRecord* rec = FindLocked(rep, seq);
-    apply_(rec->page_key, Slice(rec->payload), rec->lsn, &img->bytes);
-    if (rec->lsn > img->lsn) img->lsn = rec->lsn;
-    img->seq = seq;
+  {
+    vedb::MutexLock lk(&shard->chain_mu);
+    for (uint64_t seq = first; seq <= last; ++seq) {
+      const ShardReplica::RunRecord& r = run_records[seq - first];
+      PageImage* img = run[r.page].build;
+      if (img == nullptr || seq <= img->seq) continue;
+      apply_(r.rec->page_key, Slice(r.rec->payload), r.rec->lsn, &img->bytes);
+      if (r.rec->lsn > img->lsn) img->lsn = r.rec->lsn;
+      img->seq = seq;
+    }
   }
 
   // Publish the built versions, then drop those no replica within the lag
@@ -268,21 +330,22 @@ Status PageStoreCluster::HandleShip(int shard, int replica_idx, Slice request,
                                     std::string* response, Timestamp start,
                                     Timestamp* done) {
   VEDB_RETURN_IF_ERROR(env_->faults()->MaybeFail("ps.ship"));
-  ShardReplica* rep = shards_[shard]->replicas[replica_idx].get();
+  Shard* sh = shards_[shard].get();
+  ShardReplica* rep = sh->replicas[replica_idx].get();
 
-  std::vector<SeqRecord> records;
+  std::vector<WireRecord> records;
   if (!DecodeRecords(request, &records)) {
     return Status::InvalidArgument("ship batch");
   }
   uint64_t total_bytes = 0;
-  for (const auto& [seq, rec] : records) total_bytes += rec.payload.size();
+  for (const WireRecord& rec : records) total_bytes += rec.payload.size();
 
   // Records are persisted (SSD) before acking.
   *done = rep->node->storage()->SubmitAt(start,
                                          total_bytes + 64 * records.size());
   {
     vedb::MutexLock lk(&rep->mu);
-    InsertRecordsLocked(rep, std::move(records));
+    InsertRecordsLocked(sh, rep, records);
   }
   response->clear();
   return Status::OK();
@@ -380,10 +443,11 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
   bool need_gossip;
   {
     vedb::MutexLock lk(&rep->mu);
+    vedb::MutexLock chain_lk(&sh->chain_mu);
     uint64_t reachable_lsn = rep->applied_lsn;
     for (uint64_t seq = rep->applied_seq + 1; seq <= rep->contiguous_seq;
          ++seq) {
-      if (const StoredRecord* rec = FindLocked(rep, seq)) {
+      if (const ChainRecord* rec = ChainAtLocked(sh, seq)) {
         reachable_lsn = std::max(reachable_lsn, rec->lsn);
       }
     }
@@ -457,7 +521,8 @@ Status PageStoreCluster::ReadPage(sim::SimNode* client, PageKey key,
 
 Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
                                      Slice request, std::string* response) {
-  ShardReplica* rep = shards_[shard]->replicas[replica_idx].get();
+  const Shard* sh = shards_[shard].get();
+  ShardReplica* rep = sh->replicas[replica_idx].get();
   Slice raw;
   if (!GetFixedBytes(&request, 8, &raw)) {
     return Status::InvalidArgument("fetch");
@@ -468,15 +533,16 @@ Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
   std::string body;
   {
     vedb::MutexLock lk(&rep->mu);
-    const uint64_t end_seq = rep->first_seq + rep->records.size();
+    vedb::MutexLock chain_lk(&sh->chain_mu);
+    const uint64_t end_seq = rep->first_seq + rep->held.size();
     for (uint64_t seq = std::max(after + 1, rep->first_seq); seq < end_seq;
          ++seq) {
-      const StoredRecord& rec = rep->records[seq - rep->first_seq];
-      if (!rec.present) continue;
+      if (!rep->held[seq - rep->first_seq]) continue;
+      const ChainRecord* rec = ChainAtLocked(sh, seq);
       PutFixed64(&body, seq);
-      PutFixed64(&body, rec.lsn);
-      PutFixed64(&body, rec.page_key);
-      PutLengthPrefixedSlice(&body, Slice(rec.payload));
+      PutFixed64(&body, rec->lsn);
+      PutFixed64(&body, rec->page_key);
+      PutLengthPrefixedSlice(&body, Slice(rec->payload));
       count++;
     }
   }
@@ -487,7 +553,8 @@ Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
 }
 
 bool PageStoreCluster::GossipCatchUp(int shard, int replica_idx) {
-  ShardReplica* rep = shards_[shard]->replicas[replica_idx].get();
+  Shard* sh = shards_[shard].get();
+  ShardReplica* rep = sh->replicas[replica_idx].get();
   uint64_t after;
   {
     vedb::MutexLock lk(&rep->mu);
@@ -505,13 +572,13 @@ bool PageStoreCluster::GossipCatchUp(int shard, int replica_idx) {
              .ok()) {
       continue;
     }
-    std::vector<SeqRecord> records;
+    std::vector<WireRecord> records;
     // discard-ok: a cut-short response still fills the holes it covers.
     (void)DecodeRecords(Slice(resp), &records);
     if (!records.empty()) {
       vedb::MutexLock lk(&rep->mu);
       const uint64_t before = rep->contiguous_seq;
-      InsertRecordsLocked(rep, std::move(records));
+      InsertRecordsLocked(sh, rep, records);
       if (rep->contiguous_seq > before) {
         progressed = true;
         gossip_fills_.fetch_add(1);
@@ -629,24 +696,35 @@ uint64_t PageStoreCluster::DurableLsn() const {
 }
 
 void PageStoreCluster::TruncateBelow(uint64_t lsn) {
+  int64_t dropped = 0;
   for (auto& shard : shards_) {
     for (auto& rep : shard->replicas) {
       vedb::MutexLock lk(&rep->mu);
-      // Only applied records may be dropped.
-      const uint64_t end_seq = rep->first_seq + rep->records.size();
+      vedb::MutexLock chain_lk(&shard->chain_mu);
+      // Only applied records may be dropped. A record leaves the chain
+      // with its last holder, and a chunk with its last record.
+      const uint64_t end_seq = rep->first_seq + rep->held.size();
       for (uint64_t seq = rep->first_seq;
            seq <= rep->applied_seq && seq < end_seq; ++seq) {
-        StoredRecord& rec = rep->records[seq - rep->first_seq];
-        if (rec.present && rec.lsn < lsn) rec = StoredRecord();
+        if (!rep->held[seq - rep->first_seq]) continue;
+        auto chunk = shard->chain.find(seq >> kChainChunkBits);
+        ChainRecord& rec = chunk->second->records[seq & kChainChunkMask];
+        if (rec.lsn >= lsn) continue;
+        rep->held[seq - rep->first_seq] = false;
+        if (--rec.holders > 0) continue;
+        dropped += static_cast<int64_t>(rec.payload.size());
+        rec = ChainRecord();
+        if (--chunk->second->live == 0) shard->chain.erase(chunk);
       }
       // Release the dropped prefix.
-      while (!rep->records.empty() && !rep->records.front().present &&
+      while (!rep->held.empty() && !rep->held.front() &&
              rep->first_seq <= rep->applied_seq) {
-        rep->records.pop_front();
+        rep->held.pop_front();
         rep->first_seq++;
       }
     }
   }
+  if (dropped != 0) AddChainBytes(-dropped);
 }
 
 std::vector<uint64_t> PageStoreCluster::RetainedRecords(int shard,
@@ -654,10 +732,18 @@ std::vector<uint64_t> PageStoreCluster::RetainedRecords(int shard,
   ShardReplica* rep = shards_[shard]->replicas[replica].get();
   vedb::MutexLock lk(&rep->mu);
   std::vector<uint64_t> seqs;
-  for (size_t i = 0; i < rep->records.size(); ++i) {
-    if (rep->records[i].present) seqs.push_back(rep->first_seq + i);
+  for (size_t i = 0; i < rep->held.size(); ++i) {
+    if (rep->held[i]) seqs.push_back(rep->first_seq + i);
   }
   return seqs;
+}
+
+size_t PageStoreCluster::ChainRecords(int shard) const {
+  const Shard* sh = shards_[shard].get();
+  vedb::MutexLock lk(&sh->chain_mu);
+  size_t records = 0;
+  for (const auto& [index, chunk] : sh->chain) records += chunk->live;
+  return records;
 }
 
 size_t PageStoreCluster::VersionCount(int shard) const {

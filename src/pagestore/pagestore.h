@@ -93,6 +93,7 @@ class PageStoreCluster {
   PageStoreCluster(sim::SimEnvironment* env, net::RpcTransport* rpc,
                    std::vector<sim::SimNode*> nodes, ApplyFn apply,
                    const Options& options);
+  ~PageStoreCluster();
 
   /// Ships a batch of REDO records from `client`. Records must arrive here
   /// in per-shard LSN order (the storage SDK's shipper guarantees this);
@@ -155,6 +156,9 @@ class PageStoreCluster {
   /// Distinct page buffers the replicas of `shard` hold (a buffer several
   /// replicas share counts once).
   size_t DistinctImages(int shard) const;
+  /// Records `shard`'s chain holds (each once, however many replicas hold
+  /// it).
+  size_t ChainRecords(int shard) const;
   /// Chain sequence numbers of the records replica `replica` of `shard`
   /// still holds, ascending.
   std::vector<uint64_t> RetainedRecords(int shard, int replica) const;
@@ -179,29 +183,49 @@ class PageStoreCluster {
   static constexpr uint32_t kNotInRun = UINT32_MAX;
   /// A fresh unshared buffer; the pagestore.image_bytes gauge counts it
   /// until its last reference drops.
-  static ImageRef NewImage(PageImage image);
+  ImageRef NewImage(PageImage image);
+  void AddImageBytes(int64_t delta);
+  void AddChainBytes(int64_t delta);
 
-  struct StoredRecord {
-    /// False for a hole (not yet received) or a truncated record.
-    bool present = false;
+  /// A record as decoded from a ship request or fetch response; `payload`
+  /// points into the RPC body.
+  struct WireRecord {
+    uint64_t seq = 0;
     uint64_t lsn = 0;
     PageKey page_key = 0;
+    Slice payload;
+  };
+
+  /// One record of a shard's shared REDO chain.
+  struct ChainRecord {
+    uint64_t lsn = 0;
+    PageKey page_key = 0;
+    /// Replicas that hold this record; 0: no record here.
+    uint32_t holders = 0;
     std::string payload;
   };
-  /// A decoded record with its chain sequence number.
-  using SeqRecord = std::pair<uint64_t, StoredRecord>;
+  /// The chain is stored in chunks of 2^kChainChunkBits sequence numbers.
+  /// A chunk is freed with its last record, so a replica that stops
+  /// dropping records pins only the chunks of the records it holds.
+  static constexpr int kChainChunkBits = 6;
+  static constexpr uint64_t kChainChunkMask = (1u << kChainChunkBits) - 1;
+  struct ChainChunk {
+    uint32_t live = 0;  // records with holders > 0
+    ChainRecord records[1u << kChainChunkBits];
+  };
 
-  /// One replica of one shard, resident on a node. The chain is dense, so
-  /// records sit in a deque indexed by sequence number: slot i holds
-  /// sequence number first_seq + i.
+  /// One replica of one shard, resident on a node. The replica's records
+  /// live in the shard's chain; the replica keeps which sequence numbers it
+  /// holds, densely: held[i] is sequence number first_seq + i.
   struct ShardReplica {
     vedb::Mutex mu{"pagestore.replica"};
     sim::SimNode* node = nullptr;
     int index = 0;  // position in its shard's replica list
-    std::deque<StoredRecord> records GUARDED_BY(mu);
-    // chain seq (1-based) of records.front()
+    // False for a hole (not yet received) or a truncated record.
+    std::deque<bool> held GUARDED_BY(mu);
+    // chain seq (1-based) of held.front()
     uint64_t first_seq GUARDED_BY(mu) = 1;
-    // all seqs <= this are present
+    // all seqs <= this are held
     uint64_t contiguous_seq GUARDED_BY(mu) = 0;
     // largest seq ever received
     uint64_t max_seen_seq GUARDED_BY(mu) = 0;
@@ -224,7 +248,11 @@ class PageStoreCluster {
       size_t size_before;
     };
     std::vector<RunPage> run_pages GUARDED_BY(mu);
-    std::vector<uint32_t> run_of GUARDED_BY(mu);  // record -> run_pages
+    struct RunRecord {
+      const ChainRecord* rec;
+      uint32_t page;  // index in run_pages
+    };
+    std::vector<RunRecord> run_records GUARDED_BY(mu);
   };
 
   struct Shard {
@@ -248,6 +276,12 @@ class PageStoreCluster {
     std::map<uint64_t, ImageRef> versions GUARDED_BY(versions_mu);
     // Each replica's applied_seq, mirrored for the drop rule.
     std::vector<uint64_t> applied GUARDED_BY(versions_mu);
+    // The REDO chain: every replica receives the same records, so the
+    // shard keeps each once, keyed by seq >> kChainChunkBits, and a record
+    // stays while a replica holds it. Lock order: a replica's mu, then
+    // chain_mu (never together with versions_mu).
+    mutable vedb::Mutex chain_mu{"pagestore.chain"};
+    std::map<uint64_t, std::unique_ptr<ChainChunk>> chain GUARDED_BY(chain_mu);
   };
 
   Status HandleShip(int shard, int replica_idx, Slice request,
@@ -260,14 +294,20 @@ class PageStoreCluster {
   /// Decodes a count-prefixed run of {seq, lsn, page_key, payload}
   /// records (the ship request and fetch response body). Returns false on
   /// a malformed buffer; `out` then holds the records before the fault.
-  static bool DecodeRecords(Slice in, std::vector<SeqRecord>* out);
+  static bool DecodeRecords(Slice in, std::vector<WireRecord>* out);
 
-  /// The record with chain sequence number `seq`, or null if absent.
-  static const StoredRecord* FindLocked(const ShardReplica* rep, uint64_t seq)
+  /// Whether `rep` holds the record with chain sequence number `seq`.
+  static bool HeldLocked(const ShardReplica* rep, uint64_t seq)
       REQUIRES(rep->mu);
 
-  /// Moves records in and advances the contiguity watermark.
-  void InsertRecordsLocked(ShardReplica* rep, std::vector<SeqRecord>&& records)
+  /// The chain's record `seq`, or null if no replica holds it.
+  static const ChainRecord* ChainAtLocked(const Shard* shard, uint64_t seq)
+      REQUIRES(shard->chain_mu);
+
+  /// Marks `records` held by `rep`, adopting the chain's copy of each or
+  /// publishing it there, and advances the contiguity watermark.
+  void InsertRecordsLocked(Shard* shard, ShardReplica* rep,
+                           const std::vector<WireRecord>& records)
       REQUIRES(rep->mu);
 
   /// Applies contiguous unapplied records; returns how many were applied.
@@ -304,6 +344,8 @@ class PageStoreCluster {
   obs::HistogramMetric* read_ns_ = nullptr;
   obs::Counter* versions_built_ = nullptr;
   obs::Counter* versions_adopted_ = nullptr;
+  obs::Gauge* image_bytes_ = nullptr;
+  obs::Gauge* chain_bytes_ = nullptr;
 };
 
 }  // namespace vedb::pagestore

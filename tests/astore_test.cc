@@ -5,6 +5,7 @@
 
 #include "astore/client.h"
 #include "astore/cluster_manager.h"
+#include "astore/frame.h"
 #include "astore/segment_ring.h"
 #include "astore/server.h"
 #include "common/units.h"
@@ -758,6 +759,84 @@ TEST_F(SegmentRingTest, ExactFitReserveIsRejectedAtTheBoundary) {
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(recovered->records.size(), 1u);
   EXPECT_EQ(recovered->records[0].payload.size(), exact_fit - 1);
+}
+
+// Recovery reads every copy of a segment and keeps the first longest valid
+// frame prefix. One copy has a bit flipped mid-log, one has lost its tail,
+// the last is intact: recovery returns the intact copy's records and
+// rewrites each damaged copy from where its own valid prefix ends.
+TEST_F(SegmentRingTest, CrossReplicaScanKeepsTheIntactCopyAndRepairsTheRest) {
+  auto ring = SegmentRing::Create(client_.get(), RingOptions());
+  ASSERT_TRUE(ring.ok());
+  constexpr uint64_t kRecords = 20;
+  constexpr size_t kPayload = 100;
+  auto payload_of = [](uint64_t lsn) {
+    std::string p = "record-" + std::to_string(lsn);
+    p.resize(kPayload, '.');
+    return p;
+  };
+  for (uint64_t lsn = 1; lsn <= kRecords; ++lsn) {
+    ASSERT_TRUE(ring.value()->AppendRecord(lsn, Slice(payload_of(lsn))).ok());
+  }
+  // Segment offset of record `lsn`'s frame (all land in the first segment).
+  auto frame_at = [](uint64_t lsn) {
+    return SegmentRing::kHeaderSize +
+           (lsn - 1) * (PackedFrame::kHeaderSize + kPayload);
+  };
+  const uint64_t end = frame_at(kRecords + 1);
+
+  auto opened = client_->OpenSegment(ring.value()->segment_ids()[0]);
+  ASSERT_TRUE(opened.ok());
+  SegmentHandlePtr seg = opened.value();
+  const SegmentRoute route = seg->route();
+  ASSERT_EQ(route.replicas.size(), 3u);
+  // Copy 0: one bit flipped in record 8's payload.
+  AStoreServer* flipped = nullptr;
+  for (auto& s : servers_) {
+    if (s->node()->name() == route.replicas[0].node) flipped = s.get();
+  }
+  ASSERT_NE(flipped, nullptr);
+  ASSERT_TRUE(flipped->pmem()
+                  ->CorruptBitFlip(route.replicas[0].base_offset +
+                                       frame_at(8) +
+                                       PackedFrame::kPayloadOffset + 5,
+                                   3)
+                  .ok());
+  // Copy 1: its last three frames never landed.
+  const std::string lost(end - frame_at(18), '\0');
+  ASSERT_TRUE(
+      client_->WriteReplica(seg, 1, frame_at(18), Slice(lost), route.epoch)
+          .ok());
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const obs::Counter* repairs = reg.GetCounter("astore.repair.scan_repairs");
+  const obs::Counter* written =
+      reg.GetCounter("pmem.write_bytes", {{"source", "remote"}});
+  const uint64_t repairs0 = repairs->value();
+  const uint64_t written0 = written->value();
+
+  auto recovered = SegmentRing::Recover(client_.get(), cm_->ListSegments(1),
+                                        /*from_lsn=*/1);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->next_lsn, kRecords + 1);
+  ASSERT_EQ(recovered->records.size(), kRecords);
+  for (uint64_t lsn = 1; lsn <= kRecords; ++lsn) {
+    EXPECT_EQ(recovered->records[lsn - 1].lsn, lsn);
+    EXPECT_EQ(recovered->records[lsn - 1].payload, payload_of(lsn));
+  }
+
+  // Each damaged copy is rewritten from its own prefix end to the intact
+  // copy's, and nothing else is written.
+  EXPECT_EQ(repairs->value() - repairs0, 2u);
+  EXPECT_EQ(written->value() - written0,
+            (end - frame_at(8)) + (end - frame_at(18)));
+  std::string intact(end, '\0');
+  ASSERT_TRUE(client_->ReadReplica(seg, 2, 0, end, intact.data()).ok());
+  for (size_t i = 0; i < 2; ++i) {
+    std::string copy(end, '\0');
+    ASSERT_TRUE(client_->ReadReplica(seg, i, 0, end, copy.data()).ok());
+    EXPECT_EQ(copy, intact) << "copy " << i;
+  }
 }
 
 TEST_F(SegmentRingTest, EmptyRingRecoversToZero) {

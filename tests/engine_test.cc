@@ -720,6 +720,22 @@ TEST_F(EngineTest, SecondaryIndexFollowsUpdates) {
   EXPECT_EQ(rows->size(), 1u);
 }
 
+TEST_F(EngineTest, RedeclaringAnIndexKeepsItsEntries) {
+  Table* t = engine()->CreateTable("accounts", AccountSchema());
+  t->CreateIndex("by_name", {1});
+  auto txn = engine()->Begin();
+  ASSERT_TRUE(t->Insert(txn.get(), {Value(1), Value("ann"), Value(1.0)}).ok());
+  ASSERT_TRUE(t->Insert(txn.get(), {Value(2), Value("ann"), Value(2.0)}).ok());
+  ASSERT_TRUE(engine()->Commit(txn.get()).ok());
+
+  t->CreateIndex("by_name", {1});
+  auto rows = t->IndexLookup("by_name", {Value("ann")});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 2u);
+  EXPECT_DEATH(t->CreateIndex("by_name", {2}),
+               "index by_name re-declared with different columns");
+}
+
 TEST_F(EngineTest, SecondaryIndexFollowsDeletes) {
   Table* t = engine()->CreateTable("accounts", AccountSchema());
   t->CreateIndex("by_name", {1});

@@ -125,6 +125,41 @@ class PageStoreTest : public ::testing::Test {
     return Status::OK();
   }
 
+  /// Asks one replica's fetch service for every record it holds above
+  /// `after`; false if the call failed (its node is down).
+  bool FetchFrom(int shard, int replica, uint64_t after,
+                 std::vector<Chained>* out) {
+    std::string req, resp;
+    PutFixed64(&req, after);
+    if (!rpc_->Call(client_, store_->ReplicaNodes(shard)[replica],
+                    "ps.fetch." + std::to_string(shard) + "." +
+                        std::to_string(replica),
+                    Slice(req), &resp)
+             .ok()) {
+      return false;
+    }
+    Slice in(resp);
+    Slice raw;
+    EXPECT_TRUE(GetFixedBytes(&in, 4, &raw));
+    const uint32_t count = DecodeFixed32(raw.data());
+    out->clear();
+    for (uint32_t i = 0; i < count; ++i) {
+      Chained c;
+      Slice payload;
+      EXPECT_TRUE(GetFixedBytes(&in, 8, &raw));
+      c.seq = DecodeFixed64(raw.data());
+      EXPECT_TRUE(GetFixedBytes(&in, 8, &raw));
+      c.lsn = DecodeFixed64(raw.data());
+      EXPECT_TRUE(GetFixedBytes(&in, 8, &raw));
+      c.key = DecodeFixed64(raw.data());
+      EXPECT_TRUE(GetLengthPrefixedSlice(&in, &payload));
+      c.payload = payload.ToString();
+      out->push_back(std::move(c));
+    }
+    EXPECT_TRUE(in.empty());
+    return true;
+  }
+
   /// Applies what replica `replica` of `shard` can and returns its image.
   std::string LocalImage(int shard, int replica, PageKey key) {
     std::string image;
@@ -143,6 +178,8 @@ class PageStoreTest : public ::testing::Test {
 
   /// The seeded version-table property run (below).
   void CheckVersionsAgainstChainPrefixes(uint64_t seed);
+  /// The seeded shared-chain property run (below).
+  void CheckChainAgainstReplicaReferences(uint64_t seed);
 
   sim::SimEnvironment env_;
   std::unique_ptr<net::RpcTransport> rpc_;
@@ -505,6 +542,313 @@ TEST_F(PageStoreTest, SharedVersionsMatchEachReplicasChainPrefixSeed2) {
 }
 TEST_F(PageStoreTest, SharedVersionsMatchEachReplicasChainPrefixSeed3) {
   CheckVersionsAgainstChainPrefixes(3);
+}
+
+// Replicas share one REDO chain per shard. A seeded run of raw ships with
+// per-replica drops, late duplicates, gossip catch-up, truncation (some of
+// it past what a laggard has received) and a replica down for a stretch,
+// checked against a reference of which records each replica holds: every
+// replica's retained records, fetch responses and page reads, and the
+// chain's record count and bytes, must match it.
+void PageStoreTest::CheckChainAgainstReplicaReferences(uint64_t seed) {
+  constexpr int kShards = 4;
+  constexpr size_t kPagesPerShard = 5;
+  const obs::Gauge* chain_bytes =
+      obs::MetricsRegistry::Default().GetGauge("pagestore.chain_bytes");
+  const int64_t bytes0 = chain_bytes->value();
+  Random rng(seed);
+  auto one_in = [&rng](uint64_t n) { return rng.Uniform(n) == 0; };
+  std::vector<std::vector<PageKey>> keys(kShards);
+  for (PageKey k = 0;; ++k) {
+    const int s = store_->ShardOf(k);
+    if (keys[s].size() < kPagesPerShard) keys[s].push_back(k);
+    bool full = true;
+    for (const auto& in_shard : keys) full &= in_shard.size() == kPagesPerShard;
+    if (full) break;
+  }
+  // The reference: what each replica holds and its watermarks.
+  struct Ref {
+    std::set<uint64_t> held;
+    uint64_t contiguous = 0;
+    uint64_t max_seen = 0;
+    uint64_t applied = 0;
+  };
+  std::vector<std::vector<Chained>> chain(kShards);  // chain[s][seq - 1]
+  std::vector<std::vector<Ref>> ref(kShards, std::vector<Ref>(3));
+  auto lsn_of = [&](int s, uint64_t seq) {
+    return seq == 0 ? 0 : chain[s][seq - 1].lsn;
+  };
+  auto insert = [&](int s, int r, const std::vector<uint64_t>& seqs) {
+    Ref& x = ref[s][r];
+    for (uint64_t seq : seqs) {
+      x.held.insert(seq);
+      x.max_seen = std::max(x.max_seen, seq);
+    }
+    while (x.held.count(x.contiguous + 1) != 0) x.contiguous++;
+  };
+  auto gossip = [&](int s, int r) {
+    const uint64_t after = ref[s][r].contiguous;
+    for (int p = 0; p < 3; ++p) {
+      if (p == r || !store_->ReplicaNodes(s)[p]->alive()) continue;
+      const std::set<uint64_t>& peer = ref[s][p].held;
+      insert(s, r, std::vector<uint64_t>(peer.upper_bound(after), peer.end()));
+      if (ref[s][r].contiguous >= ref[s][r].max_seen) break;
+    }
+  };
+  auto check_shard = [&](int s, const std::string& where) {
+    std::set<uint64_t> distinct;
+    for (int r = 0; r < 3; ++r) {
+      const Ref& x = ref[s][r];
+      EXPECT_EQ(store_->RetainedRecords(s, r),
+                std::vector<uint64_t>(x.held.begin(), x.held.end()))
+          << where << " replica " << r;
+      EXPECT_EQ(store_->ContiguousSeq(s, r), x.contiguous)
+          << where << " replica " << r;
+      distinct.insert(x.held.begin(), x.held.end());
+    }
+    EXPECT_EQ(store_->ChainRecords(s), distinct.size()) << where;
+  };
+  auto expected_bytes = [&] {
+    int64_t bytes = 0;
+    for (int s = 0; s < kShards; ++s) {
+      std::set<uint64_t> distinct;
+      for (const Ref& x : ref[s]) distinct.insert(x.held.begin(), x.held.end());
+      for (uint64_t seq : distinct) {
+        bytes += static_cast<int64_t>(chain[s][seq - 1].payload.size());
+      }
+    }
+    return bytes;
+  };
+
+  uint64_t lsn = 10;
+  int down = -1;
+  int down_until = 0;
+  int reads = 0;
+  int fetches = 0;
+  for (int step = 0; step < 800; ++step) {
+    const std::string where =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    if (down >= 0 && step >= down_until) {
+      nodes_[down]->SetAlive(true);
+      down = -1;
+    } else if (down < 0 && one_in(60)) {
+      down = static_cast<int>(rng.Uniform(3));
+      down_until = step + 20 + static_cast<int>(rng.Uniform(60));
+      nodes_[down]->SetAlive(false);
+    }
+    const int s = static_cast<int>(rng.Uniform(kShards));
+    const uint32_t action = rng.Uniform(100);
+    if (action < 45) {
+      // A new batch; each replica misses it with probability 1/4, but at
+      // least one copy lands.
+      std::vector<Chained> batch;
+      std::vector<uint64_t> seqs;
+      const int n = 1 + static_cast<int>(rng.Uniform(6));
+      for (int i = 0; i < n; ++i) {
+        const PageKey key = keys[s][rng.Uniform(kPagesPerShard)];
+        std::string payload(1 + rng.Uniform(40),
+                            static_cast<char>('a' + rng.Uniform(26)));
+        batch.push_back({chain[s].size() + 1, lsn++, key, std::move(payload)});
+        chain[s].push_back(batch.back());
+        seqs.push_back(batch.back().seq);
+      }
+      bool landed = false;
+      for (int r = 0; r < 3; ++r) {
+        if (one_in(4) && (landed || r < 2)) continue;
+        if (ShipTo(s, r, batch)) {
+          insert(s, r, seqs);
+          landed = true;
+        }
+      }
+      for (int r = 0; r < 3 && !landed; ++r) {
+        if (ShipTo(s, r, batch)) {
+          insert(s, r, seqs);
+          landed = true;
+        }
+      }
+      ASSERT_TRUE(landed);
+    } else if (action < 52) {
+      // A late duplicate of an older run of the chain, truncated or not.
+      if (chain[s].empty()) continue;
+      const uint64_t from = 1 + rng.Uniform(chain[s].size());
+      const uint64_t to =
+          std::min<uint64_t>(chain[s].size(), from + rng.Uniform(3));
+      std::vector<Chained> batch(chain[s].begin() + (from - 1),
+                                 chain[s].begin() + to);
+      std::vector<uint64_t> seqs;
+      for (const Chained& c : batch) seqs.push_back(c.seq);
+      const int r = static_cast<int>(rng.Uniform(3));
+      if (ShipTo(s, r, batch)) insert(s, r, seqs);
+    } else if (action < 87) {
+      // Read one page; sometimes demand the shard's newest LSN so a replica
+      // that cannot reach it gossips first.
+      const int r = static_cast<int>(rng.Uniform(3));
+      const PageKey key = keys[s][rng.Uniform(kPagesPerShard)];
+      const uint64_t min_lsn =
+          one_in(3) && !chain[s].empty() ? chain[s].back().lsn : 0;
+      std::string image;
+      uint64_t got_lsn = 0;
+      Status st = ReadFrom(s, r, key, min_lsn, &image, &got_lsn);
+      if (!store_->ReplicaNodes(s)[r]->alive()) {
+        EXPECT_FALSE(st.ok()) << where;
+        continue;
+      }
+      Ref& x = ref[s][r];
+      if (lsn_of(s, x.contiguous) < min_lsn) gossip(s, r);
+      x.applied = x.contiguous;
+      if (lsn_of(s, x.applied) < min_lsn) {
+        EXPECT_TRUE(st.IsStale()) << where << " " << st.ToString();
+        check_shard(s, where);
+        continue;
+      }
+      reads++;
+      for (PageKey k : keys[s]) {
+        std::string want;
+        uint64_t want_lsn = 0;
+        for (uint64_t seq = 1; seq <= x.applied; ++seq) {
+          const Chained& c = chain[s][seq - 1];
+          if (c.key != k) continue;
+          AppendApply(k, Slice(c.payload), c.lsn, &want);
+          want_lsn = c.lsn;
+        }
+        // The read page came back over RPC; every other page of the
+        // replica stands at the same prefix.
+        Status got = st;
+        std::string got_image = image;
+        if (k != key) {
+          uint64_t applied = 0;
+          got = store_->PeekLocalPage(store_->ReplicaNodes(s)[r], k,
+                                      &got_image, &applied);
+          EXPECT_EQ(applied, 0u) << where;
+        }
+        if (want_lsn == 0) {
+          EXPECT_TRUE(got.IsNotFound()) << where << " " << got.ToString();
+          continue;
+        }
+        ASSERT_TRUE(got.ok()) << where << " " << got.ToString();
+        EXPECT_EQ(got_image, want) << where << " replica " << r << " page "
+                                   << k;
+        if (k == key) {
+          EXPECT_EQ(got_lsn, want_lsn) << where;
+        }
+      }
+    } else if (action < 95) {
+      // Fetch what one replica holds above a random point of the chain.
+      const int r = static_cast<int>(rng.Uniform(3));
+      const uint64_t after = rng.Uniform(chain[s].size() + 1);
+      std::vector<Chained> got;
+      if (!FetchFrom(s, r, after, &got)) {
+        EXPECT_FALSE(store_->ReplicaNodes(s)[r]->alive()) << where;
+        continue;
+      }
+      fetches++;
+      const std::set<uint64_t>& held = ref[s][r].held;
+      std::vector<uint64_t> want(held.upper_bound(after), held.end());
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (size_t i = 0; i < got.size(); ++i) {
+        const Chained& c = chain[s][want[i] - 1];
+        EXPECT_EQ(got[i].seq, c.seq) << where;
+        EXPECT_EQ(got[i].lsn, c.lsn) << where;
+        EXPECT_EQ(got[i].key, c.key) << where;
+        EXPECT_EQ(got[i].payload, c.payload) << where;
+      }
+    } else {
+      // Truncate: usually below what every replica of every shard has
+      // received, sometimes everything applied (a laggard then can no
+      // longer fill its hole from its peers).
+      uint64_t bound = lsn;
+      if (!one_in(4)) {
+        for (int t = 0; t < kShards; ++t) {
+          uint64_t low = UINT64_MAX;
+          for (const Ref& x : ref[t]) low = std::min(low, x.contiguous);
+          if (low < chain[t].size()) {
+            bound = std::min(bound, chain[t][low].lsn);
+          }
+        }
+      }
+      store_->TruncateBelow(bound);
+      for (int t = 0; t < kShards; ++t) {
+        for (Ref& x : ref[t]) {
+          for (auto it = x.held.begin();
+               it != x.held.end() && *it <= x.applied;) {
+            it = lsn_of(t, *it) < bound ? x.held.erase(it) : std::next(it);
+          }
+        }
+      }
+      for (int t = 0; t < kShards; ++t) check_shard(t, where);
+    }
+    check_shard(s, where);
+    EXPECT_EQ(chain_bytes->value() - bytes0, expected_bytes()) << where;
+  }
+  if (down >= 0) nodes_[down]->SetAlive(true);
+  EXPECT_GT(reads, 150);
+  EXPECT_GT(fetches, 30);
+}
+
+TEST_F(PageStoreTest, SharedChainMatchesEachReplicasReferenceSeed1) {
+  CheckChainAgainstReplicaReferences(1);
+}
+TEST_F(PageStoreTest, SharedChainMatchesEachReplicasReferenceSeed2) {
+  CheckChainAgainstReplicaReferences(2);
+}
+TEST_F(PageStoreTest, SharedChainMatchesEachReplicasReferenceSeed3) {
+  CheckChainAgainstReplicaReferences(3);
+}
+
+// Three replicas that receive the same records keep one copy of each. A
+// replica that dies pins only the records it held: however much is shipped
+// while it is down, the chain shrinks back to them once the live replicas
+// truncate, and to nothing once it is back, applies and truncates.
+TEST_F(PageStoreTest, DeadReplicaPinsOnlyTheRecordsItHeld) {
+  const obs::Gauge* chain_bytes =
+      obs::MetricsRegistry::Default().GetGauge("pagestore.chain_bytes");
+  const int64_t bytes0 = chain_bytes->value();
+  const int shard = 0;
+  std::vector<PageKey> keys;
+  for (PageKey k = 0; keys.size() < 20; ++k) {
+    if (store_->ShardOf(k) == shard) keys.push_back(k);
+  }
+  const std::string payload(32, 'r');
+  uint64_t lsn = 1;
+  auto ship = [&](uint64_t n) {
+    std::vector<RedoShipRecord> batch;
+    for (uint64_t i = 0; i < n; ++i, ++lsn) {
+      batch.push_back(Rec(keys[lsn % keys.size()], lsn, payload));
+    }
+    ASSERT_TRUE(store_->ShipRecords(client_, batch).ok());
+  };
+  const int dead = 1;
+  constexpr uint64_t kHeld = 50;
+  ship(kHeld);
+  EXPECT_EQ(store_->ChainRecords(shard), kHeld);  // once, not three times
+  EXPECT_EQ(chain_bytes->value() - bytes0,
+            static_cast<int64_t>(kHeld * payload.size()));
+
+  // The replica dies holding kHeld records it never applied.
+  store_->ReplicaNodes(shard)[dead]->SetAlive(false);
+  for (int round = 0; round < 300; ++round) {
+    ship(10);
+    for (int r = 0; r < 3; ++r) {
+      if (r != dead) LocalImage(shard, r, keys[0]);
+    }
+    EXPECT_LE(store_->ChainRecords(shard), kHeld + 10 * (round % 10 + 1));
+    if (round % 10 == 9) {
+      store_->TruncateBelow(lsn);
+      EXPECT_EQ(store_->ChainRecords(shard), kHeld) << "round " << round;
+      EXPECT_EQ(chain_bytes->value() - bytes0,
+                static_cast<int64_t>(kHeld * payload.size()));
+    }
+  }
+  std::vector<uint64_t> first_held(kHeld);
+  for (uint64_t i = 0; i < kHeld; ++i) first_held[i] = i + 1;
+  EXPECT_EQ(store_->RetainedRecords(shard, dead), first_held);
+
+  // Back up, it applies what it holds; then nothing pins the chain.
+  store_->ReplicaNodes(shard)[dead]->SetAlive(true);
+  LocalImage(shard, dead, keys[0]);
+  store_->TruncateBelow(lsn);
+  EXPECT_EQ(store_->ChainRecords(shard), 0u);
+  EXPECT_EQ(chain_bytes->value(), bytes0);
 }
 
 // Three replicas that apply the same records hold one buffer per page.

@@ -52,6 +52,42 @@ TEST_F(TpccTest, LoadPopulatesAllTables) {
   EXPECT_EQ(db_->supplier()->approximate_row_count(), 100u);
 }
 
+// A second TpccDatabase on a loaded engine declares the catalog again; the
+// secondary indexes must keep their entries (by-last-name Payment and
+// Order-Status read them).
+TEST_F(TpccTest, SecondDatabaseOnALoadedEngineKeepsTheIndexes) {
+  engine::DBEngine* engine = cluster_->engine();
+  auto customer = db_->customer()->Get(
+      nullptr, {engine::Value(1), engine::Value(2), engine::Value(3)});
+  ASSERT_TRUE(customer.ok()) << customer.status().ToString();
+  auto order = db_->orders()->Get(
+      nullptr, {engine::Value(1), engine::Value(2), engine::Value(1)});
+  ASSERT_TRUE(order.ok()) << order.status().ToString();
+  const std::vector<engine::Value> last_name = {
+      engine::Value(1), engine::Value(2), (*customer)[3]};
+  const std::vector<engine::Value> order_customer = {
+      engine::Value(1), engine::Value(2), (*order)[3]};
+  auto by_last = db_->customer()->IndexLookup("by_last", last_name);
+  auto by_customer = db_->orders()->IndexLookup("by_customer", order_customer);
+  ASSERT_TRUE(by_last.ok() && by_customer.ok());
+  ASSERT_FALSE(by_last->empty());
+  ASSERT_FALSE(by_customer->empty());
+  auto digest = engine->StateDigest();
+  ASSERT_TRUE(digest.ok());
+
+  TpccDatabase second(engine, db_->scale(), 1, /*with_ch_tables=*/true);
+  EXPECT_EQ(second.customer(), db_->customer());
+  auto by_last_again = second.customer()->IndexLookup("by_last", last_name);
+  auto by_customer_again =
+      second.orders()->IndexLookup("by_customer", order_customer);
+  ASSERT_TRUE(by_last_again.ok() && by_customer_again.ok());
+  EXPECT_EQ(*by_last_again, *by_last);
+  EXPECT_EQ(*by_customer_again, *by_customer);
+  auto digest_again = engine->StateDigest();
+  ASSERT_TRUE(digest_again.ok());
+  EXPECT_EQ(*digest_again, *digest);
+}
+
 TEST_F(TpccTest, NewOrderAdvancesDistrictAndInsertsRows) {
   TpccDriver driver(db_.get(), 7);
   const uint64_t orders_before = db_->orders()->approximate_row_count();
