@@ -320,7 +320,7 @@ Status AStoreClient::PostRecordGroup(
     Duration sdk_cost) {
   // Zombie fencing: a client whose lease lapsed must not touch PMem that
   // may have been reclaimed for another client (Section IV-C).
-  if (options_.enforce_lease && !LeaseValid()) {
+  if (!LeaseValid()) {
     return Status::LeaseExpired("client lease expired");
   }
 
@@ -568,7 +568,7 @@ Status AStoreClient::ReadInternal(const SegmentHandlePtr& handle,
       }
     }
     if (s.ok()) {
-      if (!bad.empty() && read_opts.read_repair) {
+      if (!bad.empty()) {
         RepairReplicas(handle, route, bad, offset, Slice(out, len));
       }
       reads_->Add(1);

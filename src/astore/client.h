@@ -120,14 +120,13 @@ using SegmentHandlePtr = std::shared_ptr<SegmentHandle>;
 /// replica's copy is bad, and the client fails over to the next replica
 /// within the same attempt. Distinct from transport errors: a corrupt copy
 /// is surfaced as Status::DataLoss and is never retried against the replica
-/// that served it.
+/// that served it. Once a later replica serves a good copy, the client
+/// rewrites it over every replica that served bad bytes (read repair;
+/// epoch-guarded: a concurrent route change/writer wins and the repair is
+/// dropped).
 struct ReadOptions {
   /// Checks the returned bytes; null = length validation only.
   std::function<Status(Slice)> verify;
-  /// After a later replica serves a good copy, rewrite it over every
-  /// replica that served bad bytes (epoch-guarded: a concurrent route
-  /// change/writer wins and the repair is dropped).
-  bool read_repair = true;
 };
 
 class AStoreClient {
@@ -145,8 +144,6 @@ class AStoreClient {
     Duration write_sdk_overhead = 55 * kMicrosecond;
     /// Client software cost per read.
     Duration read_sdk_overhead = 4 * kMicrosecond;
-    /// Reject writes when the local lease has expired.
-    bool enforce_lease = true;
     /// Transparent retry/backoff/deadline behaviour (see RetryPolicy).
     RetryPolicy retry;
     /// Doorbell coalescing + batched-post costs for the async append path

@@ -628,7 +628,7 @@ void ClusterManager::RebuildSegmentsOf(const std::string& dead_node) {
       CmRecord rec = MakeRecordLocked(CmRecordType::kRouteUpsert);
       rec.route = route;
       records.push_back(rec);
-      if (options_.auto_rebuild && !route.replicas.empty()) {
+      if (!route.replicas.empty()) {
         jobs.push_back(RebuildJob{id, route.size, route.replicas.front()});
       }
     }
@@ -714,7 +714,6 @@ Status ClusterManager::QuarantineReplica(const std::string& node_name,
                                          SegmentId id) {
   uint64_t size = 0;
   ReplicaLocation source;
-  bool rebuild = false;
   sim::SimNode* reporter = nullptr;
   std::vector<CmRecord> records;
   {
@@ -742,7 +741,6 @@ Status ClusterManager::QuarantineReplica(const std::string& node_name,
     records.push_back(rec);
     size = it->second.size;
     source = it->second.replicas.front();
-    rebuild = options_.auto_rebuild;
     quarantined_nodes_[id].insert(node_name);
     auto sit = servers_.find(node_name);
     if (sit != servers_.end()) reporter = sit->second.server->node();
@@ -761,7 +759,7 @@ Status ClusterManager::QuarantineReplica(const std::string& node_name,
     (void)rpc_->Call(node_, reporter, "astore.release", Slice(req), &resp);
   }
   ShipRecords(records);
-  if (rebuild) RebuildOneReplica(id, size, source, {node_name});
+  RebuildOneReplica(id, size, source, {node_name});
   return Status::OK();
 }
 

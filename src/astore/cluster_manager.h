@@ -55,8 +55,6 @@ class ClusterManager {
     /// A node missing heartbeats for this long is declared dead. Also the
     /// time a standby waits on an unreachable primary before electing.
     Duration failure_timeout = 200 * kMillisecond;
-    /// Rebuild lost replicas automatically when a node dies.
-    bool auto_rebuild = true;
     /// CPU cost of processing one control request on the CM.
     Duration control_op_cost = 200 * kMicrosecond;
     /// This member's identity within its replication group (< 65536); the
@@ -177,7 +175,7 @@ class ClusterManager {
   /// Quarantines one replica reported irreparably corrupt (scrubber
   /// escalation, also reachable via the "cm.report_corrupt" RPC): drops
   /// `node_name` from the segment's route, bumps the epoch so every cached
-  /// copy of the old route dies, and — with auto_rebuild — re-replicates
+  /// copy of the old route dies, and re-replicates
   /// just this segment onto a healthy server, excluding the reporter.
   /// Refuses (Unavailable) to quarantine the last replica: a corrupt copy
   /// still beats no copy, and the caller keeps serving what it can.

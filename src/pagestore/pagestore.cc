@@ -11,9 +11,9 @@ namespace vedb::pagestore {
 namespace {
 
 // The bytes of every live page buffer in the process, each counted once
-// however many replicas and versions share it (pagestore.image_bytes), and
-// of every shard's REDO chain, each record counted once however many
-// replicas hold it (pagestore.chain_bytes).
+// however many replicas share it (pagestore.image_bytes), and of every
+// shard's REDO chain, each record counted once however many replicas hold
+// it (pagestore.chain_bytes).
 std::atomic<int64_t> resident_image_bytes{0};
 std::atomic<int64_t> resident_chain_bytes{0};
 
@@ -74,15 +74,10 @@ PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     for (int r = 0; r < options_.replication; ++r) {
-      sim::SimNode* node = nodes_[(s + r) % nodes_.size()];
-      auto rep = std::make_unique<ShardReplica>();
-      rep->node = node;
-      rep->index = r;
-      shard->nodes.push_back(node);
-      shard->replicas.push_back(std::move(rep));
+      shard->nodes.push_back(nodes_[(s + r) % nodes_.size()]);
     }
-    vedb::MutexLock lk(&shard->versions_mu);
-    shard->applied.assign(options_.replication, 0);
+    vedb::MutexLock lk(&shard->mu);
+    shard->replicas.resize(options_.replication);
     shards_.push_back(std::move(shard));
   }
 
@@ -118,7 +113,7 @@ PageStoreCluster::PageStoreCluster(sim::SimEnvironment* env,
 PageStoreCluster::~PageStoreCluster() {
   int64_t bytes = 0;
   for (const auto& shard : shards_) {
-    vedb::MutexLock lk(&shard->chain_mu);
+    vedb::MutexLock lk(&shard->mu);
     for (const auto& [index, chunk] : shard->chain) {
       for (const ChainRecord& rec : chunk->records) {
         if (rec.holders > 0) bytes += static_cast<int64_t>(rec.payload.size());
@@ -158,12 +153,6 @@ bool PageStoreCluster::DecodeRecords(Slice in, std::vector<WireRecord>* out) {
   return true;
 }
 
-bool PageStoreCluster::HeldLocked(const ShardReplica* rep, uint64_t seq) {
-  if (seq < rep->first_seq) return false;
-  const uint64_t idx = seq - rep->first_seq;
-  return idx < rep->held.size() && rep->held[idx];
-}
-
 const PageStoreCluster::ChainRecord* PageStoreCluster::ChainAtLocked(
     const Shard* shard, uint64_t seq) {
   auto it = shard->chain.find(seq >> kChainChunkBits);
@@ -175,49 +164,46 @@ const PageStoreCluster::ChainRecord* PageStoreCluster::ChainAtLocked(
 void PageStoreCluster::InsertRecordsLocked(
     Shard* shard, ShardReplica* rep, const std::vector<WireRecord>& records) {
   int64_t published = 0;
-  {
-    vedb::MutexLock lk(&shard->chain_mu);
-    for (const WireRecord& in : records) {
-      // A late duplicate of a record already dropped from the front is kept
-      // like any other arrival: grow the flags backwards to reach its slot.
-      while (in.seq < rep->first_seq) {
-        rep->held.push_front(false);
-        rep->first_seq--;
-      }
-      const uint64_t idx = in.seq - rep->first_seq;
-      if (idx >= rep->held.size()) rep->held.resize(idx + 1, false);
-      rep->max_seen_seq = std::max(rep->max_seen_seq, in.seq);
-      if (rep->held[idx]) continue;
-      rep->held[idx] = true;
-      // A sequence number names one record, so a copy another replica
-      // published is this one; otherwise this replica publishes its own.
-      std::unique_ptr<ChainChunk>& chunk =
-          shard->chain[in.seq >> kChainChunkBits];
-      if (chunk == nullptr) chunk = std::make_unique<ChainChunk>();
-      ChainRecord& rec = chunk->records[in.seq & kChainChunkMask];
-      if (rec.holders++ > 0) {
-        VEDB_CHECK(rec.lsn == in.lsn && rec.page_key == in.page_key &&
-                       Slice(rec.payload) == in.payload,
-                   "pagestore: two records with seq %llu",
-                   (unsigned long long)in.seq);
-        continue;
-      }
-      chunk->live++;
-      rec.lsn = in.lsn;
-      rec.page_key = in.page_key;
-      rec.payload.assign(in.payload.data(), in.payload.size());
-      published += static_cast<int64_t>(rec.payload.size());
+  for (const WireRecord& in : records) {
+    // A late duplicate of a record already dropped from the front is kept
+    // like any other arrival: grow the flags backwards to reach its slot.
+    while (in.seq < rep->first_seq) {
+      rep->held.push_front(false);
+      rep->first_seq--;
     }
+    const uint64_t idx = in.seq - rep->first_seq;
+    if (idx >= rep->held.size()) rep->held.resize(idx + 1, false);
+    rep->max_seen_seq = std::max(rep->max_seen_seq, in.seq);
+    if (rep->held[idx]) continue;
+    rep->held[idx] = true;
+    // A sequence number names one record, so a copy another replica
+    // published is this one; otherwise this replica publishes its own.
+    std::unique_ptr<ChainChunk>& chunk =
+        shard->chain[in.seq >> kChainChunkBits];
+    if (chunk == nullptr) chunk = std::make_unique<ChainChunk>();
+    ChainRecord& rec = chunk->records[in.seq & kChainChunkMask];
+    if (rec.holders++ > 0) {
+      VEDB_CHECK(rec.lsn == in.lsn && rec.page_key == in.page_key &&
+                     Slice(rec.payload) == in.payload,
+                 "pagestore: two records with seq %llu",
+                 (unsigned long long)in.seq);
+      continue;
+    }
+    chunk->live++;
+    rec.lsn = in.lsn;
+    rec.page_key = in.page_key;
+    rec.payload.assign(in.payload.data(), in.payload.size());
+    published += static_cast<int64_t>(rec.payload.size());
   }
   if (published != 0) AddChainBytes(published);
   // Dense chain: advance over every held successor.
-  while (HeldLocked(rep, rep->contiguous_seq + 1)) rep->contiguous_seq++;
+  while (rep->Holds(rep->contiguous_seq + 1)) rep->contiguous_seq++;
 }
 
 uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
                                                  ShardReplica* rep) {
-  // NOTE: must not block on the clock (caller holds rep->mu); the CPU cost
-  // of the applied records is charged by the caller after unlocking.
+  // NOTE: must not block on the clock (caller holds shard->mu); the CPU
+  // cost of the applied records is charged by the caller after unlocking.
   if (rep->applied_seq == rep->contiguous_seq) return 0;
   const uint64_t first = rep->applied_seq + 1;
   const uint64_t last = rep->contiguous_seq;
@@ -227,92 +213,78 @@ uint64_t PageStoreCluster::ApplyContiguousLocked(Shard* shard,
   // only seqs <= applied_seq, and a late arrival only fills a slot. So no
   // record of the run can have been skipped. This replica's hold keeps
   // each record, and the chunk it sits in, in place until it is dropped.
-  std::vector<ShardReplica::RunPage>& run = rep->run_pages;
-  std::vector<ShardReplica::RunRecord>& run_records = rep->run_records;
+  std::vector<RunPage>& run = shard->run_pages;
+  std::vector<RunRecord>& run_records = shard->run_records;
   run.clear();
   run_records.clear();
   uint64_t max_lsn = rep->applied_lsn;
-  {
-    vedb::MutexLock lk(&shard->chain_mu);
-    for (uint64_t seq = first; seq <= last; ++seq) {
-      const ChainRecord* rec = ChainAtLocked(shard, seq);
-      VEDB_CHECK(rec != nullptr, "pagestore: seq %llu missing below the "
-                 "contiguity watermark", (unsigned long long)seq);
-      ShardReplica::Page& page = rep->pages[rec->page_key];
-      if (page.run == kNotInRun) {
-        page.run = static_cast<uint32_t>(run.size());
-        run.push_back({&page, seq, 0, nullptr, 0});
-      }
-      run[page.run].target = seq;
-      run_records.push_back({rec, page.run});
-      max_lsn = std::max(max_lsn, rec->lsn);
+  for (uint64_t seq = first; seq <= last; ++seq) {
+    const ChainRecord* rec = ChainAtLocked(shard, seq);
+    VEDB_CHECK(rec != nullptr, "pagestore: seq %llu missing below the "
+               "contiguity watermark", (unsigned long long)seq);
+    ShardReplica::Page& page = rep->pages[rec->page_key];
+    if (page.run == kNotInRun) {
+      page.run = static_cast<uint32_t>(run.size());
+      run.push_back({rec->page_key, &page, 0, nullptr, 0});
     }
+    run[page.run].target = seq;
+    run_records.push_back({rec, page.run});
+    max_lsn = std::max(max_lsn, rec->lsn);
   }
 
-  // A page whose image already stands at or past the run's last record on
-  // it (an install stamped after those records) keeps its image. Otherwise
-  // adopt the page's target version if the shard holds it, or make the
-  // image writable, copying it only if it is shared.
+  // Each page the run touches ends at the version of the run's last record
+  // on it. An image already at or past it (an install stamped after those
+  // records) is kept. Otherwise adopt a peer's current image that stands
+  // exactly there: every replica applies the same chain to the same
+  // install, so it is this page. Failing that, build: make the image
+  // writable, copying it only if it is shared.
   uint64_t adopted = 0;
   uint64_t built = 0;
-  {
-    vedb::MutexLock lk(&shard->versions_mu);
-    for (ShardReplica::RunPage& p : run) {
-      p.page->run = kNotInRun;
-      ImageRef& mine = p.page->image;
-      if (mine != nullptr && mine->seq >= p.target) continue;
-      auto version = shard->versions.find(p.target);
-      if (version != shard->versions.end()) {
-        mine = version->second;
-        adopted++;
-        continue;
+  for (RunPage& p : run) {
+    p.page->run = kNotInRun;
+    ImageRef& mine = p.page->image;
+    if (mine != nullptr && mine->seq >= p.target) continue;
+    const ImageRef* peer_image = nullptr;
+    for (const ShardReplica& peer : shard->replicas) {
+      if (&peer == rep) continue;
+      auto it = peer.pages.find(p.key);
+      if (it != peer.pages.end() && it->second.image->seq == p.target) {
+        peer_image = &it->second.image;
+        break;
       }
-      built++;
-      if (mine == nullptr) {
-        mine = NewImage(PageImage());
-      } else if (mine.use_count() > 1) {
-        mine = NewImage(*mine);
-      }
-      p.build = mine.get();
-      p.size_before = mine->bytes.size();
     }
+    if (peer_image != nullptr) {
+      mine = *peer_image;
+      adopted++;
+      continue;
+    }
+    built++;
+    if (mine == nullptr) {
+      mine = NewImage(PageImage());
+    } else if (mine.use_count() > 1) {
+      mine = NewImage(*mine);
+    }
+    p.build = mine.get();
+    p.size_before = mine->bytes.size();
   }
 
   // Apply the run's records to the pages being built, in chain order. An
   // install replaces its page as of its stamped seq, so a record at or
   // below the image's seq (one shipped before the install) is skipped on
   // every replica alike.
-  {
-    vedb::MutexLock lk(&shard->chain_mu);
-    for (uint64_t seq = first; seq <= last; ++seq) {
-      const ShardReplica::RunRecord& r = run_records[seq - first];
-      PageImage* img = run[r.page].build;
-      if (img == nullptr || seq <= img->seq) continue;
-      apply_(r.rec->page_key, Slice(r.rec->payload), r.rec->lsn, &img->bytes);
-      if (r.rec->lsn > img->lsn) img->lsn = r.rec->lsn;
-      img->seq = seq;
-    }
+  for (uint64_t seq = first; seq <= last; ++seq) {
+    const RunRecord& r = run_records[seq - first];
+    PageImage* img = run[r.page].build;
+    if (img == nullptr || seq <= img->seq) continue;
+    apply_(r.rec->page_key, Slice(r.rec->payload), r.rec->lsn, &img->bytes);
+    if (r.rec->lsn > img->lsn) img->lsn = r.rec->lsn;
+    img->seq = seq;
   }
-
-  // Publish the built versions, then drop those no replica within the lag
-  // cap still needs: every such replica has applied past them.
   int64_t grown = 0;
-  {
-    vedb::MutexLock lk(&shard->versions_mu);
-    shard->applied[rep->index] = last;
-    const auto [lo, hi] =
-        std::minmax_element(shard->applied.begin(), shard->applied.end());
-    const uint64_t floor =
-        std::max(*lo, *hi > kMaxVersionLag ? *hi - kMaxVersionLag : 0);
-    for (const ShardReplica::RunPage& p : run) {
-      if (p.build == nullptr) continue;
-      grown += static_cast<int64_t>(p.build->bytes.size()) -
-               static_cast<int64_t>(p.size_before);
-      if (p.target <= floor) continue;
-      shard->versions.emplace(p.target, p.page->image);
-    }
-    shard->versions.erase(shard->versions.begin(),
-                          shard->versions.upper_bound(floor));
+  for (const RunPage& p : run) {
+    if (p.build == nullptr) continue;
+    grown += static_cast<int64_t>(p.build->bytes.size()) -
+             static_cast<int64_t>(p.size_before);
   }
   if (grown != 0) AddImageBytes(grown);
 
@@ -331,7 +303,6 @@ Status PageStoreCluster::HandleShip(int shard, int replica_idx, Slice request,
                                     Timestamp* done) {
   VEDB_RETURN_IF_ERROR(env_->faults()->MaybeFail("ps.ship"));
   Shard* sh = shards_[shard].get();
-  ShardReplica* rep = sh->replicas[replica_idx].get();
 
   std::vector<WireRecord> records;
   if (!DecodeRecords(request, &records)) {
@@ -341,11 +312,11 @@ Status PageStoreCluster::HandleShip(int shard, int replica_idx, Slice request,
   for (const WireRecord& rec : records) total_bytes += rec.payload.size();
 
   // Records are persisted (SSD) before acking.
-  *done = rep->node->storage()->SubmitAt(start,
-                                         total_bytes + 64 * records.size());
+  *done = sh->nodes[replica_idx]->storage()->SubmitAt(
+      start, total_bytes + 64 * records.size());
   {
-    vedb::MutexLock lk(&rep->mu);
-    InsertRecordsLocked(sh, rep, records);
+    vedb::MutexLock lk(&sh->mu);
+    InsertRecordsLocked(sh, &sh->replicas[replica_idx], records);
   }
   response->clear();
   return Status::OK();
@@ -427,7 +398,6 @@ Status PageStoreCluster::ShipRecords(
 Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
                                         Slice request, std::string* response) {
   Shard* sh = shards_[shard].get();
-  ShardReplica* rep = sh->replicas[replica_idx].get();
   Slice raw;
   if (!GetFixedBytes(&request, 8, &raw)) {
     return Status::InvalidArgument("read_page");
@@ -442,8 +412,8 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
   // holds, try one synchronous gossip catch-up before giving up.
   bool need_gossip;
   {
-    vedb::MutexLock lk(&rep->mu);
-    vedb::MutexLock chain_lk(&sh->chain_mu);
+    vedb::MutexLock lk(&sh->mu);
+    const ShardReplica* rep = &sh->replicas[replica_idx];
     uint64_t reachable_lsn = rep->applied_lsn;
     for (uint64_t seq = rep->applied_seq + 1; seq <= rep->contiguous_seq;
          ++seq) {
@@ -458,11 +428,13 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
   }
 
   // Page read I/O from local media.
-  rep->node->storage()->Access(options_.page_size);
+  sim::SimNode* node = sh->nodes[replica_idx];
+  node->storage()->Access(options_.page_size);
   uint64_t applied;
   Status result;
   {
-    vedb::MutexLock lk(&rep->mu);
+    vedb::MutexLock lk(&sh->mu);
+    ShardReplica* rep = &sh->replicas[replica_idx];
     applied = ApplyContiguousLocked(sh, rep);
     if (rep->applied_lsn < min_lsn) {
       result = Status::Stale("replica behind requested LSN");
@@ -478,7 +450,7 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
     }
   }
   if (applied > 0) {
-    rep->node->cpu()->Access(0, applied * options_.apply_cpu_per_record);
+    node->cpu()->Access(0, applied * options_.apply_cpu_per_record);
   }
   return result;
 }
@@ -499,13 +471,7 @@ Status PageStoreCluster::ReadPage(sim::SimNode* client, PageKey key,
     sim::SimNode* node = shard->nodes[r];
     if (!node->alive()) continue;
     std::string resp;
-    net::RpcCallOptions call_opts;
-    if (options_.read_attempt_deadline != 0) {
-      call_opts.deadline =
-          env_->clock()->Now() + options_.read_attempt_deadline;
-    }
-    last = rpc_->Call(client, node, shard->read_service[r], Slice(req), &resp,
-                      call_opts);
+    last = rpc_->Call(client, node, shard->read_service[r], Slice(req), &resp);
     if (last.ok()) {
       if (resp.size() < 8) return Status::Corruption("bad page response");
       if (image_lsn != nullptr) *image_lsn = DecodeFixed64(resp.data());
@@ -522,7 +488,6 @@ Status PageStoreCluster::ReadPage(sim::SimNode* client, PageKey key,
 Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
                                      Slice request, std::string* response) {
   const Shard* sh = shards_[shard].get();
-  ShardReplica* rep = sh->replicas[replica_idx].get();
   Slice raw;
   if (!GetFixedBytes(&request, 8, &raw)) {
     return Status::InvalidArgument("fetch");
@@ -532,8 +497,8 @@ Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
   uint32_t count = 0;
   std::string body;
   {
-    vedb::MutexLock lk(&rep->mu);
-    vedb::MutexLock chain_lk(&sh->chain_mu);
+    vedb::MutexLock lk(&sh->mu);
+    const ShardReplica* rep = &sh->replicas[replica_idx];
     const uint64_t end_seq = rep->first_seq + rep->held.size();
     for (uint64_t seq = std::max(after + 1, rep->first_seq); seq < end_seq;
          ++seq) {
@@ -546,7 +511,7 @@ Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
       count++;
     }
   }
-  rep->node->storage()->Access(body.size());
+  sh->nodes[replica_idx]->storage()->Access(body.size());
   PutFixed32(response, count);
   response->append(body);
   return Status::OK();
@@ -554,20 +519,19 @@ Status PageStoreCluster::HandleFetch(int shard, int replica_idx,
 
 bool PageStoreCluster::GossipCatchUp(int shard, int replica_idx) {
   Shard* sh = shards_[shard].get();
-  ShardReplica* rep = sh->replicas[replica_idx].get();
   uint64_t after;
   {
-    vedb::MutexLock lk(&rep->mu);
-    after = rep->contiguous_seq;
+    vedb::MutexLock lk(&sh->mu);
+    after = sh->replicas[replica_idx].contiguous_seq;
   }
   bool progressed = false;
   for (int r = 0; r < options_.replication; ++r) {
     if (r == replica_idx) continue;
-    sim::SimNode* peer = shards_[shard]->nodes[r];
+    sim::SimNode* peer = sh->nodes[r];
     if (!peer->alive()) continue;
     std::string req, resp;
     PutFixed64(&req, after);
-    if (!rpc_->Call(rep->node, peer, shards_[shard]->fetch_service[r],
+    if (!rpc_->Call(sh->nodes[replica_idx], peer, sh->fetch_service[r],
                     Slice(req), &resp)
              .ok()) {
       continue;
@@ -575,8 +539,9 @@ bool PageStoreCluster::GossipCatchUp(int shard, int replica_idx) {
     std::vector<WireRecord> records;
     // discard-ok: a cut-short response still fills the holes it covers.
     (void)DecodeRecords(Slice(resp), &records);
+    vedb::MutexLock lk(&sh->mu);
+    ShardReplica* rep = &sh->replicas[replica_idx];
     if (!records.empty()) {
-      vedb::MutexLock lk(&rep->mu);
       const uint64_t before = rep->contiguous_seq;
       InsertRecordsLocked(sh, rep, records);
       if (rep->contiguous_seq > before) {
@@ -585,52 +550,21 @@ bool PageStoreCluster::GossipCatchUp(int shard, int replica_idx) {
         gossip_metric_->Add(1);
       }
     }
-    {
-      vedb::MutexLock lk(&rep->mu);
-      if (rep->contiguous_seq >= rep->max_seen_seq) break;  // caught up
-    }
+    if (rep->contiguous_seq >= rep->max_seen_seq) break;  // caught up
   }
   return progressed;
-}
-
-Status PageStoreCluster::ReadLocalPage(sim::SimNode* node, PageKey key,
-                                       std::string* image) {
-  const int s = ShardOf(key);
-  for (int r = 0; r < options_.replication; ++r) {
-    ShardReplica* rep = shards_[s]->replicas[r].get();
-    if (rep->node != node) continue;
-    node->storage()->Access(options_.page_size);
-    uint64_t applied;
-    Status result;
-    {
-      vedb::MutexLock lk(&rep->mu);
-      applied = ApplyContiguousLocked(shards_[s].get(), rep);
-      auto it = rep->pages.find(key);
-      if (it == rep->pages.end()) {
-        result = Status::NotFound("no such page on this replica");
-      } else {
-        *image = it->second.image->bytes;
-        result = Status::OK();
-      }
-    }
-    if (applied > 0) {
-      node->cpu()->Access(0, applied * options_.apply_cpu_per_record);
-    }
-    return result;
-  }
-  return Status::NotFound("no replica of this shard on " + node->name());
 }
 
 Status PageStoreCluster::PeekLocalPage(sim::SimNode* node, PageKey key,
                                        std::string* image,
                                        uint64_t* applied) {
   *applied = 0;
-  const int s = ShardOf(key);
+  Shard* sh = shards_[ShardOf(key)].get();
   for (int r = 0; r < options_.replication; ++r) {
-    ShardReplica* rep = shards_[s]->replicas[r].get();
-    if (rep->node != node) continue;
-    vedb::MutexLock lk(&rep->mu);
-    *applied = ApplyContiguousLocked(shards_[s].get(), rep);
+    if (sh->nodes[r] != node) continue;
+    vedb::MutexLock lk(&sh->mu);
+    ShardReplica* rep = &sh->replicas[r];
+    *applied = ApplyContiguousLocked(sh, rep);
     auto it = rep->pages.find(key);
     if (it == rep->pages.end()) {
       return Status::NotFound("no such page on this replica");
@@ -660,19 +594,16 @@ Status PageStoreCluster::InstallPageDirect(PageKey key, uint64_t lsn,
     vedb::MutexLock lk(&shard->ship_mu);
     head = shard->next_seq - 1;
   }
-  for (auto& rep : shard->replicas) {
-    vedb::MutexLock lk(&rep->mu);
-    head = std::max(head, rep->max_seen_seq);
+  vedb::MutexLock lk(&shard->mu);
+  for (const ShardReplica& rep : shard->replicas) {
+    head = std::max(head, rep.max_seen_seq);
   }
   PageImage fresh;
   fresh.lsn = lsn;
   fresh.seq = head;
   fresh.bytes = image.ToString();
   const ImageRef shared = NewImage(std::move(fresh));
-  for (auto& rep : shard->replicas) {
-    vedb::MutexLock lk(&rep->mu);
-    rep->pages[key].image = shared;
-  }
+  for (ShardReplica& rep : shard->replicas) rep.pages[key].image = shared;
   return Status::OK();
 }
 
@@ -698,29 +629,28 @@ uint64_t PageStoreCluster::DurableLsn() const {
 void PageStoreCluster::TruncateBelow(uint64_t lsn) {
   int64_t dropped = 0;
   for (auto& shard : shards_) {
-    for (auto& rep : shard->replicas) {
-      vedb::MutexLock lk(&rep->mu);
-      vedb::MutexLock chain_lk(&shard->chain_mu);
+    vedb::MutexLock lk(&shard->mu);
+    for (ShardReplica& rep : shard->replicas) {
       // Only applied records may be dropped. A record leaves the chain
       // with its last holder, and a chunk with its last record.
-      const uint64_t end_seq = rep->first_seq + rep->held.size();
-      for (uint64_t seq = rep->first_seq;
-           seq <= rep->applied_seq && seq < end_seq; ++seq) {
-        if (!rep->held[seq - rep->first_seq]) continue;
+      const uint64_t end_seq = rep.first_seq + rep.held.size();
+      for (uint64_t seq = rep.first_seq;
+           seq <= rep.applied_seq && seq < end_seq; ++seq) {
+        if (!rep.held[seq - rep.first_seq]) continue;
         auto chunk = shard->chain.find(seq >> kChainChunkBits);
         ChainRecord& rec = chunk->second->records[seq & kChainChunkMask];
         if (rec.lsn >= lsn) continue;
-        rep->held[seq - rep->first_seq] = false;
+        rep.held[seq - rep.first_seq] = false;
         if (--rec.holders > 0) continue;
         dropped += static_cast<int64_t>(rec.payload.size());
         rec = ChainRecord();
         if (--chunk->second->live == 0) shard->chain.erase(chunk);
       }
       // Release the dropped prefix.
-      while (!rep->held.empty() && !rep->held.front() &&
-             rep->first_seq <= rep->applied_seq) {
-        rep->held.pop_front();
-        rep->first_seq++;
+      while (!rep.held.empty() && !rep.held.front() &&
+             rep.first_seq <= rep.applied_seq) {
+        rep.held.pop_front();
+        rep.first_seq++;
       }
     }
   }
@@ -729,42 +659,38 @@ void PageStoreCluster::TruncateBelow(uint64_t lsn) {
 
 std::vector<uint64_t> PageStoreCluster::RetainedRecords(int shard,
                                                         int replica) const {
-  ShardReplica* rep = shards_[shard]->replicas[replica].get();
-  vedb::MutexLock lk(&rep->mu);
+  const Shard* sh = shards_[shard].get();
+  vedb::MutexLock lk(&sh->mu);
+  const ShardReplica& rep = sh->replicas[replica];
   std::vector<uint64_t> seqs;
-  for (size_t i = 0; i < rep->held.size(); ++i) {
-    if (rep->held[i]) seqs.push_back(rep->first_seq + i);
+  for (size_t i = 0; i < rep.held.size(); ++i) {
+    if (rep.held[i]) seqs.push_back(rep.first_seq + i);
   }
   return seqs;
 }
 
 size_t PageStoreCluster::ChainRecords(int shard) const {
   const Shard* sh = shards_[shard].get();
-  vedb::MutexLock lk(&sh->chain_mu);
+  vedb::MutexLock lk(&sh->mu);
   size_t records = 0;
   for (const auto& [index, chunk] : sh->chain) records += chunk->live;
   return records;
 }
 
-size_t PageStoreCluster::VersionCount(int shard) const {
-  const Shard* sh = shards_[shard].get();
-  vedb::MutexLock lk(&sh->versions_mu);
-  return sh->versions.size();
-}
-
 size_t PageStoreCluster::DistinctImages(int shard) const {
+  const Shard* sh = shards_[shard].get();
+  vedb::MutexLock lk(&sh->mu);
   std::unordered_set<const PageImage*> seen;
-  for (const auto& rep : shards_[shard]->replicas) {
-    vedb::MutexLock lk(&rep->mu);
-    for (const auto& [key, page] : rep->pages) seen.insert(page.image.get());
+  for (const ShardReplica& rep : sh->replicas) {
+    for (const auto& [key, page] : rep.pages) seen.insert(page.image.get());
   }
   return seen.size();
 }
 
 uint64_t PageStoreCluster::ContiguousSeq(int shard, int replica) const {
-  ShardReplica* rep = shards_[shard]->replicas[replica].get();
-  vedb::MutexLock lk(&rep->mu);
-  return rep->contiguous_seq;
+  const Shard* sh = shards_[shard].get();
+  vedb::MutexLock lk(&sh->mu);
+  return sh->replicas[replica].contiguous_seq;
 }
 
 void PageStoreCluster::BackgroundLoop(sim::SimNode* node) {
@@ -774,14 +700,15 @@ void PageStoreCluster::BackgroundLoop(sim::SimNode* node) {
     tick++;
     if (!node->alive()) continue;  // a dead box does no background work
     for (int s = 0; s < options_.num_shards; ++s) {
+      Shard* sh = shards_[s].get();
       for (int r = 0; r < options_.replication; ++r) {
-        ShardReplica* rep = shards_[s]->replicas[r].get();
-        if (rep->node != node) continue;
+        if (sh->nodes[r] != node) continue;
         bool hole;
         uint64_t applied;
         {
-          vedb::MutexLock lk(&rep->mu);
-          applied = ApplyContiguousLocked(shards_[s].get(), rep);
+          vedb::MutexLock lk(&sh->mu);
+          ShardReplica* rep = &sh->replicas[r];
+          applied = ApplyContiguousLocked(sh, rep);
           hole = rep->contiguous_seq < rep->max_seen_seq;
         }
         if (applied > 0) {

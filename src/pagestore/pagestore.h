@@ -57,8 +57,8 @@ struct RedoShipRecord {
 /// (key, payload, lsn, *image), never on which replica applies the record,
 /// on time or on any other state. A page's bytes are then a function of its
 /// install image and the shard's chain up to a sequence number, which is
-/// what lets replicas share one copy of each page version (see
-/// PageStoreCluster's version table).
+/// what lets a replica adopt a peer's image of a page at the version it
+/// needs instead of building its own copy.
 using ApplyFn = std::function<void(PageKey key, Slice payload, uint64_t lsn,
                                    std::string* image)>;
 
@@ -77,18 +77,7 @@ class PageStoreCluster {
     Duration apply_cpu_per_record = 2 * kMicrosecond;
     /// Page size used to charge read I/O.
     uint64_t page_size = 16 * kKiB;
-    /// Per-replica attempt deadline for ReadPage RPCs (0 = none). Bounds
-    /// how long a slow replica can hold up the read before the failover
-    /// loop moves to the next copy; the reads are idempotent, so the
-    /// give-up-and-drop-response semantics of RpcCallOptions are safe.
-    Duration read_attempt_deadline = 0;
   };
-
-  /// A shard's version table keeps a version only while a replica within
-  /// this many sequence numbers of the most advanced one may still adopt
-  /// it, so a dead or lagging replica bounds the table at this many
-  /// versions; a replica further behind builds its versions itself.
-  static constexpr uint64_t kMaxVersionLag = 1024;
 
   PageStoreCluster(sim::SimEnvironment* env, net::RpcTransport* rpc,
                    std::vector<sim::SimNode*> nodes, ApplyFn apply,
@@ -131,18 +120,15 @@ class PageStoreCluster {
   int ShardOf(PageKey key) const;
   const std::vector<sim::SimNode*>& ReplicaNodes(int shard) const;
 
-  /// Reads a page from the replica hosted on `node` without any network
-  /// hop, charging local media I/O — the storage-side path of push-down
-  /// execution ("the PageServer reads the local disk", Section VI-B).
-  Status ReadLocalPage(sim::SimNode* node, PageKey key, std::string* image);
-
   /// The node currently preferred for serving `key` locally (first alive
   /// replica), or null.
   sim::SimNode* LocalNodeFor(PageKey key) const;
 
-  /// State-only local page read for non-blocking (timed) handlers: no
-  /// device time is charged; `*applied` reports how many records had to be
-  /// applied so the caller can charge CPU itself.
+  /// Reads a page from the replica hosted on `node` without any network
+  /// hop — the storage-side path of push-down execution ("the PageServer
+  /// reads the local disk", Section VI-B). State only, for non-blocking
+  /// (timed) handlers: no device time is charged; `*applied` reports how
+  /// many records had to be applied so the caller can charge CPU itself.
   Status PeekLocalPage(sim::SimNode* node, PageKey key, std::string* image,
                        uint64_t* applied);
 
@@ -151,8 +137,6 @@ class PageStoreCluster {
   /// Test/metrics hooks.
   uint64_t GossipFillCount() const { return gossip_fills_.load(); }
   uint64_t AppliedRecordCount() const { return applied_records_.load(); }
-  /// Page versions `shard`'s version table currently holds.
-  size_t VersionCount(int shard) const;
   /// Distinct page buffers the replicas of `shard` hold (a buffer several
   /// replicas share counts once).
   size_t DistinctImages(int shard) const;
@@ -168,9 +152,8 @@ class PageStoreCluster {
 
  private:
   /// One page version. A buffer is written only while a single replica
-  /// holds it; once published to the version table or shared by an
-  /// install it is immutable, and a replica that applies to it copies it
-  /// first.
+  /// holds it; once a peer adopts it or an install shares it, it is
+  /// immutable, and a replica that applies to it copies it first.
   struct PageImage {
     uint64_t lsn = 0;
     /// Chain seq of the last record applied, or an install's chain head:
@@ -214,50 +197,53 @@ class PageStoreCluster {
     ChainRecord records[1u << kChainChunkBits];
   };
 
-  /// One replica of one shard, resident on a node. The replica's records
-  /// live in the shard's chain; the replica keeps which sequence numbers it
-  /// holds, densely: held[i] is sequence number first_seq + i.
+  /// One replica of one shard, resident on the shard's node of the same
+  /// index; its shard's `mu` guards it. The replica's records live in the
+  /// shard's chain; the replica keeps which sequence numbers it holds,
+  /// densely: held[i] is sequence number first_seq + i.
   struct ShardReplica {
-    vedb::Mutex mu{"pagestore.replica"};
-    sim::SimNode* node = nullptr;
-    int index = 0;  // position in its shard's replica list
     // False for a hole (not yet received) or a truncated record.
-    std::deque<bool> held GUARDED_BY(mu);
+    std::deque<bool> held;
     // chain seq (1-based) of held.front()
-    uint64_t first_seq GUARDED_BY(mu) = 1;
+    uint64_t first_seq = 1;
     // all seqs <= this are held
-    uint64_t contiguous_seq GUARDED_BY(mu) = 0;
+    uint64_t contiguous_seq = 0;
     // largest seq ever received
-    uint64_t max_seen_seq GUARDED_BY(mu) = 0;
+    uint64_t max_seen_seq = 0;
     // records <= this are in page images
-    uint64_t applied_seq GUARDED_BY(mu) = 0;
+    uint64_t applied_seq = 0;
     // lsn of the last applied record
-    uint64_t applied_lsn GUARDED_BY(mu) = 0;
+    uint64_t applied_lsn = 0;
     struct Page {
       ImageRef image;
-      // Index in run_pages while an apply run touches this page.
+      // Index in the shard's run_pages while an apply run touches this page.
       uint32_t run = kNotInRun;
     };
-    std::unordered_map<PageKey, Page> pages GUARDED_BY(mu);
-    // ApplyContiguousLocked's per-run scratch, kept to reuse its memory.
-    struct RunPage {
-      Page* page;
-      uint64_t first;    // seq of the run's first record on this page
-      uint64_t target;   // seq of the run's last record on this page
-      PageImage* build;  // image the run's records apply to; null: adopted
-      size_t size_before;
-    };
-    std::vector<RunPage> run_pages GUARDED_BY(mu);
-    struct RunRecord {
-      const ChainRecord* rec;
-      uint32_t page;  // index in run_pages
-    };
-    std::vector<RunRecord> run_records GUARDED_BY(mu);
+    std::unordered_map<PageKey, Page> pages;
+
+    /// Whether this replica holds the record with chain sequence number
+    /// `seq`.
+    bool Holds(uint64_t seq) const {
+      return seq >= first_seq && seq - first_seq < held.size() &&
+             held[seq - first_seq];
+    }
+  };
+
+  // ApplyContiguousLocked's per-run scratch, kept to reuse its memory.
+  struct RunPage {
+    PageKey key;
+    ShardReplica::Page* page;
+    uint64_t target;   // seq of the run's last record on this page
+    PageImage* build;  // image the run's records apply to; null: kept/adopted
+    size_t size_before;
+  };
+  struct RunRecord {
+    const ChainRecord* rec;
+    uint32_t page;  // index in run_pages
   };
 
   struct Shard {
     std::vector<sim::SimNode*> nodes;
-    std::vector<std::unique_ptr<ShardReplica>> replicas;
     // Per-replica RPC service names ("ps.ship.<shard>.<replica>" ...).
     std::vector<std::string> ship_service;
     std::vector<std::string> read_service;
@@ -268,20 +254,18 @@ class PageStoreCluster {
     uint64_t next_seq GUARDED_BY(ship_mu) = 1;
     uint64_t last_shipped_lsn GUARDED_BY(ship_mu) = 0;
     std::atomic<uint64_t> acked_lsn{0};
-    // Version table: every replica applies the same chain, so a page as of
-    // a record has one image, built by the first replica to get there and
-    // adopted by the others. Keyed by the record's seq (the record names
-    // the page). Lock order: a replica's mu, then versions_mu.
-    mutable vedb::Mutex versions_mu{"pagestore.versions"};
-    std::map<uint64_t, ImageRef> versions GUARDED_BY(versions_mu);
-    // Each replica's applied_seq, mirrored for the drop rule.
-    std::vector<uint64_t> applied GUARDED_BY(versions_mu);
+    // The storage side: the replicas, the REDO chain they share and the
+    // page maps they adopt versions from. Every actor is a fiber on one
+    // thread and no lock is held across a clock wait, so one lock per shard
+    // costs no concurrency.
+    mutable vedb::Mutex mu{"pagestore.shard"};
+    std::vector<ShardReplica> replicas GUARDED_BY(mu);
     // The REDO chain: every replica receives the same records, so the
     // shard keeps each once, keyed by seq >> kChainChunkBits, and a record
-    // stays while a replica holds it. Lock order: a replica's mu, then
-    // chain_mu (never together with versions_mu).
-    mutable vedb::Mutex chain_mu{"pagestore.chain"};
-    std::map<uint64_t, std::unique_ptr<ChainChunk>> chain GUARDED_BY(chain_mu);
+    // stays while a replica holds it.
+    std::map<uint64_t, std::unique_ptr<ChainChunk>> chain GUARDED_BY(mu);
+    std::vector<RunPage> run_pages GUARDED_BY(mu);
+    std::vector<RunRecord> run_records GUARDED_BY(mu);
   };
 
   Status HandleShip(int shard, int replica_idx, Slice request,
@@ -296,27 +280,24 @@ class PageStoreCluster {
   /// a malformed buffer; `out` then holds the records before the fault.
   static bool DecodeRecords(Slice in, std::vector<WireRecord>* out);
 
-  /// Whether `rep` holds the record with chain sequence number `seq`.
-  static bool HeldLocked(const ShardReplica* rep, uint64_t seq)
-      REQUIRES(rep->mu);
-
   /// The chain's record `seq`, or null if no replica holds it.
   static const ChainRecord* ChainAtLocked(const Shard* shard, uint64_t seq)
-      REQUIRES(shard->chain_mu);
+      REQUIRES(shard->mu);
 
-  /// Marks `records` held by `rep`, adopting the chain's copy of each or
-  /// publishing it there, and advances the contiguity watermark.
+  /// Marks `records` held by `rep`, a replica of `shard`, adopting the
+  /// chain's copy of each or publishing it there, and advances the
+  /// contiguity watermark.
   void InsertRecordsLocked(Shard* shard, ShardReplica* rep,
                            const std::vector<WireRecord>& records)
-      REQUIRES(rep->mu);
+      REQUIRES(shard->mu);
 
-  /// Applies contiguous unapplied records; returns how many were applied.
-  /// Each page the run touches ends at the version of the run's last record
-  /// on it: adopted from the shard's version table when present, else
-  /// built and published. The caller must charge the CPU cost (applied *
+  /// Applies `rep`'s contiguous unapplied records; returns how many were
+  /// applied. Each page the run touches ends at the version of the run's
+  /// last record on it: adopted from a peer replica whose image stands
+  /// there, else built. The caller must charge the CPU cost (applied *
   /// apply_cpu_per_record) after unlocking — never block under the lock.
   uint64_t ApplyContiguousLocked(Shard* shard, ShardReplica* rep)
-      REQUIRES(rep->mu);
+      REQUIRES(shard->mu);
 
   /// Pulls missing records from peer replicas. Must be called WITHOUT the
   /// replica lock (does RPC). Returns true if progress was made.

@@ -163,8 +163,9 @@ class PageStoreTest : public ::testing::Test {
   /// Applies what replica `replica` of `shard` can and returns its image.
   std::string LocalImage(int shard, int replica, PageKey key) {
     std::string image;
-    Status s = store_->ReadLocalPage(store_->ReplicaNodes(shard)[replica],
-                                     key, &image);
+    uint64_t applied = 0;
+    Status s = store_->PeekLocalPage(store_->ReplicaNodes(shard)[replica],
+                                     key, &image, &applied);
     return s.ok() ? image : "<" + s.ToString() + ">";
   }
 
@@ -176,7 +177,7 @@ class PageStoreTest : public ::testing::Test {
     store_->Shutdown();
   }
 
-  /// The seeded version-table property run (below).
+  /// The seeded shared-version property run (below).
   void CheckVersionsAgainstChainPrefixes(uint64_t seed);
   /// The seeded shared-chain property run (below).
   void CheckChainAgainstReplicaReferences(uint64_t seed);
@@ -530,7 +531,10 @@ void PageStoreTest::CheckVersionsAgainstChainPrefixes(uint64_t seed) {
     if (down >= 0) nodes_[down]->SetAlive(true);
     EXPECT_GT(reads, 200);
     EXPECT_GT(installs, 5);
-    EXPECT_LE(store_->VersionCount(0), PageStoreCluster::kMaxVersionLag);
+    // A replica pins at most its own one buffer per page.
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_LE(store_->DistinctImages(s), 3 * kPagesPerShard);
+    }
   }
 }
 
@@ -875,7 +879,6 @@ TEST_F(PageStoreTest, LockstepReplicasShareOneBufferPerPage) {
                     .ok());
     for (int r = 0; r < 3; ++r) LocalImage(shard, r, a);
     EXPECT_EQ(store_->DistinctImages(shard), 2u) << "round " << round;
-    EXPECT_EQ(store_->VersionCount(shard), 0u);  // every replica passed
   }
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(LocalImage(shard, r, a), "A:xzxzxzxzxz");
@@ -888,11 +891,59 @@ TEST_F(PageStoreTest, LockstepReplicasShareOneBufferPerPage) {
             static_cast<int64_t>(std::string("A:xzxzxzxzxz").size() + 5));
 }
 
+// A replica adopts a page version only from a peer whose current image
+// stands exactly at it. Replica 0 applies the page through two runs before
+// replica 1 applies anything; replica 1 then builds the first version
+// itself, since no peer holds it any more, and adopts the second.
+TEST_F(PageStoreTest, ReplicaAdoptsOnlyAVersionAPeerStillHolds) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const obs::Counter* built = reg.GetCounter("pagestore.versions_built");
+  const obs::Counter* adopted = reg.GetCounter("pagestore.versions_adopted");
+  const int shard = 2;
+  const PageKey key = KeyInShard(shard);
+  ASSERT_TRUE(store_->InstallPageDirect(key, 1, Slice("I:")).ok());
+  const uint64_t built0 = built->value();
+  const uint64_t adopted0 = adopted->value();
+  auto expect_counts = [&](uint64_t b, uint64_t a) {
+    EXPECT_EQ(built->value() - built0, b);
+    EXPECT_EQ(adopted->value() - adopted0, a);
+  };
+
+  ShipRaw(shard, 0, key, {{1, 10, "a"}});
+  EXPECT_EQ(LocalImage(shard, 0, key), "I:a");  // t1 = 1
+  ShipRaw(shard, 0, key, {{2, 11, "b"}});
+  EXPECT_EQ(LocalImage(shard, 0, key), "I:ab");  // t2 = 2
+  expect_counts(2, 0);
+
+  ShipRaw(shard, 1, key, {{1, 10, "a"}});
+  EXPECT_EQ(LocalImage(shard, 1, key), "I:a");  // built: replica 0 is at t2
+  expect_counts(3, 0);
+  ShipRaw(shard, 1, key, {{2, 11, "b"}});
+  EXPECT_EQ(LocalImage(shard, 1, key), "I:ab");  // adopted from replica 0
+  expect_counts(3, 1);
+  EXPECT_EQ(store_->DistinctImages(shard), 2u);  // replica 2: the install
+
+  ShipRaw(shard, 2, key, {{1, 10, "a"}, {2, 11, "b"}});
+  EXPECT_EQ(LocalImage(shard, 2, key), "I:ab");  // one run, to t2: adopted
+  expect_counts(3, 2);
+  EXPECT_EQ(store_->DistinctImages(shard), 1u);
+}
+
 // An install replaces its page as of the chain head it is stamped with. A
 // record shipped before the install is skipped by every replica, both the
 // one that applied it before the install and the one that applies it
-// after, so the replicas serve the same bytes and share one buffer.
+// after, so the replicas serve the same bytes and share one buffer. A
+// replica that keeps the install neither builds nor adopts.
 TEST_F(PageStoreTest, ReplicasConvergeAndShareAcrossAMidRunInstall) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const obs::Counter* built = reg.GetCounter("pagestore.versions_built");
+  const obs::Counter* adopted = reg.GetCounter("pagestore.versions_adopted");
+  const uint64_t built0 = built->value();
+  const uint64_t adopted0 = adopted->value();
+  auto expect_counts = [&](uint64_t b, uint64_t a) {
+    EXPECT_EQ(built->value() - built0, b);
+    EXPECT_EQ(adopted->value() - adopted0, a);
+  };
   const int shard = 2;
   const PageKey key = KeyInShard(shard);
   auto ship_all = [&](uint64_t seq, uint64_t lsn, const std::string& p) {
@@ -906,17 +957,26 @@ TEST_F(PageStoreTest, ReplicasConvergeAndShareAcrossAMidRunInstall) {
   };
   ship_all(1, 1, "a");
   EXPECT_EQ(LocalImage(shard, 1, key), "a");  // replica 1 applies first
+  expect_counts(1, 0);
   ASSERT_TRUE(store_->InstallPageDirect(key, 5, Slice("I")).ok());
   expect_all("I");  // replicas 0 and 2 apply "a" after the install
+  expect_counts(1, 0);
   ship_all(2, 6, "b");
-  expect_all("Ib");  // replica 0 publishes seq 2, the others adopt it
+  expect_all("Ib");  // replica 0 builds seq 2, the others adopt it
+  expect_counts(2, 2);
   ship_all(3, 7, "c");
   expect_all("Ibc");
+  expect_counts(3, 4);
 }
 
-// A dead replica never passes any version: the table stays within the lag
-// cap, and once back the replica rebuilds what it missed and converges.
-TEST_F(PageStoreTest, DeadReplicaLeavesTheVersionTableBounded) {
+// A dead replica pins at most its own one buffer per page: while it is
+// down the shard holds at most two buffers per page, and no bytes beyond
+// them, and once it is back it catches up by adopting its peers' versions.
+TEST_F(PageStoreTest, DeadReplicaPinsAtMostOneBufferPerPage) {
+  const obs::Gauge* bytes =
+      obs::MetricsRegistry::Default().GetGauge("pagestore.image_bytes");
+  const int64_t bytes0 = bytes->value();
+  int64_t pinned = 0;  // the bytes of the dead replica's images
   const int shard = 0;
   std::vector<PageKey> keys;
   for (PageKey k = 0; keys.size() < 50; ++k) {
@@ -924,26 +984,40 @@ TEST_F(PageStoreTest, DeadReplicaLeavesTheVersionTableBounded) {
   }
   const int dead = 1;
   sim::SimNode* dead_node = store_->ReplicaNodes(shard)[dead];
-  dead_node->SetAlive(false);
-  const uint64_t records = 3100;  // three times the lag cap, and more
-  ASSERT_GT(records, 3 * PageStoreCluster::kMaxVersionLag);
   uint64_t lsn = 1;
   std::vector<std::string> want(keys.size());
-  for (uint64_t i = 0; i < records; i += 10) {
-    std::vector<RedoShipRecord> batch;
-    for (int j = 0; j < 10; ++j, ++lsn) {
-      const size_t page = (lsn * 7) % keys.size();
-      const std::string payload(1, static_cast<char>('a' + lsn % 26));
-      batch.push_back(Rec(keys[page], lsn, payload));
-      want[page] += payload;
+  auto ship = [&](uint64_t n) {
+    for (uint64_t i = 0; i < n; i += 10) {
+      std::vector<RedoShipRecord> batch;
+      for (int j = 0; j < 10; ++j, ++lsn) {
+        const size_t page = (lsn * 7) % keys.size();
+        const std::string payload(1, static_cast<char>('a' + lsn % 26));
+        batch.push_back(Rec(keys[page], lsn, payload));
+        want[page] += payload;
+      }
+      ASSERT_TRUE(store_->ShipRecords(client_, batch).ok());
+      for (int r = 0; r < 3; ++r) {
+        if (store_->ReplicaNodes(shard)[r]->alive()) {
+          LocalImage(shard, r, keys[0]);
+        }
+      }
+      EXPECT_LE(store_->DistinctImages(shard), 2 * keys.size());
+      int64_t live = 0;  // the bytes of the live replicas' images
+      for (const std::string& page : want) {
+        live += static_cast<int64_t>(page.size());
+      }
+      EXPECT_LE(bytes->value() - bytes0, pinned + live) << "lsn " << lsn;
     }
-    ASSERT_TRUE(store_->ShipRecords(client_, batch).ok());
-    for (int r = 0; r < 3; ++r) {
-      if (r != dead) LocalImage(shard, r, keys[0]);
-    }
-    EXPECT_LE(store_->VersionCount(shard), PageStoreCluster::kMaxVersionLag);
+  };
+  ship(500);  // every replica holds every page
+  EXPECT_EQ(store_->DistinctImages(shard), keys.size());
+  for (const std::string& page : want) {
+    pinned += static_cast<int64_t>(page.size());
   }
-  EXPECT_EQ(store_->ContiguousSeq(shard, dead), 0u);
+  dead_node->SetAlive(false);
+  const uint64_t records = 3600;
+  ship(records - 500);
+  EXPECT_EQ(store_->ContiguousSeq(shard, dead), 500u);
   dead_node->SetAlive(true);
   RunBackground(100 * kMillisecond);  // gossip brings the replica back
   EXPECT_EQ(store_->ContiguousSeq(shard, dead), records);
@@ -952,7 +1026,6 @@ TEST_F(PageStoreTest, DeadReplicaLeavesTheVersionTableBounded) {
       EXPECT_EQ(LocalImage(shard, r, keys[p]), want[p]) << p << " " << r;
     }
   }
-  EXPECT_EQ(store_->VersionCount(shard), 0u);
   EXPECT_EQ(store_->DistinctImages(shard), keys.size());
 }
 
